@@ -134,17 +134,10 @@ let run traversal config_name nodes protocol lazy_mode costs log_mode_name
       Lbc_core.Cluster.spawn cluster ~node:0 (fun node ->
           let txn = Lbc_dsm.Backend.Dtxn.begin_ node ~kind:backend in
           Lbc_dsm.Backend.Dtxn.acquire txn Runner.lock;
-          let mem =
-            {
-              Lbc_pheap.Heap.read =
-                (fun ~offset ~len ->
-                  Lbc_dsm.Backend.Dtxn.read txn ~region:Runner.region ~offset ~len);
-              write =
-                (fun ~offset b ->
-                  Lbc_dsm.Backend.Dtxn.write txn ~region:Runner.region ~offset b);
-            }
+          let db =
+            Database.attach_mem schema
+              (Lbc_dsm.Backend.Dtxn.mem txn ~region:Runner.region)
           in
-          let db = Database.attach_mem schema mem ~size:(Schema.region_size schema) in
           let r = Traversal.run db kind in
           let record = Lbc_dsm.Backend.Dtxn.commit txn in
           result := Some (r, record, Lbc_dsm.Backend.Dtxn.stats txn));

@@ -39,6 +39,14 @@ let spec_image spec region =
    execution is wrong, not the encoding.  Returns the violations the
    record itself raises (unknown operation). *)
 let apply_txn spec (txn : R.txn) =
+  let mem ~region =
+    match spec_image spec region with
+    | Some img -> Lbc_util.Mem.of_bytes img
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Serialize: command touched undeclared region %d"
+             region)
+  in
   match txn.R.cmd with
   | Some c when not (Lbc_wal.Command.registered c.R.op) ->
       [ Violation.Command_unknown
@@ -49,26 +57,10 @@ let apply_txn spec (txn : R.txn) =
          check_regions flags those. *)
       []
   | _ ->
-      let mem =
-        {
-          Lbc_wal.Command.read =
-            (fun ~region ~offset ~len ->
-              match spec_image spec region with
-              | Some img when offset >= 0 && offset + len <= Bytes.length img
-                ->
-                  Bytes.sub img offset len
-              | _ -> Bytes.make len '\000');
-          write =
-            (fun ~region ~offset data ->
-              match spec_image spec region with
-              | None -> ()
-              | Some img ->
-                  let len = Bytes.length data in
-                  if offset >= 0 && offset + len <= Bytes.length img then
-                    Bytes.blit data 0 img offset len);
-        }
-      in
-      Lbc_wal.Command.apply mem txn;
+      (* Value ranges outside the declared set are skipped too. *)
+      let declared (r : R.range) = spec_image spec r.R.region <> None in
+      Lbc_wal.Command.apply mem
+        { txn with R.ranges = List.filter declared txn.R.ranges };
       []
 
 let first_diff a b =

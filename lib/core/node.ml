@@ -978,6 +978,14 @@ let get_u64 t ~region ~offset =
   if not (Lbc_rvm.Region.is_warm reg) then ensure_warm_region t region;
   Lbc_rvm.Region.get_u64 reg ~offset
 
+(* An accessor reads the cached image directly, so it passes the gate
+   once, when it is made: a region warmed by then stays warm until the
+   node crashes, which also ends the accessor's process. *)
+let mem t ~region ~declare =
+  let reg = Lbc_rvm.Rvm.region t.rvm region in
+  if not (Lbc_rvm.Region.is_warm reg) then ensure_warm_region t region;
+  Lbc_rvm.Region.mem reg ~declare
+
 (* --------------------------------------------------------------- *)
 (* Message handling *)
 
@@ -1120,6 +1128,10 @@ module Txn = struct
     Lbc_rvm.Rvm.set_u64 t.rvm_txn ~region ~offset v
   let read t ~region ~offset ~len = read t.node ~region ~offset ~len
   let get_u64 t ~region ~offset = get_u64 t.node ~region ~offset
+
+  let mem t ~region =
+    ensure_warm_region t.node region;
+    Lbc_rvm.Rvm.mem t.rvm_txn ~region
 
   let set_command t ~op ~params ~regions =
     Lbc_rvm.Rvm.set_command t.rvm_txn ~op ~params ~regions

@@ -76,6 +76,13 @@ val get_u64 : t -> region:int -> offset:int -> int64
     lock, as the paper requires — this is not enforced, exactly as in the
     prototype). *)
 
+val mem :
+  t -> region:int -> declare:(offset:int -> len:int -> unit) -> Lbc_util.Mem.t
+(** The shared accessor over the cached image of [region]
+    ({!Lbc_rvm.Region.mem}): stores run [declare], then mark the region
+    dirty.  The on-demand serving gate is checked here, once — the
+    accessor's reads and stores go straight to the image. *)
+
 type stats = {
   mutable updates_sent : int;  (** coherency messages broadcast (per peer) *)
   mutable update_bytes_sent : int;
@@ -220,6 +227,11 @@ module Txn : sig
 
   val read : t -> region:int -> offset:int -> len:int -> Bytes.t
   val get_u64 : t -> region:int -> offset:int -> int64
+
+  val mem : t -> region:int -> Lbc_util.Mem.t
+  (** The transaction's accessor to [region] ({!Lbc_rvm.Rvm.mem}): every
+      store first declares its [set_range].  Passes the serving gate
+      once, like the node's own accessor. *)
 
   val set_command : t -> op:int -> params:Bytes.t -> regions:int list -> unit
   (** Declare the transaction's effect as one registered deterministic

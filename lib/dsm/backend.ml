@@ -44,8 +44,6 @@ module Dtxn = struct
 
   let stats t = t.stats
   let acquire t lock = Lbc_core.Node.Txn.acquire t.inner lock
-  let read t ~region ~offset ~len = Lbc_core.Node.Txn.read t.inner ~region ~offset ~len
-  let get_u64 t ~region ~offset = Lbc_core.Node.Txn.get_u64 t.inner ~region ~offset
 
   let region_of t region = Lbc_rvm.Rvm.region (Lbc_core.Node.rvm t.node) region
 
@@ -68,37 +66,33 @@ module Dtxn = struct
         Hashtbl.add tbl region s;
         s
 
-  (* A store.  Under Log it is an ordinary set_range+store; under the
-     page-grained backends it goes straight to the cached image and only
-     the fault/dirty bookkeeping records it, as real hardware-detected
-     DSM would. *)
-  let write t ~region ~offset b =
+  (* The accessor a detected store goes through.  Under Log every store
+     declares its set_range; under the page-grained backends it goes
+     straight to the cached image and only the fault/dirty bookkeeping of
+     the declaration records it, as real hardware-detected DSM would. *)
+  let mem t ~region =
     match t.detection with
-    | D_log -> Lbc_core.Node.Txn.write t.inner ~region ~offset b
+    | D_log -> Lbc_core.Node.Txn.mem t.inner ~region
     | D_cpy_cmp twins ->
         let tw = twin_for twins region in
-        let faults =
-          Twin.touch tw ~read:(reader t region) ~offset ~len:(Bytes.length b)
-        in
-        t.stats.write_faults <- t.stats.write_faults + faults;
-        t.stats.pages_twinned <- t.stats.pages_twinned + faults;
-        Lbc_rvm.Region.write (region_of t region) ~offset b
+        Lbc_core.Node.mem t.node ~region ~declare:(fun ~offset ~len ->
+            let faults = Twin.touch tw ~read:(reader t region) ~offset ~len in
+            t.stats.write_faults <- t.stats.write_faults + faults;
+            t.stats.pages_twinned <- t.stats.pages_twinned + faults)
     | D_page pages ->
         let s = pages_for pages region in
-        let first = offset / page_size
-        and last = (offset + Bytes.length b - 1) / page_size in
-        for p = first to last do
-          if not (Iset.mem p !s) then begin
-            t.stats.write_faults <- t.stats.write_faults + 1;
-            s := Iset.add p !s
-          end
-        done;
-        Lbc_rvm.Region.write (region_of t region) ~offset b
+        Lbc_core.Node.mem t.node ~region ~declare:(fun ~offset ~len ->
+            for p = offset / page_size to (offset + len - 1) / page_size do
+              if not (Iset.mem p !s) then begin
+                t.stats.write_faults <- t.stats.write_faults + 1;
+                s := Iset.add p !s
+              end
+            done)
+
+  let write t ~region ~offset b = Lbc_util.Mem.write (mem t ~region) ~offset b
 
   let set_u64 t ~region ~offset v =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 v;
-    write t ~region ~offset b
+    Lbc_util.Mem.set_u64 (mem t ~region) offset v
 
   (* Commit: convert the detected updates into set_range declarations so
      the ordinary redo-record path picks the new values out of memory. *)

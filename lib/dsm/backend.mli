@@ -32,10 +32,15 @@ module Dtxn : sig
   val begin_ : Lbc_core.Node.t -> kind:kind -> t
   val kind : t -> kind
   val acquire : t -> int -> unit
+
+  val mem : t -> region:int -> Lbc_util.Mem.t
+  (** The transaction's accessor: reads go to the cached image, and the
+      write declaration is the backend's detection ([set_range] for
+      [Log], a twin on first touch for [Cpy_cmp], a dirty page for
+      [Page]). *)
+
   val write : t -> region:int -> offset:int -> Bytes.t -> unit
   val set_u64 : t -> region:int -> offset:int -> int64 -> unit
-  val read : t -> region:int -> offset:int -> len:int -> Bytes.t
-  val get_u64 : t -> region:int -> offset:int -> int64
 
   val commit : t -> Lbc_wal.Record.txn
   (** Detection-specific collection, then the normal commit path. *)

@@ -38,7 +38,7 @@ let build (c : Schema.config) =
   let next_assembly_id = ref 0 in
   let rec build_assembly level =
     let a = Heap.alloc heap (Layout.size assembly_layout) in
-    let seta name v = Heap.set_field heap assembly_layout ~addr:a name v in
+    let seta name v = Clusters.set_field heap assembly_layout ~addr:a name v in
     seta "id" !next_assembly_id;
     incr next_assembly_id;
     if level = c.Schema.assembly_levels then begin

@@ -1,6 +1,9 @@
 open Lbc_pheap
 open Lbc_util
 
+let set_field heap layout ~addr name v =
+  Heap.set_int heap (addr + Layout.offset layout name) v
+
 let build_one heap (c : Schema.config) ~rng ~id:ci =
   let composite_layout = Schema.composite_part c in
   let comp = Heap.alloc heap (Layout.size composite_layout) in
@@ -11,7 +14,7 @@ let build_one heap (c : Schema.config) ~rng ~id:ci =
   Array.iteri
     (fun ai part ->
       let id = (ci * c.Schema.atomics_per_composite) + ai in
-      let setf name v = Heap.set_field heap Schema.atomic_part ~addr:part name v in
+      let setf name v = set_field heap Schema.atomic_part ~addr:part name v in
       setf "id" id;
       setf "date" (Rng.int rng c.Schema.date_range);
       setf "x" (Rng.int rng 10_000);
@@ -29,17 +32,17 @@ let build_one heap (c : Schema.config) ~rng ~id:ci =
           if k = 0 then (ai + 1) mod c.Schema.atomics_per_composite
           else Rng.int rng c.Schema.atomics_per_composite
         in
-        Heap.set_field heap Schema.connection ~addr:conn "from" part;
-        Heap.set_field heap Schema.connection ~addr:conn "to" atomics.(target);
-        Heap.set_field heap Schema.connection ~addr:conn "type" k;
-        Heap.set_field heap Schema.connection ~addr:conn "length" (Rng.int rng 1000);
-        Heap.set_field heap Schema.atomic_part ~addr:part (Schema.conn_to k) conn
+        set_field heap Schema.connection ~addr:conn "from" part;
+        set_field heap Schema.connection ~addr:conn "to" atomics.(target);
+        set_field heap Schema.connection ~addr:conn "type" k;
+        set_field heap Schema.connection ~addr:conn "length" (Rng.int rng 1000);
+        set_field heap Schema.atomic_part ~addr:part (Schema.conn_to k) conn
       done)
     atomics;
   let doc = Heap.alloc heap Schema.doc_size in
   Heap.set_bytes heap doc
     (Bytes.make Schema.doc_size (Char.chr (0x41 + (ci mod 26))));
-  let setc name v = Heap.set_field heap composite_layout ~addr:comp name v in
+  let setc name v = set_field heap composite_layout ~addr:comp name v in
   setc "id" ci;
   setc "date" (Rng.int rng c.Schema.date_range);
   setc "root_part" atomics.(0);
@@ -50,7 +53,7 @@ let build_one heap (c : Schema.config) ~rng ~id:ci =
 let iter_parts db ~comp f =
   let c = Database.config db in
   for ai = 0 to c.Schema.atomics_per_composite - 1 do
-    f (Database.composite_get db ~addr:comp (Schema.part_slot ai))
+    f (Database.composite_part db comp ai)
   done
 
 let index_parts db ~comp =

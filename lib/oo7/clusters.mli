@@ -7,6 +7,10 @@ open Lbc_pheap
     they share pages), their connection objects, and the document — just
     over 8 KB in the paper's configuration. *)
 
+val set_field : Heap.t -> Layout.t -> addr:int -> string -> int -> unit
+(** Store an 8-byte field by name.  For construction only: it searches
+    the layout on every call, which is why no access path uses it. *)
+
 val build_one :
   Heap.t -> Schema.config -> rng:Lbc_util.Rng.t -> id:int -> int
 (** Allocate and initialize a cluster; returns the composite's address.

@@ -73,15 +73,7 @@ let decode_params params =
 
 let run_traversal (mem : Lbc_wal.Command.mem) ~params =
   let config, region, kind = decode_params params in
-  let heap_mem =
-    {
-      Lbc_pheap.Heap.read = (fun ~offset ~len -> mem.read ~region ~offset ~len);
-      write = (fun ~offset b -> mem.write ~region ~offset b);
-    }
-  in
-  let db =
-    Database.attach_mem config heap_mem ~size:(Schema.region_size config)
-  in
+  let db = Database.attach_mem config (mem ~region) in
   ignore (Traversal.run db kind : Traversal.result)
 
 (* Registration is explicit: the OCaml linker drops modules nothing

@@ -9,7 +9,7 @@ let q1_exact_lookups db ~lookups =
     let ci = id / c.Schema.atomics_per_composite in
     let slot = id mod c.Schema.atomics_per_composite in
     let comp = Database.composite db ci in
-    let part = Database.composite_get db ~addr:comp (Schema.part_slot slot) in
+    let part = Database.composite_part db comp slot in
     if part <> 0 then incr found
   done;
   !found
@@ -30,7 +30,7 @@ let q4_document_scan db ~pattern =
   let hits = ref 0 in
   for ci = 0 to Database.num_composites db - 1 do
     let comp = Database.composite db ci in
-    let doc = Database.composite_get db ~addr:comp "document" in
+    let doc = Database.composite_document db comp in
     let b = Heap.get_bytes (Database.heap db) doc ~len:Schema.doc_size in
     Bytes.iter (fun ch -> if ch = pattern then incr hits) b
   done;

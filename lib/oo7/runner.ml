@@ -54,7 +54,9 @@ let run ~cluster ~writer schema kind =
       let updates0 = rvm_stats.Lbc_rvm.Rvm.set_ranges in
       let ordered0 = rvm_stats.Lbc_rvm.Rvm.ordered_calls in
       let redundant0 = rvm_stats.Lbc_rvm.Rvm.redundant_calls in
-      let t0 = Lbc_sim.Proc.now () in
+      (* The platform clock: virtual µs on sim, wall µs on real domains,
+         where [Proc.now] does not advance within one process step. *)
+      let t0 = Lbc_core.Cluster.now cluster in
       let txn = Lbc_core.Node.Txn.begin_ node in
       Lbc_core.Node.Txn.acquire txn lock;
       let db = Database.attach_txn schema txn ~region in
@@ -67,7 +69,7 @@ let run ~cluster ~writer schema kind =
       let committed = Lbc_core.Node.Txn.commit_outcome txn in
       let record = committed.Lbc_rvm.Rvm.record in
       let value = committed.Lbc_rvm.Rvm.value in
-      let elapsed = Lbc_sim.Proc.now () -. t0 in
+      let elapsed = Lbc_core.Cluster.now cluster -. t0 in
       (* Table 3 is defined over the transaction's effect (its value
          form); [message_bytes] is what actually went on the wire, so
          command encodings show up as the wire-byte delta. *)

@@ -15,7 +15,9 @@ type outcome = {
       (** Table 3 row: updates, unique bytes, message bytes, pages.
           Byte/page accounting is over the value form; [message_bytes]
           is the wire size of what was actually sent. *)
-  elapsed : float;  (** virtual µs from transaction begin to commit *)
+  elapsed : float;
+      (** µs from transaction begin to commit on the platform clock
+          ({!Lbc_core.Cluster.now}): virtual on sim, wall on real *)
 }
 
 exception Traversal_incomplete of { traversal : string; schema : string }

@@ -52,36 +52,33 @@ type result = {
 
 type state = {
   db : Database.t;
+  visited : (int, unit) Hashtbl.t;  (* one composite's graph walk *)
   mutable composite_visits : int;
   mutable atomic_visits : int;
   mutable field_updates : int;
   mutable index_ops : int;
-  mutable read_sum : int64;
+  mutable read_sum : int;
 }
 
 (* One plain 8-byte field overwrite: T2/T12's update. *)
 let update_plain st part =
-  let x = Database.atomic_get st.db ~addr:part "x" in
-  Database.atomic_set st.db ~addr:part "x" (Int64.add x 1L);
+  Database.set_part_x st.db part (Database.part_x st.db part + 1);
   st.field_updates <- st.field_updates + 1
 
 (* Indexed-field update: delete the index entry for the old date, change
    the date, insert the new entry (T3). *)
 let update_indexed st part =
-  let idx = Database.index st.db in
-  let date = Database.atomic_get st.db ~addr:part "date" in
-  let date' = Int64.add date 1L in
+  let date' = Database.part_date st.db part + 1 in
   ignore
-    (Iavl.update idx part
-       ~new_key:(date', Int64.of_int part)
-       ~set:(fun () -> Database.atomic_set st.db ~addr:part "date" date'));
+    (Iavl.update (Database.index st.db) part
+       ~new_key:(Int64.of_int date', Int64.of_int part)
+       ~set:(fun () -> Database.set_part_date st.db part date'));
   st.field_updates <- st.field_updates + 1;
   st.index_ops <- st.index_ops + 1
 
 let visit_atomic st part ~update ~times =
   st.atomic_visits <- st.atomic_visits + 1;
-  st.read_sum <-
-    Int64.add st.read_sum (Database.atomic_get st.db ~addr:part "x");
+  st.read_sum <- st.read_sum + Database.part_x st.db part;
   match update with
   | None -> ()
   | Some f ->
@@ -92,19 +89,13 @@ let visit_atomic st part ~update ~times =
 (* DFS over the atomic-part graph of one composite. *)
 let walk_graph st root ~per_atomic =
   let c = Database.config st.db in
-  let visited = Hashtbl.create 64 in
+  Hashtbl.clear st.visited;
   let rec go part =
-    if not (Hashtbl.mem visited part) then begin
-      Hashtbl.add visited part ();
+    if not (Hashtbl.mem st.visited part) then begin
+      Hashtbl.add st.visited part ();
       per_atomic part;
       for k = 0 to c.Schema.connections_per_atomic - 1 do
-        let conn =
-          Int64.to_int (Database.atomic_get st.db ~addr:part (Schema.conn_to k))
-        in
-        go
-          (Heap.get_field
-             (Database.heap st.db)
-             Schema.connection ~addr:conn "to")
+        go (Database.connection_target st.db part k)
       done
     end
   in
@@ -114,14 +105,14 @@ let times_of_variant = function A -> 1 | B -> 1 | C -> 4
 
 (* T4: scan the composite's document for a character; T5: overwrite the
    start of the document. *)
-let doc_of st comp = Database.composite_get st.db ~addr:comp "document"
+let doc_of st comp = Database.composite_document st.db comp
 
 let scan_document st comp =
   let doc = doc_of st comp in
   let b = Heap.get_bytes (Database.heap st.db) doc ~len:Schema.doc_size in
   let hits = ref 0 in
   Bytes.iter (fun ch -> if ch = 'A' then incr hits) b;
-  st.read_sum <- Int64.add st.read_sum (Int64.of_int !hits)
+  st.read_sum <- st.read_sum + !hits
 
 let update_document st comp =
   let doc = doc_of st comp in
@@ -130,7 +121,7 @@ let update_document st comp =
 
 let visit_composite st comp kind =
   st.composite_visits <- st.composite_visits + 1;
-  let root = Database.composite_get st.db ~addr:comp "root_part" in
+  let root = Database.composite_root st.db comp in
   match kind with
   | T4 -> scan_document st comp
   | T5 -> update_document st comp
@@ -166,11 +157,12 @@ let run db kind =
   let st =
     {
       db;
+      visited = Hashtbl.create 64;
       composite_visits = 0;
       atomic_visits = 0;
       field_updates = 0;
       index_ops = 0;
-      read_sum = 0L;
+      read_sum = 0;
     }
   in
   let c = Database.config db in
@@ -178,12 +170,12 @@ let run db kind =
     if level = c.Schema.assembly_levels then
       for i = 0 to c.Schema.composites_per_base - 1 do
         visit_composite st
-          (Database.assembly_get db ~addr (Schema.child_slot i))
+          (Database.assembly_child db addr i)
           kind
       done
     else
       for i = 0 to c.Schema.assembly_fanout - 1 do
-        walk_assembly (Database.assembly_get db ~addr (Schema.child_slot i)) (level + 1)
+        walk_assembly (Database.assembly_child db addr i) (level + 1)
       done
   in
   (* T7 processes one pseudo-randomly chosen base assembly; all other
@@ -194,13 +186,13 @@ let run db kind =
         if level = c.Schema.assembly_levels then
           for i = 0 to c.Schema.composites_per_base - 1 do
             visit_composite st
-              (Database.assembly_get db ~addr (Schema.child_slot i))
+              (Database.assembly_child db addr i)
               kind
           done
         else begin
           let pick = salt * 2654435761 mod c.Schema.assembly_fanout in
           descend
-            (Database.assembly_get db ~addr (Schema.child_slot (abs pick)))
+            (Database.assembly_child db addr (abs pick))
             (level + 1) (salt + 1)
         end
       in
@@ -212,5 +204,5 @@ let run db kind =
     atomic_visits = st.atomic_visits;
     field_updates = st.field_updates;
     index_ops = st.index_ops;
-    read_sum = st.read_sum;
+    read_sum = Int64.of_int st.read_sum;
   }

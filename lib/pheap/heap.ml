@@ -1,90 +1,47 @@
-exception Heap_error of string
+module Mem = Lbc_util.Mem
 
-type mem = {
-  read : offset:int -> len:int -> Bytes.t;
-  write : offset:int -> Bytes.t -> unit;
-}
+exception Heap_error = Mem.Error
 
-type t = { mem : mem; size : int }
+type t = Mem.t
 
-let magic = 0x50484541 (* "PHEA" *)
+let magic = 0x50484541L (* "PHEA" *)
 let header_size = 16
 let data_start = header_size
 
-let u64_of_bytes b = Bytes.get_int64_le b 0
-
-let bytes_of_u64 v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  b
-
 let format image =
   if Bytes.length image < header_size then raise (Heap_error "image too small");
-  Bytes.set_int64_le image 0 (Int64.of_int magic);
+  Bytes.set_int64_le image 0 magic;
   Bytes.set_int64_le image 8 (Int64.of_int data_start)
 
-let mem_of_bytes image =
-  {
-    read =
-      (fun ~offset ~len ->
-        if offset < 0 || offset + len > Bytes.length image then
-          raise (Heap_error "read out of bounds");
-        Bytes.sub image offset len);
-    write =
-      (fun ~offset b ->
-        if offset < 0 || offset + Bytes.length b > Bytes.length image then
-          raise (Heap_error "write out of bounds");
-        Bytes.blit b 0 image offset (Bytes.length b));
-  }
-
-let check_header t =
-  let m = u64_of_bytes (t.mem.read ~offset:0 ~len:8) in
-  if Int64.to_int m <> magic then raise (Heap_error "bad heap magic")
-
-let attach mem ~size =
-  let t = { mem; size } in
-  check_header t;
-  t
+let attach mem =
+  if not (Int64.equal (Mem.get_u64 mem 0) magic) then
+    raise (Heap_error "bad heap magic");
+  mem
 
 let of_bytes image =
   let m = Bytes.get_int64_le image 0 in
-  if Int64.to_int m <> magic then
+  if not (Int64.equal m magic) then
     if Int64.equal m 0L then format image
     else raise (Heap_error "image is not a heap");
-  { mem = mem_of_bytes image; size = Bytes.length image }
+  Mem.of_bytes image
 
-let mem t = t.mem
-let size t = t.size
-
-let get_u64 t addr = u64_of_bytes (t.mem.read ~offset:addr ~len:8)
-let set_u64 t addr v = t.mem.write ~offset:addr (bytes_of_u64 v)
-
-let get_int t addr =
-  let v = get_u64 t addr in
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-    raise (Heap_error "get_int: value out of int range");
-  Int64.to_int v
-
-let set_int t addr v =
-  if v < 0 then raise (Heap_error "set_int: negative");
-  set_u64 t addr (Int64.of_int v)
-
-let get_bytes t addr ~len = t.mem.read ~offset:addr ~len
-let set_bytes t addr b = t.mem.write ~offset:addr b
+let mem t = t
+let size = Mem.size
+let get_u64 = Mem.get_u64
+let set_u64 = Mem.set_u64
+let get_int = Mem.get_int
+let set_int = Mem.set_int
+let get_bytes t addr ~len = Mem.read t ~offset:addr ~len
+let set_bytes t addr b = Mem.write t ~offset:addr b
 
 let allocated t = get_int t 8
 
 let alloc t n =
   if n <= 0 then raise (Heap_error "alloc: size must be positive");
   let ptr = allocated t in
-  if ptr + n > t.size then
+  if ptr + n > size t then
     raise
       (Heap_error
-         (Printf.sprintf "alloc: out of space (%d + %d > %d)" ptr n t.size));
+         (Printf.sprintf "alloc: out of space (%d + %d > %d)" ptr n (size t)));
   set_int t 8 (ptr + n);
   ptr
-
-let get_field t layout ~addr name = get_int t (addr + Layout.offset layout name)
-
-let set_field t layout ~addr name v =
-  set_int t (addr + Layout.offset layout name) v

@@ -5,19 +5,18 @@
     is shared by every node mapping the region.  Address 0 is the null
     pointer; the first allocatable byte is {!data_start}.
 
-    The heap is access-agnostic: it reads and writes through the closures
-    supplied at {!attach}, so the same code runs over a raw [Bytes.t]
-    image during database construction ({!of_bytes}) and over a
-    transactional memory (RVM [set_range] + store) during execution. *)
+    The heap is access-agnostic: it is a view of a {!Lbc_util.Mem.t}, the
+    accessor every backing shares, so the same code runs over a raw
+    [Bytes.t] image during database construction ({!of_bytes}), over a
+    transaction's view of a node's cache (stores declare [set_range]),
+    and over a recovery image. *)
 
 type t
 
-type mem = {
-  read : offset:int -> len:int -> Bytes.t;
-  write : offset:int -> Bytes.t -> unit;
-}
-
 exception Heap_error of string
+(** The accessor's error ({!Lbc_util.Mem.Error}): an access outside the
+    heap, an 8-byte field read as an int that holds no non-negative int,
+    a bad header, or an exhausted allocator. *)
 
 val header_size : int
 val data_start : int
@@ -30,10 +29,11 @@ val of_bytes : Bytes.t -> t
     been {!format}ted (or be about to be: [of_bytes] formats an all-zero
     image). *)
 
-val attach : mem -> size:int -> t
-(** Attach through an access interface; the header must be valid. *)
+val attach : Lbc_util.Mem.t -> t
+(** Attach through an accessor; the header must be valid.  The heap
+    spans the accessor's {!Lbc_util.Mem.size} bytes. *)
 
-val mem : t -> mem
+val mem : t -> Lbc_util.Mem.t
 val size : t -> int
 
 val alloc : t -> int -> int
@@ -43,19 +43,16 @@ val alloc : t -> int -> int
 val allocated : t -> int
 (** Current allocation frontier. *)
 
-(** {1 Typed accessors} *)
+(** {1 Typed accessors}
+
+    The accessor's own operations, by heap address. *)
 
 val get_u64 : t -> int -> int64
 val set_u64 : t -> int -> int64 -> unit
 val get_int : t -> int -> int
-(** [get_u64] narrowed to a non-negative OCaml int (pointers, counters). *)
+(** An 8-byte field as a non-negative OCaml int (pointers, counters);
+    allocates nothing. *)
 
 val set_int : t -> int -> int -> unit
 val get_bytes : t -> int -> len:int -> Bytes.t
 val set_bytes : t -> int -> Bytes.t -> unit
-
-(** {1 Field access through layouts} *)
-
-val get_field : t -> Layout.t -> addr:int -> string -> int
-val set_field : t -> Layout.t -> addr:int -> string -> int -> unit
-(** 8-byte integer fields addressed by layout field name. *)

@@ -24,14 +24,8 @@ let make ?pad_to fields =
 
 let size t = t.size
 
-let offset t name =
-  match List.assoc_opt name t.table with
-  | Some (off, _) -> off
-  | None -> raise Not_found
-
-let field_size t name =
-  match List.assoc_opt name t.table with
-  | Some (_, s) -> s
-  | None -> raise Not_found
+(* [List.assoc] raises [Not_found] itself, and allocates no option. *)
+let offset t name = fst (List.assoc name t.table)
+let field_size t name = snd (List.assoc name t.table)
 
 let fields t = List.map fst t.table

@@ -72,7 +72,10 @@ let set_u64 t ~offset v =
   Bytes.set_int64_le t.mem offset v;
   mark_dirty t ~offset ~len:8
 
-let unsafe_mem t = t.mem
+let mem t ~declare =
+  Lbc_util.Mem.of_bytes t.mem ~declare:(fun ~offset ~len ->
+      declare ~offset ~len;
+      mark_dirty t ~offset ~len)
 
 let reload_from_db t =
   Bytes.fill t.mem 0 t.size '\000';

@@ -28,9 +28,10 @@ val get_u64 : t -> offset:int -> int64
 val set_u64 : t -> offset:int -> int64 -> unit
 (** Convenience accessors for 8-byte fields (the OO7 update unit). *)
 
-val unsafe_mem : t -> Bytes.t
-(** The live image itself, for zero-copy scans by trusted callers
-    (checkpointing, twin/diff comparison). *)
+val mem : t -> declare:(offset:int -> len:int -> unit) -> Lbc_util.Mem.t
+(** The shared accessor over the live image itself: reads go straight to
+    it; a store runs [declare] (the owner's write declaration, e.g. a
+    transaction's [set_range]), marks the dirty extent, then lands. *)
 
 val flush_to_db : t -> unit
 (** Write the full in-memory image to the database device and sync it —
@@ -54,7 +55,8 @@ val is_warm : t -> bool
 
 (** {1 Dirty tracking}
 
-    Every {!write}/{!set_u64} extends a single dirty extent; a fuzzy
+    Every {!write}/{!set_u64} and every store through {!mem} extends a
+    single dirty extent; a fuzzy
     checkpoint flushes only that extent, in bounded slices, instead of
     stop-the-world writing whole region images. *)
 

@@ -166,13 +166,16 @@ let classify = function
   | Range_tree.Ordered_append -> Ordered
   | Range_tree.Extended | Range_tree.Merged | Range_tree.Inserted -> Unordered
 
-let set_range txn ~region ~offset ~len =
+let mapped txn what region =
+  match Hashtbl.find_opt txn.owner.regions region with
+  | Some reg -> reg
+  | None ->
+      raise (Txn_error (Printf.sprintf "%s: region %d not mapped" what region))
+
+(* [set_range] on a region already looked up ([mem] looks it up once). *)
+let declare_range txn reg ~offset ~len =
   check_live txn "set_range";
-  let reg =
-    match Hashtbl.find_opt txn.owner.regions region with
-    | Some reg -> reg
-    | None -> raise (Txn_error (Printf.sprintf "set_range: region %d not mapped" region))
-  in
+  let region = Region.id reg in
   if offset < 0 || len <= 0 || offset + len > Region.size reg then
     raise
       (Txn_error
@@ -195,6 +198,10 @@ let set_range txn ~region ~offset ~len =
       txn.undo <- (reg, offset, Region.read reg ~offset ~len) :: txn.undo
   | Restore, Redundant | No_restore, _ -> ())
 
+let set_range txn ~region ~offset ~len =
+  check_live txn "set_range";
+  declare_range txn (mapped txn "set_range" region) ~offset ~len
+
 let write txn ~region ~offset b =
   set_range txn ~region ~offset ~len:(Bytes.length b);
   Region.write (Hashtbl.find txn.owner.regions region) ~offset b
@@ -202,6 +209,10 @@ let write txn ~region ~offset b =
 let set_u64 txn ~region ~offset v =
   set_range txn ~region ~offset ~len:8;
   Region.set_u64 (Hashtbl.find txn.owner.regions region) ~offset v
+
+let mem txn ~region =
+  let reg = mapped txn "mem" region in
+  Region.mem reg ~declare:(declare_range txn reg)
 
 let set_lock txn ~lock_id ~seqno ~prev_write_seq =
   check_live txn "set_lock";
@@ -341,17 +352,12 @@ let apply_record t record =
         t.stats.unmapped_ranges <-
           t.stats.unmapped_ranges + List.length missing
       else begin
-        let mem =
-          {
-            Lbc_wal.Command.read =
-              (fun ~region ~offset ~len ->
-                Region.read (Hashtbl.find t.regions region) ~offset ~len);
-            write =
-              (fun ~region ~offset data ->
-                Region.write (Hashtbl.find t.regions region) ~offset data;
-                incr n;
-                bytes := !bytes + Bytes.length data);
-          }
+        let count ~offset:_ ~len =
+          incr n;
+          bytes := !bytes + len
+        in
+        let mem ~region =
+          Region.mem (Hashtbl.find t.regions region) ~declare:count
         in
         Lbc_wal.Command.execute mem ~op:c.Lbc_wal.Record.op
           ~params:c.Lbc_wal.Record.params

@@ -101,6 +101,12 @@ val write : txn -> region:int -> offset:int -> Bytes.t -> unit
 val set_u64 : txn -> region:int -> offset:int -> int64 -> unit
 (** Transactionally update an 8-byte field (the OO7 update unit). *)
 
+val mem : txn -> region:int -> Lbc_util.Mem.t
+(** The transaction's accessor to a mapped region ({!Region.mem}): reads
+    go straight to region memory; a store first declares its range with
+    {!set_range}, then lands and marks the region dirty.
+    @raise Txn_error if the region is not mapped. *)
+
 val set_lock : txn -> lock_id:int -> seqno:int -> prev_write_seq:int -> unit
 (** [rvm_setlockid_transaction]: tag the transaction's eventual log record
     with a lock acquire (called by the lock package, not applications). *)

@@ -64,26 +64,30 @@ type reader = {
   mutable pos : int;
   mutable limit : int;
   mutable rest : Slice.t list;  (* segments not yet entered *)
+  mutable rest_len : int;  (* their total length, kept by [advance] *)
 }
 
 let reader ?(pos = 0) ?len buf =
   let len = match len with Some l -> l | None -> Bytes.length buf - pos in
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Codec.reader";
-  { buf; pos; limit = pos + len; rest = [] }
+  { buf; pos; limit = pos + len; rest = []; rest_len = 0 }
 
 let reader_of_slice s =
   { buf = Slice.base s; pos = Slice.pos s; limit = Slice.pos s + Slice.length s;
-    rest = [] }
+    rest = []; rest_len = 0 }
 
 let reader_of_slices = function
-  | [] -> { buf = Bytes.create 0; pos = 0; limit = 0; rest = [] }
+  | [] -> { buf = Bytes.create 0; pos = 0; limit = 0; rest = []; rest_len = 0 }
   | s :: rest ->
       let r = reader_of_slice s in
-      { r with rest }
+      { r with rest; rest_len = Slice.iov_length rest }
 
 let pos r = r.pos
-let remaining r = r.limit - r.pos + Slice.iov_length r.rest
+
+(* O(1), so a decode that calls [need] per field stays linear in the
+   gather list's length. *)
+let remaining r = r.limit - r.pos + r.rest_len
 
 (* Enter the next non-empty segment once the current one is exhausted. *)
 let rec advance r =
@@ -95,9 +99,12 @@ let rec advance r =
         r.pos <- Slice.pos s;
         r.limit <- Slice.pos s + Slice.length s;
         r.rest <- tl;
+        r.rest_len <- r.rest_len - Slice.length s;
         advance r
 
-let need r n what = if remaining r < n then raise (Truncated what)
+(* Checked before any allocation sized by [n]: a length read from
+   hostile input must raise here, not ask [Bytes.create] for it. *)
+let need r n what = if n < 0 || remaining r < n then raise (Truncated what)
 
 let get_u8 r =
   advance r;

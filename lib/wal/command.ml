@@ -21,10 +21,7 @@ let log_mode_of_name s =
   | "adaptive" -> Some Adaptive
   | _ -> None
 
-type mem = {
-  read : region:int -> offset:int -> len:int -> Bytes.t;
-  write : region:int -> offset:int -> Bytes.t -> unit;
-}
+type mem = region:int -> Lbc_util.Mem.t
 
 exception Unknown_op of int
 
@@ -63,5 +60,5 @@ let apply m (t : Record.txn) =
   | None ->
       List.iter
         (fun (r : Record.range) ->
-          m.write ~region:r.region ~offset:r.offset r.data)
+          Lbc_util.Mem.write (m ~region:r.region) ~offset:r.offset r.data)
         t.ranges

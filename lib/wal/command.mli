@@ -5,7 +5,7 @@
     harness registers its traversals; tests register synthetic ops) and
     every replayer — crash recovery, the coherency receiver, the
     serializability oracle's sequential spec — executes it through the
-    same {!mem} interface, so a command replays identically no matter
+    same {!mem} accessor, so a command replays identically no matter
     which image it lands on.
 
     Determinism contract: [run mem ~params] must be a pure function of
@@ -24,12 +24,13 @@ type log_mode = Value | Command | Adaptive
 val log_mode_name : log_mode -> string
 val log_mode_of_name : string -> log_mode option
 
-(** Byte access to some region store: cached RVM regions, database
-    devices under recovery, or the oracle's in-memory spec images. *)
-type mem = {
-  read : region:int -> offset:int -> len:int -> Bytes.t;
-  write : region:int -> offset:int -> Bytes.t -> unit;
-}
+(** Resolves a region id to its accessor ({!Lbc_util.Mem.t}) in some
+    region store: cached RVM regions, database devices under recovery, or
+    the oracle's in-memory spec images.  An operation resolves each region
+    it touches once, then reads and writes through the accessor, whose
+    write declaration does the backing's bookkeeping (dirty extents,
+    apply counters). *)
+type mem = region:int -> Lbc_util.Mem.t
 
 exception Unknown_op of int
 (** Raised by {!execute}/{!apply} for an unregistered operation id — a

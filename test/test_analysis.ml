@@ -389,7 +389,7 @@ let stamp_op = 921
 
 let register_stamp_op () =
   Lbc_wal.Command.register ~op:stamp_op ~name:"test-stamp-analysis"
-    (fun mem ~params -> mem.Lbc_wal.Command.write ~region:0 ~offset:8 params)
+    (fun mem ~params -> Lbc_util.Mem.write (mem ~region:0) ~offset:8 params)
 
 let cmd_txn ?(node = 0) ?(tid = 1) ?(locks = []) ?(op = stamp_op)
     ?(params = Bytes.of_string "CMD") ?(regions = [ 0 ]) () =

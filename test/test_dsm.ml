@@ -170,18 +170,9 @@ let test_oo7_backends_equivalent () =
         Cluster.spawn cluster ~node:0 (fun node ->
             let txn = Backend.Dtxn.begin_ node ~kind:backend in
             Backend.Dtxn.acquire txn Runner.lock;
-            let mem =
-              {
-                Lbc_pheap.Heap.read =
-                  (fun ~offset ~len ->
-                    Backend.Dtxn.read txn ~region:Runner.region ~offset ~len);
-                write =
-                  (fun ~offset b ->
-                    Backend.Dtxn.write txn ~region:Runner.region ~offset b);
-              }
-            in
             let db =
-              Database.attach_mem tiny mem ~size:(Schema.region_size tiny)
+              Database.attach_mem tiny
+                (Backend.Dtxn.mem txn ~region:Runner.region)
             in
             ignore (Traversal.run db (Traversal.T2 Traversal.B));
             ignore (Backend.Dtxn.commit txn));

@@ -32,7 +32,7 @@ let test_atomic_clustering () =
   let comp = Database.composite db 0 in
   let parts =
     List.init tiny.Schema.atomics_per_composite (fun i ->
-        Database.composite_get db ~addr:comp (Schema.part_slot i))
+        Database.composite_part db comp i)
   in
   let sorted = List.sort compare parts in
   Alcotest.(check (list int)) "contiguous 200-byte objects"
@@ -178,7 +178,7 @@ let test_t5_updates_documents () =
   let r = Traversal.run db Traversal.T5 in
   check_int "one doc update per visit" visits r.Traversal.field_updates;
   let comp = Database.composite db 0 in
-  let doc = Database.composite_get db ~addr:comp "document" in
+  let doc = Database.composite_document db comp in
   Alcotest.(check string) "document rewritten" "REVISED!"
     (Bytes.to_string (Lbc_pheap.Heap.get_bytes (Database.heap db) doc ~len:8))
 
@@ -203,9 +203,9 @@ let test_queries () =
     (q2 <= q3 && q3 <= atoms);
   (* Exhaustive cross-check of the range scan against a full fold. *)
   let manual frac =
-    let hi = Int64.of_int (int_of_float (frac *. float_of_int tiny.Schema.date_range)) in
+    let hi = int_of_float (frac *. float_of_int tiny.Schema.date_range) in
     Lbc_pheap.Iavl.fold (Database.index db) ~init:0 ~f:(fun acc part ->
-        if Int64.compare (Database.atomic_get db ~addr:part "date") hi <= 0 then
+        if Database.part_date db part <= hi then
           acc + 1
         else acc)
   in
@@ -262,6 +262,73 @@ let test_structural_insert_propagates () =
   let outcome = Cluster.recover_database cluster in
   Alcotest.(check bool) "recovered" true
     (outcome.Lbc_rvm.Recovery.records_replayed = 1)
+
+(* ------------------------------------------------------------------ *)
+(* The shared accessor: field access allocates nothing, bounds hold *)
+
+let test_t2b_access_allocation () =
+  (* Offsets are resolved at attach and fields read as unboxed ints, so
+     what a T2-B update allocates is the graph walk's bookkeeping only. *)
+  let small = Schema.small in
+  let db = Database.attach_bytes small (Builder.build small) in
+  let w0 = Gc.minor_words () in
+  let r = Traversal.run db (Traversal.T2 Traversal.B) in
+  let per_update =
+    (Gc.minor_words () -. w0) /. float_of_int r.Traversal.field_updates
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per update <= 48" per_update)
+    true (per_update <= 48.0)
+
+let test_access_errors () =
+  let open Lbc_pheap in
+  let image = Builder.build tiny in
+  let heap = Database.heap (Database.attach_bytes tiny image) in
+  let size = Bytes.length image in
+  let raises what f =
+    Alcotest.(check bool) what true
+      (try
+         ignore (f ());
+         false
+       with Heap.Heap_error _ -> true)
+  in
+  raises "read past the end" (fun () -> Heap.get_int heap (size - 4));
+  raises "negative address" (fun () -> Heap.get_int heap (-8));
+  raises "write past the end" (fun () -> Heap.set_int heap size 1);
+  raises "byte range past the end" (fun () ->
+      Heap.get_bytes heap (size - 8) ~len:16);
+  let addr = Heap.alloc heap 8 in
+  Heap.set_u64 heap addr (-1L);
+  raises "negative field read as an int" (fun () -> Heap.get_int heap addr);
+  Heap.set_u64 heap addr Int64.max_int;
+  raises "field beyond max_int read as an int" (fun () ->
+      Heap.get_int heap addr);
+  raises "negative int stored" (fun () -> Heap.set_int heap addr (-1));
+  Heap.set_int heap addr max_int;
+  check_int "max_int round-trips" max_int (Heap.get_int heap addr)
+
+let test_document_bytes_roundtrip () =
+  (* T5's byte-range store goes through the transaction's accessor, T4's
+     byte-range read through the peer's: the peer reads the rewritten
+     prefix and the untouched tail. *)
+  let cluster = Runner.setup ~nodes:2 tiny in
+  ignore (Runner.run ~cluster ~writer:0 tiny Traversal.T5);
+  let db1 =
+    Database.attach_node tiny (Cluster.node cluster 1) ~region:Runner.region
+  in
+  let doc = Database.composite_document db1 (Database.composite db1 0) in
+  Alcotest.(check string) "document on the peer"
+    ("REVISED!" ^ String.make (Schema.doc_size - 8) 'A')
+    (Bytes.to_string
+       (Lbc_pheap.Heap.get_bytes (Database.heap db1) doc ~len:Schema.doc_size));
+  let r = Traversal.run db1 Traversal.T4 in
+  check_int "T4 over the peer reads every composite" visits
+    r.Traversal.composite_visits;
+  Alcotest.(check bool) "read-only attachment refuses stores" true
+    (try
+       ignore (Traversal.run db1 Traversal.T5);
+       false
+     with Database.Bad_database _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive logging: write-heavy traversals ship the command instead *)
@@ -356,6 +423,14 @@ let suites =
           test_delete_unknown_composite_rejected;
         Alcotest.test_case "structural insert propagates" `Quick
           test_structural_insert_propagates;
+      ] );
+    ( "oo7.access",
+      [
+        Alcotest.test_case "T2-B allocation per update" `Quick
+          test_t2b_access_allocation;
+        Alcotest.test_case "bounds and int range" `Quick test_access_errors;
+        Alcotest.test_case "document bytes round-trip" `Quick
+          test_document_bytes_roundtrip;
       ] );
     ( "oo7.adaptive",
       [

@@ -70,9 +70,10 @@ let test_heap_field_access () =
   let l = Layout.make [ ("id", 8); ("x", 8) ] in
   let h, _ = fresh_heap () in
   let a = Heap.alloc h (Layout.size l) in
-  Heap.set_field h l ~addr:a "x" 42;
-  check_int "field" 42 (Heap.get_field h l ~addr:a "x");
-  check_int "other field untouched" 0 (Heap.get_field h l ~addr:a "id")
+  let field name = a + Layout.offset l name in
+  Heap.set_int h (field "x") 42;
+  check_int "field" 42 (Heap.get_int h (field "x"));
+  check_int "other field untouched" 0 (Heap.get_int h (field "id"))
 
 (* ------------------------------------------------------------------ *)
 (* AVL index *)

@@ -255,6 +255,23 @@ let test_oo7_real_matches_sim () =
     (Lbc_core.Wire.encode real_outcome.Lbc_oo7.Runner.record);
   Alcotest.(check bytes) "reader image" sim_image real_image
 
+(* The writer's elapsed time is on the platform clock, which on real
+   domains is the wall clock: even a tiny traversal takes time. *)
+let test_oo7_real_elapsed () =
+  let tiny = Lbc_oo7.Schema.tiny in
+  let cluster =
+    Lbc_oo7.Runner.setup ~backend:(real_backend ()) ~nodes:2 tiny
+  in
+  let o =
+    Lbc_oo7.Runner.run ~cluster ~writer:0 tiny
+      (Lbc_oo7.Traversal.T2 Lbc_oo7.Traversal.A)
+  in
+  Lbc_core.Cluster.shutdown cluster;
+  Alcotest.(check bool)
+    (Printf.sprintf "elapsed %.1f µs > 0" o.Lbc_oo7.Runner.elapsed)
+    true
+    (o.Lbc_oo7.Runner.elapsed > 0.0)
+
 (* Two domains write their own flight rings concurrently (one ring per
    node, single-writer each); the dump merges them into one wall-clock
    stream that passes the structural self-check. *)
@@ -339,6 +356,8 @@ let suites =
       [
         Alcotest.test_case "oo7 over domains = oo7 over sim" `Quick
           test_oo7_real_matches_sim;
+        Alcotest.test_case "writer elapsed on the wall clock" `Quick
+          test_oo7_real_elapsed;
         Alcotest.test_case "flight dump merges two domains" `Quick
           test_flight_dump_two_domains;
         Alcotest.test_case "sim-only operations refuse" `Quick

@@ -645,9 +645,10 @@ let register_add_op () =
       let offset = Lbc_util.Codec.get_varint r in
       let len = Lbc_util.Codec.get_varint r in
       let delta = Lbc_util.Codec.get_varint r in
-      let b = mem.Lbc_wal.Command.read ~region ~offset ~len in
+      let m = mem ~region in
+      let b = Lbc_util.Mem.read m ~offset ~len in
       add_bytes b delta;
-      mem.Lbc_wal.Command.write ~region ~offset b)
+      Lbc_util.Mem.write m ~offset b)
 
 let add_params ?(pad = 0) ~region ~offset ~len ~delta () =
   let w = Lbc_util.Codec.writer () in

@@ -193,6 +193,98 @@ let test_reader_of_slices_spans_segments () =
     (Bytes.to_string (Codec.get_raw r ~len:7));
   check_int "exhausted" 0 (Codec.remaining r)
 
+(* The gather reader against a model position in the flat string: cut
+   into random segments (empty ones included, first and last too), read
+   by random primitive sequences.  After every read [remaining] is the
+   unread count, and a read past the end raises [Truncated] — a huge
+   [get_raw] before allocating anything. *)
+type read_op =
+  | U8
+  | Varint
+  | Raw of int
+  | Slice_of of int
+  | Skip of int
+  | Huge_raw
+
+let prop_gather_reader =
+  let gen =
+    QCheck.Gen.(
+      string_size (0 -- 48) >>= fun s ->
+      let n = String.length s in
+      let cut = frequency [ (1, return 0); (1, return n); (4, int_bound n) ] in
+      let len = int_bound (n + 4) in
+      let op =
+        frequency
+          [ (3, return U8); (2, return Varint); (2, map (fun l -> Raw l) len);
+            (2, map (fun l -> Slice_of l) len); (2, map (fun l -> Skip l) len);
+            (1, return Huge_raw) ]
+      in
+      triple (return s) (list_size (0 -- 10) cut) (list_size (1 -- 12) op))
+  in
+  let segments s cuts =
+    let bounds = (0 :: List.sort Int.compare cuts) @ [ String.length s ] in
+    let rec go = function
+      | a :: (b :: _ as rest) ->
+          (* Each segment is a window into its own padded buffer. *)
+          let base = Bytes.of_string ("##" ^ String.sub s a (b - a) ^ "##") in
+          Slice.of_bytes base ~pos:2 ~len:(b - a) :: go rest
+      | _ -> []
+    in
+    go bounds
+  in
+  (* The model: what the op yields from position [p], and the new
+     position, or [None] when it must raise [Truncated]. *)
+  let model s p op =
+    let n = String.length s in
+    let take l =
+      if l <= n - p then Some (`S (String.sub s p l), p + l) else None
+    in
+    match op with
+    | U8 -> if p < n then Some (`I (Char.code s.[p]), p + 1) else None
+    | Varint ->
+        let rec loop shift acc q =
+          if shift > 62 || q >= n then None
+          else
+            let b = Char.code s.[q] in
+            let acc = acc lor ((b land 0x7F) lsl shift) in
+            if b land 0x80 = 0 then Some (`I acc, q + 1)
+            else loop (shift + 7) acc (q + 1)
+        in
+        loop 0 0 p
+    | Raw l | Slice_of l -> take l
+    | Skip l -> Option.map (fun (_, p') -> (`S "", p')) (take l)
+    | Huge_raw -> None
+  in
+  let run r = function
+    | U8 -> `I (Codec.get_u8 r)
+    | Varint -> `I (Codec.get_varint r)
+    | Raw len -> `S (Bytes.to_string (Codec.get_raw r ~len))
+    | Slice_of len -> `S (Slice.to_string (Codec.get_slice r ~len))
+    | Skip n ->
+        Codec.skip r n;
+        `S ""
+    | Huge_raw -> `S (Bytes.to_string (Codec.get_raw r ~len:(1 lsl 50)))
+  in
+  QCheck.Test.make ~name:"gather reader matches a flat model" ~count:500
+    (QCheck.make gen) (fun (s, cuts, ops) ->
+      let r = Codec.reader_of_slices (segments s cuts) in
+      let rec steps p = function
+        | [] -> true
+        | op :: rest -> (
+            let before = Gc.allocated_bytes () in
+            match (model s p op, run r op) with
+            | Some (v, p'), v' ->
+                v = v'
+                && Codec.remaining r = String.length s - p'
+                && steps p' rest
+            | None, _ -> false
+            | exception Codec.Truncated _ ->
+                (* Raised where the model ends, with no large allocation. *)
+                model s p op = None
+                && Gc.allocated_bytes () -. before < 65536.0)
+      in
+      Codec.remaining r = String.length s && steps 0 ops)
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -374,6 +466,7 @@ let suites =
           test_patch_u32_large_buffer;
         Alcotest.test_case "segmented reader" `Quick
           test_reader_of_slices_spans_segments;
+        qtest prop_gather_reader;
         qtest prop_varint_roundtrip;
         qtest prop_u32_roundtrip;
       ] );

@@ -889,11 +889,7 @@ let prop_cmd_roundtrip =
 (* ------------------------------------------------------------------ *)
 (* Command registry *)
 
-let null_mem =
-  {
-    Command.read = (fun ~region:_ ~offset:_ ~len -> Bytes.make len '\000');
-    write = (fun ~region:_ ~offset:_ _ -> ());
-  }
+let null_mem ~region:_ = Lbc_util.Mem.of_bytes (Bytes.make 64 '\000')
 
 let test_command_registry () =
   let nop _ ~params:_ = () in
@@ -927,20 +923,13 @@ let test_command_unknown_op () =
 
 let test_command_apply_dispatch () =
   let img = Bytes.make 32 '\000' in
-  let mem =
-    {
-      Command.read = (fun ~region:_ ~offset ~len -> Bytes.sub img offset len);
-      write =
-        (fun ~region:_ ~offset data ->
-          Bytes.blit data 0 img offset (Bytes.length data));
-    }
-  in
+  let mem ~region:_ = Lbc_util.Mem.of_bytes img in
   (* A value record's ranges are blitted... *)
   Command.apply mem (mk_txn [ (0, 4, "val!") ]);
   Alcotest.(check string) "value blit" "val!" (Bytes.sub_string img 4 4);
   (* ...a command record's registered body runs. *)
   Command.register ~op:913 ~name:"test-stamp" (fun m ~params ->
-      m.Command.write ~region:0 ~offset:20 params);
+      Lbc_util.Mem.write (m ~region:0) ~offset:20 params);
   Command.apply mem (mk_cmd_txn ~op:913 ~params:(Bytes.of_string "CMD") ());
   Alcotest.(check string) "command executed" "CMD"
     (Bytes.sub_string img 20 3)
