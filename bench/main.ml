@@ -662,11 +662,7 @@ let ondemand_bench ~scale () =
   let nodes = 2 and regions = 8 in
   let region_size = 8 * 1024 in
   let config =
-    {
-      Lbc_core.Config.default with
-      Lbc_core.Config.charge_costs = true;
-      trace = true;
-    }
+    { Lbc_core.Config.default with Lbc_core.Config.charge_costs = true }
   in
   let c = Lbc_core.Cluster.create ~config ~nodes () in
   for r = 0 to regions - 1 do
@@ -830,13 +826,7 @@ let json () =
   let buf = Buffer.create 4096 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let measured =
-    {
-      Lbc_core.Config.measured with
-      Lbc_core.Config.disk_logging = false;
-      (* Tracing costs no virtual time; the histograms feed the
-         latency block below. *)
-      trace = true;
-    }
+    { Lbc_core.Config.measured with Lbc_core.Config.disk_logging = false }
   in
   let configs =
     [

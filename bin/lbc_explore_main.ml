@@ -124,7 +124,7 @@ let explore_cmd s mode seeds seed0 out no_shrink =
           f'
         end
       in
-      Explore.write_trace out f;
+      Explore.save_trace out f;
       pr "wrote %s@." out;
       pr "repro: lbc-explore --replay %s@." out;
       report_flight ();
@@ -188,7 +188,7 @@ let self_test () =
            nz);
       (* 4. the written counterexample must replay to the same failure *)
       let path = Filename.temp_file "lbc-explore" ".trace" in
-      Explore.write_trace path shrunk;
+      Explore.save_trace path shrunk;
       (match Explore.read_trace path with
       | Error e -> check "planted: trace round-trips" false e
       | Ok t -> (

@@ -1,6 +1,7 @@
 (* Run one OO7 traversal on a simulated coherency cluster and report the
    paper's measurements (updates, bytes, message bytes, pages, phase
-   breakdown).  Optionally dumps the devices for the offline tools. *)
+   breakdown).  Optionally dumps the devices for the offline tools and
+   the run's trace for lbc-trace. *)
 
 open Cmdliner
 open Lbc_oo7
@@ -19,8 +20,12 @@ let save_devices dir store =
           Format.printf "saved %s (%d bytes)@." path (Lbc_storage.Dev.stable_size dev))
     (Lbc_storage.Store.names store)
 
+(* Ring bytes per node under --trace: room for the whole run, so the
+   dump drops nothing.  Only the pages events land in become resident. *)
+let trace_ring_bytes = 1 lsl 24
+
 let run traversal config_name nodes protocol lazy_mode costs log_mode_name
-    save trace_out flight_out backend_name debug =
+    save trace_out backend_name debug =
   if debug then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
@@ -88,8 +93,9 @@ let run traversal config_name nodes protocol lazy_mode costs log_mode_name
         (if lazy_mode then Lbc_core.Config.Lazy else Lbc_core.Config.Eager);
       disk_logging = not costs;
       log_mode;
-      trace = trace_out <> None;
-      trace_path = trace_out;
+      flight_ring_bytes =
+        (if trace_out <> None then trace_ring_bytes
+         else Lbc_core.Config.default.Lbc_core.Config.flight_ring_bytes);
     }
   in
   let cluster = Runner.setup ~config ~backend ~nodes schema in
@@ -122,9 +128,13 @@ let run traversal config_name nodes protocol lazy_mode costs log_mode_name
             (Bytes.length c.Lbc_wal.Record.params)
             (List.length o.Runner.value.Lbc_wal.Record.ranges)
       | None -> ());
-      Format.printf "writer %s time: %.1f µs@."
-        (if real then "wall-clock" else "virtual")
-        o.Runner.elapsed;
+      if real then
+        Format.printf "writer wall-clock time: %.1f µs@." o.Runner.elapsed
+      else if costs then
+        Format.printf "writer virtual time: %.1f µs@." o.Runner.elapsed
+      else
+        Format.printf
+          "writer virtual time: not charged (run with --costs)@.";
       Format.printf "model phases: %a@." Lbc_costmodel.Phases.pp_ms
         (Lbc_costmodel.Model.log_phases p)
   | backend ->
@@ -186,17 +196,16 @@ let run traversal config_name nodes protocol lazy_mode costs log_mode_name
     (Lbc_core.Cluster.total_bytes cluster);
   (match trace_out with
   | Some path ->
-      Lbc_core.Cluster.write_trace cluster;
-      Format.printf "trace written to %s (inspect with lbc-trace, or load in Perfetto)@."
-        path
-  | None -> ());
-  (match flight_out with
-  | Some path ->
-      let p = Lbc_core.Cluster.dump_flight ~path cluster in
-      Format.printf
-        "flight dump written to %s (decode with lbc-trace, merge check with \
-         lbc-trace --self-check)@."
-        p
+      let (_ : string) = Lbc_core.Cluster.dump_flight ~path cluster in
+      let dropped =
+        Array.fold_left
+          (fun acc (_, d, _) -> acc + d)
+          0
+          (Lbc_obs.Obs.ring_stats (Lbc_core.Cluster.obs cluster))
+      in
+      Format.printf "trace written to %s (%d events dropped; inspect with \
+                     lbc-trace)@."
+        path dropped
   | None -> ());
   (match save with
   | Some dir ->
@@ -242,15 +251,11 @@ let save =
 
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH"
-         ~doc:"Record the run as a Chrome trace-event file at $(docv) \
-               (analyze with lbc-trace, or load in Perfetto).")
-
-let flight_out =
-  Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"PATH"
-         ~doc:"Dump the always-on flight recorder (every node's ring of \
-               recent events) as a binary LBCF file at $(docv) after the \
-               run (decode with lbc-trace).  Works without --trace: the \
-               flight recorder is on by default.")
+         ~doc:"Size every node's flight ring to hold the whole run and \
+               write the rings as an LBCF dump at $(docv) after it \
+               (analyze with lbc-trace; $(b,lbc-trace --json) converts it \
+               for Perfetto).  Without $(b,--costs) the sim charges no \
+               virtual time, so every span lasts 0 µs.")
 
 let debug =
   Arg.(value & flag & info [ "debug" ] ~doc:"Trace coherency events.")
@@ -265,7 +270,6 @@ let cmd =
   Cmd.v
     (Cmd.info "oo7-run" ~doc:"Run an OO7 traversal under log-based coherency")
     Term.(const run $ traversal $ config_name $ nodes $ protocol $ lazy_mode
-          $ costs $ log_mode_name $ save $ trace_out $ flight_out
-          $ backend_name $ debug)
+          $ costs $ log_mode_name $ save $ trace_out $ backend_name $ debug)
 
 let () = exit (Cmd.eval cmd)

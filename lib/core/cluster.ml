@@ -99,19 +99,12 @@ let create ?(config = Config.default) ?sched ?net_params ?disk
         (Platform.sim ~engine ~fabric ~store, Some { engine; fabric; store })
   in
   let module P = (val platform : Platform.S) in
-  (* The flight recorder is always on by default: even with [trace]
-     off the sink stays live (rings + metrics registry, no JSON), so
-     the moments before a failure are never lost. *)
+  (* The flight recorder is on by default, so the moments before a
+     failure are never lost. *)
   let obs =
-    let ring_bytes =
-      if config.Config.flight then config.Config.flight_ring_bytes else 0
-    in
-    if config.Config.trace then
-      Obs.create ~now:P.now_us ~nodes ~ring_bytes
-        ~snapshot_interval_us:config.Config.metrics_interval ()
-    else if config.Config.flight || config.Config.metrics_interval > 0.0 then
-      Obs.create ~now:P.now_us ~nodes ~json:false ~ring_bytes
-        ~snapshot_interval_us:config.Config.metrics_interval ()
+    if config.Config.flight then
+      Obs.create ~now:P.now_us ~nodes
+        ~ring_bytes:config.Config.flight_ring_bytes ()
     else Obs.disabled
   in
   P.set_obs obs;
@@ -170,7 +163,7 @@ let last_flight_dump () = !last_flight_dump_ref
 let flight_seq = ref 0
 
 let dump_flight ?path t =
-  if not (Obs.flight_on t.obs) then
+  if not (Obs.enabled t.obs) then
     invalid_arg "Cluster.dump_flight: flight recorder is off (Config.flight)";
   let module P = (val t.platform : Platform.S) in
   let path =
@@ -193,20 +186,10 @@ let last_flight t = t.last_flight
 (* Best-effort dump on a failure path: never masks the original
    exception. *)
 let auto_dump_flight t =
-  if Obs.flight_on t.obs then
+  if Obs.enabled t.obs then
     match dump_flight t with
     | (_ : string) -> ()
     | exception _ -> ()
-
-let write_trace ?path t =
-  let path =
-    match path with
-    | Some p -> Some p
-    | None -> t.config.Config.trace_path
-  in
-  match path with
-  | None -> invalid_arg "Cluster.write_trace: no path (set Config.trace_path)"
-  | Some p -> Obs.write t.obs p
 
 let region_info t id =
   match Hashtbl.find_opt t.regions id with
@@ -321,9 +304,7 @@ let crash t ~node:n =
   t.crashed.(n) <- true;
   t.reclaimed.(n) <- false;
   t.epoch.(n) <- t.epoch.(n) + 1;
-  if Obs.enabled t.obs then
-    Obs.instant t.obs ~name:"crash" ~pid:n ~tid:Obs.lane_txn
-      ~args:[ ("epoch", Obs.I t.epoch.(n)) ] ();
+  Obs.instant t.obs ~name:"crash" ~pid:n ~tid:Obs.lane_txn ~arg:t.epoch.(n);
   Lbc_net.Fabric.set_down h.fabric n true;
   (* Lease expiry: once the dead node's lease runs out, a recovery agent
      rebuilds the lock service without it. *)
@@ -336,9 +317,8 @@ let crash t ~node:n =
           (fun () ->
             Lbc_locks.Table.reclaim (Array.map Node.locks t.nodes) ~failed:n;
             t.reclaimed.(n) <- true;
-            if Obs.enabled t.obs then
-              Obs.instant t.obs ~name:"lease.reclaim" ~pid:n ~tid:Obs.lane_lock
-                ()))
+            Obs.instant t.obs ~name:"lease.reclaim" ~pid:n ~tid:Obs.lane_lock
+              ~arg:0))
 
 let rejoin ?(mode = Node.Replay_all) t ~node:n =
   ignore (node t n : Node.t);
@@ -347,9 +327,7 @@ let rejoin ?(mode = Node.Replay_all) t ~node:n =
   if not t.reclaimed.(n) then
     invalid_arg "Cluster.rejoin: node's lease has not expired yet";
   Lbc_net.Fabric.set_down h.fabric n false;
-  if Obs.enabled t.obs then
-    Obs.instant t.obs ~name:"rejoin" ~pid:n ~tid:Obs.lane_txn
-      ~args:[ ("epoch", Obs.I t.epoch.(n)) ] ();
+  Obs.instant t.obs ~name:"rejoin" ~pid:n ~tid:Obs.lane_txn ~arg:t.epoch.(n);
   Lbc_locks.Table.rejoin_reset (Node.locks t.nodes.(n));
   let applied =
     Hashtbl.fold (fun lock seq acc -> (lock, seq) :: acc) t.checkpointed []
@@ -473,13 +451,8 @@ let fuzzy_checkpoint t ~node:n =
           (Node.rvm target)
       in
       Obs.observe t.obs "ckpt_us" (Lbc_sim.Engine.now h.engine -. t0);
-      if Obs.enabled t.obs then
-        Obs.instant t.obs ~name:"ckpt" ~pid:n ~tid:Obs.lane_txn
-          ~args:
-            [ ("id", Obs.I outcome.Lbc_rvm.Rvm.ckpt_id);
-              ("slices", Obs.I outcome.Lbc_rvm.Rvm.slices);
-              ("bytes", Obs.I outcome.Lbc_rvm.Rvm.bytes_flushed) ]
-          ())
+      Obs.instant t.obs ~name:"ckpt" ~pid:n ~tid:Obs.lane_txn
+        ~arg:outcome.Lbc_rvm.Rvm.bytes_flushed)
 
 let online_checkpoint t =
   let logs =

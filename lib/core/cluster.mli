@@ -100,15 +100,9 @@ val schedule_choice_points : t -> int
 
 val obs : t -> Lbc_obs.Obs.t
 (** The cluster's trace/metrics sink, shared by every node, lock
-    table, log and the fabric.  With [config.trace] it also buffers
-    Chrome-trace JSON; with only [config.flight] (the default) it is a
-    flight-only sink: per-node binary rings plus the metrics registry,
-    no JSON.  [Obs.disabled] only when both are off. *)
-
-val write_trace : ?path:string -> t -> unit
-(** Write the collected trace as Chrome trace-event JSON
-    (Perfetto-loadable).  [path] defaults to [config.trace_path];
-    raises [Invalid_argument] if neither is set. *)
+    table, log and the fabric: per-node flight rings of
+    [config.flight_ring_bytes] plus the metrics registry.
+    [Obs.disabled] when [config.flight] is off. *)
 
 val dump_flight : ?path:string -> t -> string
 (** Write every node's flight ring to an LBCF binary file (decode with

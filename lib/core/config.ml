@@ -19,11 +19,8 @@ type t = {
   ckpt_slice_bytes : int;
   ckpt_slice_interval : float;
   ckpt_gossip_delay : float;
-  trace : bool;
-  trace_path : string option;
   flight : bool;
   flight_ring_bytes : int;
-  metrics_interval : float;
 }
 
 let default =
@@ -46,11 +43,8 @@ let default =
     ckpt_slice_bytes = 4096;
     ckpt_slice_interval = 50.0;
     ckpt_gossip_delay = 500.0;
-    trace = false;
-    trace_path = None;
     flight = true;
     flight_ring_bytes = 65536;
-    metrics_interval = 0.0;
   }
 
 let measured = { default with disk_logging = false; charge_costs = true }

@@ -72,29 +72,19 @@ type t = {
       (** virtual µs a fuzzy checkpoint waits after broadcasting
           low-water gossip, so peers' applied tables arrive before the
           retention mark is computed *)
-  trace : bool;
-      (** record spans, flow arrows and latency histograms through
-          [Lbc_obs] while the cluster runs.  Off by default: the
-          instrumented hot paths then pay a single branch per site and
-          allocate nothing. *)
-  trace_path : string option;
-      (** where [Cluster.write_trace] puts the Chrome trace-event JSON
-          when no explicit path is given *)
   flight : bool;
-      (** always-on flight recorder: every node keeps a fixed-size
-          binary ring of recent spans/instants/counter deltas
-          (lock-free, allocation-free, a few ns per event) that is
-          auto-dumped to [flight-<ts>.bin] on strand/crash/oracle
-          failures and on demand via [Cluster.dump_flight].  On by
-          default — it is the only diagnosis available when [trace] is
-          off. *)
+      (** the flight recorder: every node keeps a fixed-size binary
+          ring of spans, instants, flow arrows and counter deltas
+          (lock-free, allocation-free, a few ns per event) plus the
+          metrics registry.  The rings are auto-dumped to
+          [flight-<ts>.bin] on strand/crash/oracle failures and on
+          demand via [Cluster.dump_flight].  On by default; off, the
+          instrumented hot paths pay a single branch per site and
+          allocate nothing. *)
   flight_ring_bytes : int;
       (** bytes per node's flight ring (rounded up to a power of two,
-          minimum 256) *)
-  metrics_interval : float;
-      (** > 0: append one JSONL snapshot row of the counter/histogram
-          registry at most once per this many virtual-or-wall µs,
-          piggybacked on event recording; 0 disables snapshots *)
+          minimum 256).  The default keeps a node's last moments; a
+          whole-run trace ([oo7-run --trace]) sizes it to the run. *)
 }
 
 val default : t

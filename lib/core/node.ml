@@ -100,7 +100,7 @@ type deps = {
   log_dev : Lbc_storage.Dev.t;
   obs : Obs.t;
       (** trace/metrics sink shared by the cluster; [Obs.disabled] when
-          tracing is off *)
+          the flight recorder is off *)
 }
 
 let model_class = function
@@ -425,22 +425,11 @@ let apply_now (t : t) (record : Lbc_wal.Record.txn) =
   let sp =
     if Obs.enabled t.obs then begin
       let sp =
-        (* Span args feed only the opt-in JSON trace; building the list
-           when just the flight ring is live would put tuple+box
-           allocations on every hot-path event (and minor GCs are
-           stop-the-world across domains).  Same guard at every hot
-           span below. *)
         Obs.span_begin t.obs ~name:"apply" ~pid:t.id ~tid:Obs.lane_apply
-          ?args:
-            (if Obs.tracing t.obs then
-               Some
-                 [ ("writer", Obs.I record.Lbc_wal.Record.node);
-                   ("tid", Obs.I record.Lbc_wal.Record.tid) ]
-             else None)
-          ()
+          ~arg:record.Lbc_wal.Record.node
       in
-      (* Bind the committer's flow arrows into this apply span (the "f"
-         events land at the span's start time), and account the lag from
+      (* Bind the committer's flow arrows into this apply span (the
+         heads land at the span's start time), and account the lag from
          broadcast to apply. *)
       List.iter
         (fun l ->
@@ -586,15 +575,8 @@ let receive_record (t : t) record =
         drain_pending t
     | Hold ->
         t.stats.records_held <- t.stats.records_held + 1;
-        if Obs.enabled t.obs then
-          Obs.instant t.obs ~name:"hold" ~pid:t.id ~tid:Obs.lane_apply
-            ?args:
-              (if Obs.tracing t.obs then
-                 Some
-                   [ ("writer", Obs.I record.Lbc_wal.Record.node);
-                     ("tid", Obs.I record.Lbc_wal.Record.tid) ]
-               else None)
-            ();
+        Obs.instant t.obs ~name:"hold" ~pid:t.id ~tid:Obs.lane_apply
+          ~arg:record.Lbc_wal.Record.node;
         L.debug (fun m ->
             m "node %d holds out-of-order record (node %d tid %d); %d pending"
               t.id record.Lbc_wal.Record.node record.Lbc_wal.Record.tid
@@ -715,17 +697,8 @@ let rec replay_stream (t : t) (r : recovery) (s : stream) =
       s.status <- Replaying;
       let log = Lbc_rvm.Rvm.log t.rvm in
       let sp =
-        if Obs.enabled t.obs then
-          Obs.span_begin t.obs ~name:"replay-chain" ~pid:t.id
-            ~tid:Obs.lane_apply
-            ?args:
-              (if Obs.tracing t.obs then
-                 Some
-                   [ ("stream", Obs.I s.sid);
-                     ("records", Obs.I (List.length s.offsets)) ]
-               else None)
-            ()
-        else Obs.null_span
+        Obs.span_begin t.obs ~name:"replay-chain" ~pid:t.id
+          ~tid:Obs.lane_apply ~arg:0
       in
       (try
          List.iter
@@ -790,7 +763,7 @@ let ensure_warm_record t (record : Lbc_wal.Record.txn) =
     (Lbc_wal.Record.regions record)
 
 (* Chain priority for the background drain: total local acquire count of
-   the chain's locks (the lock table's heat counters).  With tracing off
+   the chain's locks (the lock table's heat counters).  With the sink off
    every chain scores 0 and first-appearance (log) order is kept. *)
 let stream_heat (t : t) (s : stream) =
   List.fold_left
@@ -1048,9 +1021,8 @@ module Txn = struct
       rvm_txn = Lbc_rvm.Rvm.begin_txn ~restore:Lbc_rvm.Rvm.Restore node.rvm;
       held = [];
       sp =
-        (if Obs.enabled node.obs then
-           Obs.span_begin node.obs ~name:"txn" ~pid:node.id ~tid:Obs.lane_txn ()
-         else Obs.null_span);
+        Obs.span_begin node.obs ~name:"txn" ~pid:node.id ~tid:Obs.lane_txn
+          ~arg:0;
     }
 
   (* The interlock of Section 3.4 plus lock bookkeeping, shared by both
@@ -1064,17 +1036,8 @@ module Txn = struct
     if applied_seq node lock < g.Lbc_locks.Table.prev_write_seq then begin
       node.stats.interlock_waits <- node.stats.interlock_waits + 1;
       let sp =
-        if Obs.enabled node.obs then
-          Obs.span_begin node.obs ~name:"interlock" ~pid:node.id
-            ~tid:Obs.lane_txn
-            ?args:
-              (if Obs.tracing node.obs then
-                 Some
-                   [ ("lock", Obs.I lock);
-                     ("need", Obs.I g.Lbc_locks.Table.prev_write_seq) ]
-               else None)
-            ()
-        else Obs.null_span
+        Obs.span_begin node.obs ~name:"interlock" ~pid:node.id
+          ~tid:Obs.lane_txn ~arg:lock
       in
       (if
          node.config.Config.propagation = Config.Lazy
@@ -1139,14 +1102,8 @@ module Txn = struct
   let commit_outcome t =
     let node = t.node in
     let csp =
-      if Obs.enabled node.obs then
-        Obs.span_begin node.obs ~name:"commit" ~pid:node.id ~tid:Obs.lane_txn
-          ?args:
-            (if Obs.tracing node.obs then
-               Some [ ("locks", Obs.I (List.length t.held)) ]
-             else None)
-          ()
-      else Obs.null_span
+      Obs.span_begin node.obs ~name:"commit" ~pid:node.id ~tid:Obs.lane_txn
+        ~arg:0
     in
     let mode =
       if node.config.Config.flush_on_commit then Lbc_rvm.Rvm.Flush
@@ -1188,18 +1145,8 @@ module Txn = struct
              broadcast node record);
     if Obs.enabled node.obs then begin
       Obs.observe ~pid:node.id node.obs "commit_us"
-        (Obs.span_end node.obs csp
-           ?args:
-             (if Obs.tracing node.obs then
-                Some [ ("wrote", Obs.I (if wrote then 1 else 0)) ]
-              else None));
-      ignore
-        (Obs.span_end node.obs t.sp
-           ?args:
-             (if Obs.tracing node.obs then
-                Some [ ("outcome", Obs.S "commit") ]
-              else None)
-          : float)
+        (Obs.span_end node.obs csp);
+      ignore (Obs.span_end node.obs t.sp : float)
     end;
     (* Recovery headline: virtual time from the start of the last rejoin
        to the first commit the restarted node completes. *)
@@ -1221,12 +1168,5 @@ module Txn = struct
       (fun lock -> Lbc_locks.Table.release node.locks lock ~wrote:false)
       (List.rev t.held);
     t.held <- [];
-    if Obs.enabled node.obs then
-      ignore
-        (Obs.span_end node.obs t.sp
-           ?args:
-             (if Obs.tracing node.obs then
-                Some [ ("outcome", Obs.S "abort") ]
-              else None)
-          : float)
+    ignore (Obs.span_end node.obs t.sp : float)
 end

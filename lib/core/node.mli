@@ -44,9 +44,10 @@ type deps = {
   log_dev : Lbc_storage.Dev.t;
   obs : Lbc_obs.Obs.t;
       (** trace/metrics sink shared by the cluster ([Obs.disabled] when
-          tracing is off).  [create] also installs it into the node's
-          lock table and log.  Transactions become [txn] / [commit] /
-          [interlock] spans feeding [commit_us] / [interlock_us],
+          the flight recorder is off).  [create] also installs it into
+          the node's lock table and log.  Transactions become [txn] /
+          [commit] / [interlock] spans feeding [commit_us] /
+          [interlock_us],
           broadcasts start a flow arrow per [(lock, seqno)], received
           records become [apply] spans (ending those arrows and feeding
           [apply_lag_us]) or [hold] instants, and fetch round trips

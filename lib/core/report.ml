@@ -51,15 +51,13 @@ let pp_cluster ppf cluster =
   (* Flight-ring health: overflow shows up as a drop count here rather
      than as silently missing events in a dump. *)
   let obs = Cluster.obs cluster in
-  if Lbc_obs.Obs.flight_on obs then begin
+  if Lbc_obs.Obs.enabled obs then begin
     Format.fprintf ppf "@,  obs: flight";
     Array.iteri
       (fun i (recorded, dropped, bytes) ->
         Format.fprintf ppf " n%d %d/%d/%dB" i recorded dropped bytes)
       (Lbc_obs.Obs.ring_stats obs);
-    Format.fprintf ppf " (rec/drop/bytes)";
-    let rows = Lbc_obs.Obs.snapshot_rows obs in
-    if rows > 0 then Format.fprintf ppf ", %d snapshot rows" rows
+    Format.fprintf ppf " (rec/drop/bytes)"
   end;
   for n = 0 to Cluster.size cluster - 1 do
     Format.fprintf ppf "@,  %a%s" pp_node

@@ -167,7 +167,7 @@ let trace_of_failure (f : failure) =
     t_decisions = f.decisions;
   }
 
-let write_trace path (f : failure) =
+let save_trace path (f : failure) =
   let t = trace_of_failure f in
   let oc = open_out path in
   Fun.protect

@@ -60,7 +60,7 @@ type trace = {
 }
 
 val trace_of_failure : failure -> trace
-val write_trace : string -> failure -> unit
+val save_trace : string -> failure -> unit
 
 val read_trace : string -> (trace, string) result
 

@@ -144,14 +144,8 @@ let pass_token t s ~to_ =
   t.stats.tokens_passed <- t.stats.tokens_passed + 1;
   if Obs.enabled t.obs then begin
     Obs.count ~pid:t.node t.obs "token_hops" 1;
-    (* Args only feed the opt-in JSON trace; don't allocate the list on
-       flight-only runs (same guard on the lock.wait spans below). *)
     Obs.instant t.obs ~name:"token.pass" ~pid:t.node ~tid:Obs.lane_lock
-      ?args:
-        (if Obs.tracing t.obs then
-           Some [ ("lock", Obs.I s.id); ("to", Obs.I to_) ]
-         else None)
-      ()
+      ~arg:s.id
   end;
   t.send ~dst:to_
     (Token
@@ -273,12 +267,8 @@ let acquire t lock =
   end
   else begin
     let sp =
-      if Obs.enabled t.obs then
-        Obs.span_begin t.obs ~name:"lock.wait" ~pid:t.node ~tid:Obs.lane_lock
-          ?args:
-            (if Obs.tracing t.obs then Some [ ("lock", Obs.I lock) ] else None)
-          ()
-      else Obs.null_span
+      Obs.span_begin t.obs ~name:"lock.wait" ~pid:t.node ~tid:Obs.lane_lock
+        ~arg:lock
     in
     let w = enqueue_waiter t s in
     match
@@ -300,12 +290,8 @@ let acquire_timeout t lock ~timeout =
   end
   else begin
     let sp =
-      if Obs.enabled t.obs then
-        Obs.span_begin t.obs ~name:"lock.wait" ~pid:t.node ~tid:Obs.lane_lock
-          ?args:
-            (if Obs.tracing t.obs then Some [ ("lock", Obs.I lock) ] else None)
-          ()
-      else Obs.null_span
+      Obs.span_begin t.obs ~name:"lock.wait" ~pid:t.node ~tid:Obs.lane_lock
+        ~arg:lock
     in
     let w = enqueue_waiter t s in
     let engine = Lbc_sim.Proc.engine () in
@@ -319,13 +305,7 @@ let acquire_timeout t lock ~timeout =
         ~info:(Printf.sprintf "lock-wait l%d (timeout %.0f)" lock timeout)
         w.iv
     in
-    let wait =
-      Obs.span_end t.obs sp
-        ?args:
-          (if Obs.tracing t.obs then
-             Some [ ("granted", Obs.I (if res = None then 0 else 1)) ]
-           else None)
-    in
+    let wait = Obs.span_end t.obs sp in
     if res <> None then Obs.observe ~pid:t.node t.obs "lock_wait_us" wait;
     res
   end

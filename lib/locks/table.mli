@@ -74,7 +74,7 @@ val handle : t -> src:int -> msg -> unit
 val heat_key : int -> string
 (** Obs counter key counting this node's acquires of one lock
     ([lock_acquires:<id>], bumped by {!acquire}/{!acquire_timeout} when
-    tracing is on).  An on-demand rejoin drains its cold replay chains
+    the sink is live).  An on-demand rejoin drains its cold replay chains
     hottest-lock-first by reading these back. *)
 
 val acquire : t -> int -> grant

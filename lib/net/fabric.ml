@@ -43,17 +43,11 @@ let check_node t who n =
   if n < 0 || n >= t.nodes then
     invalid_arg (Printf.sprintf "Fabric: bad %s node %d" who n)
 
-let count_drop t ~src ~dst =
+let count_drop t ~src ~dst ~len =
   t.dropped.(src).(dst) <- t.dropped.(src).(dst) + 1;
   if Obs.enabled t.obs then begin
     Obs.count ~pid:dst t.obs "net_drops" 1;
-    (* Args only feed the opt-in JSON trace — skip building the list
-       (tuple+box allocations) when just the flight ring is live.
-       Same guard on every hot event below. *)
-    Obs.instant t.obs ~name:"net.drop" ~pid:dst ~tid:Obs.lane_net
-      ?args:
-        (if Obs.tracing t.obs then Some [ ("src", Obs.I src) ] else None)
-      ()
+    Obs.instant t.obs ~name:"net.drop" ~pid:dst ~tid:Obs.lane_net ~arg:len
   end
 
 let should_drop t ~src ~dst msg =
@@ -63,19 +57,14 @@ let should_drop t ~src ~dst msg =
 (* Put one message on the wire: it is dropped at delivery time if the
    destination is down by then (the crash loses in-flight traffic). *)
 let deliver t ~src ~dst ~len msg =
-  if should_drop t ~src ~dst msg then count_drop t ~src ~dst
+  if should_drop t ~src ~dst msg then count_drop t ~src ~dst ~len
   else
     Lbc_sim.Engine.schedule t.engine ~delay:t.params.Params.propagation
       (fun () ->
-        if t.down.(dst) then count_drop t ~src ~dst
+        if t.down.(dst) then count_drop t ~src ~dst ~len
         else begin
-          if Obs.enabled t.obs then
-            Obs.instant t.obs ~name:"net.deliver" ~pid:dst ~tid:Obs.lane_net
-              ?args:
-                (if Obs.tracing t.obs then
-                   Some [ ("src", Obs.I src); ("bytes", Obs.I len) ]
-                 else None)
-              ();
+          Obs.instant t.obs ~name:"net.deliver" ~pid:dst ~tid:Obs.lane_net
+            ~arg:len;
           Lbc_sim.Mailbox.send t.channels.(src).(dst) msg
         end)
 
@@ -83,7 +72,7 @@ let send_len t ~src ~dst ~len msg =
   check_node t "src" src;
   check_node t "dst" dst;
   if src = dst then invalid_arg "Fabric.send: src = dst";
-  if t.down.(src) then count_drop t ~src ~dst
+  if t.down.(src) then count_drop t ~src ~dst ~len
   else begin
     t.messages_sent.(src) <- t.messages_sent.(src) + 1;
     t.bytes_sent.(src) <- t.bytes_sent.(src) + len;
@@ -92,11 +81,7 @@ let send_len t ~src ~dst ~len msg =
         Obs.count ~pid:src t.obs "net_msgs" 1;
         Obs.count ~pid:src t.obs "net_bytes" len;
         Obs.span_begin t.obs ~name:"net.send" ~pid:src ~tid:Obs.lane_net
-          ?args:
-            (if Obs.tracing t.obs then
-               Some [ ("dst", Obs.I dst); ("bytes", Obs.I len) ]
-             else None)
-          ()
+          ~arg:len
       end
       else Obs.null_span
     in
@@ -120,7 +105,7 @@ let broadcast_len t ~src ~dsts ~len msg =
     List.sort_uniq Int.compare (List.filter (fun d -> d <> src) dsts)
   in
   List.iter (fun d -> check_node t "dst" d) dsts;
-  if t.down.(src) then List.iter (fun dst -> count_drop t ~src ~dst) dsts
+  if t.down.(src) then List.iter (fun dst -> count_drop t ~src ~dst ~len) dsts
   else begin
     t.messages_sent.(src) <- t.messages_sent.(src) + 1;
     t.bytes_sent.(src) <- t.bytes_sent.(src) + len;
@@ -129,11 +114,7 @@ let broadcast_len t ~src ~dsts ~len msg =
         Obs.count ~pid:src t.obs "net_msgs" 1;
         Obs.count ~pid:src t.obs "net_bytes" len;
         Obs.span_begin t.obs ~name:"net.send" ~pid:src ~tid:Obs.lane_net
-          ?args:
-            (if Obs.tracing t.obs then
-               Some [ ("dsts", Obs.I (List.length dsts)); ("bytes", Obs.I len) ]
-             else None)
-          ()
+          ~arg:len
       end
       else Obs.null_span
     in
@@ -176,8 +157,8 @@ let purge_inbound t node =
       let rec drain () =
         match Lbc_sim.Mailbox.try_recv mailbox with
         | None -> ()
-        | Some _ ->
-            count_drop t ~src ~dst:node;
+        | Some m ->
+            count_drop t ~src ~dst:node ~len:(t.size m);
             drain ()
       in
       drain ()

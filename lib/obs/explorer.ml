@@ -1,128 +1,94 @@
-(* Trace explorer: loads a Chrome trace-event document produced by
-   [Obs], validates it, and derives the analyses printed by the
-   [lbc_trace] CLI — per-lock contention, per-stage latency breakdown,
-   and the critical path of the slowest transaction. *)
+(* Trace explorer: the trace contract and the analyses printed by the
+   [lbc_trace] CLI — per-stage latency breakdown, per-lock contention,
+   the critical path of the slowest transaction and flow accounting —
+   over the events of a decoded LBCF dump ({!Flight_dump}).  Times are
+   integer nanoseconds on the dump's clock; a span's event carries its
+   END time, so its start is [ev_ts_ns - ev_dur_ns]. *)
 
-type event = {
-  ph : char;
-  name : string;
-  cat : string;
-  pid : int;
-  tid : int;
-  ts : float;
-  dur : float;          (* 0 unless ph = 'X' *)
-  id : int;             (* -1 unless a flow event *)
-  args : (string * Json.t) list;
-}
+module FD = Flight_dump
 
-let event_of_json j =
-  match Json.str_member "ph" j with
-  | None | Some "" -> None
-  | Some ph ->
-      let num key d = match Json.num_member key j with Some f -> f | None -> d in
-      let str key d = match Json.str_member key j with Some s -> s | None -> d in
-      let args =
-        match Json.member "args" j with Some (Json.Obj l) -> l | _ -> []
-      in
-      Some
-        { ph = ph.[0];
-          name = str "name" "";
-          cat = str "cat" "";
-          pid = int_of_float (num "pid" 0.0);
-          tid = int_of_float (num "tid" 0.0);
-          ts = num "ts" 0.0;
-          dur = num "dur" 0.0;
-          id = int_of_float (num "id" (-1.0));
-          args }
+let span_start (ev : FD.event) = ev.FD.ev_ts_ns - ev.FD.ev_dur_ns
 
-let events_of_json j =
-  match Json.member "traceEvents" j with
-  | Some (Json.Arr l) -> Ok (List.filter_map event_of_json l)
-  | _ -> Error "no traceEvents array"
-
-let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  match Json.parse src with
-  | Error why -> Error (Printf.sprintf "invalid JSON: %s" why)
-  | Ok j -> events_of_json j
-
-let int_arg key ev =
-  match List.assoc_opt key ev.args with
-  | Some (Json.Num f) -> Some (int_of_float f)
-  | _ -> None
+(* Rounding the platform's float µs to ns can put a span's derived
+   start a nanosecond off the instants recorded at its begin. *)
+let slack_ns = 2
 
 (* ---------------------------------------------------------------- *)
-(* Self-check: the structural invariants CI relies on.  Returns a list
-   of violation descriptions (empty = clean). *)
+(* Self-check: the ring structure ({!FD.self_check}) plus the trace
+   contract.  Returns violation descriptions (empty = clean). *)
 
-let self_check events =
-  let errors = ref [] in
+(* One ring's apply spans as starts sorted ascending beside the running
+   max of their ends, so "does some apply span cover [t]" is one binary
+   search. *)
+let apply_cover (r : FD.ring) =
+  let spans =
+    Array.of_list
+      (List.filter_map
+         (fun (ev : FD.event) ->
+           if ev.FD.ev_kind = FD.Span && ev.FD.ev_name = "apply" then
+             Some (span_start ev, ev.FD.ev_ts_ns)
+           else None)
+         (Array.to_list r.FD.r_events))
+  in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) spans;
+  let max_end = ref min_int in
+  let max_ends =
+    Array.map
+      (fun (_, e) ->
+        max_end := max !max_end e;
+        !max_end)
+      spans
+  in
+  (Array.map fst spans, max_ends)
+
+let covered (starts, max_ends) t =
+  let lo = ref 0 and hi = ref (Array.length starts) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if starts.(mid) <= t + slack_ns then lo := mid + 1 else hi := mid
+  done;
+  !lo > 0 && max_ends.(!lo - 1) >= t - slack_ns
+
+let self_check (d : FD.dump) =
+  let errors = ref (List.rev (FD.self_check d)) in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  (* Instants and flow events must appear in non-decreasing timestamp
-     order per node (spans are emitted at their *end*, so their file
-     order follows span ends, not starts — exempt). *)
-  let last_ts : (int, float) Hashtbl.t = Hashtbl.create 8 in
-  let flow_starts : (int, event) Hashtbl.t = Hashtbl.create 64 in
-  let applies : (int, (float * float) list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      if ev.ph = 'X' && ev.name = "apply" then begin
-        let l =
-          match Hashtbl.find_opt applies ev.pid with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace applies ev.pid l;
-              l
-        in
-        l := (ev.ts, ev.ts +. ev.dur) :: !l
-      end)
-    events;
-  List.iter
-    (fun ev ->
-      match ev.ph with
-      | 'M' -> ()
-      | 'X' ->
-          if ev.dur < 0.0 then
-            err "span %S on node %d has negative duration %.3f" ev.name ev.pid
-              ev.dur
-      | 's' -> Hashtbl.replace flow_starts ev.id ev
-      | 'f' -> (
-          (match Hashtbl.find_opt last_ts ev.pid with
-          | Some prev when ev.ts < prev ->
-              err "node %d: timestamp went backwards (%.3f after %.3f)" ev.pid
-                ev.ts prev
-          | _ -> ());
-          Hashtbl.replace last_ts ev.pid ev.ts;
-          match Hashtbl.find_opt flow_starts ev.id with
-          | None -> err "flow %d ends on node %d with no start" ev.id ev.pid
-          | Some s ->
-              if s.ts > ev.ts then
-                err "flow %d starts at %.3f after its end at %.3f" ev.id s.ts
-                  ev.ts;
-              let inside =
-                match Hashtbl.find_opt applies ev.pid with
-                | None -> false
-                | Some spans ->
-                    List.exists
-                      (fun (lo, hi) -> ev.ts >= lo && ev.ts <= hi)
-                      !spans
-              in
-              if not inside then
-                err "flow %d ends on node %d outside any apply span" ev.id
-                  ev.pid)
-      | 'i' ->
-          (match Hashtbl.find_opt last_ts ev.pid with
-          | Some prev when ev.ts < prev ->
-              err "node %d: timestamp went backwards (%.3f after %.3f)" ev.pid
-                ev.ts prev
-          | _ -> ());
-          Hashtbl.replace last_ts ev.pid ev.ts
-      | c -> err "unknown event phase %C" c)
-    events;
+  (* With nothing dropped every start ever recorded is in the dump:
+     [Obs.flow_end] records a head only once it has seen the start. *)
+  let complete = Array.for_all (fun r -> r.FD.r_dropped = 0) d.FD.d_rings in
+  let starts = Hashtbl.create 64 in
+  Array.iter
+    (fun (r : FD.ring) ->
+      Array.iter
+        (fun (ev : FD.event) ->
+          if ev.FD.ev_kind = FD.Flow_start then
+            match Hashtbl.find_opt starts ev.FD.ev_arg with
+            | Some ts when ts <= ev.FD.ev_ts_ns -> ()
+            | _ -> Hashtbl.replace starts ev.FD.ev_arg ev.FD.ev_ts_ns)
+        r.FD.r_events)
+    d.FD.d_rings;
+  Array.iter
+    (fun (r : FD.ring) ->
+      let cover = apply_cover r in
+      Array.iter
+        (fun (ev : FD.event) ->
+          if ev.FD.ev_kind = FD.Flow_end then begin
+            let id = ev.FD.ev_arg and ts = ev.FD.ev_ts_ns in
+            (match Hashtbl.find_opt starts id with
+            | None ->
+                if complete then
+                  err "flow %d ends on node %d with no start" id r.FD.r_id
+            | Some s ->
+                if s > ts then
+                  err "flow %d starts at %dns after its end at %dns" id s ts);
+            (* A span is recorded when it ends: a dump cut inside an
+               apply (an exception escaping mid-apply) reports its
+               head here too. *)
+            if not (covered cover ts) then
+              err "flow %d ends on node %d at %dns outside any recorded \
+                   apply span" id r.FD.r_id ts
+          end)
+        r.FD.r_events)
+    d.FD.d_rings;
   List.rev !errors
 
 (* ---------------------------------------------------------------- *)
@@ -131,137 +97,136 @@ let self_check events =
 type stage_stats = {
   st_name : string;
   st_count : int;
-  st_total : float;
-  st_p50 : float;
-  st_p95 : float;
-  st_p99 : float;
-  st_max : float;
+  st_total_ns : int;
+  st_p50_ns : int;
+  st_p95_ns : int;
+  st_p99_ns : int;
+  st_max_ns : int;
 }
 
 let exact_percentile sorted p =
   let n = Array.length sorted in
-  if n = 0 then 0.0
+  if n = 0 then 0
   else
     let rank = int_of_float (ceil (p /. 100.0 *. Float.of_int n)) - 1 in
     sorted.(max 0 (min (n - 1) rank))
 
-let stage_breakdown events =
-  let by_name : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      if ev.ph = 'X' then begin
-        let l =
-          match Hashtbl.find_opt by_name ev.name with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace by_name ev.name l;
-              l
-        in
-        l := ev.dur :: !l
-      end)
+let stage_breakdown (events : FD.event array) =
+  let by_name : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
+  Array.iter
+    (fun (ev : FD.event) ->
+      if ev.FD.ev_kind = FD.Span then
+        match Hashtbl.find_opt by_name ev.FD.ev_name with
+        | Some l -> l := ev.FD.ev_dur_ns :: !l
+        | None ->
+            Hashtbl.replace by_name ev.FD.ev_name (ref [ ev.FD.ev_dur_ns ]))
     events;
   Hashtbl.fold
     (fun name durs acc ->
       let a = Array.of_list !durs in
-      Array.sort Float.compare a;
-      let total = Array.fold_left ( +. ) 0.0 a in
+      Array.sort Int.compare a;
       { st_name = name;
         st_count = Array.length a;
-        st_total = total;
-        st_p50 = exact_percentile a 50.0;
-        st_p95 = exact_percentile a 95.0;
-        st_p99 = exact_percentile a 99.0;
-        st_max = (if Array.length a = 0 then 0.0 else a.(Array.length a - 1)) }
+        st_total_ns = Array.fold_left ( + ) 0 a;
+        st_p50_ns = exact_percentile a 50.0;
+        st_p95_ns = exact_percentile a 95.0;
+        st_p99_ns = exact_percentile a 99.0;
+        st_max_ns = a.(Array.length a - 1) }
       :: acc)
     by_name []
-  |> List.sort (fun a b -> Float.compare b.st_total a.st_total)
+  |> List.sort (fun a b -> Int.compare b.st_total_ns a.st_total_ns)
 
 (* ---------------------------------------------------------------- *)
-(* Per-lock contention from lock.wait spans. *)
+(* Per-lock contention from lock.wait spans, whose argument is the
+   lock id. *)
 
 type lock_stats = {
   lk_lock : int;
   lk_waits : int;
-  lk_contended : int;      (* waits with nonzero duration *)
-  lk_total_wait : float;
-  lk_max_wait : float;
+  lk_contended : int;  (* waits with nonzero duration *)
+  lk_total_ns : int;
+  lk_max_ns : int;
 }
 
-let lock_contention events =
+let lock_contention (events : FD.event array) =
   let by_lock : (int, lock_stats) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      if ev.ph = 'X' && ev.name = "lock.wait" then
-        match int_arg "lock" ev with
-        | None -> ()
-        | Some lock ->
-            let st =
-              match Hashtbl.find_opt by_lock lock with
-              | Some st -> st
-              | None ->
-                  { lk_lock = lock; lk_waits = 0; lk_contended = 0;
-                    lk_total_wait = 0.0; lk_max_wait = 0.0 }
-            in
-            Hashtbl.replace by_lock lock
-              { st with
-                lk_waits = st.lk_waits + 1;
-                lk_contended =
-                  (st.lk_contended + if ev.dur > 0.0 then 1 else 0);
-                lk_total_wait = st.lk_total_wait +. ev.dur;
-                lk_max_wait = Float.max st.lk_max_wait ev.dur })
+  Array.iter
+    (fun (ev : FD.event) ->
+      if ev.FD.ev_kind = FD.Span && ev.FD.ev_name = "lock.wait" then begin
+        let lock = ev.FD.ev_arg and dur = ev.FD.ev_dur_ns in
+        let st =
+          match Hashtbl.find_opt by_lock lock with
+          | Some st -> st
+          | None ->
+              { lk_lock = lock; lk_waits = 0; lk_contended = 0;
+                lk_total_ns = 0; lk_max_ns = 0 }
+        in
+        Hashtbl.replace by_lock lock
+          { st with
+            lk_waits = st.lk_waits + 1;
+            lk_contended = (st.lk_contended + if dur > 0 then 1 else 0);
+            lk_total_ns = st.lk_total_ns + dur;
+            lk_max_ns = max st.lk_max_ns dur }
+      end)
     events;
   Hashtbl.fold (fun _ st acc -> st :: acc) by_lock []
-  |> List.sort (fun a b -> Float.compare b.lk_total_wait a.lk_total_wait)
+  |> List.sort (fun a b ->
+         match Int.compare b.lk_total_ns a.lk_total_ns with
+         | 0 -> Int.compare a.lk_lock b.lk_lock
+         | c -> c)
 
 (* ---------------------------------------------------------------- *)
 (* Critical path: the slowest txn span, plus every span on the same
-   node that overlaps it, in timeline order — the per-stage story of
+   node that lies inside it, in timeline order — the per-stage story of
    where that transaction's time went. *)
 
-let slowest_txn events =
-  List.fold_left
-    (fun acc ev ->
-      if ev.ph = 'X' && ev.name = "txn" then
-        match acc with
-        | Some best when best.dur >= ev.dur -> acc
-        | _ -> Some ev
-      else acc)
-    None events
-
-let critical_path events =
-  match slowest_txn events with
+let critical_path (events : FD.event array) =
+  let slowest =
+    Array.fold_left
+      (fun acc (ev : FD.event) ->
+        if ev.FD.ev_kind = FD.Span && ev.FD.ev_name = "txn" then
+          match acc with
+          | Some (best : FD.event) when best.FD.ev_dur_ns >= ev.FD.ev_dur_ns ->
+              acc
+          | _ -> Some ev
+        else acc)
+      None events
+  in
+  match slowest with
   | None -> None
   | Some txn ->
-      let lo = txn.ts and hi = txn.ts +. txn.dur in
+      let lo = span_start txn - slack_ns and hi = txn.FD.ev_ts_ns + slack_ns in
       let inside =
         List.filter
-          (fun ev ->
-            ev.ph = 'X' && ev.pid = txn.pid && ev.ts >= lo
-            && ev.ts +. ev.dur <= hi +. 0.001
-            && not (ev.ts = txn.ts && ev.name = "txn" && ev.tid = txn.tid))
-          events
-        |> List.sort (fun a b -> Float.compare a.ts b.ts)
+          (fun (ev : FD.event) ->
+            ev != txn && ev.FD.ev_kind = FD.Span
+            && ev.FD.ev_ring = txn.FD.ev_ring
+            && span_start ev >= lo && ev.FD.ev_ts_ns <= hi)
+          (Array.to_list events)
+        |> List.stable_sort (fun a b ->
+               Int.compare (span_start a) (span_start b))
       in
       Some (txn, inside)
 
 (* ---------------------------------------------------------------- *)
-(* Flow accounting, for reporting how many committed writes were
-   traced end-to-end. *)
+(* Flow accounting: how many committed writes were traced end to end. *)
 
 type flow_summary = { fl_starts : int; fl_ends : int; fl_unresolved : int }
 
-let flow_summary events =
+let flow_summary (events : FD.event array) =
   let starts = Hashtbl.create 64 in
+  Array.iter
+    (fun (ev : FD.event) ->
+      if ev.FD.ev_kind = FD.Flow_start then
+        Hashtbl.replace starts ev.FD.ev_arg ())
+    events;
   let ends = ref 0 and unresolved = ref 0 in
-  List.iter
-    (fun ev ->
-      match ev.ph with
-      | 's' -> Hashtbl.replace starts ev.id ()
-      | 'f' ->
-          incr ends;
-          if not (Hashtbl.mem starts ev.id) then incr unresolved
-      | _ -> ())
+  Array.iter
+    (fun (ev : FD.event) ->
+      if ev.FD.ev_kind = FD.Flow_end then begin
+        incr ends;
+        if not (Hashtbl.mem starts ev.FD.ev_arg) then incr unresolved
+      end)
     events;
   { fl_starts = Hashtbl.length starts; fl_ends = !ends;
     fl_unresolved = !unresolved }

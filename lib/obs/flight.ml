@@ -14,8 +14,8 @@
      | len |  tag  field*  (varints)              |
      +-----+--------------------------------------+
 
-     tag 0 span     : lane, name_id, ts_delta, dur_ns
-     tag 1 instant  : lane, name_id, ts_delta
+     tag 0 span     : lane, name_id, ts_delta, dur_ns, zigzag(arg)
+     tag 1 instant  : lane, name_id, ts_delta, zigzag(arg)
      tag 2 count    : name_id, ts_delta, zigzag(delta)
      tag 3 flow tail: lane, ts_delta, flow_id
      tag 4 flow head: lane, ts_delta, flow_id
@@ -50,8 +50,7 @@ let tag_count = 2
 let tag_flow_start = 3
 let tag_flow_end = 4
 
-(* Pipeline lane names, shared with the JSON tracer and the dump
-   renderer. *)
+(* Pipeline lane names, shared with the dump renderer. *)
 let lane_name = function
   | 0 -> "txn"
   | 1 -> "apply"
@@ -145,12 +144,14 @@ let[@inline] ts_delta t ts_ns =
   t.last_ts <- ts;
   d
 
-let record_span t ~ts_ns ~name ~lane ~dur_ns =
+let record_span t ~ts_ns ~name ~lane ~dur_ns ~arg =
   let id = intern t name in
   let dur = if dur_ns < 0 then 0 else dur_ns in
   let d = ts_delta t ts_ns in
+  let z = zigzag arg in
   let len =
     1 + varint_len lane + varint_len id + varint_len d + varint_len dur
+    + varint_len z
   in
   evict_for t (1 + len);
   put8 t t.head len;
@@ -159,19 +160,22 @@ let record_span t ~ts_ns ~name ~lane ~dur_ns =
   let p = put_varint t p id in
   let p = put_varint t p d in
   let p = put_varint t p dur in
+  let p = put_varint t p z in
   t.head <- p;
   t.recorded <- t.recorded + 1
 
-let record_instant t ~ts_ns ~name ~lane =
+let record_instant t ~ts_ns ~name ~lane ~arg =
   let id = intern t name in
   let d = ts_delta t ts_ns in
-  let len = 1 + varint_len lane + varint_len id + varint_len d in
+  let z = zigzag arg in
+  let len = 1 + varint_len lane + varint_len id + varint_len d + varint_len z in
   evict_for t (1 + len);
   put8 t t.head len;
   put8 t (t.head + 1) tag_instant;
   let p = put_varint t (t.head + 2) lane in
   let p = put_varint t p id in
   let p = put_varint t p d in
+  let p = put_varint t p z in
   t.head <- p;
   t.recorded <- t.recorded + 1
 

@@ -20,10 +20,14 @@ val create : ?cap_bytes:int -> unit -> t
 
 (** {1 Recording (hot path: lock-free, allocation-free)} *)
 
-val record_span : t -> ts_ns:int -> name:string -> lane:int -> dur_ns:int -> unit
-(** Complete span; [ts_ns] is the span's {e end} time. *)
+val record_span :
+  t -> ts_ns:int -> name:string -> lane:int -> dur_ns:int -> arg:int -> unit
+(** Complete span; [ts_ns] is the span's {e end} time.  [arg] is the
+    event's one argument (a lock id, byte count, writer or epoch; 0
+    when the event has none), zigzag-encoded. *)
 
-val record_instant : t -> ts_ns:int -> name:string -> lane:int -> unit
+val record_instant :
+  t -> ts_ns:int -> name:string -> lane:int -> arg:int -> unit
 
 val record_count : t -> ts_ns:int -> name:string -> delta:int -> unit
 (** Signed counter delta (zigzag-encoded). *)

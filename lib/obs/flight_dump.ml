@@ -4,7 +4,8 @@
    Layout (all integers LEB128 varints unless noted):
 
      "LBCF"            magic, 4 raw bytes
-     version           1 raw byte (currently 1)
+     version           1 raw byte (currently 2: span and instant
+                       records carry an argument)
      dumped_at_ns      platform clock at dump time
      clock             length-prefixed label ("virtual-us" | "wall-us")
      ring_count
@@ -27,7 +28,7 @@ type event = {
   ev_lane : int;
   ev_ts_ns : int; (* absolute; for spans this is the END time *)
   ev_dur_ns : int; (* spans only, else 0 *)
-  ev_arg : int; (* counter delta or flow id, else 0 *)
+  ev_arg : int; (* span/instant argument, counter delta or flow id *)
 }
 
 type ring = {
@@ -49,7 +50,7 @@ type dump = {
 }
 
 let magic = "LBCF"
-let version = 1
+let version = 2
 
 (* ---------------------------------------------------------------- *)
 (* Writing *)
@@ -117,9 +118,13 @@ let varint c =
   done;
   !v
 
+let remaining c = String.length c.s - c.pos
+
+(* A length or count is checked against the bytes left before anything
+   is allocated from it: a hostile varint can be negative or huge. *)
 let str c =
   let n = varint c in
-  if c.pos + n > String.length c.s then raise (Corrupt "truncated string");
+  if n < 0 || n > remaining c then raise (Corrupt "bad string length");
   let s = String.sub c.s c.pos n in
   c.pos <- c.pos + n;
   s
@@ -130,64 +135,71 @@ let unzigzag v = (v lsr 1) lxor (-(v land 1))
    timestamps already re-absolutized against [last_ts_ns]. *)
 let decode_body ~ring_id ~names ~last_ts_ns body =
   let c = { s = body; pos = 0 } in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
+  (* The first structural problem ends the ring's decode: records past
+     it are garbage. *)
   let name_of id =
     if id >= 0 && id < Array.length names then names.(id)
-    else (
-      err "ring %d: name id %d outside intern table (%d names)" ring_id id
-        (Array.length names);
-      Printf.sprintf "?%d" id)
+    else
+      raise
+        (Corrupt
+           (Printf.sprintf "name id %d outside intern table (%d names)" id
+              (Array.length names)))
   in
   let events = ref [] in
   let ts = ref 0 in
-  (try
-     while c.pos < String.length c.s do
-       let start = c.pos in
-       let len = u8 c in
-       let payload_end = start + 1 + len in
-       if payload_end > String.length c.s then
-         raise (Corrupt (Printf.sprintf "record at %d overruns body" start));
-       let tag = u8 c in
-       let ev =
-         match tag with
-         | 0 ->
-             let lane = varint c in
-             let name = name_of (varint c) in
-             ts := !ts + varint c;
-             let dur = varint c in
-             { ev_ring = ring_id; ev_kind = Span; ev_name = name;
-               ev_lane = lane; ev_ts_ns = !ts; ev_dur_ns = dur; ev_arg = 0 }
-         | 1 ->
-             let lane = varint c in
-             let name = name_of (varint c) in
-             ts := !ts + varint c;
-             { ev_ring = ring_id; ev_kind = Instant; ev_name = name;
-               ev_lane = lane; ev_ts_ns = !ts; ev_dur_ns = 0; ev_arg = 0 }
-         | 2 ->
-             let name = name_of (varint c) in
-             ts := !ts + varint c;
-             let delta = unzigzag (varint c) in
-             { ev_ring = ring_id; ev_kind = Count; ev_name = name;
-               ev_lane = 0; ev_ts_ns = !ts; ev_dur_ns = 0; ev_arg = delta }
-         | 3 | 4 ->
-             let lane = varint c in
-             ts := !ts + varint c;
-             let id = varint c in
-             { ev_ring = ring_id;
-               ev_kind = (if tag = 3 then Flow_start else Flow_end);
-               ev_name = ""; ev_lane = lane; ev_ts_ns = !ts; ev_dur_ns = 0;
-               ev_arg = id }
-         | t -> raise (Corrupt (Printf.sprintf "unknown tag %d at %d" t start))
-       in
-       if c.pos <> payload_end then
-         raise
-           (Corrupt
-              (Printf.sprintf "record at %d: decoded %d bytes, length says %d"
-                 start (c.pos - start - 1) len));
-       events := ev :: !events
-     done
-   with Corrupt m -> err "ring %d: %s" ring_id m);
+  let errors =
+    match
+      while c.pos < String.length c.s do
+        let start = c.pos in
+        let len = u8 c in
+        let payload_end = start + 1 + len in
+        if payload_end > String.length c.s then
+          raise (Corrupt (Printf.sprintf "record at %d overruns body" start));
+        let tag = u8 c in
+        let ev =
+          match tag with
+          | 0 ->
+              let lane = varint c in
+              let name = name_of (varint c) in
+              ts := !ts + varint c;
+              let dur = varint c in
+              let arg = unzigzag (varint c) in
+              { ev_ring = ring_id; ev_kind = Span; ev_name = name;
+                ev_lane = lane; ev_ts_ns = !ts; ev_dur_ns = dur; ev_arg = arg }
+          | 1 ->
+              let lane = varint c in
+              let name = name_of (varint c) in
+              ts := !ts + varint c;
+              let arg = unzigzag (varint c) in
+              { ev_ring = ring_id; ev_kind = Instant; ev_name = name;
+                ev_lane = lane; ev_ts_ns = !ts; ev_dur_ns = 0; ev_arg = arg }
+          | 2 ->
+              let name = name_of (varint c) in
+              ts := !ts + varint c;
+              let delta = unzigzag (varint c) in
+              { ev_ring = ring_id; ev_kind = Count; ev_name = name;
+                ev_lane = 0; ev_ts_ns = !ts; ev_dur_ns = 0; ev_arg = delta }
+          | 3 | 4 ->
+              let lane = varint c in
+              ts := !ts + varint c;
+              let id = varint c in
+              { ev_ring = ring_id;
+                ev_kind = (if tag = 3 then Flow_start else Flow_end);
+                ev_name = ""; ev_lane = lane; ev_ts_ns = !ts; ev_dur_ns = 0;
+                ev_arg = id }
+          | t -> raise (Corrupt (Printf.sprintf "unknown tag %d at %d" t start))
+        in
+        if c.pos <> payload_end then
+          raise
+            (Corrupt
+               (Printf.sprintf "record at %d: decoded %d bytes, length says %d"
+                  start (c.pos - start - 1) len));
+        events := ev :: !events
+      done
+    with
+    | () -> []
+    | exception Corrupt m -> [ Printf.sprintf "ring %d: %s" ring_id m ]
+  in
   let events = Array.of_list (List.rev !events) in
   let n = Array.length events in
   if n > 0 then begin
@@ -197,7 +209,7 @@ let decode_body ~ring_id ~names ~last_ts_ns body =
       (fun i ev -> events.(i) <- { ev with ev_ts_ns = ev.ev_ts_ns + offset })
       events
   end;
-  (events, List.rev !errors)
+  (events, errors)
 
 let decode_ring ~id ~recorded ~dropped ~cap ~last_ts_ns ~names body =
   let events, errors = decode_body ~ring_id:id ~names ~last_ts_ns body in
@@ -217,8 +229,11 @@ let of_string s =
         raise (Corrupt (Printf.sprintf "unsupported version %d" v));
       let dumped_at_ns = varint c in
       let clock = str c in
+      (* A ring header is at least seven bytes and a name at least one,
+         which bounds both counts by the bytes left. *)
       let nrings = varint c in
-      if nrings > 1_000_000 then raise (Corrupt "implausible ring count");
+      if nrings < 0 || nrings > remaining c / 7 then
+        raise (Corrupt "implausible ring count");
       let rings =
         Array.init nrings (fun _ ->
             let id = varint c in
@@ -227,7 +242,7 @@ let of_string s =
             let cap = varint c in
             let last_ts_ns = varint c in
             let nnames = varint c in
-            if nnames > 10_000_000 then
+            if nnames < 0 || nnames > remaining c then
               raise (Corrupt "implausible name count");
             let names = Array.init nnames (fun _ -> str c) in
             let body = str c in
@@ -309,9 +324,19 @@ let merged d =
   a
 
 (* ---------------------------------------------------------------- *)
-(* Chrome-trace rendering: one process per ring, lanes as threads —
-   the same shape Obs.render emits, so Perfetto and the explorer both
-   understand a merged flight dump. *)
+(* Chrome-trace rendering: one process per ring, lanes as threads in
+   pipeline order, for Perfetto. *)
+
+(* What a span's or instant's argument means, by event name; the other
+   events pass 0 and render without args. *)
+let arg_label = function
+  | "lock.wait" | "interlock" | "token.pass" -> Some "lock"
+  | "net.send" | "net.deliver" | "net.drop" | "log.append" | "log.ctrl"
+  | "log.flush" | "ckpt" ->
+      Some "bytes"
+  | "apply" | "hold" -> Some "writer"
+  | "crash" | "rejoin" -> Some "epoch"
+  | _ -> None
 
 let render_chrome d =
   let buf = Buffer.create 4096 in
@@ -327,14 +352,22 @@ let render_chrome d =
   Array.iter
     (fun r ->
       emit
-        "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"node%d\"}}"
+        "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"node %d\"}}"
         r.r_id r.r_id;
       for lane = 0 to 4 do
         emit
           "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-          r.r_id lane (Flight.lane_name lane)
+          r.r_id lane (Flight.lane_name lane);
+        emit
+          "{\"ph\":\"M\",\"name\":\"thread_sort_index\",\"pid\":%d,\"tid\":%d,\"args\":{\"sort_index\":%d}}"
+          r.r_id lane lane
       done)
     d.d_rings;
+  let args ev =
+    match arg_label ev.ev_name with
+    | Some label -> Printf.sprintf ",\"args\":{\"%s\":%d}" label ev.ev_arg
+    | None -> ""
+  in
   let counters = Hashtbl.create 16 in
   Array.iter
     (fun ev ->
@@ -343,13 +376,13 @@ let render_chrome d =
       | Span ->
           let dur_us = float_of_int ev.ev_dur_ns /. 1000.0 in
           emit
-            "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"flight\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
+            "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"lbc\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f%s}"
             (Json.escape ev.ev_name) ev.ev_ring ev.ev_lane (ts_us -. dur_us)
-            dur_us
+            dur_us (args ev)
       | Instant ->
           emit
-            "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"flight\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\"}"
-            (Json.escape ev.ev_name) ev.ev_ring ev.ev_lane ts_us
+            "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"lbc\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\"%s}"
+            (Json.escape ev.ev_name) ev.ev_ring ev.ev_lane ts_us (args ev)
       | Count ->
           let key = (ev.ev_ring, ev.ev_name) in
           let total =
@@ -363,14 +396,14 @@ let render_chrome d =
             total
       | Flow_start ->
           emit
-            "{\"ph\":\"s\",\"name\":\"flow\",\"cat\":\"flight\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"id\":%d}"
+            "{\"ph\":\"s\",\"name\":\"write\",\"cat\":\"flow\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"id\":%d}"
             ev.ev_ring ev.ev_lane ts_us ev.ev_arg
       | Flow_end ->
           emit
-            "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"flow\",\"cat\":\"flight\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"id\":%d}"
+            "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"write\",\"cat\":\"flow\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"id\":%d}"
             ev.ev_ring ev.ev_lane ts_us ev.ev_arg)
     (merged d);
-  Buffer.add_string buf "\n]}\n";
+  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
 
 (* ---------------------------------------------------------------- *)

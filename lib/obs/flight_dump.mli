@@ -1,6 +1,6 @@
-(** LBCF — flight recorder dump format: writer, decoder, N-ring
+(** LBCF — the flight ring dump format: writer, decoder, N-ring
     merge, structural self-check, and a Chrome-trace renderer so a
-    binary dump can feed Perfetto / the [lbc-trace] explorer. *)
+    dump can feed Perfetto.  {!Explorer} analyses the decoded events. *)
 
 type kind = Span | Instant | Count | Flow_start | Flow_end
 
@@ -11,7 +11,9 @@ type event = {
   ev_lane : int;
   ev_ts_ns : int; (* absolute; for spans this is the END time *)
   ev_dur_ns : int; (* spans only, else 0 *)
-  ev_arg : int; (* counter delta or flow id, else 0 *)
+  ev_arg : int;
+      (* span/instant argument (lock id, byte count, writer or epoch;
+         0 when the event has none), counter delta, or flow id *)
 }
 
 type ring = {
@@ -38,6 +40,9 @@ val encode : clock:string -> dumped_at_ns:int -> (int * Flight.t) array -> strin
 val write : path:string -> clock:string -> dumped_at_ns:int -> (int * Flight.t) array -> unit
 
 val of_string : string -> (dump, string) result
+(** Any input yields [Ok] or [Error]: every length and count is checked
+    against the bytes left before it is allocated from. *)
+
 val read : string -> (dump, string) result
 
 val is_flight_file : string -> bool
@@ -53,9 +58,15 @@ val merged : dump -> event array
 (** All rings merged into one timestamp-ordered stream (stable: ties
     keep ring order). *)
 
+val arg_label : string -> string option
+(** What a span's or instant's argument means, by event name: ["lock"],
+    ["bytes"], ["writer"] or ["epoch"]; [None] for events without one. *)
+
 val render_chrome : dump -> string
-(** Chrome trace-event JSON — one process per ring, lanes as threads,
-    counter deltas re-accumulated into running totals. *)
+(** Chrome trace-event JSON — one process per ring, lanes as threads in
+    pipeline order, each span's and instant's argument under its name
+    ([lock], [bytes], [writer] or [epoch]), counter deltas
+    re-accumulated into running totals. *)
 
 val kind_name : kind -> string
 val pp_summary : Format.formatter -> dump -> unit

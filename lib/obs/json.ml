@@ -1,7 +1,6 @@
-(* Minimal JSON: just enough to write and read Chrome trace-event files
-   without an external dependency.  The writer side lives in Obs (which
-   renders straight into a buffer); this module provides string escaping
-   for it and a small recursive-descent parser for the trace explorer. *)
+(* Minimal JSON without an external dependency: string escaping for the
+   Chrome trace-event renderer ({!Flight_dump.render_chrome}) and a
+   small recursive-descent parser that checks its output. *)
 
 type t =
   | Null

@@ -1,34 +1,21 @@
 (* Tracing + metrics for the coherency pipeline.
 
-   Spans and instants are rendered eagerly as Chrome trace-event JSON
-   into a buffer (one "process" per node, one "thread" per pipeline
-   lane), so the file is Perfetto-loadable.  Causal flow arrows keyed
-   by (lock, seqno) connect a committer's commit span to each
-   receiver's apply span.  A metrics registry of counters and
-   log-bucketed histograms rides along for the bench/CLI side.
+   Every span end, instant, flow endpoint and pid-tagged counter delta
+   is binary-encoded into the executing node's {!Flight} ring,
+   lock-free (single writer per ring) and allocation-free.  The rings
+   are the one trace event model: {!dump_flight} writes them as an
+   LBCF file that [lbc-trace] analyses and renders for Perfetto, both
+   for a run-sized ring and for the last moments before a failure.  A
+   metrics registry of counters and log-bucketed histograms rides
+   along for the bench/CLI side.
 
    Timestamps come from a [now : unit -> float] closure (the sim
-   engine's virtual clock, already in microseconds — exactly the unit
-   the trace format wants; the real backend passes monotonic wall
-   microseconds from a shared epoch), which keeps this library at the
-   bottom of the dependency graph.
+   engine's virtual clock in microseconds; the real backend passes
+   monotonic wall microseconds from a shared epoch), which keeps this
+   library at the bottom of the dependency graph.
 
-   Since PR 9 the sink has two layers:
-
-   - the always-on per-node {!Flight} rings: every span end, instant,
-     flow endpoint and pid-tagged counter delta is binary-encoded into
-     the executing node's ring, lock-free (single writer per ring) and
-     allocation-free, so the moments before any failure are always
-     recoverable via {!dump_flight} even with JSON tracing off;
-   - the opt-in JSON trace buffer (the [json] flag, [Config.trace]),
-     unchanged from PR 4.
-
-   The metrics registry (counters/histograms/flows/marks) is live for
-   any enabled sink — a flight-only sink still accumulates latency
-   histograms, which is what lets `bench real` report percentiles
-   without paying for a trace.  [enabled] therefore means "some sink
-   is live"; the shared [disabled] instance is the only sink where
-   every call is one branch and allocates nothing. *)
+   The shared [disabled] instance is the only sink where every call is
+   one branch and allocates nothing. *)
 
 module Histogram = struct
   (* 64 power-of-two buckets: bucket 0 holds values < 1.0, bucket i
@@ -118,19 +105,16 @@ let lane_wal = 2
 let lane_lock = 3
 let lane_net = 4
 
-let lane_name = Flight.lane_name
-
-type arg = I of int | F of float | S of string
-
 type span = {
   sp_name : string;
   sp_pid : int;
   sp_tid : int;
   sp_ts : float;
-  sp_args : (string * arg) list;
+  sp_arg : int;
 }
 
-let null_span = { sp_name = ""; sp_pid = 0; sp_tid = 0; sp_ts = 0.0; sp_args = [] }
+let null_span =
+  { sp_name = ""; sp_pid = 0; sp_tid = 0; sp_ts = 0.0; sp_arg = 0 }
 
 (* One registry shard: counters + histograms under their own mutex.
    The sink keeps one shard per node plus a global catch-all, so a
@@ -153,48 +137,29 @@ let shard_create n =
 
 type t = {
   enabled : bool;
-  json : bool;  (* emit Chrome-trace JSON into [buf]? *)
   now_fn : unit -> float;
-  nodes : int;
-  buf : Buffer.t;
-  mutable first : bool;
   rings : Flight.t array;
       (* One flight ring per node; ring [i] is written only from node
          [i]'s execution context (its domain on the real backend), so
-         recording needs no lock.  Empty when the flight recorder is
-         configured off. *)
+         recording needs no lock.  Empty only in [disabled]. *)
   shards : shard array;  (* one per node; pid-tagged updates land here *)
   global : shard;  (* updates with no pid (cross-node contexts) *)
   (* flow id -> start timestamp, for apply-lag measurement.  Flows are
      cross-domain by nature (start on the committer, end on each
-     receiver), so the slots keep their own mutex rather than riding
-     the trace-buffer lock.  Direct-mapped by [id land mask] into two
-     flat arrays instead of a hashtable: a start never retires (every
-     receiver reads it), so a table would grow by one boxed entry per
-     committed write for the life of the run; a fixed cache is
-     allocation-free and bounded, and a collision merely drops that
-     write's lag samples (the id stored with the timestamp keeps a
-     stale slot from ever mismeasuring). *)
+     receiver), so the slots keep their own mutex.  Direct-mapped by
+     [id land mask] into two flat arrays instead of a hashtable: a
+     start never retires (every receiver reads it), so a table would
+     grow by one boxed entry per committed write for the life of the
+     run; a fixed cache is allocation-free and bounded, and a collision
+     merely drops that write's lag sample and arrow head (the id stored
+     with the timestamp keeps a stale slot from ever mismeasuring). *)
   flow_ids : int array;  (* -1 = empty *)
   flow_ts : float array;
   flows_m : Mutex.t;
   marks : (string, float) Hashtbl.t;
-  snap_interval : float;  (* µs between metric snapshots; 0 = off *)
-  snap_buf : Buffer.t;  (* JSONL rows of the registry *)
-  mutable snap_last : float;
-  mutable snap_rows : int;
-  m : Mutex.t;
-      (* Serializes the JSON trace buffer, marks and snapshot state.
-         On the simulation backend all access is from the single engine
-         thread and the lock is never contended; on the real backend it
-         keeps JSON events from interleaving.  Lock order: [m] may be
-         taken before shard mutexes (snapshot emission); never the
-         reverse. *)
+  m : Mutex.t;  (* serializes [marks] across domains *)
 }
 
-(* Serialize one registry/buffer operation.  Kept out of the disabled
-   fast path: every entry point still returns after a single branch on
-   [t.enabled] before reaching for the lock. *)
 let[@inline] locked t f =
   Mutex.lock t.m;
   match f () with
@@ -206,47 +171,26 @@ let[@inline] locked t f =
       raise e
 
 let disabled =
-  { enabled = false; json = false; now_fn = (fun () -> 0.0); nodes = 0;
-    buf = Buffer.create 1; first = true; rings = [||];
+  { enabled = false; now_fn = (fun () -> 0.0); rings = [||];
     shards = [||]; global = shard_create 1;
     flow_ids = [||]; flow_ts = [||]; flows_m = Mutex.create ();
-    marks = Hashtbl.create 1;
-    snap_interval = 0.0; snap_buf = Buffer.create 1; snap_last = 0.0;
-    snap_rows = 0;
-    m = Mutex.create () }
+    marks = Hashtbl.create 1; m = Mutex.create () }
 
 (* Power of two; sized to dwarf the number of writes in flight between
    commit and last apply (tens on a busy cluster). *)
 let flow_slots = 4096
 
-(* [json] selects the eager Chrome-trace buffer ([Config.trace]);
-   [ring_bytes] sizes the per-node flight rings (0 disables them);
-   [snapshot_interval_us] > 0 appends a registry snapshot row to a
-   JSONL buffer at most once per interval, piggybacked on event
-   recording (never a timer — a sleeping daemon would keep both
-   platforms from quiescing). *)
-let create ?(json = true) ?(ring_bytes = 65536) ?(snapshot_interval_us = 0.0)
-    ~now ~nodes () =
-  let rings =
-    if ring_bytes > 0 then
-      Array.init nodes (fun _ -> Flight.create ~cap_bytes:ring_bytes ())
-    else [||]
-  in
-  { enabled = true; json; now_fn = now; nodes;
-    buf = Buffer.create 65536; first = true; rings;
+let create ?(ring_bytes = 65536) ~now ~nodes () =
+  { enabled = true; now_fn = now;
+    rings = Array.init nodes (fun _ -> Flight.create ~cap_bytes:ring_bytes ());
     shards = Array.init nodes (fun _ -> shard_create 16);
     global = shard_create 32;
     flow_ids = Array.make flow_slots (-1); flow_ts = Array.make flow_slots 0.0;
     flows_m = Mutex.create ();
     marks = Hashtbl.create 64;
-    snap_interval = snapshot_interval_us; snap_buf = Buffer.create 256;
-    snap_last = 0.0; snap_rows = 0;
     m = Mutex.create () }
 
 let enabled t = t.enabled
-let tracing t = t.json
-let flight_on t = Array.length t.rings > 0
-let now t = t.now_fn ()
 
 (* Platform clocks hand out float microseconds; the rings store integer
    nanoseconds. *)
@@ -255,38 +199,6 @@ let[@inline] ts_ns_of us = int_of_float (us *. 1000.0)
 (* Flow arrow ids are derived from (lock, seqno): unique per committed
    write, stable across committer and receivers. *)
 let flow_id ~lock ~seqno = (lock * 16_777_216) + seqno
-
-(* ---------------------------------------------------------------- *)
-(* Event rendering *)
-
-let event_sep t =
-  if t.first then t.first <- false else Buffer.add_string t.buf ",\n"
-
-let add_args buf args =
-  match args with
-  | [] -> ()
-  | args ->
-      Buffer.add_string buf {|,"args":{|};
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (Json.escape k);
-          Buffer.add_string buf {|":|};
-          match v with
-          | I n -> Buffer.add_string buf (string_of_int n)
-          | F f -> Buffer.add_string buf (Printf.sprintf "%.3f" f)
-          | S s ->
-              Buffer.add_char buf '"';
-              Buffer.add_string buf (Json.escape s);
-              Buffer.add_char buf '"')
-        args;
-      Buffer.add_char buf '}'
-
-let add_header buf ~ph ~name ~cat ~pid ~tid ~ts =
-  Buffer.add_string buf (Printf.sprintf
-    {|{"ph":"%c","name":"%s","cat":"%s","pid":%d,"tid":%d,"ts":%.3f|}
-    ph (Json.escape name) cat pid tid ts)
 
 (* ---------------------------------------------------------------- *)
 (* Metrics registry *)
@@ -333,7 +245,7 @@ let count ?pid t name by =
   end
 
 (* The read side folds the global shard and every per-node shard; reads
-   are rare (reports, benches, snapshots), so they pay the merge. *)
+   are rare (reports, benches), so they pay the merge. *)
 
 let all_shards t = Array.to_list t.shards @ [ t.global ]
 
@@ -410,96 +322,31 @@ let hists t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ---------------------------------------------------------------- *)
-(* Periodic metrics snapshots.
-
-   Emission piggybacks on event recording: whenever an event arrives
-   and at least [snap_interval] µs have passed since the last row, one
-   JSONL row of the whole registry is appended.  No timers are
-   involved, so the sim engine still drains to empty and the real
-   backend still quiesces. *)
-
-let snapshot_cap = 100_000
-
-(* Called with [t.m] held; takes shard locks while merging the
-   registry (lock order m -> shard, never the reverse). *)
-let emit_snapshot_row t now =
-  let b = t.snap_buf in
-  Buffer.add_string b (Printf.sprintf {|{"ts_us":%.3f,"counters":{|} now);
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf {|"%s":%d|} (Json.escape k) v))
-    (counters t);
-  Buffer.add_string b {|},"hists":{|};
-  List.iteri
-    (fun i (k, h) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           {|"%s":{"count":%d,"mean":%.3f,"p50":%.3f,"p95":%.3f,"p99":%.3f}|}
-           (Json.escape k) (Histogram.count h) (Histogram.mean h)
-           (Histogram.percentile h 50.0) (Histogram.percentile h 95.0)
-           (Histogram.percentile h 99.0)))
-    (hists t);
-  Buffer.add_string b "}}\n";
-  t.snap_rows <- t.snap_rows + 1
-
-let[@inline] maybe_snapshot t now_us =
-  if t.snap_interval > 0.0 && now_us -. t.snap_last >= t.snap_interval then
-    locked t (fun () ->
-        (* Re-check under the lock: another domain may have just
-           emitted this interval's row. *)
-        if
-          now_us -. t.snap_last >= t.snap_interval
-          && t.snap_rows < snapshot_cap
-        then begin
-          t.snap_last <- now_us;
-          emit_snapshot_row t now_us
-        end)
-
-(* ---------------------------------------------------------------- *)
 (* Spans *)
 
-let span_begin t ~name ~pid ~tid ?(args = []) () =
+let span_begin t ~name ~pid ~tid ~arg =
   if not t.enabled then null_span
-  else { sp_name = name; sp_pid = pid; sp_tid = tid; sp_ts = t.now_fn (); sp_args = args }
+  else
+    { sp_name = name; sp_pid = pid; sp_tid = tid; sp_ts = t.now_fn ();
+      sp_arg = arg }
 
-(* Ends the span, emits a complete ("X") event, and returns its
-   duration in microseconds (0.0 when disabled). *)
-let span_end ?(args = []) t sp =
+(* Ends the span, records it, and returns its duration in microseconds
+   (0.0 when disabled). *)
+let span_end t sp =
   if not t.enabled then 0.0
   else begin
     let now = t.now_fn () in
     let dur = now -. sp.sp_ts in
     if sp.sp_pid >= 0 && sp.sp_pid < Array.length t.rings then
       Flight.record_span t.rings.(sp.sp_pid) ~ts_ns:(ts_ns_of now)
-        ~name:sp.sp_name ~lane:sp.sp_tid ~dur_ns:(ts_ns_of dur);
-    if t.json then
-      locked t (fun () ->
-          event_sep t;
-          add_header t.buf ~ph:'X' ~name:sp.sp_name ~cat:"lbc" ~pid:sp.sp_pid
-            ~tid:sp.sp_tid ~ts:sp.sp_ts;
-          Buffer.add_string t.buf (Printf.sprintf {|,"dur":%.3f|} dur);
-          add_args t.buf (sp.sp_args @ args);
-          Buffer.add_char t.buf '}');
-    maybe_snapshot t now;
+        ~name:sp.sp_name ~lane:sp.sp_tid ~dur_ns:(ts_ns_of dur) ~arg:sp.sp_arg;
     dur
   end
 
-let instant t ~name ~pid ~tid ?(args = []) () =
-  if t.enabled then begin
-    let ts = t.now_fn () in
-    if pid >= 0 && pid < Array.length t.rings then
-      Flight.record_instant t.rings.(pid) ~ts_ns:(ts_ns_of ts) ~name ~lane:tid;
-    if t.json then
-      locked t (fun () ->
-          event_sep t;
-          add_header t.buf ~ph:'i' ~name ~cat:"lbc" ~pid ~tid ~ts;
-          Buffer.add_string t.buf {|,"s":"t"|};
-          add_args t.buf args;
-          Buffer.add_char t.buf '}');
-    maybe_snapshot t ts
-  end
+let instant t ~name ~pid ~tid ~arg =
+  if t.enabled && pid >= 0 && pid < Array.length t.rings then
+    Flight.record_instant t.rings.(pid) ~ts_ns:(ts_ns_of (t.now_fn ())) ~name
+      ~lane:tid ~arg
 
 (* ---------------------------------------------------------------- *)
 (* Flow arrows *)
@@ -522,41 +369,30 @@ let flow_start t ~id ~pid ~tid =
     Mutex.lock t.flows_m;
     t.flow_ids.(slot) <- id;
     t.flow_ts.(slot) <- ts;
-    Mutex.unlock t.flows_m;
-    if t.json then
-      locked t (fun () ->
-          event_sep t;
-          add_header t.buf ~ph:'s' ~name:"write" ~cat:"flow" ~pid ~tid ~ts;
-          Buffer.add_string t.buf (Printf.sprintf {|,"id":%d}|} id))
+    Mutex.unlock t.flows_m
   end
 
-(* Binds the arrow into the receiver's apply span (emit right after the
-   span begins so the "f" timestamp falls inside it).  Returns the lag
-   since [flow_start], or [None] when no start was recorded (e.g. a
-   record obtained by fetch rather than broadcast). *)
+(* Binds the arrow into the receiver's apply span (call right after the
+   span begins so the head's timestamp falls inside it).  Returns the
+   lag since [flow_start], or [None] when no start was recorded (e.g. a
+   record obtained by fetch rather than broadcast); such a record gets
+   no head either, so every head in a ring has a start somewhere. *)
 let flow_end t ~id ~pid ~tid =
   if not t.enabled then None
   else begin
     let ts = t.now_fn () in
-    if pid >= 0 && pid < Array.length t.rings then
-      Flight.record_flow t.rings.(pid) ~ts_ns:(ts_ns_of ts) ~head:true ~id
-        ~lane:tid;
     let slot = flow_slot t id in
     Mutex.lock t.flows_m;
     let start = if t.flow_ids.(slot) = id then t.flow_ts.(slot) else nan in
     Mutex.unlock t.flows_m;
     if Float.is_nan start then None
     else begin
-      if t.json then
-        locked t (fun () ->
-            event_sep t;
-            add_header t.buf ~ph:'f' ~name:"write" ~cat:"flow" ~pid ~tid ~ts;
-            Buffer.add_string t.buf
-              (Printf.sprintf {|,"bp":"e","id":%d}|} id));
+      if pid >= 0 && pid < Array.length t.rings then
+        Flight.record_flow t.rings.(pid) ~ts_ns:(ts_ns_of ts) ~head:true ~id
+          ~lane:tid;
       Some (ts -. start)
     end
   end
-
 
 (* Named marks: cheap cross-callback timing (e.g. repair-fetch RTT,
    keyed by requesting node + lock). *)
@@ -577,47 +413,6 @@ let take_mark t key =
             Some (now -. ts))
 
 (* ---------------------------------------------------------------- *)
-(* Output *)
-
-let lanes = [ lane_txn; lane_apply; lane_wal; lane_lock; lane_net ]
-
-let render t =
-  let b = Buffer.create (Buffer.length t.buf + 4096) in
-  Buffer.add_string b "{\"traceEvents\":[\n";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_string b ",\n" in
-  for node = 0 to t.nodes - 1 do
-    sep ();
-    Buffer.add_string b (Printf.sprintf
-      {|{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":"node %d"}}|}
-      node node);
-    List.iter
-      (fun lane ->
-        sep ();
-        Buffer.add_string b (Printf.sprintf
-          {|{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":"%s"}}|}
-          node lane (lane_name lane));
-        sep ();
-        Buffer.add_string b (Printf.sprintf
-          {|{"ph":"M","name":"thread_sort_index","pid":%d,"tid":%d,"args":{"sort_index":%d}}|}
-          node lane lane))
-      lanes
-  done;
-  locked t (fun () ->
-      if Buffer.length t.buf > 0 then begin
-        sep ();
-        Buffer.add_buffer b t.buf
-      end);
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
-
-let write t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render t))
-
-(* ---------------------------------------------------------------- *)
 (* Flight recorder access *)
 
 let rings t = t.rings
@@ -630,12 +425,3 @@ let ring_stats t =
 let dump_flight t ~clock path =
   Flight_dump.write ~path ~clock ~dumped_at_ns:(ts_ns_of (t.now_fn ()))
     (Array.mapi (fun i r -> (i, r)) t.rings)
-
-let snapshot_rows t = t.snap_rows
-let snapshots t = locked t (fun () -> Buffer.contents t.snap_buf)
-
-let write_snapshots t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (snapshots t))

@@ -1,23 +1,20 @@
 (** Tracing + metrics for the coherency pipeline.
 
-    Spans, instants and causal flow arrows are rendered eagerly as
-    Chrome trace-event JSON (Perfetto-loadable): one "process" per
-    node, one "thread" per pipeline lane.  Counters and log-bucketed
-    histograms ride along in a metrics registry.
+    Spans, instants, causal flow arrows and pid-tagged counter deltas
+    are recorded into per-node {!Flight} rings: lock-free,
+    allocation-free, one ring per node (one per domain on the real
+    backend).  The rings are the one trace event model; {!dump_flight}
+    writes them as an LBCF file ({!Flight_dump}) for [lbc-trace] and
+    Perfetto.  Counters and log-bucketed histograms ride along in a
+    metrics registry.
 
     Timestamps come from a [now] closure (the sim engine's virtual
     clock, in microseconds; monotonic wall microseconds on the real
     backend).
 
-    The sink has two layers: always-on per-node {!Flight} rings (every
-    span end, instant, flow endpoint and pid-tagged counter delta is
-    binary-encoded into the executing node's ring, lock-free and
-    allocation-free — see {!dump_flight}) and the opt-in JSON trace
-    buffer ([json], i.e. [Config.trace]).  The metrics registry is
-    live whenever [enabled] — a flight-only sink still accumulates
-    histograms.  When the whole sink is disabled, every entry point
-    returns after one branch and allocates nothing — pass the shared
-    {!disabled} instance. *)
+    When the sink is disabled, every entry point returns after one
+    branch and allocates nothing — pass the shared {!disabled}
+    instance. *)
 
 module Histogram : sig
   type t
@@ -50,12 +47,10 @@ val lane_wal : int
 val lane_lock : int
 val lane_net : int
 
-type arg = I of int | F of float | S of string
-
 type span
 
 val null_span : span
-(** The span returned by {!span_begin} when tracing is disabled; safe
+(** The span returned by {!span_begin} when the sink is disabled; safe
     to pass to {!span_end}, which then does nothing. *)
 
 type t
@@ -63,61 +58,44 @@ type t
 val disabled : t
 (** Shared no-op sink: [enabled] is false, every call is one branch. *)
 
-val create :
-  ?json:bool ->
-  ?ring_bytes:int ->
-  ?snapshot_interval_us:float ->
-  now:(unit -> float) ->
-  nodes:int ->
-  unit ->
-  t
-(** [json] (default true) enables the eager Chrome-trace buffer;
-    [ring_bytes] (default 64 KiB) sizes each node's flight ring, 0
-    disables the rings; [snapshot_interval_us] > 0 appends a registry
-    snapshot JSONL row at most once per interval, piggybacked on event
-    recording (no timers, so neither platform is kept from
-    quiescing). *)
+val create : ?ring_bytes:int -> now:(unit -> float) -> nodes:int -> unit -> t
+(** A live sink with one flight ring per node of [ring_bytes] (default
+    64 KiB, rounded up to a power of two). *)
 
 val enabled : t -> bool
-(** Some sink is live (flight rings, JSON trace, or both). *)
-
-val tracing : t -> bool
-(** The JSON trace buffer specifically is live. *)
-
-val flight_on : t -> bool
-(** The per-node flight rings specifically are live. *)
-
-val now : t -> float
+(** The sink is live: rings and metrics registry record. *)
 
 val flow_id : lock:int -> seqno:int -> int
 (** Stable flow-arrow id for a committed write, identical on the
     committer and every receiver. *)
 
-(** {1 Spans} *)
+(** {1 Spans}
 
-val span_begin :
-  t -> name:string -> pid:int -> tid:int ->
-  ?args:(string * arg) list -> unit -> span
+    Spans and instants carry one int argument: the lock id on
+    [lock.wait], [interlock] and [token.pass]; the byte count on
+    [net.send], [net.deliver], [net.drop], [log.append], [log.ctrl],
+    [log.flush] and [ckpt]; the writer on [apply] and [hold]; the epoch
+    on [crash] and [rejoin]; 0 elsewhere ({!Flight_dump.arg_label}). *)
 
-val span_end : ?args:(string * arg) list -> t -> span -> float
-(** Emits a complete ("X") event and returns the span's duration in
-    microseconds (0.0 when disabled).  [args] are appended to the ones
-    given at [span_begin]. *)
+val span_begin : t -> name:string -> pid:int -> tid:int -> arg:int -> span
 
-val instant :
-  t -> name:string -> pid:int -> tid:int ->
-  ?args:(string * arg) list -> unit -> unit
+val span_end : t -> span -> float
+(** Records the span in node [pid]'s ring and returns its duration in
+    microseconds (0.0 when disabled). *)
+
+val instant : t -> name:string -> pid:int -> tid:int -> arg:int -> unit
 
 (** {1 Flow arrows} *)
 
 val flow_start : t -> id:int -> pid:int -> tid:int -> unit
-(** Emit the arrow tail (inside the committer's commit span) and
-    record the start timestamp for apply-lag measurement. *)
+(** Record the arrow tail (inside the committer's commit span) and the
+    start timestamp for apply-lag measurement. *)
 
 val flow_end : t -> id:int -> pid:int -> tid:int -> float option
-(** Emit the arrow head (call right after the receiver's apply span
+(** Record the arrow head (call right after the receiver's apply span
     begins, so it binds into that span).  Returns the lag since
-    {!flow_start}, or [None] if no matching start was recorded. *)
+    {!flow_start}, or [None] — and records no head — if no matching
+    start was recorded. *)
 
 (** {1 Metrics registry} *)
 
@@ -146,18 +124,10 @@ val mark : t -> string -> unit
 val take_mark : t -> string -> float option
 (** Elapsed time since {!mark} under the same key, consuming the mark. *)
 
-(** {1 Output} *)
-
-val render : t -> string
-(** The complete trace document: metadata (process/thread names per
-    node and lane) followed by all buffered events. *)
-
-val write : t -> string -> unit
-
 (** {1 Flight recorder} *)
 
 val rings : t -> Flight.t array
-(** The per-node rings (empty when the flight recorder is off). *)
+(** The per-node rings (empty only for {!disabled}). *)
 
 val ring_stats : t -> (int * int * int) array
 (** Per node: (events recorded, events dropped to wrap, bytes used). *)
@@ -165,11 +135,3 @@ val ring_stats : t -> (int * int * int) array
 val dump_flight : t -> clock:string -> string -> unit
 (** Write all rings to an LBCF file (see {!Flight_dump}).  [clock]
     labels the timestamp domain: ["virtual-us"] or ["wall-us"]. *)
-
-(** {1 Metrics snapshots} *)
-
-val snapshot_rows : t -> int
-val snapshots : t -> string
-(** The accumulated JSONL rows. *)
-
-val write_snapshots : t -> string -> unit

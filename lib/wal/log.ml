@@ -189,18 +189,8 @@ let flush_batch_now t g =
           Obs.observe ~pid:t.obs_node t.obs "gc_batch_records" (Float.of_int b.count);
           Obs.observe ~pid:t.obs_node t.obs "gc_flush_delay_us"
             (Lbc_sim.Engine.now g.engine -. b.opened_at);
-          (* Args only feed the opt-in JSON trace; skip the list
-             allocation on flight-only runs (same for the instants
-             below). *)
           Obs.span_begin t.obs ~name:"log.flush" ~pid:t.obs_node
-            ~tid:Obs.lane_wal
-            ?args:
-              (if Obs.tracing t.obs then
-                 Some
-                   [ ("records", Obs.I b.count);
-                     ("bytes", Obs.I (Codec.length g.bw)) ]
-               else None)
-            ()
+            ~tid:Obs.lane_wal ~arg:(Codec.length g.bw)
         end
         else Obs.null_span
       in
@@ -226,13 +216,8 @@ let append ?range_header_size t txn =
   Lbc_storage.Dev.write_slice t.dev ~off (Codec.slice t.enc);
   t.tail <- off + Codec.length t.enc;
   t.record_count <- t.record_count + 1;
-  if Obs.enabled t.obs then
-    Obs.instant t.obs ~name:"log.append" ~pid:t.obs_node ~tid:Obs.lane_wal
-      ?args:
-        (if Obs.tracing t.obs then
-           Some [ ("bytes", Obs.I (Codec.length t.enc)) ]
-         else None)
-      ();
+  Obs.instant t.obs ~name:"log.append" ~pid:t.obs_node ~tid:Obs.lane_wal
+    ~arg:(Codec.length t.enc);
   off
 
 let force t =
@@ -240,10 +225,8 @@ let force t =
   | Some g when g.open_batch <> None -> flush_batch_now t g (* includes the sync *)
   | _ ->
       let sp =
-        if Obs.enabled t.obs then
-          Obs.span_begin t.obs ~name:"log.force" ~pid:t.obs_node
-            ~tid:Obs.lane_wal ()
-        else Obs.null_span
+        Obs.span_begin t.obs ~name:"log.force" ~pid:t.obs_node
+          ~tid:Obs.lane_wal ~arg:0
       in
       Lbc_storage.Dev.sync t.dev;
       Obs.observe ~pid:t.obs_node t.obs "log_force_us" (Obs.span_end t.obs sp)
@@ -330,13 +313,8 @@ let append_ctrl t c =
   let off = t.tail in
   Lbc_storage.Dev.write_slice t.dev ~off (Codec.slice t.enc);
   t.tail <- off + Codec.length t.enc;
-  if Obs.enabled t.obs then
-    Obs.instant t.obs ~name:"log.ctrl" ~pid:t.obs_node ~tid:Obs.lane_wal
-      ?args:
-        (if Obs.tracing t.obs then
-           Some [ ("bytes", Obs.I (Codec.length t.enc)) ]
-         else None)
-      ();
+  Obs.instant t.obs ~name:"log.ctrl" ~pid:t.obs_node ~tid:Obs.lane_wal
+    ~arg:(Codec.length t.enc);
   off
 
 let fold_ctrl t ~init f =

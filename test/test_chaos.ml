@@ -405,12 +405,14 @@ let test_chaos_crash_rejoin () =
   Alcotest.(check bool) "recovery matches" true (recovery_matches c);
   check_logs_clean "merged logs clean after crash+rejoin" c nodes
 
-(* A fully traced chaos run: the emitted trace document must survive
-   the explorer's self-check (valid JSON, monotone per-node timestamps,
-   every flow arrow resolving into an apply span) even under randomized
-   interleavings, and every committed write's flow must resolve. *)
+(* A chaos run traced into whole-run rings: the LBCF dump must survive
+   the explorer's self-check (clean decode, monotone per-node
+   timestamps, nothing dropped, every flow arrow resolving into an
+   apply span) even under randomized interleavings, and every committed
+   write's flow must resolve. *)
 let test_chaos_traced () =
-  let config = { Config.default with Config.trace = true } in
+  let module FD = Lbc_obs.Flight_dump in
+  let config = { Config.default with Config.flight_ring_bytes = 1 lsl 20 } in
   let nodes = 4 in
   let c = mk_cluster config nodes in
   let rng = Lbc_util.Rng.create 1111 in
@@ -421,19 +423,21 @@ let test_chaos_traced () =
   Alcotest.(check bool) "caches converged" true (converged c nodes);
   let o = Cluster.obs c in
   Alcotest.(check bool) "tracing on" true (Lbc_obs.Obs.enabled o);
-  let events =
-    match
-      Result.bind
-        (Lbc_obs.Json.parse (Lbc_obs.Obs.render o))
-        Lbc_obs.Explorer.events_of_json
-    with
-    | Error e -> Alcotest.failf "trace not parseable: %s" e
-    | Ok events -> events
+  let path = Filename.temp_file "lbc-chaos" ".bin" in
+  let (_ : string) = Cluster.dump_flight ~path c in
+  let d =
+    match FD.read path with
+    | Error e -> Alcotest.failf "trace not decodable: %s" e
+    | Ok d -> d
   in
+  Sys.remove path;
   Alcotest.(check (list string))
     "trace self-check clean" []
-    (Lbc_obs.Explorer.self_check events);
-  let f = Lbc_obs.Explorer.flow_summary events in
+    (Lbc_obs.Explorer.self_check d);
+  Array.iter
+    (fun r -> Alcotest.(check int) "nothing dropped" 0 r.FD.r_dropped)
+    d.FD.d_rings;
+  let f = Lbc_obs.Explorer.flow_summary (FD.merged d) in
   Alcotest.(check bool)
     "flows were emitted" true
     (f.Lbc_obs.Explorer.fl_starts > 0);
@@ -721,7 +725,6 @@ let test_chaos_ondemand_rejoin () =
       Config.ckpt_slice_bytes = 128;
       Config.ckpt_slice_interval = 20.0;
       Config.ckpt_gossip_delay = 50.0;
-      Config.trace = true;
     }
   in
   let nodes = 3 in

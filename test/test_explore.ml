@@ -44,7 +44,7 @@ let test_counterexample_roundtrip_and_replay () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Explore.write_trace path f;
+      Explore.save_trace path f;
       match Explore.read_trace path with
       | Error e -> Alcotest.failf "read_trace: %s" e
       | Ok t ->

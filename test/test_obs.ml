@@ -1,12 +1,15 @@
 (* Tests for the tracing/metrics layer (lib/obs): histogram math, the
-   hand-rolled JSON codec, span/flow emission and the explorer's
-   self-check, a fully traced cluster run cross-checked against the
-   Report counters, and golden-style renderings of Report.pp_cluster. *)
+   hand-rolled JSON codec, span/flow recording and the explorer's
+   self-check, a whole-run cluster trace cross-checked against the
+   Report counters, the LBCF decoder under hostile input, and
+   golden-style renderings of Report.pp_cluster. *)
 
 open Lbc_core
 module Obs = Lbc_obs.Obs
 module Json = Lbc_obs.Json
 module Explorer = Lbc_obs.Explorer
+module Flight = Lbc_obs.Flight
+module FD = Lbc_obs.Flight_dump
 module H = Obs.Histogram
 
 let contains s sub =
@@ -14,15 +17,12 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* Parse a trace document into explorer events, failing the test on any
-   JSON or structural error. *)
-let events_of_doc doc =
-  match Json.parse doc with
-  | Error e -> Alcotest.failf "trace not parseable: %s" e
-  | Ok j -> (
-      match Explorer.events_of_json j with
-      | Error e -> Alcotest.failf "not a trace document: %s" e
-      | Ok events -> events)
+(* Decode a sink's rings as LBCF, failing the test on a decode error. *)
+let dump_of_obs o =
+  let rings = Array.mapi (fun i r -> (i, r)) (Obs.rings o) in
+  match FD.of_string (FD.encode ~clock:"virtual-us" ~dumped_at_ns:0 rings) with
+  | Error e -> Alcotest.failf "LBCF decode failed: %s" e
+  | Ok d -> d
 
 (* ----------------------------------------------------------------- *)
 (* Histograms *)
@@ -108,10 +108,10 @@ let test_json_escape () =
 let test_disabled_noop () =
   let o = Obs.disabled in
   Alcotest.(check bool) "not enabled" false (Obs.enabled o);
-  let sp = Obs.span_begin o ~name:"x" ~pid:0 ~tid:0 () in
+  let sp = Obs.span_begin o ~name:"x" ~pid:0 ~tid:0 ~arg:1 in
   Alcotest.(check bool) "null span" true (sp == Obs.null_span);
   Alcotest.(check (float 0.0)) "span_end" 0.0 (Obs.span_end o sp);
-  Obs.instant o ~name:"x" ~pid:0 ~tid:0 ();
+  Obs.instant o ~name:"x" ~pid:0 ~tid:0 ~arg:1;
   Obs.flow_start o ~id:1 ~pid:0 ~tid:0;
   Alcotest.(check bool)
     "flow_end" true
@@ -124,20 +124,24 @@ let test_disabled_noop () =
   Alcotest.(check bool) "no mark" true (Obs.take_mark o "m" = None)
 
 (* ----------------------------------------------------------------- *)
-(* Span / flow emission against a fake clock *)
+(* Span / flow recording against a fake clock *)
 
 let test_spans_flows_render () =
   let clock = ref 0.0 in
   let o = Obs.create ~now:(fun () -> !clock) ~nodes:2 () in
   let id = Obs.flow_id ~lock:3 ~seqno:1 in
   clock := 10.0;
-  let commit = Obs.span_begin o ~name:"commit" ~pid:0 ~tid:Obs.lane_txn () in
+  let commit =
+    Obs.span_begin o ~name:"commit" ~pid:0 ~tid:Obs.lane_txn ~arg:0
+  in
   clock := 15.0;
   Obs.flow_start o ~id ~pid:0 ~tid:Obs.lane_txn;
   clock := 20.0;
   Alcotest.(check (float 0.001)) "commit dur" 10.0 (Obs.span_end o commit);
   clock := 30.0;
-  let apply = Obs.span_begin o ~name:"apply" ~pid:1 ~tid:Obs.lane_apply () in
+  let apply =
+    Obs.span_begin o ~name:"apply" ~pid:1 ~tid:Obs.lane_apply ~arg:7
+  in
   let lag = Obs.flow_end o ~id ~pid:1 ~tid:Obs.lane_apply in
   Alcotest.(check bool) "lag measured" true (lag = Some 15.0);
   clock := 35.0;
@@ -145,13 +149,56 @@ let test_spans_flows_render () =
   Alcotest.(check bool)
     "unknown flow id" true
     (Obs.flow_end o ~id:9999 ~pid:1 ~tid:Obs.lane_apply = None);
-  let events = events_of_doc (Obs.render o) in
+  let d = dump_of_obs o in
   Alcotest.(check (list string))
-    "self-check clean" [] (Explorer.self_check events);
+    "self-check clean" [] (Explorer.self_check d);
+  let events = FD.merged d in
   let f = Explorer.flow_summary events in
   Alcotest.(check int) "flow starts" 1 f.Explorer.fl_starts;
   Alcotest.(check int) "flow ends" 1 f.Explorer.fl_ends;
-  Alcotest.(check int) "none unresolved" 0 f.Explorer.fl_unresolved
+  Alcotest.(check int) "none unresolved" 0 f.Explorer.fl_unresolved;
+  (* The Perfetto rendering parses, carries the apply span's writer
+     argument, orders the lanes and names its time unit. *)
+  let j =
+    match Json.parse (FD.render_chrome d) with
+    | Error e -> Alcotest.failf "render_chrome not JSON: %s" e
+    | Ok j -> j
+  in
+  Alcotest.(check (option string))
+    "displayTimeUnit" (Some "ms")
+    (Option.bind (Json.member "displayTimeUnit" j) Json.to_str);
+  let trace_events =
+    Option.get (Option.bind (Json.member "traceEvents" j) Json.to_arr)
+  in
+  let str = Json.str_member and num = Json.num_member in
+  let arg k e = Option.bind (Json.member "args" e) (num k) in
+  let apply_writer =
+    List.find_map
+      (fun e ->
+        if str "ph" e = Some "X" && str "name" e = Some "apply" then
+          arg "writer" e
+        else None)
+      trace_events
+  in
+  Alcotest.(check (option (float 0.0))) "apply writer arg" (Some 7.0)
+    apply_writer;
+  let sort_index pid tid =
+    List.find_map
+      (fun e ->
+        if
+          str "name" e = Some "thread_sort_index"
+          && num "pid" e = Some (float_of_int pid)
+          && num "tid" e = Some (float_of_int tid)
+        then arg "sort_index" e
+        else None)
+      trace_events
+  in
+  Alcotest.(check (option (float 0.0)))
+    "apply lane sorts after txn" (Some 1.0)
+    (sort_index 1 Obs.lane_apply);
+  Alcotest.(check (option (float 0.0)))
+    "net lane sorts last" (Some 4.0)
+    (sort_index 0 Obs.lane_net)
 
 let test_marks () =
   let clock = ref 100.0 in
@@ -163,28 +210,51 @@ let test_marks () =
     (Obs.take_mark o "fetch:0:7" = Some 40.0);
   Alcotest.(check bool) "consumed" true (Obs.take_mark o "fetch:0:7" = None)
 
+(* Hand-built dumps for the self-check fixtures: events the recorder
+   itself never writes (negative durations, backwards time). *)
+let ev ?(dur = 0) ?(arg = 0) kind name ts =
+  { FD.ev_ring = 0; ev_kind = kind; ev_name = name; ev_lane = 0;
+    ev_ts_ns = ts; ev_dur_ns = dur; ev_arg = arg }
+
+let fixture ?(dropped = 0) rings =
+  let ring i evs =
+    let evs =
+      Array.of_list (List.map (fun e -> { e with FD.ev_ring = i }) evs)
+    in
+    let n = Array.length evs in
+    { FD.r_id = i; r_recorded = n + dropped; r_dropped = dropped; r_cap = 256;
+      r_last_ts_ns = (if n = 0 then 0 else evs.(n - 1).FD.ev_ts_ns);
+      r_names = [||]; r_events = evs; r_errors = [] }
+  in
+  { FD.d_version = 2; d_clock = "virtual-us"; d_dumped_at_ns = 0;
+    d_rings = Array.of_list (List.mapi ring rings) }
+
 (* The self-check must reject traces that violate the contract. *)
 let test_self_check_catches () =
-  let check_bad what doc =
-    Alcotest.(check bool)
-      what true
-      (Explorer.self_check (events_of_doc doc) <> [])
+  let check what want d =
+    Alcotest.(check bool) what want (Explorer.self_check d = [])
   in
-  check_bad "flow end without start"
-    {|{"traceEvents": [
-        {"name":"apply","cat":"pipeline","ph":"X","pid":1,"tid":1,"ts":5.0,"dur":10.0},
-        {"name":"write","cat":"flow","ph":"f","bp":"e","id":7,"pid":1,"tid":1,"ts":6.0}]}|};
-  check_bad "negative duration"
-    {|{"traceEvents": [
-        {"name":"txn","cat":"pipeline","ph":"X","pid":0,"tid":0,"ts":5.0,"dur":-1.0}]}|};
-  check_bad "time runs backwards"
-    {|{"traceEvents": [
-        {"name":"a","cat":"pipeline","ph":"i","s":"t","pid":0,"tid":0,"ts":50.0},
-        {"name":"b","cat":"pipeline","ph":"i","s":"t","pid":0,"tid":0,"ts":10.0}]}|};
-  check_bad "flow end outside any apply span"
-    {|{"traceEvents": [
-        {"name":"write","cat":"flow","ph":"s","id":7,"pid":0,"tid":0,"ts":1.0},
-        {"name":"write","cat":"flow","ph":"f","bp":"e","id":7,"pid":1,"tid":1,"ts":6.0}]}|}
+  let apply_5_15 = ev ~dur:10_000 FD.Span "apply" 15_000 in
+  let head_at ts = ev ~arg:7 FD.Flow_end "" ts in
+  let start_at ts = ev ~arg:7 FD.Flow_start "" ts in
+  check "well-formed fixture passes" true
+    (fixture [ [ start_at 1_000 ]; [ head_at 6_000; apply_5_15 ] ]);
+  check "flow head with no start on rings that dropped nothing" false
+    (fixture [ []; [ head_at 6_000; apply_5_15 ] ]);
+  check "a start lost to a dropping ring is tolerated" true
+    (fixture ~dropped:3 [ []; [ head_at 6_000; apply_5_15 ] ]);
+  check "negative duration" false
+    (fixture [ [ ev ~dur:(-1_000) FD.Span "txn" 5_000 ] ]);
+  check "time runs backwards" false
+    (fixture [ [ ev FD.Instant "a" 50_000; ev FD.Instant "b" 10_000 ] ]);
+  check "flow end outside any apply span" false
+    (fixture [ [ start_at 1_000 ]; [ head_at 6_000 ] ]);
+  check "flow head outside the ring's apply spans" false
+    (fixture
+       [ [ start_at 1_000 ];
+         [ head_at 6_000; ev ~dur:10_000 FD.Span "apply" 30_000 ] ]);
+  check "flow starts after its head" false
+    (fixture [ [ start_at 9_000 ]; [ head_at 6_000; apply_5_15 ] ])
 
 (* ----------------------------------------------------------------- *)
 (* A traced cluster run: the trace passes its own self-check and its
@@ -217,21 +287,36 @@ let total_commits c nodes =
   done;
   !sum
 
+(* A ring sized for the whole run, as [oo7-run --trace] sets it. *)
+let whole_run = { Config.default with Config.flight_ring_bytes = 1 lsl 20 }
+
+(* Dump the cluster's rings through the LBCF file path and decode them. *)
+let dump_cluster c =
+  let path = Filename.temp_file "lbc-trace" ".bin" in
+  let (_ : string) = Cluster.dump_flight ~path c in
+  let d = FD.read path in
+  Sys.remove path;
+  match d with Error e -> Alcotest.failf "dump unreadable: %s" e | Ok d -> d
+
 let test_traced_cluster_run () =
-  let config = { Config.default with Config.trace = true } in
   let nodes = 3 in
-  let c = mk_cluster config nodes in
+  let c = mk_cluster whole_run nodes in
   script_writer c ~node:0 ~lock:0 ~commits:4;
   script_writer c ~node:1 ~lock:1 ~commits:3;
   script_writer c ~node:2 ~lock:2 ~commits:2;
   Cluster.run c;
   let o = Cluster.obs c in
   Alcotest.(check bool) "tracing on" true (Obs.enabled o);
-  let events = events_of_doc (Obs.render o) in
+  let d = dump_cluster c in
   Alcotest.(check (list string))
-    "trace self-check clean" [] (Explorer.self_check events);
+    "trace self-check clean" [] (Explorer.self_check d);
+  Array.iter
+    (fun r ->
+      Alcotest.(check int) "whole run kept" 0 r.FD.r_dropped)
+    d.FD.d_rings;
   (* Every committed write's flow arrow resolves into an apply span
      on every sharing peer: 9 commits broadcast to 2 peers each. *)
+  let events = FD.merged d in
   let f = Explorer.flow_summary events in
   Alcotest.(check int) "flow starts" 9 f.Explorer.fl_starts;
   Alcotest.(check int) "flow ends" 18 f.Explorer.fl_ends;
@@ -262,17 +347,38 @@ let test_traced_cluster_run () =
     (Cluster.total_messages c)
     (Obs.counter o "net_msgs")
 
-(* With tracing off (the default), the cluster still carries the
-   always-on flight sink: no JSON buffering, but rings and the metric
-   registry stay live. *)
+(* Two nodes contend for lock 5 while a third lock stays local: the
+   contention table names lock 5 from the lock.wait spans' argument,
+   which has been through the LBCF encoder and decoder. *)
+let test_contended_lock_id () =
+  (* Costs make the waits take virtual time. *)
+  let c = mk_cluster { whole_run with Config.charge_costs = true } 2 in
+  script_writer c ~node:0 ~lock:5 ~commits:3;
+  script_writer c ~node:1 ~lock:5 ~commits:3;
+  script_writer c ~node:0 ~lock:2 ~commits:2;
+  Cluster.run c;
+  let d = dump_cluster c in
+  Alcotest.(check (list string)) "self-check clean" [] (Explorer.self_check d);
+  match Explorer.lock_contention (FD.merged d) with
+  | [ row ] ->
+      Alcotest.(check int) "contended lock id" 5 row.Explorer.lk_lock;
+      Alcotest.(check bool) "queued acquisitions" true
+        (row.Explorer.lk_waits > 0);
+      Alcotest.(check bool) "time spent waiting" true
+        (row.Explorer.lk_total_ns > 0)
+  | rows ->
+      Alcotest.failf "want one contended lock, got [%s]"
+        (String.concat "; "
+           (List.map (fun r -> string_of_int r.Explorer.lk_lock) rows))
+
+(* With the default ring size the cluster still carries the flight
+   sink: rings and the metric registry stay live. *)
 let test_untraced_cluster_keeps_flight () =
   let c = mk_cluster Config.default 2 in
   script_writer c ~node:0 ~lock:0 ~commits:2;
   Cluster.run c;
   let o = Cluster.obs c in
   Alcotest.(check bool) "sink live" true (Obs.enabled o);
-  Alcotest.(check bool) "json tracing off" false (Obs.tracing o);
-  Alcotest.(check bool) "flight rings on" true (Obs.flight_on o);
   (* The registry feeds Report and the wall-clock bench percentiles. *)
   Alcotest.(check int)
     "net_msgs counter matches fabric accounting"
@@ -311,9 +417,6 @@ let test_flightless_cluster_is_silent () =
 (* ----------------------------------------------------------------- *)
 (* Flight recorder: ring wrap/drop properties, LBCF codec round-trip,
    and a cluster dump decoded back clean. *)
-
-module Flight = Lbc_obs.Flight
-module FD = Lbc_obs.Flight_dump
 
 (* A replayable random event stream: kind, interned-name index, lane,
    timestamp increment, payload. *)
@@ -355,8 +458,10 @@ let record_ops r ops =
       (match op.op_kind with
       | 0 ->
           Flight.record_span r ~ts_ns:!ts ~name ~lane:op.op_lane
-            ~dur_ns:op.op_arg
-      | 1 -> Flight.record_instant r ~ts_ns:!ts ~name ~lane:op.op_lane
+            ~dur_ns:op.op_arg ~arg:(op.op_arg - 50_000)
+      | 1 ->
+          Flight.record_instant r ~ts_ns:!ts ~name ~lane:op.op_lane
+            ~arg:(op.op_arg - 50_000)
       | 2 ->
           Flight.record_count r ~ts_ns:!ts ~name ~delta:(op.op_arg - 50_000)
       | _ ->
@@ -404,8 +509,11 @@ let qcheck_ring_roundtrip =
           (fun op ts ->
             match op.op_kind with
             | 0 ->
-                (FD.Span, names_pool.(op.op_name), op.op_lane, ts, op.op_arg, 0)
-            | 1 -> (FD.Instant, names_pool.(op.op_name), op.op_lane, ts, 0, 0)
+                ( FD.Span, names_pool.(op.op_name), op.op_lane, ts, op.op_arg,
+                  op.op_arg - 50_000 )
+            | 1 ->
+                ( FD.Instant, names_pool.(op.op_name), op.op_lane, ts, 0,
+                  op.op_arg - 50_000 )
             | 2 ->
                 (FD.Count, names_pool.(op.op_name), 0, ts, 0, op.op_arg - 50_000)
             | _ ->
@@ -428,7 +536,7 @@ let qcheck_ring_roundtrip =
 let test_flight_newest_survive () =
   let r = Flight.create ~cap_bytes:256 () in
   for i = 1 to 1000 do
-    Flight.record_instant r ~ts_ns:(i * 10) ~name:"tick" ~lane:0
+    Flight.record_instant r ~ts_ns:(i * 10) ~name:"tick" ~lane:0 ~arg:i
   done;
   Alcotest.(check int) "all recorded" 1000 (Flight.recorded r);
   Alcotest.(check bool) "wrapped" true (Flight.dropped r > 0);
@@ -449,9 +557,9 @@ let test_flight_newest_survive () =
 (* Out-of-order timestamps are clamped monotone, never rejected. *)
 let test_flight_monotone_clamp () =
   let r = Flight.create () in
-  Flight.record_instant r ~ts_ns:100 ~name:"a" ~lane:0;
-  Flight.record_instant r ~ts_ns:50 ~name:"b" ~lane:0;
-  Flight.record_instant r ~ts_ns:120 ~name:"c" ~lane:0;
+  Flight.record_instant r ~ts_ns:100 ~name:"a" ~lane:0 ~arg:0;
+  Flight.record_instant r ~ts_ns:50 ~name:"b" ~lane:0 ~arg:0;
+  Flight.record_instant r ~ts_ns:120 ~name:"c" ~lane:0 ~arg:0;
   let d = dump_of_ring r in
   Alcotest.(check (list string)) "self-check clean" [] (FD.self_check d);
   let ts =
@@ -466,7 +574,7 @@ let test_flight_decode_rejects () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad magic accepted");
   let r = Flight.create () in
-  Flight.record_instant r ~ts_ns:10 ~name:"x" ~lane:0;
+  Flight.record_instant r ~ts_ns:10 ~name:"x" ~lane:0 ~arg:0;
   let s = FD.encode ~clock:"virtual-us" ~dumped_at_ns:10 [| (0, r) |] in
   match FD.of_string (String.sub s 0 (String.length s - 3)) with
   | Error _ -> ()
@@ -475,6 +583,124 @@ let test_flight_decode_rejects () =
          must carry decode errors that fail the self-check. *)
       if FD.self_check d = [] then
         Alcotest.fail "truncated dump passed self-check"
+
+(* Hostile LBCF input: bit-flipped, truncated and length-inflated
+   variants of real dumps decode to [Ok] or [Error], never an
+   exception, and allocate in proportion to their size — a length or
+   count is checked against the bytes left before anything is
+   allocated from it.  Decodable variants must also survive the
+   self-checks and the Perfetto renderer. *)
+
+let real_dumps =
+  lazy
+    (let c = mk_cluster whole_run 3 in
+     script_writer c ~node:0 ~lock:0 ~commits:4;
+     script_writer c ~node:1 ~lock:0 ~commits:3;
+     script_writer c ~node:2 ~lock:2 ~commits:2;
+     Cluster.run c;
+     let cluster =
+       FD.encode ~clock:"virtual-us" ~dumped_at_ns:(1 lsl 40)
+         (Array.mapi (fun i r -> (i, r)) (Obs.rings (Cluster.obs c)))
+     in
+     (* A wrapped minimum ring: drops, and a body that starts mid-run. *)
+     let r = Flight.create ~cap_bytes:256 () in
+     for i = 1 to 200 do
+       Flight.record_span r ~ts_ns:(i * 1000) ~name:"apply" ~lane:1 ~dur_ns:500
+         ~arg:i
+     done;
+     let wrapped =
+       FD.encode ~clock:"wall-us" ~dumped_at_ns:200_000 [| (0, r) |]
+     in
+     [| cluster; wrapped |])
+
+type mutation =
+  | Flip of int list  (* bit offsets, modulo the dump's bit length *)
+  | Truncate of int  (* new length, modulo the dump's length *)
+  | Inflate of int * int
+      (* the byte at this offset becomes this value's 1–9 byte varint *)
+
+let mutation_print (base, m) =
+  match m with
+  | Flip bits ->
+      Printf.sprintf "dump %d, flip bits [%s]" base
+        (String.concat ";" (List.map string_of_int bits))
+  | Truncate n -> Printf.sprintf "dump %d, truncate to %d" base n
+  | Inflate (pos, v) ->
+      Printf.sprintf "dump %d, inflate byte %d to %d" base pos v
+
+let mutation_arb =
+  let open QCheck.Gen in
+  (* Counts and lengths sit near the front of a ring header; favour
+     those offsets, and values from small to negative. *)
+  let pos = oneof [ int_bound 31; nat ] in
+  let value =
+    int_range 7 62 >>= fun k ->
+    int_bound 1_000 >>= fun r ->
+    oneofl [ (1 lsl k) + r; -((1 lsl k) + r) ]
+  in
+  QCheck.make ~print:mutation_print
+    (pair (int_bound 1)
+       (oneof
+          [ map (fun bits -> Flip bits) (list_size (int_range 1 4) nat);
+            map (fun n -> Truncate n) nat;
+            map2 (fun p v -> Inflate (p, v)) pos value ]))
+
+let varint v =
+  let b = Buffer.create 9 and v = ref v in
+  while !v land lnot 0x7f <> 0 do
+    Buffer.add_char b (Char.chr (!v land 0x7f lor 0x80));
+    v := !v lsr 7
+  done;
+  Buffer.add_char b (Char.chr !v);
+  Buffer.contents b
+
+let mutate s = function
+  | Flip bits ->
+      let b = Bytes.of_string s in
+      List.iter
+        (fun bit ->
+          let i = bit / 8 mod Bytes.length b in
+          Bytes.set b i
+            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8)))))
+        bits;
+      Bytes.to_string b
+  | Truncate n -> String.sub s 0 (n mod String.length s)
+  | Inflate (pos, v) ->
+      let p = pos mod String.length s in
+      String.sub s 0 p ^ varint v
+      ^ String.sub s (p + 1) (String.length s - p - 1)
+
+let qcheck_lbcf_hostile =
+  QCheck.Test.make ~name:"LBCF decoder under hostile input" ~count:10_000
+    mutation_arb (fun (base, m) ->
+      let input = mutate (Lazy.force real_dumps).(base) m in
+      (* Start from an empty minor heap: a minor collection inside the
+         measured call inflates OCaml 5.1's word counts. *)
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      let decoded =
+        match FD.of_string input with
+        | r -> r
+        | exception e ->
+            QCheck.Test.fail_reportf "of_string raised %s"
+              (Printexc.to_string e)
+      in
+      let allocated = Gc.allocated_bytes () -. before in
+      let bound = float_of_int ((256 * String.length input) + 65_536) in
+      if allocated > bound then
+        QCheck.Test.fail_reportf
+          "%d-byte input allocated %.0f bytes (bound %.0f)"
+          (String.length input) allocated bound;
+      (match decoded with
+      | Error _ -> ()
+      | Ok d ->
+          ignore (Explorer.self_check d : string list);
+          ignore (FD.render_chrome d : string);
+          let events = FD.merged d in
+          ignore (Explorer.stage_breakdown events : Explorer.stage_stats list);
+          ignore (Explorer.lock_contention events : Explorer.lock_stats list);
+          ignore (Explorer.critical_path events));
+      true)
 
 (* An untraced cluster run dumps a decodable, self-check-clean flight
    file with events for every node — the instrumented path end to end. *)
@@ -515,42 +741,11 @@ let test_cluster_flight_dump () =
       | Ok _ -> ());
   Sys.remove path
 
-(* Periodic metrics snapshots: rows accumulate on the event hot path at
-   the configured virtual interval, and each row is a JSON object. *)
-let test_metrics_snapshots () =
-  let clock = ref 0.0 in
-  let o =
-    Obs.create ~json:false ~now:(fun () -> !clock) ~nodes:1
-      ~snapshot_interval_us:100.0 ()
-  in
-  for i = 1 to 50 do
-    clock := float_of_int i *. 25.0;
-    Obs.count o ~pid:0 "ticks" 1;
-    Obs.observe o "tick_us" 25.0;
-    (* Snapshots piggyback on the event hot path — no timers. *)
-    Obs.instant o ~name:"tick" ~pid:0 ~tid:0 ()
-  done;
-  let rows = Obs.snapshot_rows o in
-  Alcotest.(check bool)
-    (Printf.sprintf "rows at 100us intervals (got %d)" rows)
-    true
-    (rows >= 8 && rows <= 13);
-  String.split_on_char '\n' (Obs.snapshots o)
-  |> List.filter (fun l -> l <> "")
-  |> List.iter (fun line ->
-         match Json.parse line with
-         | Error e -> Alcotest.failf "snapshot row not JSON (%s): %s" e line
-         | Ok j ->
-             if Json.member "ts_us" j = None then
-               Alcotest.failf "snapshot row without ts_us: %s" line)
-
 (* ----------------------------------------------------------------- *)
 (* Golden-style rendering of Report.pp_cluster *)
 
 let test_report_golden () =
-  let config =
-    { Config.default with Config.group_commit = true; Config.trace = true }
-  in
+  let config = { Config.default with Config.group_commit = true } in
   let nodes = 3 in
   let c = mk_cluster config nodes in
   script_writer c ~node:0 ~lock:0 ~commits:2;
@@ -625,14 +820,16 @@ let suites =
           test_flight_monotone_clamp;
         Alcotest.test_case "decoder rejects garbage" `Quick
           test_flight_decode_rejects;
+        QCheck_alcotest.to_alcotest qcheck_lbcf_hostile;
         Alcotest.test_case "cluster dump decodes clean" `Quick
           test_cluster_flight_dump;
-        Alcotest.test_case "metrics snapshots" `Quick test_metrics_snapshots;
       ] );
     ( "obs-cluster",
       [
         Alcotest.test_case "traced run: self-check + report agreement"
           `Quick test_traced_cluster_run;
+        Alcotest.test_case "contended lock id survives LBCF" `Quick
+          test_contended_lock_id;
         Alcotest.test_case "untraced run keeps the flight sink" `Quick
           test_untraced_cluster_keeps_flight;
         Alcotest.test_case "flightless run collects nothing" `Quick

@@ -46,7 +46,7 @@ let test_obs_parallel () =
     for i = 1 to per_domain do
       Obs.count obs "hits" 1;
       Obs.observe obs "lat" (float_of_int i);
-      Obs.instant obs ~name:"tick" ~pid:node ~tid:Obs.lane_txn ()
+      Obs.instant obs ~name:"tick" ~pid:node ~tid:Obs.lane_txn ~arg:i
     done
   in
   let d1 = Domain.spawn (work 0) and d2 = Domain.spawn (work 1) in
