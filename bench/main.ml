@@ -646,8 +646,8 @@ let recovery_bench () =
 (* ------------------------------------------------------------------ *)
 (* On-demand restart benchmark: a node whose log holds one small
    "measured" chain (lock/region 0, fixed size) plus bulk chains whose
-   length scales with [scale] crashes and rejoins in on-demand mode.
-   The first commit after rejoin touches only the measured chain, so
+   length scales with [scale] crashes and rejoins.  The first commit
+   after rejoin touches only the measured chain, so
    time_to_first_commit_us should stay nearly flat as the bulk grows —
    the full drain is what pays for the extra log. *)
 
@@ -701,7 +701,7 @@ let ondemand_bench ~scale () =
     ~name:"bench-controller"
     (fun () ->
       let rec rejoin_when_lease_expires () =
-        match Lbc_core.Cluster.rejoin ~mode:Lbc_core.Node.On_demand c ~node:0 with
+        match Lbc_core.Cluster.rejoin c ~node:0 with
         | () -> ()
         | exception Invalid_argument _ ->
             Lbc_sim.Proc.sleep 50.0;

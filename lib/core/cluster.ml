@@ -272,9 +272,6 @@ let shutdown t =
   let module P = (val t.platform : Platform.S) in
   P.shutdown ()
 
-let schedule_policy t =
-  Lbc_sim.Engine.policy (sim_handles t "Cluster.schedule_policy").engine
-
 let schedule_decisions t =
   Lbc_sim.Engine.decisions (sim_handles t "Cluster.schedule_decisions").engine
 
@@ -320,7 +317,7 @@ let crash t ~node:n =
             Obs.instant t.obs ~name:"lease.reclaim" ~pid:n ~tid:Obs.lane_lock
               ~arg:0))
 
-let rejoin ?(mode = Node.Replay_all) t ~node:n =
+let rejoin t ~node:n =
   ignore (node t n : Node.t);
   let h = sim_handles t "Cluster.rejoin" in
   if not t.crashed.(n) then invalid_arg "Cluster.rejoin: node is not down";
@@ -332,7 +329,7 @@ let rejoin ?(mode = Node.Replay_all) t ~node:n =
   let applied =
     Hashtbl.fold (fun lock seq acc -> (lock, seq) :: acc) t.checkpointed []
   in
-  Node.rejoin ~mode t.nodes.(n) ~applied;
+  Node.rejoin t.nodes.(n) ~applied;
   t.crashed.(n) <- false
 
 let is_crashed t n =

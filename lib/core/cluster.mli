@@ -89,8 +89,6 @@ val shutdown : t -> unit
 (** Tear the platform down (join domains, close sockets and files on the
     real backend; no-op on sim). *)
 
-val schedule_policy : t -> Lbc_sim.Schedule.policy
-
 val schedule_decisions : t -> int list
 (** The engine's recorded schedule trace: one chosen index per ripe set
     with two or more same-time events.  Feed it back through
@@ -139,18 +137,16 @@ val crash : t -> node:int -> unit
     tokens the node held ({!Lbc_locks.Table.reclaim}), unblocking
     survivors that were queued behind it. *)
 
-val rejoin : ?mode:Node.rejoin_mode -> t -> node:int -> unit
+val rejoin : t -> node:int -> unit
 (** Bring a crashed node back, once its lease has expired (raises
     [Invalid_argument] before that): reconnects it, resets its lock
-    table, reloads its regions from the database image and replays its
-    own durable log tail.  Updates it missed while down are pulled in on
-    demand through the acquire interlock (with [config.repair] for
-    gap repair).  New application work needs fresh {!spawn}s.
-
-    [mode] (default {!Node.Replay_all}) selects the replay strategy; see
-    {!Node.rejoin}.  With [~mode:Node.On_demand] the node serves
-    immediately and replays each indexed chain on first touch, feeding
-    the [time_to_first_commit_us] histogram. *)
+    table, reloads its regions from the database image and indexes its
+    own durable log tail ({!Node.rejoin}).  The node serves at once: each
+    indexed chain replays on first touch and a background drain replays
+    the rest, and the first commit feeds the [time_to_first_commit_us]
+    histogram.  Updates it missed while down are pulled in on demand
+    through the acquire interlock (with [config.repair] for gap repair).
+    New application work needs fresh {!spawn}s. *)
 
 val is_crashed : t -> int -> bool
 

@@ -1,17 +1,14 @@
 type propagation = Eager | Lazy
 
 type t = {
-  coalesce : Lbc_rvm.Range_tree.policy;
   disk_logging : bool;
   flush_on_commit : bool;
-  range_header_size : int;
   log_mode : Lbc_wal.Command.log_mode;
   propagation : propagation;
   multicast : bool;
   charge_costs : bool;
   repair : bool;
   repair_timeout : float;
-  repair_retries : int;
   lease_timeout : float;
   group_commit : bool;
   group_commit_max : int;
@@ -25,17 +22,14 @@ type t = {
 
 let default =
   {
-    coalesce = Lbc_rvm.Range_tree.Optimized;
     disk_logging = true;
     flush_on_commit = true;
-    range_header_size = Lbc_wal.Record.rvm_disk_header_size;
     log_mode = Lbc_wal.Command.Value;
     propagation = Eager;
     multicast = false;
     charge_costs = false;
     repair = false;
     repair_timeout = 2_000.0;
-    repair_retries = 8;
     lease_timeout = 10_000.0;
     group_commit = false;
     group_commit_max = 8;

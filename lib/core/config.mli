@@ -1,9 +1,10 @@
 (** Configuration of the log-based coherency system.
 
-    The defaults correspond to the paper's prototype: optimized
-    [set_range] coalescing, eager propagation at commit, compressed wire
-    headers, disk logging on.  The benchmarks flip individual knobs to
-    reproduce the ablations (standard RVM coalescing for Figure 8, disk
+    The defaults correspond to the paper's prototype: eager propagation
+    at commit, compressed wire headers, disk logging on.  [set_range]
+    always coalesces with the prototype's optimized policy
+    ({!Lbc_rvm.Range_tree}) and logs 104-byte RVM range headers.  The
+    benchmarks flip individual knobs to reproduce the ablations (disk
     logging off to isolate coherency costs, lazy propagation from
     Section 2.2). *)
 
@@ -19,10 +20,8 @@ type propagation =
           carry their cross-segment dependencies. *)
 
 type t = {
-  coalesce : Lbc_rvm.Range_tree.policy;
   disk_logging : bool;
   flush_on_commit : bool;
-  range_header_size : int;  (** on-disk range header size *)
   log_mode : Lbc_wal.Command.log_mode;
       (** per-transaction record encoding: [Value] logs new-value ranges
           (the paper's RVM, the default), [Command] logs the declared
@@ -44,12 +43,10 @@ type t = {
           transport, and repair retention changes memory behaviour. *)
   repair_timeout : float;
       (** virtual µs a node waits on a sequence-number gap before issuing
-          a repair fetch *)
-  repair_retries : int;
-      (** repair fetch attempts (cycling over peers, with exponential
-          backoff) before giving up; a gap that outlives all retries
-          leaves the waiter blocked and is reported by the stranded-
-          process check *)
+          a repair fetch; the node makes up to 8 attempts, cycling over
+          peers with exponential backoff, and a gap that outlives them
+          leaves the waiter blocked for the stranded-process check to
+          report *)
   lease_timeout : float;
       (** virtual µs after a node crash before the lock managers reclaim
           the tokens it held (models lease expiry / epoch change) *)

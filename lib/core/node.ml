@@ -49,8 +49,6 @@ type recovery = {
   started_at : float;
 }
 
-type rejoin_mode = Replay_all | On_demand
-
 type t = {
   id : int;
   nodes : int;
@@ -130,9 +128,7 @@ let create (deps : deps) =
   let txn_updates = ref 0 in
   let rvm_options =
     {
-      Lbc_rvm.Rvm.coalesce = deps.config.Config.coalesce;
-      disk_logging = deps.config.Config.disk_logging;
-      range_header_size = deps.config.Config.range_header_size;
+      Lbc_rvm.Rvm.disk_logging = deps.config.Config.disk_logging;
       log_mode = deps.config.Config.log_mode;
       instrumentation = instrumentation deps.config txn_updates;
     }
@@ -370,8 +366,6 @@ let track_unacked (t : t) ~offset (record : Lbc_wal.Record.txn) ~peers =
     update_retention t
   end
 
-let unacked_count (t : t) = List.length t.unacked
-
 let clear_retention (t : t) =
   t.unacked <- [];
   Lbc_wal.Log.set_retention_water (Lbc_rvm.Rvm.log t.rvm) max_int
@@ -487,16 +481,18 @@ let send_fetch (t : t) ~lock ~have ~from =
    armed whenever a node starts waiting on a gap; if the gap outlives
    [repair_timeout], the node fetches the missing records — first from the
    last known writer, then cycling over the other peers with doubled
-   backoff — up to [repair_retries] attempts.  A gap that survives all
+   backoff — up to [max_repair_attempts] attempts.  A gap that survives all
    attempts leaves the waiter blocked, which the engine's stranded-process
    report surfaces. *)
+
+let max_repair_attempts = 8
 
 let rec repair_check (t : t) lock =
   match Hashtbl.find_opt t.repairs lock with
   | None -> ()
   | Some r ->
       if applied_seq t lock >= r.need then Hashtbl.remove t.repairs lock
-      else if r.retries >= t.config.Config.repair_retries then begin
+      else if r.retries >= max_repair_attempts then begin
         Hashtbl.remove t.repairs lock;
         L.warn (fun m ->
             m "node %d gives up repairing lock %d (need %d, have %d)" t.id
@@ -585,7 +581,6 @@ let receive_record (t : t) record =
         request_dependencies t record
 
 let pin (t : t) = t.pinned <- true
-let is_pinned (t : t) = t.pinned
 
 let accept (t : t) =
   if t.pinned then begin
@@ -650,26 +645,23 @@ let broadcast (t : t) record =
 
 (* Bring a crashed node back: every volatile structure is rebuilt from
    what survives a crash — the database image (as of [applied], the last
-   checkpoint) and the node's own durable log.  Replaying the log tail
-   through [receive_record] re-applies our own commits in order; records
-   whose cross-lock dependencies are missing are held and, with repair
-   enabled, trigger repair fetches from the peers.  Updates committed
-   elsewhere since the checkpoint are recovered on demand: the first
-   acquire of each lock interlocks on the token's last-write sequence
-   number and repairs the gap.
+   checkpoint) and the node's own durable log.  Nothing is replayed up
+   front: the tail is indexed into replay chains (seeded by the
+   checkpoint's persisted region-index record) and the node serves
+   immediately.  The first touch of a cold chain replays just that chain
+   through [receive_record]; a background drain walks the rest
+   hottest-lock-first.  Records whose cross-lock dependencies are missing
+   are held and, with repair enabled, trigger repair fetches from the
+   peers.  Updates committed elsewhere since the checkpoint are recovered
+   on demand: the first acquire of each lock interlocks on the token's
+   last-write sequence number and repairs the gap.
 
-   The replayed tail is also rebroadcast to the peers.  A crash can land
-   between logging a commit and propagating it, leaving the record in
-   our durable log only; peers that already applied it discard the
-   duplicate, peers that missed it heal.  Without the rebroadcast such a
-   record would be invisible to everyone until server-side recovery.
-
-   Two modes: [Replay_all] (the original path) replays the whole tail as
-   concurrent partitioned streams before anything else happens on the
-   node; [On_demand] indexes the tail (seeded by the checkpoint's
-   persisted region-index record) and serves immediately — the first
-   touch of a cold chain replays just that chain, a background drain
-   walks the rest hottest-lock-first. *)
+   Once every chain is warm the tail's own writes are rebroadcast to the
+   peers.  A crash can land between logging a commit and propagating it,
+   leaving the record in our durable log only; peers that already applied
+   it discard the duplicate, peers that missed it heal.  Without the
+   rebroadcast such a record would be invisible to everyone until
+   server-side recovery. *)
 
 (* Apply one record of a replay stream and account its retention.  The
    internal replay path must bypass the serving gates (it is what warms
@@ -774,7 +766,7 @@ let stream_heat (t : t) (s : stream) =
       | _ -> acc)
     0 s.skeys
 
-let rejoin ?(mode = Replay_all) (t : t) ~applied =
+let rejoin (t : t) ~applied =
   t.pinned <- false;
   t.pending <- [];
   Hashtbl.reset t.retained;
@@ -782,7 +774,6 @@ let rejoin ?(mode = Replay_all) (t : t) ~applied =
   Hashtbl.reset t.repairs;
   Hashtbl.reset t.applied;
   t.recovery <- None;
-  t.ttfc_mark <- None;
   (* The crash killed any process that was mid-transaction; those
      transactions will never commit, so they must not keep a later fuzzy
      checkpoint waiting for quiescence. *)
@@ -800,140 +791,77 @@ let rejoin ?(mode = Replay_all) (t : t) ~applied =
   (* A crash mid-fuzzy-checkpoint leaves the ckpt water pinned (the end
      marker never made it); the checkpoint is abandoned, so unpin. *)
   Lbc_wal.Log.set_ckpt_water (Lbc_rvm.Rvm.log t.rvm) max_int;
-  match mode with
-  | Replay_all ->
-      let items, _status =
-        Lbc_wal.Log.fold (Lbc_rvm.Rvm.log t.rvm) ~init:[] (fun acc off txn ->
-            (off, txn) :: acc)
-      in
-      let items = List.rev items in
-      let records = List.map snd items in
-      if retains t then
-        List.iter
-          (fun (off, (r : Lbc_wal.Record.txn)) ->
-            if Lbc_wal.Record.is_write r then
-              track_unacked t ~offset:off r ~peers:(propagation_peers t r))
-          items;
-      (* Partitioned replay: split the surviving tail by lock/region
-         closure and replay the independent streams as concurrent
-         processes.  Streams share no locks and no regions, so their
-         applies commute; within a stream log order is kept, so each
-         record's [prev_write_seq] chain is intact. *)
-      let streams = Merge.partition records in
-      let n_streams = List.length streams in
-      let remaining = ref n_streams in
-      let done_cv = Lbc_sim.Condvar.create () in
-      let t0 = Lbc_sim.Engine.now t.engine in
-      List.iteri
-        (fun i stream ->
-          Lbc_sim.Proc.spawn t.engine
-            ~name:(Printf.sprintf "n%d recover-p%d" t.id i)
-            (fun () ->
-              List.iter (receive_record t) stream;
-              Obs.observe t.obs "recovery_us"
-                (Lbc_sim.Engine.now t.engine -. t0);
-              decr remaining;
-              Lbc_sim.Condvar.broadcast done_cv))
-        streams;
-      if Obs.enabled t.obs && n_streams > 0 then
-        Obs.count ~pid:t.id t.obs "recovery_partitions" n_streams;
-      Lbc_sim.Condvar.broadcast t.applied_cv;
-      let own_writes = List.filter Lbc_wal.Record.is_write records in
-      if own_writes <> [] then
-        (* Fabric sends charge wire time, so they need process context;
-           the rebroadcast also waits for the replay streams to finish so
-           peers never see our tail before we have re-applied it
-           ourselves. *)
-        Lbc_sim.Proc.spawn t.engine
-          ~name:(Printf.sprintf "n%d rejoin-sync" t.id)
-          (fun () ->
-            Lbc_sim.Condvar.await
-              ~info:
-                (Printf.sprintf "rejoin n%d awaits %d replay streams" t.id
-                   n_streams)
-              done_cv
-              (fun () -> !remaining = 0);
-            List.iter (broadcast t) own_writes)
-  | On_demand ->
-      (* Index the surviving tail — seeded by the checkpoint's persisted
-         region-index control record, extended with whatever was
-         appended since — and serve immediately.  Nothing is replayed
-         here; first touch and the background drain do it.  Only this
-         mode feeds [time_to_first_commit_us]: the bench compares
-         on-demand rows by it, so Replay_all rejoins must not pollute
-         the samples. *)
-      t.ttfc_mark <- Some (Lbc_sim.Engine.now t.engine);
-      let log = Lbc_rvm.Rvm.log t.rvm in
-      let idx, _status = Lbc_wal.Region_index.of_log log in
-      let entries = Lbc_wal.Region_index.entries idx in
-      let streams =
-        Array.of_list
-          (List.mapi
-             (fun i (e : Lbc_wal.Record.index_entry) ->
-               { sid = i; offsets = e.offsets; skeys = e.keys;
-                 status = Cold })
-             entries)
-      in
-      let by_key = Hashtbl.create 32 in
-      Array.iter
-        (fun s -> List.iter (fun k -> Hashtbl.replace by_key k s.sid) s.skeys)
-        streams;
-      let r =
-        { streams; by_key; cold = Array.length streams;
-          warm_cv = Lbc_sim.Condvar.create ();
-          started_at = Lbc_sim.Engine.now t.engine }
-      in
-      t.recovery <- Some r;
-      (* Every region a cold chain touches serves stale (checkpoint)
-         bytes until that chain replays: mark them cold so direct reads
-         gate too.  Retention stays pinned at the head until the unacked
-         list is rebuilt (streams warm out of log order). *)
-      Array.iter
-        (fun s ->
-          List.iter
-            (fun k ->
-              match Lbc_wal.Region_index.untag k with
-              | Lbc_wal.Region_index.Region rid -> (
-                  match Lbc_rvm.Rvm.region t.rvm rid with
-                  | reg -> Lbc_rvm.Region.set_cold reg
-                  | exception Not_found -> ())
-              | Lbc_wal.Region_index.Lock _ -> ())
-            s.skeys)
-        streams;
-      (* Pin unconditionally, not just under [retains t]: even in an
-         eager non-repair config the cold chains' records are the only
-         copy of their committed updates (the regions were reloaded from
-         the checkpoint image, so a fuzzy checkpoint flushes nothing for
-         them).  Released by [replay_stream] when the last stream
-         warms. *)
-      if r.cold > 0 then
-        Lbc_wal.Log.set_retention_water log (Lbc_wal.Log.head log);
-      if Obs.enabled t.obs && r.cold > 0 then
-        Obs.count ~pid:t.id t.obs "recovery_partitions" r.cold;
-      Lbc_sim.Condvar.broadcast t.applied_cv;
-      if r.cold > 0 then
-        (* Background drain, hottest locks first; once every stream is
-           warm, rebroadcast the tail's own writes so peers that missed
-           a pre-crash propagation heal. *)
-        Lbc_sim.Proc.spawn t.engine
-          ~name:(Printf.sprintf "n%d recover-drain" t.id)
-          (fun () ->
-            let order =
-              List.stable_sort
-                (fun a b -> Int.compare (stream_heat t b) (stream_heat t a))
-                (Array.to_list streams)
-            in
-            List.iter (fun s -> replay_stream t r s) order;
-            Array.iter
-              (fun s ->
-                List.iter
-                  (fun off ->
-                    match Lbc_wal.Log.read_at log ~off with
-                    | Ok rc when Lbc_wal.Record.is_write rc ->
-                        broadcast t rc
-                    | Ok _ | Error _ -> ())
-                  s.offsets)
-              streams)
+  t.ttfc_mark <- Some (Lbc_sim.Engine.now t.engine);
+  let log = Lbc_rvm.Rvm.log t.rvm in
+  (* Seeded by the checkpoint's persisted region-index control record,
+     extended with whatever was appended since. *)
+  let idx, _status = Lbc_wal.Region_index.of_log log in
+  let entries = Lbc_wal.Region_index.entries idx in
+  let streams =
+    Array.of_list
+      (List.mapi
+         (fun i (e : Lbc_wal.Record.index_entry) ->
+           { sid = i; offsets = e.offsets; skeys = e.keys; status = Cold })
+         entries)
+  in
+  let by_key = Hashtbl.create 32 in
+  Array.iter
+    (fun s -> List.iter (fun k -> Hashtbl.replace by_key k s.sid) s.skeys)
+    streams;
+  let r =
+    { streams; by_key; cold = Array.length streams;
+      warm_cv = Lbc_sim.Condvar.create ();
+      started_at = Lbc_sim.Engine.now t.engine }
+  in
+  t.recovery <- Some r;
+  (* Every region a cold chain touches serves stale (checkpoint) bytes
+     until that chain replays: mark them cold so direct reads gate too.
+     Retention stays pinned at the head until the unacked list is
+     rebuilt (streams warm out of log order). *)
+  Array.iter
+    (fun s ->
+      List.iter
+        (fun k ->
+          match Lbc_wal.Region_index.untag k with
+          | Lbc_wal.Region_index.Region rid -> (
+              match Lbc_rvm.Rvm.region t.rvm rid with
+              | reg -> Lbc_rvm.Region.set_cold reg
+              | exception Not_found -> ())
+          | Lbc_wal.Region_index.Lock _ -> ())
+        s.skeys)
+    streams;
+  (* Pin unconditionally, not just under [retains t]: even in an eager
+     non-repair config the cold chains' records are the only copy of
+     their committed updates (the regions were reloaded from the
+     checkpoint image, so a fuzzy checkpoint flushes nothing for them).
+     Released by [replay_stream] when the last stream warms. *)
+  if r.cold > 0 then
+    Lbc_wal.Log.set_retention_water log (Lbc_wal.Log.head log);
+  if Obs.enabled t.obs && r.cold > 0 then
+    Obs.count ~pid:t.id t.obs "recovery_partitions" r.cold;
+  Lbc_sim.Condvar.broadcast t.applied_cv;
+  if r.cold > 0 then
+    (* Background drain, hottest locks first; once every stream is warm,
+       rebroadcast the tail's own writes so peers that missed a pre-crash
+       propagation heal. *)
+    Lbc_sim.Proc.spawn t.engine
+      ~name:(Printf.sprintf "n%d recover-drain" t.id)
+      (fun () ->
+        let order =
+          List.stable_sort
+            (fun a b -> Int.compare (stream_heat t b) (stream_heat t a))
+            (Array.to_list streams)
+        in
+        List.iter (fun s -> replay_stream t r s) order;
+        Array.iter
+          (fun s ->
+            List.iter
+              (fun off ->
+                match Lbc_wal.Log.read_at log ~off with
+                | Ok rc when Lbc_wal.Record.is_write rc -> broadcast t rc
+                | Ok _ | Error _ -> ())
+              s.offsets)
+          streams)
 
 let recovering (t : t) =
   match t.recovery with Some r -> r.cold > 0 | None -> false

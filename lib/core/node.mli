@@ -117,8 +117,6 @@ val accept : t -> unit
 (** Move forward: apply every buffered record (in order) and resume
     normal eager application. *)
 
-val is_pinned : t -> bool
-
 val retained_count : t -> int
 (** Records retained for lazy propagation. *)
 
@@ -134,9 +132,6 @@ val gc_retained : t -> unit
     low-water mark, which {!Lbc_wal.Log.set_head} clamps to.  A write is
     released once every propagation peer has gossiped ([Msg.LowWater])
     an applied sequence number at or past it. *)
-
-val unacked_count : t -> int
-(** Own committed writes not yet known applied by every peer. *)
 
 val gossip_low_water : t -> unit
 (** Send this node's applied table to every peer (costs wire time — call
@@ -158,13 +153,7 @@ val resync : t -> applied:(int * int) list -> unit
     valid when the node is quiescent (no transaction in progress, nothing
     pending). *)
 
-type rejoin_mode =
-  | Replay_all  (** replay the whole surviving tail before serving *)
-  | On_demand
-      (** index the tail and serve immediately; chains replay on first
-          touch, a background drain walks the rest hottest-lock-first *)
-
-val rejoin : ?mode:rejoin_mode -> t -> applied:(int * int) list -> unit
+val rejoin : t -> applied:(int * int) list -> unit
 (** Bring a crashed node back into the cluster (called by
     [Cluster.rejoin] after its lock table has been reset).  All volatile
     state is rebuilt from what survives a crash: regions reload from the
@@ -175,28 +164,21 @@ val rejoin : ?mode:rejoin_mode -> t -> applied:(int * int) list -> unit
     committed elsewhere since the checkpoint are re-fetched on demand via
     the acquire interlock and, with [config.repair], the gap watchdog.
 
-    With [~mode:Replay_all] (the default) the replay is {e partitioned}:
-    the surviving tail is split by lock/region closure
-    ({!Merge.partition}) and the independent streams run as concurrent
-    simulated processes, each feeding the [recovery_us] histogram; the
-    rebroadcast waits for all of them.  Retention state is rebuilt
-    conservatively: every own write still in the log is treated as
-    unacked until fresh gossip arrives.
-
-    With [~mode:On_demand] nothing is replayed up front: the tail is
-    indexed by replay chain (seeded by the newest persisted
-    {!Lbc_wal.Record.Region_index} control record, extended by scanning
-    only the records appended after it) and the node serves immediately.
-    The first local access, lock acquire, coherency apply, or peer fetch
-    that touches a cold chain replays exactly that chain first; a
-    background process drains the remaining chains hottest-lock-first
-    (by the lock table's [lock_acquires:<id>] counters) and then
-    performs the rebroadcast.  Until every chain is warm, log retention
-    is pinned at the head.  The recovered image is byte-identical to a
-    serial replay; only the schedule differs. *)
+    Nothing is replayed up front: the tail is indexed by replay chain
+    (seeded by the newest persisted {!Lbc_wal.Record.Region_index}
+    control record, extended by scanning only the records appended after
+    it) and the node serves immediately.  The first local access, lock
+    acquire, coherency apply, or peer fetch that touches a cold chain
+    replays exactly that chain first; a background process drains the
+    remaining chains hottest-lock-first (by the lock table's
+    [lock_acquires:<id>] counters) and then performs the rebroadcast.
+    Until every chain is warm, log retention is pinned at the head.  The
+    first commit after the rejoin feeds the [time_to_first_commit_us]
+    histogram.  The recovered image is byte-identical to a serial
+    replay; only the schedule differs. *)
 
 val recovering : t -> bool
-(** True while an [On_demand] rejoin still has cold replay chains. *)
+(** True while a rejoin still has cold replay chains. *)
 
 exception Coherency_error of string
 

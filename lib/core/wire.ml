@@ -95,7 +95,7 @@ let decode_reader r =
     raise (Codec.Truncated "Wire: bad message kind");
   let node = Codec.get_u16 r in
   let tid = Codec.get_varint r in
-  let n_locks = Codec.get_varint r in
+  let n_locks = Codec.get_count r in
   let locks =
     List.init n_locks (fun _ ->
         let lock_id = Codec.get_varint r in
@@ -106,14 +106,14 @@ let decode_reader r =
   if kind = 2 then begin
     let op = Codec.get_varint r in
     let plen = Codec.get_varint r in
-    let n_regions = Codec.get_varint r in
+    let n_regions = Codec.get_count r in
     let cmd_regions = List.init n_regions (fun _ -> Codec.get_varint r) in
     let params = Codec.get_raw r ~len:plen in
     { Lbc_wal.Record.node; tid; locks; ranges = [];
       cmd = Some { op; params; cmd_regions } }
   end
   else begin
-    let n_ranges = Codec.get_varint r in
+    let n_ranges = Codec.get_count r in
     let prev_region = ref 0 and prev_offset = ref 0 in
     let ranges =
       List.init n_ranges (fun _ ->

@@ -92,13 +92,13 @@ let drop_updates c ~src ~dst =
   Lbc_net.Fabric.set_drop_filter (Cluster.fabric c) ~src ~dst
     (Some (function Msg.Update _ -> true | _ -> false))
 
-let crash_then_rejoin_bg c ~node ?mode ?(after = 0.0)
-    ?(more_work = fun () -> ()) () =
+let crash_then_rejoin_bg c ~node ?(after = 0.0) ?(more_work = fun () -> ())
+    () =
   Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"explore-controller" (fun () ->
       if after > 0.0 then Lbc_sim.Proc.sleep after;
       Cluster.crash c ~node;
       let rec rejoin_when_lease_expires () =
-        match Cluster.rejoin ?mode c ~node with
+        match Cluster.rejoin c ~node with
         | () -> ()
         | exception Invalid_argument _ ->
             Lbc_sim.Proc.sleep 50.0;
@@ -359,10 +359,10 @@ let worker_home c rng n iterations =
       done)
 
 (* Twin of the chaos rejoin-under-load test: fuzzy checkpoint persists a
-   region-index control record, the node crashes, rejoins in on-demand
-   mode and serves fresh load while chains replay on first touch and the
-   background drain walks the rest — all interleaved with live peer
-   traffic under the explored schedule. *)
+   region-index control record, the node crashes, rejoins and serves
+   fresh load while chains replay on first touch and the background
+   drain walks the rest — all interleaved with live peer traffic under
+   the explored schedule. *)
 let rejoin_under_load =
   cluster_scenario ~name:"rejoin-under-load"
     ~descr:
@@ -395,8 +395,8 @@ let rejoin_under_load =
             worker_home c rng n 10
           done;
           Cluster.run c;
-          (* Crash/rejoin on demand while the peers keep committing. *)
-          crash_then_rejoin_bg c ~node:0 ~mode:Node.On_demand
+          (* Crash/rejoin while the peers keep committing. *)
+          crash_then_rejoin_bg c ~node:0
             ~more_work:(fun () -> worker_home c rng 0 5)
             ();
           for n = 1 to nodes - 1 do

@@ -39,9 +39,9 @@ val checkpoint_under_faults : t
 
 val rejoin_under_load : t
 (** Fuzzy checkpoint (persisting a region-index control record), crash,
-    then an on-demand rejoin that serves fresh load while chains replay
-    on first touch and peers keep committing.  The home-segment workload
-    keeps the single-node checkpoint recovery-consistent. *)
+    then a rejoin that serves fresh load while chains replay on first
+    touch and peers keep committing.  The home-segment workload keeps
+    the single-node checkpoint recovery-consistent. *)
 
 val oo7_eager : t
 val oo7_multicast : t

@@ -1,6 +1,7 @@
 type key = int64 * int64
 
-(* Node layout: value (entry address), left, right, height. *)
+(* Node layout: value (entry address), left, right, height — 8-byte
+   fields at fixed offsets. *)
 let node_size = 32
 let f_value = 0
 let f_left = 8
@@ -9,32 +10,77 @@ let f_height = 24
 
 let slots_size = 16 (* root, free-list head *)
 
-type t = { heap : Heap.t; slots : int; key_of : int -> key; m : Avl_mech.t }
+type t = { heap : Heap.t; slots : int; key_of : int -> key }
 
-let attach heap ~slots ~key_of =
-  { heap; slots; key_of; m = { Avl_mech.heap; f_left; f_right; f_height } }
+let attach heap ~slots ~key_of = { heap; slots; key_of }
 
 let root t = Heap.get_int t.heap t.slots
 let set_root t v = Heap.set_int t.heap t.slots v
 let free_slot t = t.slots + 8
 
 let value t n = Heap.get_int t.heap (n + f_value)
-let left t n = Avl_mech.left t.m n
-let right t n = Avl_mech.right t.m n
-let set_left t n v = Avl_mech.set_left t.m n v
-let set_right t n v = Avl_mech.set_right t.m n v
-let rebalance t n = Avl_mech.rebalance t.m n
+let left t n = Heap.get_int t.heap (n + f_left)
+let right t n = Heap.get_int t.heap (n + f_right)
+let height_of t n = if n = 0 then 0 else Heap.get_int t.heap (n + f_height)
+let set_left t n v = Heap.set_int t.heap (n + f_left) v
+let set_right t n v = Heap.set_int t.heap (n + f_right) v
 let key_at t n = t.key_of (value t n)
+
+(* Recompute from the children; writes only when the value changes. *)
+let update_height t n =
+  let h = 1 + max (height_of t (left t n)) (height_of t (right t n)) in
+  if height_of t n <> h then Heap.set_int t.heap (n + f_height) h
+
+let balance_factor t n = height_of t (left t n) - height_of t (right t n)
+
+let rotate_right t n =
+  let l = left t n in
+  set_left t n (right t l);
+  set_right t l n;
+  update_height t n;
+  update_height t l;
+  l
+
+let rotate_left t n =
+  let r = right t n in
+  set_right t n (left t r);
+  set_left t r n;
+  update_height t n;
+  update_height t r;
+  r
+
+(* Restore the AVL invariant at a node whose subtrees are already
+   balanced; returns the (possibly new) subtree root. *)
+let rebalance t n =
+  update_height t n;
+  let bf = balance_factor t n in
+  if bf > 1 then begin
+    if balance_factor t (left t n) < 0 then set_left t n (rotate_left t (left t n));
+    rotate_right t n
+  end
+  else if bf < -1 then begin
+    if balance_factor t (right t n) > 0 then
+      set_right t n (rotate_right t (right t n));
+    rotate_left t n
+  end
+  else n
+
+let rec min_node t n = if left t n = 0 then n else min_node t (left t n)
+let rec max_node t n = if right t n = 0 then n else max_node t (right t n)
 
 let compare_key (a1, a2) (b1, b2) =
   let c = Int64.unsigned_compare a1 b1 in
   if c <> 0 then c else Int64.unsigned_compare a2 b2
 
+(* Freed nodes are chained through their left-child field; the list
+   head lives in the second slot. *)
 let alloc_node t entry =
   let n =
-    match Avl_mech.free_pop t.m ~head_slot:(free_slot t) with
-    | Some n -> n
-    | None -> Heap.alloc t.heap node_size
+    match Heap.get_int t.heap (free_slot t) with
+    | 0 -> Heap.alloc t.heap node_size
+    | n ->
+        Heap.set_int t.heap (free_slot t) (left t n);
+        n
   in
   (* One store initializes the whole node. *)
   let image = Bytes.make node_size '\000' in
@@ -43,7 +89,9 @@ let alloc_node t entry =
   Heap.set_bytes t.heap n image;
   n
 
-let free_node t n = Avl_mech.free_push t.m ~head_slot:(free_slot t) n
+let free_node t n =
+  set_left t n (Heap.get_int t.heap (free_slot t));
+  Heap.set_int t.heap (free_slot t) n
 
 let insert t entry =
   let key = t.key_of entry in
@@ -106,7 +154,7 @@ let delete t entry =
         else begin
           (* Two children: move the in-order successor's value up, then
              remove the successor node. *)
-          let succ = Avl_mech.min_node t.m (right t n) in
+          let succ = min_node t (right t n) in
           Heap.set_int t.heap (n + f_value) (value t succ);
           let rec remove_min m =
             if left t m = 0 then right t m
@@ -157,12 +205,12 @@ let update t entry ~new_key ~set =
   | None -> raise (Heap.Heap_error "Iavl.update: entry not in tree")
   | Some (n, lo, hi) ->
       let pred =
-        if left t n <> 0 then Some (key_at t (Avl_mech.max_node t.m (left t n)))
+        if left t n <> 0 then Some (key_at t (max_node t (left t n)))
         else lo
       in
       let succ =
         if right t n <> 0 then
-          Some (key_at t (Avl_mech.min_node t.m (right t n)))
+          Some (key_at t (min_node t (right t n)))
         else hi
       in
       let fits =
@@ -207,8 +255,22 @@ let fold_range t ~lo ~hi ~init ~f =
   go (root t) init
 
 let cardinal t = fold t ~init:0 ~f:(fun a _ -> a + 1)
-let height t = Avl_mech.height_of t.m (root t)
+let height t = height_of t (root t)
 
 let check_invariants t =
-  Avl_mech.check_structure t.m ~root:(root t) ~key_le:(fun a b ->
-      compare_key (key_at t a) (key_at t b) < 0)
+  let fail msg = raise (Heap.Heap_error ("Iavl.check_invariants: " ^ msg)) in
+  let key_lt a b = compare_key (key_at t a) (key_at t b) < 0 in
+  let rec go n =
+    if n = 0 then 0
+    else begin
+      let hl = go (left t n) and hr = go (right t n) in
+      if abs (hl - hr) > 1 then fail "unbalanced node";
+      if 1 + max hl hr <> height_of t n then fail "stale height";
+      if left t n <> 0 && not (key_lt (left t n) n) then
+        fail "left key out of order";
+      if right t n <> 0 && not (key_lt n (right t n)) then
+        fail "right key out of order";
+      1 + max hl hr
+    end
+  in
+  ignore (go (root t))

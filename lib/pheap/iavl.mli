@@ -1,9 +1,9 @@
 (** An AVL tree over persistent objects with {e indirect} keys.
 
-    Unlike {!Avl}, nodes store only the address of an entry; the ordering
-    key is read {e through} that address by the [key_of] function given at
-    attach (OO7: the atomic part's build-date field, tie-broken by the
-    part's address).  Because the key is not copied into the tree, a key
+    Nodes store only the address of an entry, never a copy of its key;
+    the ordering key is read {e through} that address by the [key_of]
+    function given at attach (OO7: the atomic part's build-date field,
+    tie-broken by the part's address).  Because the key is not copied into the tree, a key
     change that does not alter the entry's ordering position costs {b no
     index writes at all} — and a change that does alter it costs only
     pointer and height writes.  This is what keeps the paper's T3

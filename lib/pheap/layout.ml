@@ -26,6 +26,5 @@ let size t = t.size
 
 (* [List.assoc] raises [Not_found] itself, and allocates no option. *)
 let offset t name = fst (List.assoc name t.table)
-let field_size t name = snd (List.assoc name t.table)
 
 let fields t = List.map fst t.table

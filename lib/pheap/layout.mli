@@ -16,5 +16,4 @@ val size : t -> int
 val offset : t -> string -> int
 (** Byte offset of a field.  @raise Not_found for unknown fields. *)
 
-val field_size : t -> string -> int
 val fields : t -> string list

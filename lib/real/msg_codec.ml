@@ -103,13 +103,13 @@ let decode (body : Bytes.t) : Lbc_core.Msg.t =
   end
   else if tag = tag_fetched then begin
     let lock = Codec.get_varint r in
-    let n = Codec.get_varint r in
+    let n = Codec.get_count r in
     let lens = List.init n (fun _ -> Codec.get_varint r) in
     let payloads = List.map (fun len -> [ Codec.get_slice r ~len ]) lens in
     Lbc_core.Msg.Fetched { lock; payloads }
   end
   else if tag = tag_low_water then begin
-    let n = Codec.get_varint r in
+    let n = Codec.get_count r in
     let applied =
       List.init n (fun _ ->
           let lock = Codec.get_varint r in

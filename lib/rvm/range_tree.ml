@@ -1,79 +1,27 @@
 module Imap = Map.Make (Int)
 
-type policy = Standard | Optimized
-
-type case = Ordered_append | Exact_match | Extended | Merged | Inserted
+type case = Ordered_append | Exact_match | Extended | Inserted
 
 type t = {
-  policy : policy;
   mutable map : int Imap.t;  (* offset -> len *)
   mutable stored_bytes : int;
   mutable max_end : int;  (* end of the highest range; 0 when empty *)
   mutable last : (int * int) option;  (* last range touched (cache) *)
 }
 
-let create policy =
-  { policy; map = Imap.empty; stored_bytes = 0; max_end = 0; last = None }
+let create () =
+  { map = Imap.empty; stored_bytes = 0; max_end = 0; last = None }
 
-let policy t = t.policy
 let count t = Imap.cardinal t.map
 let total_bytes t = t.stored_bytes
 
-let store t ~offset ~len =
-  t.map <- Imap.add offset len t.map;
-  t.stored_bytes <- t.stored_bytes + len;
-  if offset + len > t.max_end then t.max_end <- offset + len;
-  t.last <- Some (offset, len)
-
-let replace t ~offset ~old_len ~len =
+(* Store [offset, offset+len), replacing a range of [old_len] bytes at
+   the same offset (0 when there was none). *)
+let store t ~offset ~old_len ~len =
   t.map <- Imap.add offset len t.map;
   t.stored_bytes <- t.stored_bytes - old_len + len;
   if offset + len > t.max_end then t.max_end <- offset + len;
   t.last <- Some (offset, len)
-
-let remove t ~offset ~len =
-  t.map <- Imap.remove offset t.map;
-  t.stored_bytes <- t.stored_bytes - len
-
-(* Standard policy: absorb every range adjacent to or overlapping
-   [offset, offset+len) and store the union. *)
-let add_standard t ~offset ~len =
-  let lo = offset and hi = offset + len in
-  (* Predecessor that might reach into us. *)
-  let merged = ref false in
-  let lo', hi' =
-    match Imap.find_last_opt (fun o -> o <= lo) t.map with
-    | Some (o, l) when o + l >= lo ->
-        merged := true;
-        remove t ~offset:o ~len:l;
-        (o, max hi (o + l))
-    | _ -> (lo, hi)
-  in
-  (* Successors starting inside (or immediately at) the merged span. *)
-  let rec absorb hi' =
-    match Imap.find_first_opt (fun o -> o > lo') t.map with
-    | Some (o, l) when o <= hi' ->
-        merged := true;
-        remove t ~offset:o ~len:l;
-        absorb (max hi' (o + l))
-    | _ -> hi'
-  in
-  let hi' = absorb hi' in
-  store t ~offset:lo' ~len:(hi' - lo');
-  if !merged then Merged else Inserted
-
-(* Optimized policy: coalesce only exact/extending matches at the same
-   offset; other overlaps are stored as separate ranges (possibly logging
-   some bytes twice), which is the trade the paper makes for speed. *)
-let add_optimized t ~offset ~len =
-  match Imap.find_opt offset t.map with
-  | Some l when len <= l -> Exact_match
-  | Some l ->
-      replace t ~offset ~old_len:l ~len;
-      Extended
-  | None ->
-      store t ~offset ~len;
-      Inserted
 
 let add t ~offset ~len =
   if len <= 0 then invalid_arg "Range_tree.add: len must be positive";
@@ -81,33 +29,29 @@ let add t ~offset ~len =
   (* Last-range cache: repeated modification of the same object. *)
   match t.last with
   | Some (o, l) when o = offset && len <= l -> Exact_match
-  | _ ->
-      (* Address-ordered call past everything stored: no search.  Under
-         Standard, a range starting exactly at [max_end] is adjacent to an
-         existing range and must be coalesced, so only a strict gap takes
-         the fast path there. *)
-      let fast =
-        Imap.is_empty t.map
-        ||
-        match t.policy with
-        | Optimized -> offset >= t.max_end
-        | Standard -> offset > t.max_end
-      in
-      if fast then begin
-        store t ~offset ~len;
-        Ordered_append
-      end
-      else begin
-        match t.policy with
-        | Standard -> add_standard t ~offset ~len
-        | Optimized -> add_optimized t ~offset ~len
-      end
+  | _ when offset >= t.max_end ->
+      (* Address-ordered call past everything stored (or the first call):
+         no search. *)
+      store t ~offset ~old_len:0 ~len;
+      Ordered_append
+  | _ -> (
+      (* Coalesce only exact/extending matches at the same offset; other
+         overlaps are stored as separate ranges (possibly logging some
+         bytes twice), which is the trade the paper makes for speed. *)
+      match Imap.find_opt offset t.map with
+      | Some l when len <= l -> Exact_match
+      | Some l ->
+          store t ~offset ~old_len:l ~len;
+          Extended
+      | None ->
+          store t ~offset ~old_len:0 ~len;
+          Inserted)
 
 let fold t ~init ~f =
   Imap.fold (fun offset len acc -> f acc ~offset ~len) t.map init
 
 let ranges t = List.rev (fold t ~init:[] ~f:(fun acc ~offset ~len -> (offset, len) :: acc))
 
-(* Linear scan: the Optimized policy may store overlapping ranges, so a
+(* Linear scan: the tree may store overlapping ranges, so a
    nearest-predecessor lookup is not sufficient.  Test-only helper. *)
 let mem_byte t pos = Imap.exists (fun o l -> o <= pos && pos < o + l) t.map

@@ -1,37 +1,30 @@
 (** The per-transaction tree of modified ranges built by [set_range].
 
     RVM stores modified ranges ordered by address and coalesces them so
-    that redundant bytes are not written to the log.  The paper (§3.1)
-    contrasts two coalescing policies and adds a fast path:
-
-    - {b Standard}: coalesce any adjacent or overlapping ranges (original
-      RVM).  More work per call, never logs a byte twice.
-    - {b Optimized}: coalesce only ranges that exactly match a previously
-      added range (same offset; an equal or shorter length is subsumed).
-      This makes repeated modification of the same object cheap — the
-      common case for compiler-generated [set_range] calls — at the risk
-      of logging overlapping bytes twice.  The paper reports a 5x
-      reduction in [set_range] overhead from this change.
-    - In both policies, a call whose range starts at or past the end of
-      the highest range so far is an {e ordered append} and skips the tree
-      search entirely (§3.1's second optimization).
+    that redundant bytes are not written to the log.  This tree runs the
+    paper's optimized policy (§3.1): a range is coalesced only with a
+    previously added range that starts at the same offset (an equal or
+    shorter length is subsumed, a longer one extends it).  Repeated
+    modification of the same object — the common case for
+    compiler-generated [set_range] calls — is cheap, at the risk of
+    logging overlapping bytes twice; the paper reports a 5x reduction in
+    [set_range] overhead over original RVM, which coalesced every
+    adjacent or overlapping range.  A call whose range starts at or past
+    the end of the highest range so far is an {e ordered append} and
+    skips the tree search entirely (§3.1's second optimization).
 
     The {!case} returned by {!add} classifies which path a call took so
     that instrumentation can charge the per-update costs of Figures 5-7. *)
-
-type policy = Standard | Optimized
 
 type case =
   | Ordered_append  (** in address order past the current maximum: no search *)
   | Exact_match  (** range already present (last-range cache or tree hit) *)
   | Extended  (** same offset, longer length: existing range grown *)
-  | Merged  (** Standard policy only: merged with overlapping neighbours *)
   | Inserted  (** fresh range after a tree search *)
 
 type t
 
-val create : policy -> t
-val policy : t -> policy
+val create : unit -> t
 
 val add : t -> offset:int -> len:int -> case
 (** Record a modified range.  [len] must be positive, [offset]
@@ -42,7 +35,7 @@ val count : t -> int
 
 val total_bytes : t -> int
 (** Sum of stored range lengths — the bytes that will be logged, including
-    any redundancy the Optimized policy lets through. *)
+    any overlap the policy lets through. *)
 
 val fold : t -> init:'a -> f:('a -> offset:int -> len:int -> 'a) -> 'a
 (** Iterate ranges in ascending address order. *)

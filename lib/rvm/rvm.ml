@@ -16,18 +16,14 @@ let no_instrumentation =
   }
 
 type options = {
-  coalesce : Range_tree.policy;
   disk_logging : bool;
-  range_header_size : int;
   log_mode : Lbc_wal.Command.log_mode;
   instrumentation : instrumentation;
 }
 
 let default_options =
   {
-    coalesce = Range_tree.Optimized;
     disk_logging = true;
-    range_header_size = Lbc_wal.Record.rvm_disk_header_size;
     log_mode = Lbc_wal.Command.Value;
     instrumentation = no_instrumentation;
   }
@@ -157,14 +153,14 @@ let tree_for txn region_id =
   match Hashtbl.find_opt txn.trees region_id with
   | Some tree -> tree
   | None ->
-      let tree = Range_tree.create txn.owner.options.coalesce in
+      let tree = Range_tree.create () in
       Hashtbl.add txn.trees region_id tree;
       tree
 
 let classify = function
   | Range_tree.Exact_match -> Redundant
   | Range_tree.Ordered_append -> Ordered
-  | Range_tree.Extended | Range_tree.Merged | Range_tree.Inserted -> Unordered
+  | Range_tree.Extended | Range_tree.Inserted -> Unordered
 
 let mapped txn what region =
   match Hashtbl.find_opt txn.owner.regions region with
@@ -272,10 +268,9 @@ let choose_encoding t (txn : txn) value =
       let cmd_record =
         { value with Lbc_wal.Record.ranges = []; cmd = Some c }
       in
-      let rhs = t.options.range_header_size in
       if
-        Lbc_wal.Record.encoded_size ~range_header_size:rhs cmd_record
-        < Lbc_wal.Record.encoded_size ~range_header_size:rhs value
+        Lbc_wal.Record.encoded_size cmd_record
+        < Lbc_wal.Record.encoded_size value
       then cmd_record
       else value
 
@@ -302,20 +297,19 @@ let commit_full ?(mode = Flush) txn =
   t.stats.ranges_logged <- t.stats.ranges_logged + n_ranges;
   t.stats.bytes_logged <- t.stats.bytes_logged + bytes;
   if t.options.disk_logging then begin
-    let rhs = t.options.range_header_size in
     (match mode with
     | Flush when Lbc_wal.Log.group_commit_enabled t.log ->
         (* Group commit: join a batch and park until it is durable —
            one device write + one sync cover the whole batch. *)
-        ignore (Lbc_wal.Log.append_durable ~range_header_size:rhs t.log record)
+        ignore (Lbc_wal.Log.append_durable t.log record)
     | Flush ->
-        ignore (Lbc_wal.Log.append ~range_header_size:rhs t.log record);
+        ignore (Lbc_wal.Log.append t.log record);
         Lbc_wal.Log.force t.log
     | No_flush ->
-        ignore (Lbc_wal.Log.append ~range_header_size:rhs t.log record));
+        ignore (Lbc_wal.Log.append t.log record));
     t.stats.log_bytes_written <-
       t.stats.log_bytes_written
-      + Lbc_wal.Record.encoded_size ~range_header_size:rhs record
+      + Lbc_wal.Record.encoded_size record
   end;
   { record; value }
 

@@ -47,13 +47,9 @@ type instrumentation = {
 val no_instrumentation : instrumentation
 
 type options = {
-  coalesce : Range_tree.policy;
-      (** [Optimized] is the paper's modified RVM; [Standard] reproduces
-          stock RVM for the Figure 8 ablation. *)
   disk_logging : bool;
       (** when [false], commit skips the log write entirely (the paper
           disables disk logging to isolate coherency costs). *)
-  range_header_size : int;  (** on-disk range header size; RVM used 104. *)
   log_mode : Lbc_wal.Command.log_mode;
       (** per-transaction record encoding: [Value] always logs new-value
           ranges; [Command] logs the declared operation instead;
@@ -63,8 +59,10 @@ type options = {
 }
 
 val default_options : options
-(** Optimized coalescing, disk logging on, 104-byte headers, value
-    logging, no instrumentation. *)
+(** Disk logging on, value logging, no instrumentation.  [set_range]
+    always coalesces with the paper's optimized policy
+    ({!Range_tree}), and records are logged with
+    {!Lbc_wal.Record.rvm_disk_header_size}-byte range headers. *)
 
 exception Txn_error of string
 (** Raised on misuse: operations on a dead transaction, abort of a

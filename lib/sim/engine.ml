@@ -46,7 +46,6 @@ let create ?(policy = Schedule.Fifo) () =
   }
 
 let now t = t.clock
-let policy t = Schedule.policy t.sched
 let decisions t = Schedule.decisions t.sched
 let choice_points t = Schedule.choice_points t.sched
 

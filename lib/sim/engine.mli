@@ -20,8 +20,6 @@ type time = float
 val create : ?policy:Schedule.policy -> unit -> t
 (** [policy] defaults to {!Schedule.Fifo}. *)
 
-val policy : t -> Schedule.policy
-
 val decisions : t -> int list
 (** The schedule trace so far: one entry per ripe set of two or more
     events, the chosen index in sequence-number order. *)

@@ -48,8 +48,6 @@ let make policy =
     choice_points = 0;
   }
 
-let policy t = t.policy
-
 (* Priority for a freshly created event (consulted by the engine at
    push time).  Only Pct cares; everything else is priority-blind. *)
 let assign_priority t =

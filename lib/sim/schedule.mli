@@ -28,7 +28,6 @@ type t
     the decisions taken so far. *)
 
 val make : policy -> t
-val policy : t -> policy
 
 val assign_priority : t -> int
 (** Priority for a freshly scheduled event ([Pct] draws from the seeded

@@ -67,8 +67,6 @@ let create_file ?(latency = Latency.none) ~path ?name () =
 let close t =
   match t.backing with Mem _ -> () | File f -> Unix.close f.fd
 
-let is_file t = match t.backing with Mem _ -> false | File _ -> true
-
 let name t = t.name
 
 let size t =
@@ -76,9 +74,6 @@ let size t =
 
 let stable_size t =
   match t.backing with Mem m -> m.stable.len | File f -> f.flen
-
-let pending_writes t =
-  match t.backing with Mem m -> Queue.length m.pending | File _ -> 0
 
 let bytes_written t = t.bytes_written
 let sync_count t = t.sync_count

@@ -37,8 +37,6 @@ val close : t -> unit
 (** Release the file descriptor of a {!create_file} device (no-op for
     in-memory devices). *)
 
-val is_file : t -> bool
-
 val name : t -> string
 val size : t -> int
 (** Size of the current image in bytes. *)
@@ -63,9 +61,6 @@ val write_string : t -> off:int -> string -> unit
 
 val sync : t -> unit
 (** Force all pending writes to the stable image. *)
-
-val pending_writes : t -> int
-(** Number of writes buffered since the last [sync]. *)
 
 val crash : ?apply:int -> ?tear_bytes:int -> t -> unit
 (** Simulate a crash: the current image becomes the stable image plus the

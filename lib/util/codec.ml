@@ -46,7 +46,6 @@ let varint_size v =
 
 let raw w b ~pos ~len = Slice.Arena.add_bytes w b ~pos ~len
 let raw_string = Slice.Arena.add_string
-let raw_slice = Slice.Arena.add_slice
 
 let patch_u32 w ~at v =
   if at < 0 || at + 4 > Slice.Arena.length w then invalid_arg "Codec.patch_u32";
@@ -144,6 +143,14 @@ let get_varint r =
     if b land 0x80 = 0 then acc else loop (shift + 7) acc
   in
   loop 0 0
+
+(* Every element a count announces takes at least one byte, so a count
+   larger than the bytes left — or a negative one, which [get_varint]
+   returns for a 9-byte varint with bit 62 set — is malformed input. *)
+let get_count r =
+  let n = get_varint r in
+  need r n "count";
+  n
 
 let get_raw r ~len =
   need r len "raw";

@@ -49,7 +49,6 @@ val varint_size : int -> int
 
 val raw : writer -> Bytes.t -> pos:int -> len:int -> unit
 val raw_string : writer -> string -> unit
-val raw_slice : writer -> Slice.t -> unit
 
 val patch_u32 : writer -> at:int -> int -> unit
 (** Overwrite 4 bytes previously written at offset [at]; in-place, O(1). *)
@@ -79,6 +78,11 @@ val get_u32 : reader -> int
 val get_u64 : reader -> int64
 val get_int_as_u64 : reader -> int
 val get_varint : reader -> int
+
+val get_count : reader -> int
+(** A varint count of elements that each take at least one byte.
+    @raise Truncated if it is negative or exceeds {!remaining}, before
+    the caller sizes anything by it. *)
 
 val get_raw : reader -> len:int -> Bytes.t
 (** Materializing copy of the next [len] bytes (counted). *)

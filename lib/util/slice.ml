@@ -48,10 +48,6 @@ let iter f s =
     f (Bytes.get s.b i)
   done
 
-let blit_to s dst ~pos =
-  Bytes.blit s.b s.off dst pos s.len;
-  count_copy s.len
-
 let to_bytes s =
   count_copy s.len;
   Bytes.sub s.b s.off s.len
@@ -122,8 +118,6 @@ module Arena = struct
     ensure a len;
     Bytes.blit_string s 0 a.buf a.len len;
     a.len <- a.len + len
-
-  let add_slice a s = add_bytes a s.b ~pos:s.off ~len:s.len
 
   let patch a ~at b =
     let len = Bytes.length b in

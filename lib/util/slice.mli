@@ -2,9 +2,8 @@
 
     A {!t} is an immutable view of a [Bytes.t] — base buffer, start
     offset, length.  Passing slices between layers (codec → log → wire)
-    moves no bytes; only {!to_bytes}, {!blit_to} and {!concat} actually
-    materialize data, and those are the operations the copy counters
-    charge.
+    moves no bytes; only {!to_bytes} and {!concat} actually materialize
+    data, and those are the operations the copy counters charge.
 
     The {!Arena} is the writer side: a growable byte buffer that exposes
     its contents as a slice without copying and supports true in-place
@@ -16,7 +15,7 @@
     many bytes the data path materialized:
 
     - [bytes_copied]: bytes actually copied by the current implementation
-      (charged by {!to_bytes}, {!blit_to}, {!concat} and by the device
+      (charged by {!to_bytes}, {!concat} and by the device
       and codec layers at their materializing operations).
     - [bytes_copied_baseline]: what the pre-slice data path would have
       copied — every call site that {e used to} copy but no longer does
@@ -60,9 +59,6 @@ val sub : t -> pos:int -> len:int -> t
 (** Zero-copy sub-window, relative to the slice. *)
 
 val iter : (char -> unit) -> t -> unit
-
-val blit_to : t -> Bytes.t -> pos:int -> unit
-(** Copy the window into [dst] at [pos] (counted). *)
 
 val to_bytes : t -> Bytes.t
 (** Materialize the window as fresh bytes (counted). *)
@@ -126,7 +122,6 @@ module Arena : sig
   val add_char : t -> char -> unit
   val add_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
   val add_string : t -> string -> unit
-  val add_slice : t -> slice -> unit
 
   val patch : t -> at:int -> Bytes.t -> unit
   (** Overwrite already-written bytes at offset [at]; in place, O(len). *)

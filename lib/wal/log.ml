@@ -204,12 +204,12 @@ let flush_batch_now t g =
 
 let flush_batch t = match t.group with None -> () | Some g -> flush_batch_now t g
 
-let append ?range_header_size t txn =
+let append t txn =
   (* Device order must equal logical order: an open batch occupies
      [base, tail), so it goes out before a direct append lands. *)
   flush_batch t;
   Codec.clear t.enc;
-  Record.encode_into ?range_header_size t.enc txn;
+  Record.encode_into t.enc txn;
   (* The pre-slice path materialized the encoded record before writing. *)
   Slice.count_saved (Codec.length t.enc);
   let off = t.tail in
@@ -231,10 +231,10 @@ let force t =
       Lbc_storage.Dev.sync t.dev;
       Obs.observe ~pid:t.obs_node t.obs "log_force_us" (Obs.span_end t.obs sp)
 
-let append_durable ?range_header_size t txn =
+let append_durable t txn =
   match t.group with
   | None ->
-      let off = append ?range_header_size t txn in
+      let off = append t txn in
       force t;
       off
   | Some g ->
@@ -252,7 +252,7 @@ let append_durable ?range_header_size t txn =
             b
       in
       let off = b.base + Codec.length g.bw in
-      Record.encode_into ?range_header_size g.bw txn;
+      Record.encode_into g.bw txn;
       Slice.count_saved (b.base + Codec.length g.bw - off);
       b.count <- b.count + 1;
       g.records_batched <- g.records_batched + 1;

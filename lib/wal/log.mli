@@ -56,8 +56,9 @@ val live_bytes : t -> int
 val record_count : t -> int
 (** Number of live records appended or scanned since attach. *)
 
-val append : ?range_header_size:int -> t -> Record.txn -> int
-(** Append one record (buffered); returns its offset. *)
+val append : t -> Record.txn -> int
+(** Append one record (buffered); returns its offset.  Ranges carry
+    {!Record.rvm_disk_header_size}-byte headers. *)
 
 val force : t -> unit
 (** Synchronous barrier: all appended records become durable.  Flushes
@@ -72,7 +73,7 @@ val enable_group_commit :
 
 val group_commit_enabled : t -> bool
 
-val append_durable : ?range_header_size:int -> t -> Record.txn -> int
+val append_durable : t -> Record.txn -> int
 (** Append one record and return once it is durable; returns its offset.
     With group commit enabled the record joins the open batch and the
     caller parks until the batch syncs; otherwise this is

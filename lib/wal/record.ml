@@ -267,12 +267,12 @@ let decode_slice s ~pos =
             | 2 -> Ctrl ({ kind = Ckpt_end; node; ckpt_id; entries = [] },
                          pos + total)
             | 3 ->
-                let n = Codec.get_varint body in
+                let n = Codec.get_count body in
                 let entries =
                   List.init n (fun _ ->
-                      let nk = Codec.get_varint body in
+                      let nk = Codec.get_count body in
                       let keys = List.init nk (fun _ -> Codec.get_varint body) in
-                      let no = Codec.get_varint body in
+                      let no = Codec.get_count body in
                       let offsets =
                         List.init no (fun _ -> Codec.get_varint body)
                       in
@@ -310,7 +310,7 @@ let decode_slice s ~pos =
             let node = Codec.get_u16 body in
             let tid = Codec.get_int_as_u64 body in
             if m = cmd_magic then begin
-              let n_locks = Codec.get_varint body in
+              let n_locks = Codec.get_count body in
               let locks =
                 List.init n_locks (fun _ ->
                     let lock_id = Codec.get_varint body in
@@ -321,7 +321,7 @@ let decode_slice s ~pos =
               let op = Codec.get_varint body in
               let plen = Codec.get_varint body in
               let params = Codec.get_raw body ~len:plen in
-              let n_regions = Codec.get_varint body in
+              let n_regions = Codec.get_count body in
               let cmd_regions =
                 List.init n_regions (fun _ -> Codec.get_varint body)
               in
@@ -335,7 +335,7 @@ let decode_slice s ~pos =
               if header_size < min_header_size then
                 raise (Codec.Truncated "header size")
               else begin
-                let n_locks = Codec.get_varint body in
+                let n_locks = Codec.get_count body in
                 let locks =
                   List.init n_locks (fun _ ->
                       let lock_id = Codec.get_varint body in
@@ -343,7 +343,7 @@ let decode_slice s ~pos =
                       let prev_write_seq = Codec.get_varint body in
                       { lock_id; seqno; prev_write_seq })
                 in
-                let n_ranges = Codec.get_varint body in
+                let n_ranges = Codec.get_count body in
                 let ranges =
                   List.init n_ranges (fun _ ->
                       let region = Codec.get_u32 body in

@@ -22,11 +22,6 @@ type key = Lock of int | Region of int
 let tag = function Lock i -> 2 * (i + 1) | Region i -> (2 * i) + 1
 let untag k = if k land 1 = 1 then Region (k lsr 1) else Lock ((k lsr 1) - 1)
 
-let pp_key ppf = function
-  | Lock -1 -> Format.pp_print_string ppf "keyless"
-  | Lock i -> Format.fprintf ppf "lock:%d" i
-  | Region i -> Format.fprintf ppf "region:%d" i
-
 type t = {
   parent : (int, int) Hashtbl.t;  (* union-find over tagged keys *)
   offs : (int, int list) Hashtbl.t;  (* root -> offsets, newest first *)
@@ -104,8 +99,6 @@ let drop_below t ~head =
       | None -> ()
       | Some l -> Hashtbl.replace t.offs r (List.filter (fun o -> o >= head) l))
     roots
-
-let last_offset t = t.last_off
 
 (* Canonical form: each live chain (≥ 1 record) with its keys sorted
    ascending and offsets ascending, chains ordered by first offset —

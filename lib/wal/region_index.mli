@@ -19,7 +19,6 @@ val tag : key -> int
     [Lock (-1)] is 0), regions odd. *)
 
 val untag : int -> key
-val pp_key : Format.formatter -> key -> unit
 
 type t
 
@@ -51,5 +50,3 @@ val chains : t -> int list list
 val to_ctrl : t -> node:int -> ckpt_id:int -> Record.ctrl
 (** Package as a control record for {!Log.append_ctrl}. *)
 
-val last_offset : t -> int
-(** Highest offset ever indexed; [-1] when empty. *)

@@ -493,11 +493,11 @@ let ctrl_counts log =
   in
   counts
 
-let crash_then_rejoin ?mode ?(after_rejoin = fun () -> ()) c ~node:n =
+let crash_then_rejoin ?(after_rejoin = fun () -> ()) c ~node:n =
   Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"chaos-controller" (fun () ->
       Cluster.crash c ~node:n;
       let rec rejoin_when_lease_expires () =
-        match Cluster.rejoin ?mode c ~node:n with
+        match Cluster.rejoin c ~node:n with
         | () -> ()
         | exception Invalid_argument _ ->
             Lbc_sim.Proc.sleep 50.0;
@@ -689,12 +689,11 @@ let test_chaos_partitioned_recovery () =
     true
     (t_partitioned < t_serial)
 
-(* Tentpole: an on-demand rejoin serves immediately — chains replay on
-   first touch while a background drain walks the rest — and ends in
-   exactly the same state as a full replay: converged caches, a clean
-   merged log, and a recovered database matching the caches byte for
-   byte.  The restarted node's first commit feeds
-   [time_to_first_commit_us].
+(* A rejoin serves immediately — chains replay on first touch while a
+   background drain walks the rest — and ends in exactly the same state
+   as a full replay: converged caches, a clean merged log, and a
+   recovered database matching the caches byte for byte.  The restarted
+   node's first commit feeds [time_to_first_commit_us].
 
    Home-segment workload (each node writes only its own lock's slots):
    a single-node fuzzy checkpoint is only recovery-consistent when the
@@ -743,7 +742,7 @@ let test_chaos_ondemand_rejoin () =
     worker_home c rng n 10
   done;
   Cluster.run c;
-  crash_then_rejoin ~mode:Node.On_demand c ~node:0;
+  crash_then_rejoin c ~node:0;
   Cluster.run c;
   Alcotest.(check bool) "node is back up" false (Cluster.is_crashed c 0);
   (* Load on the freshly-rejoined node: first touches replay chains on
@@ -791,7 +790,7 @@ let test_chaos_ondemand_fetch_gate () =
       Node.Txn.set_u64 txn ~region:0 ~offset:0 88L;
       Node.Txn.commit txn);
   Cluster.run c;
-  crash_then_rejoin ~mode:Node.On_demand c ~node:1
+  crash_then_rejoin c ~node:1
     ~after_rejoin:(fun () ->
       (* The controller has not yielded since the rejoin: the drain has
          not run, every chain is still cold. *)

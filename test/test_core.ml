@@ -653,6 +653,17 @@ let prop_wire_decode_never_crashes =
       | exception Lbc_util.Codec.Truncated _ -> true
       | exception _ -> false)
 
+(* A 9-byte varint with bit 62 set decodes to a negative int.  As the
+   lock count of a 13-byte frame it must be rejected as malformed input
+   before a list is sized by it. *)
+let test_wire_negative_count () =
+  let frame =
+    Bytes.of_string "\x01\x00\x00\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+  in
+  match Wire.decode frame with
+  | _ -> Alcotest.fail "negative lock count decoded"
+  | exception Lbc_util.Codec.Truncated _ -> ()
+
 let prop_wire_truncation_detected =
   QCheck.Test.make ~name:"truncated wire messages raise Truncated" ~count:200
     QCheck.(int_bound 200)
@@ -1162,6 +1173,8 @@ let suites =
         qtest prop_wire_iov_identity;
         qtest prop_wire_decode_never_crashes;
         qtest prop_wire_truncation_detected;
+        Alcotest.test_case "negative count = Truncated" `Quick
+          test_wire_negative_count;
       ] );
     ( "core.eager",
       [

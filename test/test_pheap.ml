@@ -76,163 +76,76 @@ let test_heap_field_access () =
   check_int "other field untouched" 0 (Heap.get_int h (field "id"))
 
 (* ------------------------------------------------------------------ *)
-(* AVL index *)
-
-let fresh_index ?(size = 1 lsl 20) () =
-  let h, _ = fresh_heap ~size () in
-  let slots = Heap.alloc h Avl.slots_size in
-  Avl.attach h ~slots
-
-let k i = (Int64.of_int i, 0L)
-
-let test_avl_insert_contains () =
-  let t = fresh_index () in
-  Alcotest.(check bool) "insert" true (Avl.insert t (k 5));
-  Alcotest.(check bool) "insert" true (Avl.insert t (k 3));
-  Alcotest.(check bool) "duplicate" false (Avl.insert t (k 5));
-  Alcotest.(check bool) "contains 3" true (Avl.contains t (k 3));
-  Alcotest.(check bool) "contains 5" true (Avl.contains t (k 5));
-  Alcotest.(check bool) "not 4" false (Avl.contains t (k 4));
-  check_int "cardinal" 2 (Avl.cardinal t)
-
-let test_avl_sorted_fold () =
-  let t = fresh_index () in
-  List.iter (fun i -> ignore (Avl.insert t (k i))) [ 5; 1; 9; 3; 7 ];
-  let keys = List.rev (Avl.fold t ~init:[] ~f:(fun acc (hi, _) -> hi :: acc)) in
-  Alcotest.(check (list int64)) "sorted" [ 1L; 3L; 5L; 7L; 9L ] keys;
-  Alcotest.(check (option (pair int64 int64))) "min" (Some (1L, 0L)) (Avl.min_key t)
-
-let test_avl_delete () =
-  let t = fresh_index () in
-  List.iter (fun i -> ignore (Avl.insert t (k i))) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check bool) "delete 3" true (Avl.delete t (k 3));
-  Alcotest.(check bool) "already gone" false (Avl.delete t (k 3));
-  Alcotest.(check bool) "not contains" false (Avl.contains t (k 3));
-  check_int "cardinal" 4 (Avl.cardinal t);
-  Avl.check_invariants t
-
-let test_avl_balanced_height () =
-  let t = fresh_index () in
-  for i = 1 to 1024 do
-    ignore (Avl.insert t (k i))
-  done;
-  Avl.check_invariants t;
-  Alcotest.(check bool)
-    (Printf.sprintf "height %d <= 1.44 log2 n" (Avl.height t))
-    true
-    (Avl.height t <= 15)
-
-let test_avl_free_list_reuse () =
-  (* delete/insert churn must not grow the heap once the free list is
-     primed (the T3 traversal depends on this). *)
-  let t = fresh_index () in
-  for round = 0 to 20 do
-    for i = 1 to 100 do
-      if round > 0 then ignore (Avl.delete t (k i));
-      ignore (Avl.insert t (k (i + (round * 1000))));
-      ignore (Avl.delete t (k (i + (round * 1000))));
-      ignore (Avl.insert t (k i))
-    done
-  done;
-  Avl.check_invariants t;
-  check_int "cardinal stable" 100 (Avl.cardinal t)
-
-let test_avl_replace_key_in_place () =
-  let t = fresh_index () in
-  List.iter (fun i -> ignore (Avl.insert t (k (10 * i)))) [ 1; 2; 3 ];
-  (* 20 -> 25 stays between 10 and 30. *)
-  Alcotest.(check bool) "in place" true
-    (Avl.replace_key t ~old_key:(k 20) ~new_key:(k 25) = Avl.In_place);
-  Alcotest.(check bool) "new key present" true (Avl.contains t (k 25));
-  Alcotest.(check bool) "old key gone" false (Avl.contains t (k 20));
-  Avl.check_invariants t
-
-let test_avl_replace_key_reinserts () =
-  let t = fresh_index () in
-  List.iter (fun i -> ignore (Avl.insert t (k i))) [ 10; 20; 30; 40 ];
-  (* 10 -> 35 must relocate past 20 and 30. *)
-  Alcotest.(check bool) "reinserted" true
-    (Avl.replace_key t ~old_key:(k 10) ~new_key:(k 35) = Avl.Reinserted);
-  let keys = List.rev (Avl.fold t ~init:[] ~f:(fun acc (hi, _) -> hi :: acc)) in
-  Alcotest.(check (list int64)) "order maintained" [ 20L; 30L; 35L; 40L ] keys;
-  Avl.check_invariants t
-
-let test_avl_replace_key_missing () =
-  let t = fresh_index () in
-  ignore (Avl.insert t (k 1));
-  Alcotest.(check bool) "missing old key" true
-    (Avl.replace_key t ~old_key:(k 99) ~new_key:(k 100) = Avl.Not_found)
-
-let test_avl_composite_key_ordering () =
-  let t = fresh_index () in
-  ignore (Avl.insert t (5L, 10L));
-  ignore (Avl.insert t (5L, 2L));
-  ignore (Avl.insert t (4L, 99L));
-  let keys = List.rev (Avl.fold t ~init:[] ~f:(fun acc key -> key :: acc)) in
-  Alcotest.(check (list (pair int64 int64)))
-    "secondary breaks ties"
-    [ (4L, 99L); (5L, 2L); (5L, 10L) ]
-    keys
-
-let prop_avl_matches_set_model =
-  QCheck.Test.make ~name:"avl matches Set model under random ops" ~count:120
-    (QCheck.make
-       QCheck.Gen.(list_size (1 -- 200) (pair bool (int_bound 50))))
-    (fun ops ->
-      let t = fresh_index () in
-      let module Iset = Set.Make (Int) in
-      let model = ref Iset.empty in
-      List.iter
-        (fun (ins, i) ->
-          if ins then begin
-            let added = Avl.insert t (k i) in
-            let expected = not (Iset.mem i !model) in
-            if added <> expected then failwith "insert result mismatch";
-            model := Iset.add i !model
-          end
-          else begin
-            let removed = Avl.delete t (k i) in
-            let expected = Iset.mem i !model in
-            if removed <> expected then failwith "delete result mismatch";
-            model := Iset.remove i !model
-          end)
-        ops;
-      Avl.check_invariants t;
-      let keys =
-        List.rev (Avl.fold t ~init:[] ~f:(fun acc (hi, _) -> Int64.to_int hi :: acc))
-      in
-      keys = Iset.elements !model && Avl.cardinal t = Iset.cardinal !model)
-
-let test_avl_heap_bounded_by_free_list () =
-  let image = Bytes.make (1 lsl 16) '\000' in
-  let h = Heap.of_bytes image in
-  let slots = Heap.alloc h Avl.slots_size in
-  let t = Avl.attach h ~slots in
-  for i = 1 to 50 do
-    ignore (Avl.insert t (k i))
-  done;
-  let frontier = Heap.allocated h in
-  (* Steady-state churn: every insert reuses a freed node. *)
-  for i = 1 to 500 do
-    ignore (Avl.delete t (k (((i - 1) mod 50) + 1)));
-    ignore (Avl.insert t (k (((i - 1) mod 50) + 1)))
-  done;
-  check_int "no heap growth" frontier (Heap.allocated h)
-
-(* ------------------------------------------------------------------ *)
 (* Indirect-key AVL (Iavl): entries whose keys live outside the tree *)
 
 (* A little entry table in the heap: each entry is an 8-byte date at a
    fixed address; the index orders entries by (date, address). *)
-let fresh_iavl ?(entries = 64) () =
-  let image = Bytes.make (1 lsl 18) '\000' in
-  let h = Heap.of_bytes image in
+let iavl_on h ~entries =
   let slots = Heap.alloc h Iavl.slots_size in
   let addrs = Array.init entries (fun _ -> Heap.alloc h 8) in
   let key_of addr = (Heap.get_u64 h addr, Int64.of_int addr) in
   let t = Iavl.attach h ~slots ~key_of in
   let set_date i v = Heap.set_u64 h addrs.(i) (Int64.of_int v) in
   (t, addrs, set_date)
+
+let iavl_heap () = Heap.of_bytes (Bytes.make (1 lsl 18) '\000')
+let fresh_iavl ?(entries = 64) () = iavl_on (iavl_heap ()) ~entries
+
+(* AVL mechanics: balance, height and the intrusive free list. *)
+
+let test_avl_balanced_height () =
+  let t, addrs, set_date = fresh_iavl ~entries:1024 () in
+  Array.iteri
+    (fun i a ->
+      set_date i i;
+      ignore (Iavl.insert t a))
+    addrs;
+  Alcotest.(check bool)
+    (Printf.sprintf "height %d <= 1.44 log2 n" (Iavl.height t))
+    true
+    (Iavl.height t <= 15);
+  Iavl.check_invariants t
+
+let test_avl_free_list_reuse () =
+  (* delete/insert churn must not grow the heap once the free list is
+     primed (the T3 traversal depends on this).  Entries 0..99 stay;
+     entries 100..199 pass through the tree with a fresh date each round. *)
+  let h = iavl_heap () in
+  let t, addrs, set_date = iavl_on h ~entries:200 in
+  for i = 0 to 99 do
+    set_date i i
+  done;
+  let primed = ref 0 in
+  for round = 0 to 20 do
+    for i = 0 to 99 do
+      if round > 0 then ignore (Iavl.delete t addrs.(i));
+      set_date (100 + i) (i + ((round + 1) * 1000));
+      ignore (Iavl.insert t addrs.(100 + i));
+      ignore (Iavl.delete t addrs.(100 + i));
+      ignore (Iavl.insert t addrs.(i))
+    done;
+    if round = 0 then primed := Heap.allocated h
+  done;
+  check_int "no heap growth after round 0" !primed (Heap.allocated h);
+  check_int "cardinal stable" 100 (Iavl.cardinal t);
+  Iavl.check_invariants t
+
+let test_avl_heap_bounded_by_free_list () =
+  let h = iavl_heap () in
+  let t, addrs, set_date = iavl_on h ~entries:50 in
+  Array.iteri
+    (fun i a ->
+      set_date i i;
+      ignore (Iavl.insert t a))
+    addrs;
+  let frontier = Heap.allocated h in
+  (* Steady-state churn: every insert reuses a freed node. *)
+  for i = 0 to 499 do
+    ignore (Iavl.delete t addrs.(i mod 50));
+    ignore (Iavl.insert t addrs.(i mod 50))
+  done;
+  check_int "no heap growth" frontier (Heap.allocated h);
+  Iavl.check_invariants t
 
 let test_iavl_orders_by_indirect_key () =
   let t, addrs, set_date = fresh_iavl ~entries:4 () in
@@ -362,22 +275,10 @@ let suites =
       ] );
     ( "pheap.avl",
       [
-        Alcotest.test_case "insert/contains" `Quick test_avl_insert_contains;
-        Alcotest.test_case "sorted fold" `Quick test_avl_sorted_fold;
-        Alcotest.test_case "delete" `Quick test_avl_delete;
         Alcotest.test_case "balanced height" `Quick test_avl_balanced_height;
         Alcotest.test_case "free-list reuse" `Quick test_avl_free_list_reuse;
-        Alcotest.test_case "composite keys" `Quick
-          test_avl_composite_key_ordering;
         Alcotest.test_case "heap bounded" `Quick
           test_avl_heap_bounded_by_free_list;
-        Alcotest.test_case "replace_key in place" `Quick
-          test_avl_replace_key_in_place;
-        Alcotest.test_case "replace_key reinserts" `Quick
-          test_avl_replace_key_reinserts;
-        Alcotest.test_case "replace_key missing" `Quick
-          test_avl_replace_key_missing;
-        QCheck_alcotest.to_alcotest prop_avl_matches_set_model;
       ] );
     ( "pheap.iavl",
       [

@@ -216,6 +216,14 @@ let test_codec_roundtrip_all_constructors () =
       | _ -> ())
     all_msgs
 
+(* A [Fetched] body whose payload count is a 9-byte varint with bit 62
+   set, i.e. negative: malformed input, not an [Invalid_argument]. *)
+let test_codec_negative_count () =
+  let body = Bytes.of_string "\x05\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
+  match Msg_codec.decode body with
+  | _ -> Alcotest.fail "negative payload count decoded"
+  | exception Lbc_util.Codec.Truncated _ -> ()
+
 (* ---------------------------------------------------------------- *)
 (* End to end: OO7 on two domains over sockets and files *)
 
@@ -350,6 +358,8 @@ let suites =
       [
         Alcotest.test_case "codec roundtrip, all constructors" `Quick
           test_codec_roundtrip_all_constructors;
+        Alcotest.test_case "negative count = Truncated" `Quick
+          test_codec_negative_count;
         QCheck_alcotest.to_alcotest prop_framing_matches_sim;
       ] );
     ( "real-backend",

@@ -1,4 +1,4 @@
-(* Tests for the RVM work-alike: range tree policies, regions,
+(* Tests for the RVM work-alike: range tree coalescing, regions,
    transactions, abort, recovery. *)
 
 open Lbc_storage
@@ -10,7 +10,7 @@ let check_int = Alcotest.(check int)
 (* Range_tree *)
 
 let test_tree_ordered_appends () =
-  let t = Range_tree.create Range_tree.Optimized in
+  let t = Range_tree.create () in
   Alcotest.(check bool) "first is ordered" true
     (Range_tree.add t ~offset:0 ~len:8 = Range_tree.Ordered_append);
   Alcotest.(check bool) "forward is ordered" true
@@ -20,7 +20,7 @@ let test_tree_ordered_appends () =
   check_int "three ranges" 3 (Range_tree.count t)
 
 let test_tree_exact_match_last_cache () =
-  let t = Range_tree.create Range_tree.Optimized in
+  let t = Range_tree.create () in
   ignore (Range_tree.add t ~offset:100 ~len:8);
   Alcotest.(check bool) "same range again" true
     (Range_tree.add t ~offset:100 ~len:8 = Range_tree.Exact_match);
@@ -30,7 +30,7 @@ let test_tree_exact_match_last_cache () =
   check_int "bytes" 8 (Range_tree.total_bytes t)
 
 let test_tree_exact_match_via_search () =
-  let t = Range_tree.create Range_tree.Optimized in
+  let t = Range_tree.create () in
   ignore (Range_tree.add t ~offset:0 ~len:8);
   ignore (Range_tree.add t ~offset:50 ~len:8);
   (* Not the last range, so it must be found by search. *)
@@ -38,7 +38,7 @@ let test_tree_exact_match_via_search () =
     (Range_tree.add t ~offset:0 ~len:8 = Range_tree.Exact_match)
 
 let test_tree_optimized_extend () =
-  let t = Range_tree.create Range_tree.Optimized in
+  let t = Range_tree.create () in
   ignore (Range_tree.add t ~offset:0 ~len:4);
   ignore (Range_tree.add t ~offset:100 ~len:4);
   Alcotest.(check bool) "longer at same offset extends" true
@@ -47,42 +47,17 @@ let test_tree_optimized_extend () =
     (Range_tree.ranges t)
 
 let test_tree_optimized_keeps_overlap () =
-  (* The Optimized policy does not merge mere overlaps: both ranges are
-     stored and their bytes are logged redundantly. *)
-  let t = Range_tree.create Range_tree.Optimized in
+  (* Mere overlaps are not merged: both ranges are stored and their
+     bytes are logged redundantly. *)
+  let t = Range_tree.create () in
   ignore (Range_tree.add t ~offset:0 ~len:10);
   ignore (Range_tree.add t ~offset:4 ~len:10);
   (* starts inside the previous range, so it is not an ordered append *)
   check_int "two ranges" 2 (Range_tree.count t);
   check_int "redundant bytes counted" 20 (Range_tree.total_bytes t)
 
-let test_tree_standard_merges_overlap () =
-  let t = Range_tree.create Range_tree.Standard in
-  ignore (Range_tree.add t ~offset:0 ~len:10);
-  Alcotest.(check bool) "overlap merges" true
-    (Range_tree.add t ~offset:4 ~len:10 = Range_tree.Merged);
-  Alcotest.(check (list (pair int int))) "merged" [ (0, 14) ] (Range_tree.ranges t);
-  check_int "no redundancy" 14 (Range_tree.total_bytes t)
-
-let test_tree_standard_merges_adjacent () =
-  let t = Range_tree.create Range_tree.Standard in
-  ignore (Range_tree.add t ~offset:10 ~len:5);
-  ignore (Range_tree.add t ~offset:30 ~len:5);
-  (* Fills the gap and touches both: all three coalesce. *)
-  Alcotest.(check bool) "bridging range merges" true
-    (Range_tree.add t ~offset:15 ~len:15 = Range_tree.Merged);
-  Alcotest.(check (list (pair int int))) "single span" [ (10, 25) ]
-    (Range_tree.ranges t)
-
-let test_tree_standard_merge_backward () =
-  let t = Range_tree.create Range_tree.Standard in
-  ignore (Range_tree.add t ~offset:100 ~len:10);
-  Alcotest.(check bool) "backward insert merges into successor" true
-    (Range_tree.add t ~offset:95 ~len:10 = Range_tree.Merged);
-  Alcotest.(check (list (pair int int))) "span" [ (95, 15) ] (Range_tree.ranges t)
-
 let test_tree_bad_args () =
-  let t = Range_tree.create Range_tree.Optimized in
+  let t = Range_tree.create () in
   Alcotest.(check bool) "zero len rejected" true
     (try ignore (Range_tree.add t ~offset:0 ~len:0); false
      with Invalid_argument _ -> true);
@@ -90,18 +65,14 @@ let test_tree_bad_args () =
     (try ignore (Range_tree.add t ~offset:(-1) ~len:4); false
      with Invalid_argument _ -> true)
 
-(* Model-based property: coverage equals a naive interval model; under
-   Standard the stored ranges are disjoint, sorted and non-adjacent. *)
+(* Model-based property: coverage equals a naive interval model. *)
 let gen_ops = QCheck.Gen.(list_size (1 -- 60) (pair (int_bound 200) (1 -- 20)))
 
-let coverage_matches policy =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "coverage matches model (%s)"
-         (match policy with Range_tree.Standard -> "standard" | _ -> "optimized"))
-    ~count:200 (QCheck.make gen_ops)
+let coverage_matches =
+  QCheck.Test.make ~name:"coverage matches model (optimized)" ~count:200
+    (QCheck.make gen_ops)
     (fun ops ->
-      let t = Range_tree.create policy in
+      let t = Range_tree.create () in
       let model = Array.make 256 false in
       List.iter
         (fun (offset, len) ->
@@ -115,23 +86,6 @@ let coverage_matches policy =
         if Range_tree.mem_byte t i <> model.(i) then ok := false
       done;
       !ok)
-
-let prop_standard_disjoint =
-  QCheck.Test.make ~name:"standard ranges disjoint and sorted" ~count:200
-    (QCheck.make gen_ops)
-    (fun ops ->
-      let t = Range_tree.create Range_tree.Standard in
-      List.iter (fun (offset, len) -> ignore (Range_tree.add t ~offset ~len)) ops;
-      let rs = Range_tree.ranges t in
-      let rec check = function
-        | (o1, l1) :: ((o2, _) :: _ as rest) ->
-            (* strictly increasing and not even adjacent *)
-            o1 + l1 < o2 && check rest
-        | _ -> true
-      in
-      check rs
-      && Range_tree.total_bytes t
-         = List.fold_left (fun a (_, l) -> a + l) 0 rs)
 
 (* ------------------------------------------------------------------ *)
 (* Region *)
@@ -899,16 +853,8 @@ let suites =
         Alcotest.test_case "optimized extend" `Quick test_tree_optimized_extend;
         Alcotest.test_case "optimized keeps overlap" `Quick
           test_tree_optimized_keeps_overlap;
-        Alcotest.test_case "standard merges overlap" `Quick
-          test_tree_standard_merges_overlap;
-        Alcotest.test_case "standard merges adjacent" `Quick
-          test_tree_standard_merges_adjacent;
-        Alcotest.test_case "standard merges backward" `Quick
-          test_tree_standard_merge_backward;
         Alcotest.test_case "bad args" `Quick test_tree_bad_args;
-        qtest (coverage_matches Range_tree.Standard);
-        qtest (coverage_matches Range_tree.Optimized);
-        qtest prop_standard_disjoint;
+        qtest coverage_matches;
       ] );
     ( "rvm.region",
       [

@@ -747,6 +747,23 @@ let test_cmd_rejects_ranges () =
        false
      with Invalid_argument _ -> true)
 
+(* A CRC-sealed "LBCC" record whose lock count is a 9-byte varint with
+   bit 62 set (negative): the body parser must answer Torn. *)
+let test_cmd_negative_count_is_torn () =
+  let negative = "\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
+  (* node (u16), tid (u64), then the lock count *)
+  let body = "\x00\x00" ^ String.make 8 '\x00' ^ negative in
+  let total = 8 + String.length body + 4 in
+  let b = Bytes.create total in
+  Bytes.set_int32_le b 0 0x4C424343l (* "LBCC" *);
+  Bytes.set_int32_le b 4 (Int32.of_int total);
+  Bytes.blit_string body 0 b 8 (String.length body);
+  Bytes.set_int32_le b (total - 4)
+    (Lbc_util.Crc32.bytes b ~pos:0 ~len:(total - 4));
+  match Record.decode b ~pos:0 with
+  | Record.Torn _ -> ()
+  | _ -> Alcotest.fail "negative lock count not Torn"
+
 let test_cmd_corrupt_is_torn () =
   let b = Record.encode (mk_cmd_txn ()) in
   let i = Bytes.length b - 6 in
@@ -1006,6 +1023,8 @@ let suites =
         Alcotest.test_case "ranges + cmd rejected" `Quick
           test_cmd_rejects_ranges;
         Alcotest.test_case "corrupt cmd = Torn" `Quick test_cmd_corrupt_is_torn;
+        Alcotest.test_case "negative count = Torn" `Quick
+          test_cmd_negative_count_is_torn;
         Alcotest.test_case "is_write / regions" `Quick
           test_cmd_write_and_regions;
         Alcotest.test_case "cmd interleaves in log" `Quick test_cmd_in_log;
