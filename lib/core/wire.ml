@@ -4,29 +4,44 @@ open Lbc_util
 let tag_new_region = 0x01 (* explicit region varint follows *)
 let tag_abs_addr = 0x02 (* absolute address instead of delta *)
 
-let sort_ranges ranges =
-  List.sort
-    (fun a b ->
-      let c = Int.compare a.Lbc_wal.Record.region b.Lbc_wal.Record.region in
-      if c <> 0 then c
-      else Int.compare a.Lbc_wal.Record.offset b.Lbc_wal.Record.offset)
-    ranges
+(* The header bytes written since [from], as a window on the arena's
+   current buffer.  Growing the arena copies it into a fresh buffer and
+   never writes the old one again, so a window cut before a growth keeps
+   its bytes. *)
+let header w ~from = Codec.slice_sub w ~pos:from ~len:(Codec.length w - from)
+
+(* One header window and one payload slice per range, front to back.
+   The first window also carries the message header, which goes out
+   alone when there is no range. *)
+let[@tail_mod_cons] rec range_slices w from prev_region prev_offset first =
+  function
+  | [] -> if Codec.length w > from then [ header w ~from ] else []
+  | (r : Lbc_wal.Record.range) :: rest ->
+      let region = r.region and offset = r.offset in
+      let new_region = region <> prev_region in
+      (* Within a region, sorted order guarantees a non-negative delta;
+         the first range of each region is absolute. *)
+      let abs = first || new_region in
+      let tag =
+        (if new_region then tag_new_region else 0)
+        lor if abs then tag_abs_addr else 0
+      in
+      Codec.u8 w tag;
+      if new_region then Codec.varint w region;
+      if abs then Codec.varint w offset
+      else Codec.varint w (offset - prev_offset);
+      Codec.varint w (Bytes.length r.data);
+      let hdr = header w ~from in
+      let data = Slice.of_bytes r.data in
+      hdr :: data
+      :: range_slices w (Codec.length w) region offset false rest
 
 (* The gather-list encoder is the only encoder: message and range
    headers are written into one arena, while each range's payload is
    referenced in place — the committed data is never copied onto the
-   wire.  Header chunks are recorded as (start, len) marks and turned
-   into slices only after the last write, because the arena may
-   reallocate while growing. *)
+   wire. *)
 let encode_iov (t : Lbc_wal.Record.txn) =
   let w = Codec.writer ~capacity:128 () in
-  let marks = ref [] in  (* reversed: `Hdr (start, len) | `Data bytes *)
-  let mark_from = ref 0 in
-  let cut () =
-    let len = Codec.length w - !mark_from in
-    if len > 0 then marks := `Hdr (!mark_from, len) :: !marks;
-    mark_from := Codec.length w
-  in
   (* Message kinds: 1 = value record (range list), 2 = command record. *)
   Codec.u8 w (match t.cmd with None -> 1 | Some _ -> 2);
   Codec.u16 w t.node;
@@ -44,48 +59,14 @@ let encode_iov (t : Lbc_wal.Record.txn) =
       Codec.varint w (Bytes.length c.Lbc_wal.Record.params);
       Codec.varint w (List.length c.Lbc_wal.Record.cmd_regions);
       List.iter (Codec.varint w) c.Lbc_wal.Record.cmd_regions;
-      cut ();
       (* The parameter blob rides as payload, like range data: small, but
          referencing it in place keeps the zero-copy invariant (the lint
          counts every wire-path copy). *)
-      marks := `Data c.Lbc_wal.Record.params :: !marks;
-      List.rev_map
-        (function
-          | `Hdr (start, len) -> Codec.slice_sub w ~pos:start ~len
-          | `Data b -> Slice.of_bytes b)
-        !marks
+      [ header w ~from:0; Slice.of_bytes c.Lbc_wal.Record.params ]
   | None ->
-  let ranges = sort_ranges t.ranges in
-  Codec.varint w (List.length ranges);
-  let prev_region = ref 0 and prev_offset = ref 0 and first = ref true in
-  List.iter
-    (fun r ->
-      let region = r.Lbc_wal.Record.region and offset = r.Lbc_wal.Record.offset in
-      let new_region = region <> !prev_region in
-      (* Within a region, sorted order guarantees a non-negative delta;
-         the first range of each region is absolute. *)
-      let abs = !first || new_region in
-      let tag =
-        (if new_region then tag_new_region else 0)
-        lor if abs then tag_abs_addr else 0
-      in
-      Codec.u8 w tag;
-      if new_region then Codec.varint w region;
-      if abs then Codec.varint w offset
-      else Codec.varint w (offset - !prev_offset);
-      Codec.varint w (Bytes.length r.Lbc_wal.Record.data);
-      cut ();
-      marks := `Data r.Lbc_wal.Record.data :: !marks;
-      prev_region := region;
-      prev_offset := offset;
-      first := false)
-    ranges;
-  cut ();
-  List.rev_map
-    (function
-      | `Hdr (start, len) -> Codec.slice_sub w ~pos:start ~len
-      | `Data b -> Slice.of_bytes b)
-    !marks
+      let ranges = Lbc_wal.Record.sort_ranges t.ranges in
+      Codec.varint w (List.length ranges);
+      range_slices w 0 0 0 true ranges
 
 let encode t = Slice.concat (encode_iov t)
 

@@ -450,6 +450,14 @@ let oo7_lazy =
     ~descr:"OO7 traversals, lazy propagation with final pulls"
     { Config.default with Config.propagation = Config.Lazy }
 
+(* Every [set_range] charges its modelled cost as a sleep, so writer 0
+   runs a chain of sleeps that advance the clock in place, and writer
+   1's lock request (5 µs in) lands in the middle of it. *)
+let oo7_costs =
+  oo7_scenario ~name:"oo7-costs"
+    ~descr:"OO7 traversals charging the paper's per-update costs"
+    { Config.default with Config.charge_costs = true }
+
 (* --------------------------------------------------------------- *)
 
 let all =
@@ -462,6 +470,7 @@ let all =
     oo7_eager;
     oo7_multicast;
     oo7_lazy;
+    oo7_costs;
   ]
 
 let find name = List.find_opt (fun s -> s.name = name) all

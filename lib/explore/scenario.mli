@@ -47,5 +47,10 @@ val oo7_eager : t
 val oo7_multicast : t
 val oo7_lazy : t
 
+val oo7_costs : t
+(** The eager OO7 pair with [Config.charge_costs]: each [set_range]
+    sleeps its modelled cost, so the other writer's lock traffic arrives
+    amid the traversal's in-place clock advances. *)
+
 val all : t list
 val find : string -> t option

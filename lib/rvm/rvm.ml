@@ -85,6 +85,7 @@ type txn = {
   tid : int;
   restore : restore_mode;
   trees : (int, Range_tree.t) Hashtbl.t;  (* region id -> modified ranges *)
+  mutable cur : (int * Range_tree.t) option;  (* the last region's entry *)
   mutable undo : (Region.t * int * Bytes.t) list;  (* newest first *)
   mutable locks : Lbc_wal.Record.lock_info list;  (* reverse acquire order *)
   mutable command : Lbc_wal.Record.cmd option;  (* command encoding, if declared *)
@@ -137,6 +138,7 @@ let begin_txn ?(restore = No_restore) t =
     tid;
     restore;
     trees = Hashtbl.create 2;
+    cur = None;
     undo = [];
     locks = [];
     command = None;
@@ -150,11 +152,18 @@ let check_live txn what =
     raise (Txn_error (Printf.sprintf "%s on finished transaction %d" what txn.tid))
 
 let tree_for txn region_id =
-  match Hashtbl.find_opt txn.trees region_id with
-  | Some tree -> tree
-  | None ->
-      let tree = Range_tree.create () in
-      Hashtbl.add txn.trees region_id tree;
+  match txn.cur with
+  | Some (id, tree) when id = region_id -> tree
+  | _ ->
+      let tree =
+        match Hashtbl.find_opt txn.trees region_id with
+        | Some tree -> tree
+        | None ->
+            let tree = Range_tree.create () in
+            Hashtbl.add txn.trees region_id tree;
+            tree
+      in
+      txn.cur <- Some (region_id, tree);
       tree
 
 let classify = function
@@ -224,29 +233,31 @@ let set_command txn ~op ~params ~regions =
       { Lbc_wal.Record.op; params;
         cmd_regions = List.sort_uniq Int.compare regions }
 
+(* The record's ranges in (region, offset) order, read from region
+   memory: a walk of each region's range log from the top down, highest
+   region first, consing onto the result. *)
 let build_record txn =
-  let ranges = ref [] and n = ref 0 and bytes = ref 0 in
-  let region_ids =
+  let n = ref 0 and bytes = ref 0 in
+  let ranges =
     Hashtbl.fold (fun id _ acc -> id :: acc) txn.trees []
-    |> List.sort Int.compare
+    |> List.sort (fun a b -> Int.compare b a)
+    |> List.fold_left
+         (fun acc region_id ->
+           let reg = Hashtbl.find txn.owner.regions region_id in
+           let tree = Hashtbl.find txn.trees region_id in
+           n := !n + Range_tree.count tree;
+           bytes := !bytes + Range_tree.total_bytes tree;
+           Range_tree.fold_right tree acc ~f:(fun ~offset ~len acc ->
+               { Lbc_wal.Record.region = region_id; offset;
+                 data = Region.read reg ~offset ~len }
+               :: acc))
+         []
   in
-  List.iter
-    (fun region_id ->
-      let reg = Hashtbl.find txn.owner.regions region_id in
-      let tree = Hashtbl.find txn.trees region_id in
-      Range_tree.fold tree ~init:() ~f:(fun () ~offset ~len ->
-          incr n;
-          bytes := !bytes + len;
-          ranges :=
-            { Lbc_wal.Record.region = region_id; offset;
-              data = Region.read reg ~offset ~len }
-            :: !ranges))
-    region_ids;
   ( {
       Lbc_wal.Record.node = txn.owner.node;
       tid = txn.tid;
       locks = List.rev txn.locks;
-      ranges = List.rev !ranges;
+      ranges;
       cmd = None;
     },
     !n,

@@ -14,6 +14,8 @@ type t = {
   sched : Schedule.t;
   waiting : (int, waiting) Hashtbl.t;
   mutable next_wait : int;
+  mutable running : bool;  (* inside [run] *)
+  mutable limit : time;  (* [run]'s [until]; [infinity] without one *)
 }
 
 exception Stranded of string list
@@ -43,6 +45,8 @@ let create ?(policy = Schedule.Fifo) () =
     sched = Schedule.make policy;
     waiting = Hashtbl.create 16;
     next_wait = 0;
+    running = false;
+    limit = infinity;
   }
 
 let now t = t.clock
@@ -140,6 +144,12 @@ let step t =
           absorb_ties t));
   match t.ripe with
   | [] -> false
+  | [ ev ] ->
+      (* A lone ripe event: no choice, so no decision ([Schedule.choose]
+         records none for a set of one). *)
+      t.ripe <- [];
+      ev.callback ();
+      true
   | ripe ->
       let arr = Array.of_list ripe in
       let k = Array.length arr in
@@ -149,16 +159,44 @@ let step t =
       ev.callback ();
       true
 
+(* A process of the running [run] sleeps [dt].  The queued path would
+   push a wake-up at [clock +. dt]; if the ripe set is empty, every
+   queued event is strictly later and the wake-up is within [until],
+   the next [step] pops that wake-up alone — a ripe set of one, no
+   decision — and nothing runs in between.  So do what that push and
+   pop do, in place: the same float addition for the clock, the
+   wake-up's sequence number and (under [Pct]) its priority draw, which
+   keeps the seeded stream where the queued path leaves it. *)
+let advance_in_place t dt =
+  match t.ripe with
+  | _ :: _ -> false
+  | [] ->
+      let at = t.clock +. dt in
+      if
+        t.running && dt >= 0.0 && at <= t.limit
+        && (Lbc_util.Pqueue.is_empty t.queue
+           || (Lbc_util.Pqueue.peek_exn t.queue).at > at)
+      then begin
+        t.clock <- at;
+        t.next_seqno <- t.next_seqno + 1;
+        ignore (Schedule.assign_priority t.sched : int);
+        true
+      end
+      else false
+
 let run ?until t =
+  let limit = match until with Some l -> l | None -> infinity in
   let continue () =
-    match (next_time t, until) with
-    | None, _ -> false
-    | Some at, Some limit when at > limit -> false
-    | Some _, _ -> true
+    match next_time t with None -> false | Some at -> not (at > limit)
   in
-  while continue () do
-    ignore (step t)
-  done;
+  t.running <- true;
+  t.limit <- limit;
+  Fun.protect
+    ~finally:(fun () -> t.running <- false)
+    (fun () ->
+      while continue () do
+        ignore (step t)
+      done);
   match until with
   | Some limit when t.clock < limit -> t.clock <- limit
   | _ -> ()

@@ -55,6 +55,17 @@ val run : ?until:time -> t -> unit
 val step : t -> bool
 (** Run a single event.  Returns [false] if the queue was empty. *)
 
+val advance_in_place : t -> time -> bool
+(** [advance_in_place t dt] is {!Proc.sleep}'s fast path.  Inside {!run},
+    when the ripe set is empty, every queued event is strictly later
+    than [now t +. dt] and that instant is within [run]'s [until], a
+    wake-up scheduled [dt] from now would be the next event to run,
+    alone in its ripe set.  Then this does what scheduling and popping
+    that wake-up would do — sets the clock to [now t +. dt], takes the
+    event's sequence number and draws its {!Schedule.Pct} priority — and
+    returns [true]; the caller continues as the woken process.  Otherwise
+    it changes nothing and returns [false]. *)
+
 (** {1 Blocked-process registry}
 
     Synchronization primitives ({!Mailbox}, {!Ivar}, {!Condvar}) register

@@ -9,8 +9,31 @@ type _ Effect.t +=
   | Current_engine : Engine.t Effect.t
   | Self_meta : meta Effect.t
 
+(* The process an engine event resumed, while it runs on top of that
+   event: set by the start and wake-up callbacks that [spawn] and the
+   [Sleep] handler schedule, cleared whenever control goes back toward
+   the engine — the process performs [Sleep] or [Suspend], returns, or
+   raises.  A process resumed by another one ([Ivar.fill] and friends
+   call [resume] directly) runs with the cell empty, because the
+   resumer's remaining code must still run before anything the resumed
+   process sleeps toward.  Per domain: the real backend runs one engine
+   per domain. *)
+type running = { eng : Engine.t; alive : unit -> bool }
+
+let current : running option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let set_current r = Domain.DLS.set current r
+
+(* A sleep that nothing can interleave advances the clock in place
+   (Engine.advance_in_place), and the process goes on as if woken. *)
 let sleep dt =
-  try Effect.perform (Sleep dt) with Effect.Unhandled _ -> raise Not_in_process
+  match Domain.DLS.get current with
+  | Some r when Engine.advance_in_place r.eng dt ->
+      if not (r.alive ()) then raise Killed
+  | _ -> (
+      try Effect.perform (Sleep dt)
+      with Effect.Unhandled _ -> raise Not_in_process)
 
 let engine () =
   try Effect.perform Current_engine
@@ -49,11 +72,13 @@ let yield () = sleep 0.0
 let spawn eng ?(name = "proc") ?(daemon = false) ?(alive = fun () -> true) f =
   let open Effect.Deep in
   let meta = { name; daemon; alive } in
+  let self = Some { eng; alive } in
   let handler =
     {
-      retc = (fun () -> ());
+      retc = (fun () -> set_current None);
       exnc =
         (fun e ->
+          set_current None;
           match e with
           | Killed -> ()  (* the process's node crashed; die silently *)
           | Failure _ ->
@@ -72,15 +97,23 @@ let spawn eng ?(name = "proc") ?(daemon = false) ?(alive = fun () -> true) f =
           | Sleep dt ->
               Some
                 (fun (k : (a, unit) continuation) ->
+                  set_current None;
                   Engine.schedule eng ~delay:dt (fun () ->
+                      set_current self;
                       if alive () then continue k ()
                       else discontinue k Killed))
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
+                  set_current None;
                   register (fun v ->
+                      (* Resumed from inside whatever calls [resume]:
+                         run with the cell empty, then hand it back. *)
+                      let resumer = Domain.DLS.get current in
+                      set_current None;
                       if alive () then continue k v
-                      else discontinue k Killed))
+                      else discontinue k Killed;
+                      set_current resumer))
           | Current_engine ->
               Some (fun (k : (a, unit) continuation) -> continue k eng)
           | Self_meta ->
@@ -88,4 +121,8 @@ let spawn eng ?(name = "proc") ?(daemon = false) ?(alive = fun () -> true) f =
           | _ -> None);
     }
   in
-  Engine.schedule eng (fun () -> if alive () then match_with f () handler)
+  Engine.schedule eng (fun () ->
+      if alive () then begin
+        set_current self;
+        match_with f () handler
+      end)

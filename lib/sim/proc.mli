@@ -37,7 +37,18 @@ val spawn :
     node's in-flight transaction is torn down. *)
 
 val sleep : Engine.time -> unit
-(** Advance this process's virtual time.  Other events run meanwhile. *)
+(** Advance this process's virtual time.  Other events run meanwhile.
+
+    A sleep that nothing can interleave — inside {!Engine.run}, with no
+    other event left at the current instant, every queued event strictly
+    later than the wake-up, and the wake-up within [run]'s [until] — does
+    not queue a wake-up: the clock advances in place
+    ({!Engine.advance_in_place}) and the process goes on, killed there if
+    its [alive] turned false.  Times, event sequence numbers, schedule
+    decisions and [Pct] priority draws are those of the queued wake-up.
+    This holds only for a process an engine event resumed directly; one
+    resumed by another process (through an {!Ivar}, {!Mailbox} or
+    {!Condvar}) always queues, since its resumer has yet to finish. *)
 
 val yield : unit -> unit
 (** Re-enter the event queue at the current instant (runs after events

@@ -48,6 +48,10 @@ let push t v =
 
 let peek t = if t.size = 0 then None else Some t.heap.(0).value
 
+let peek_exn t =
+  if t.size = 0 then invalid_arg "Pqueue.peek_exn: empty";
+  t.heap.(0).value
+
 let sift_down t =
   let i = ref 0 in
   let continue = ref true in

@@ -14,6 +14,11 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** Smallest element, without removing it. *)
 
+val peek_exn : 'a t -> 'a
+(** [peek] without the option, for hot paths that check {!is_empty}
+    first.
+    @raise Invalid_argument on an empty queue. *)
+
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 

@@ -372,10 +372,36 @@ let ranges_bytes t =
    carry neither and leave prev_write_seq untouched. *)
 let is_write t = t.ranges <> [] || t.cmd <> None
 
+(* The distinct regions of ranges in region order, in one pass; [None]
+   at the first range whose region is lower than its predecessor's. *)
+let rec distinct_regions acc = function
+  | [] -> Some (List.rev acc)
+  | r :: rest -> (
+      match acc with
+      | prev :: _ when r.region = prev -> distinct_regions acc rest
+      | prev :: _ when r.region < prev -> None
+      | _ -> distinct_regions (r.region :: acc) rest)
+
 let regions t =
   match t.cmd with
   | Some c -> List.sort_uniq Int.compare c.cmd_regions
-  | None -> List.sort_uniq Int.compare (List.map (fun r -> r.region) t.ranges)
+  | None -> (
+      match distinct_regions [] t.ranges with
+      | Some regions -> regions
+      | None ->
+          List.sort_uniq Int.compare (List.map (fun r -> r.region) t.ranges))
+
+let compare_position a b =
+  let c = Int.compare a.region b.region in
+  if c <> 0 then c else Int.compare a.offset b.offset
+
+let rec in_position_order = function
+  | a :: (b :: _ as rest) -> compare_position a b <= 0 && in_position_order rest
+  | [ _ ] | [] -> true
+
+let sort_ranges ranges =
+  if in_position_order ranges then ranges
+  else List.stable_sort compare_position ranges
 
 let equal_lock a b =
   a.lock_id = b.lock_id && a.seqno = b.seqno

@@ -149,7 +149,14 @@ val regions : txn -> int list
 (** The regions the record touches, deduplicated and sorted: the ranges'
     regions for a value record, [cmd_regions] for a command record.
     These are the keys for merge partitioning, update propagation, and
-    on-demand warm-up. *)
+    on-demand warm-up.  Ranges in region order (as a commit builds them)
+    are read in one pass; only out-of-order ones are sorted. *)
+
+val sort_ranges : range list -> range list
+(** The ranges in (region, offset) order, stably sorted.  One linear pass
+    checks the order first, and input already in order — every record a
+    commit builds — comes back as the same list, unsorted.  Records read
+    from logs, fetched from peers or built by tests may be in any order. *)
 
 val equal_txn : txn -> txn -> bool
 val pp_txn : Format.formatter -> txn -> unit

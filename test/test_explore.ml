@@ -145,5 +145,7 @@ let suites =
           (explored_clean "oo7-multicast" Scenario.oo7_multicast 5);
         Alcotest.test_case "oo7 lazy 5 schedules" `Quick
           (explored_clean "oo7-lazy" Scenario.oo7_lazy 5);
+        Alcotest.test_case "oo7 costs 5 schedules" `Quick
+          (explored_clean "oo7-costs" Scenario.oo7_costs 5);
       ] );
   ]

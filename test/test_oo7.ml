@@ -280,6 +280,34 @@ let test_t2b_access_allocation () =
     (Printf.sprintf "%.1f minor words per update <= 48" per_update)
     true (per_update <= 48.0)
 
+(* The whole detect path of a measured sim transaction: object access,
+   [set_range] on the flat range log, and the charged per-update cost —
+   a sleep that advances the clock in place. *)
+let test_t2b_detect_allocation () =
+  let small = Schema.small in
+  let cluster = Runner.setup ~config:Config.measured ~nodes:2 small in
+  let per_update = ref Float.nan in
+  Cluster.spawn cluster ~node:0 (fun node ->
+      let txn = Node.Txn.begin_ node in
+      Node.Txn.acquire txn Runner.lock;
+      let db = Database.attach_txn small txn ~region:Runner.region in
+      let w0 = Gc.minor_words () in
+      let r = Traversal.run db (Traversal.T2 Traversal.B) in
+      per_update :=
+        (Gc.minor_words () -. w0) /. float_of_int r.Traversal.field_updates;
+      Node.Txn.commit txn);
+  Cluster.run cluster;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per update <= 30" !per_update)
+    true (!per_update <= 30.0);
+  (* The coalescing decisions behind the charged costs, as the
+     persistent-map range tree made them on this database. *)
+  let st = Lbc_rvm.Rvm.stats (Node.rvm (Cluster.node cluster 0)) in
+  check_int "redundant" 33_740 st.Lbc_rvm.Rvm.redundant_calls;
+  check_int "ordered" 140 st.Lbc_rvm.Rvm.ordered_calls;
+  check_int "unordered" 9_860 st.Lbc_rvm.Rvm.unordered_calls;
+  check_int "ranges logged" 10_000 st.Lbc_rvm.Rvm.ranges_logged
+
 let test_access_errors () =
   let open Lbc_pheap in
   let image = Builder.build tiny in
@@ -431,6 +459,10 @@ let suites =
         Alcotest.test_case "bounds and int range" `Quick test_access_errors;
         Alcotest.test_case "document bytes round-trip" `Quick
           test_document_bytes_roundtrip;
+      ] );
+    ( "oo7.detect",
+      [
+        Alcotest.test_case "allocation" `Quick test_t2b_detect_allocation;
       ] );
     ( "oo7.adaptive",
       [

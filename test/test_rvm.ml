@@ -87,6 +87,117 @@ let coverage_matches =
       done;
       !ok)
 
+(* The persistent-map range tree the flat range log replaced, kept as
+   the reference model: same policy, same case per call. *)
+module Map_tree = struct
+  module Imap = Map.Make (Int)
+
+  type t = {
+    mutable map : int Imap.t;  (* offset -> len *)
+    mutable stored_bytes : int;
+    mutable max_end : int;
+    mutable last : (int * int) option;
+  }
+
+  let create () =
+    { map = Imap.empty; stored_bytes = 0; max_end = 0; last = None }
+
+  let store t ~offset ~old_len ~len =
+    t.map <- Imap.add offset len t.map;
+    t.stored_bytes <- t.stored_bytes - old_len + len;
+    if offset + len > t.max_end then t.max_end <- offset + len;
+    t.last <- Some (offset, len)
+
+  let add t ~offset ~len =
+    match t.last with
+    | Some (o, l) when o = offset && len <= l -> Range_tree.Exact_match
+    | _ when offset >= t.max_end ->
+        store t ~offset ~old_len:0 ~len;
+        Range_tree.Ordered_append
+    | _ -> (
+        match Imap.find_opt offset t.map with
+        | Some l when len <= l -> Range_tree.Exact_match
+        | Some l ->
+            store t ~offset ~old_len:l ~len;
+            Range_tree.Extended
+        | None ->
+            store t ~offset ~old_len:0 ~len;
+            Range_tree.Inserted)
+
+  let count t = Imap.cardinal t.map
+  let ranges t = Imap.bindings t.map
+end
+
+(* Add sequences built from the patterns detect sees: ordered runs past
+   the highest range, repeats of the last range, extensions of an earlier
+   one, and inserts anywhere (some far out, so the commit sort takes
+   several radix passes).  Runs of up to 40 give sequences of hundreds of
+   distinct offsets, past several index resizes. *)
+type move =
+  | Run of int list * int  (* gaps past the highest end, length *)
+  | Repeat of int  (* shorten the last range by this much (floor 1) *)
+  | Extend of int * int  (* which earlier call, bytes added *)
+  | Insert of int * int
+
+let gen_move =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun gaps len -> Run (gaps, len))
+              (list_size (1 -- 40) (int_bound 24)) (1 -- 16));
+        (2, map (fun d -> Repeat d) (int_bound 4));
+        (2, map2 (fun i extra -> Extend (i, extra)) (int_bound 1000) (1 -- 8));
+        (3, map2 (fun o len -> Insert (o, len)) (int_bound 4096) (1 -- 16));
+        (1, map2 (fun o len -> Insert (o, len)) (int_bound (1 lsl 30)) (1 -- 16));
+      ])
+
+(* The concrete (offset, len) calls of a move list. *)
+let calls_of_moves moves =
+  let calls = ref [] and hi = ref 0 in
+  let call offset len =
+    calls := (offset, len) :: !calls;
+    hi := max !hi (offset + len)
+  in
+  List.iter
+    (function
+      | Run (gaps, len) -> List.iter (fun g -> call (!hi + g) len) gaps
+      | Repeat d -> (
+          match !calls with
+          | (o, l) :: _ -> call o (max 1 (l - d))
+          | [] -> call 0 8)
+      | Extend (i, extra) -> (
+          match !calls with
+          | [] -> call 0 extra
+          | cs ->
+              let o, l = List.nth cs (i mod List.length cs) in
+              call o (l + extra))
+      | Insert (o, len) -> call o len)
+    moves;
+  List.rev !calls
+
+let flat_log_matches_map_tree =
+  QCheck.Test.make ~name:"flat range log = map tree" ~count:300
+    (QCheck.make
+       ~print:(fun moves ->
+         String.concat " "
+           (List.map (fun (o, l) -> Printf.sprintf "%d+%d" o l)
+              (calls_of_moves moves)))
+       QCheck.Gen.(list_size (1 -- 30) gen_move))
+    (fun moves ->
+      let calls = calls_of_moves moves in
+      let flat = Range_tree.create () and model = Map_tree.create () in
+      let half = List.length calls / 2 in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i (offset, len) ->
+             (* Walking the log mid-sequence must not disturb later adds. *)
+             (i <> half || Range_tree.ranges flat = Map_tree.ranges model)
+             && Range_tree.add flat ~offset ~len = Map_tree.add model ~offset ~len)
+           calls)
+      && Range_tree.count flat = Map_tree.count model
+      && Range_tree.total_bytes flat = model.Map_tree.stored_bytes
+      && Range_tree.ranges flat = Map_tree.ranges model)
+
 (* ------------------------------------------------------------------ *)
 (* Region *)
 
@@ -855,6 +966,7 @@ let suites =
           test_tree_optimized_keeps_overlap;
         Alcotest.test_case "bad args" `Quick test_tree_bad_args;
         qtest coverage_matches;
+        qtest flat_log_matches_map_tree;
       ] );
     ( "rvm.region",
       [

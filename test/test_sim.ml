@@ -390,6 +390,182 @@ let test_blocked_clears_on_resume () =
   check_int "value delivered" 42 !got;
   check_int "registry empty" 0 (Engine.blocked_count e)
 
+(* ------------------------------------------------------------------ *)
+(* In-place sleep advance *)
+
+(* A sleep outside any process still raises, including from a bare
+   event callback that runs after a process has slept in place. *)
+let test_sleep_outside_after_in_place () =
+  let e = Engine.create () in
+  Proc.spawn e (fun () ->
+      for _ = 1 to 5 do
+        Proc.sleep 1.0
+      done);
+  Engine.schedule e ~delay:20.0 (fun () -> Proc.sleep 1.0);
+  Alcotest.check_raises "bare callback" Proc.Not_in_process (fun () ->
+      Engine.run e);
+  Alcotest.check_raises "after run" Proc.Not_in_process (fun () ->
+      Proc.sleep 1.0)
+
+(* Back-to-back sleeps with nothing else queued advance in place; none
+   of them may wake past [until]. *)
+let test_sleep_stops_at_until () =
+  let e = Engine.create () in
+  let seen = ref [] in
+  Proc.spawn e (fun () ->
+      for _ = 1 to 10 do
+        Proc.sleep 10.0;
+        seen := Proc.now () :: !seen
+      done);
+  Engine.run ~until:25.0 e;
+  Alcotest.(check (list (float 0.0))) "woke at 10, 20" [ 20.0; 10.0 ] !seen;
+  check_float "clock parked at until" 25.0 (Engine.now e);
+  check_int "wake-up at 30 still queued" 1 (Engine.pending e);
+  Engine.run e;
+  check_int "all ten woke" 10 (List.length !seen);
+  check_float "last at 100" 100.0 (Engine.now e)
+
+(* Random programs of a few processes, run once with [Proc.sleep] and
+   once with a reference sleep that always queues a wake-up (suspend +
+   schedule: the queued semantics the in-place advance must reproduce).
+   Process 0 is killed through [alive] when some [Kill] runs. *)
+type sim_op =
+  | Sleep of float
+  | Yield
+  | Fill of int
+  | Read of int
+  | Send of int
+  | Recv of int
+  | Signal
+  | Broadcast
+  | Wait
+  | Callback of float * int  (* bare event: log, then act (0-3) *)
+  | Kill
+
+let show_op = function
+  | Sleep d -> Printf.sprintf "sleep %g" d
+  | Yield -> "yield"
+  | Fill i -> Printf.sprintf "fill %d" i
+  | Read i -> Printf.sprintf "read %d" i
+  | Send i -> Printf.sprintf "send %d" i
+  | Recv i -> Printf.sprintf "recv %d" i
+  | Signal -> "signal"
+  | Broadcast -> "broadcast"
+  | Wait -> "wait"
+  | Callback (d, a) -> Printf.sprintf "callback %g/%d" d a
+  | Kill -> "kill"
+
+let gen_sim_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun d -> Sleep d) (oneofl [ 0.0; 0.0; 1.0; 1.0; 2.0; 2.5; 5.0 ]));
+        (2, return Yield);
+        (1, map (fun i -> Fill i) (int_bound 1));
+        (1, map (fun i -> Read i) (int_bound 1));
+        (1, map (fun i -> Send i) (int_bound 1));
+        (1, map (fun i -> Recv i) (int_bound 1));
+        (1, return Signal);
+        (1, return Broadcast);
+        (1, return Wait);
+        (2, map2 (fun d a -> Callback (d, a)) (oneofl [ 0.0; 1.0; 2.5 ]) (int_bound 3));
+        (1, return Kill);
+      ])
+
+let gen_policy =
+  QCheck.Gen.(
+    oneof
+      [
+        return Schedule.Fifo;
+        map (fun s -> Schedule.Random_tie s) (int_bound 1000);
+        map (fun s -> Schedule.Pct s) (int_bound 1000);
+      ])
+
+let gen_program =
+  QCheck.Gen.(
+    triple
+      (list_size (2 -- 5) (list_size (0 -- 8) gen_sim_op))
+      gen_policy
+      (opt (oneofl [ 0.5; 1.0; 2.0; 2.5; 4.0; 7.5 ])))
+
+let show_program (procs, policy, until) =
+  Printf.sprintf "%s until=%s\n%s"
+    (Schedule.policy_to_string policy)
+    (match until with Some u -> Printf.sprintf "%g" u | None -> "-")
+    (String.concat "\n"
+       (List.mapi
+          (fun i ops ->
+            Printf.sprintf "p%d: %s" i (String.concat "; " (List.map show_op ops)))
+          procs))
+
+(* Run the program; the result is everything a schedule can show. *)
+let run_program ~sleep ~yield (procs, policy, until) =
+  let e = Engine.create ~policy () in
+  let log = ref [] in
+  let note who what = log := Printf.sprintf "%g %s %s" (Engine.now e) who what :: !log in
+  let ivars = Array.init 2 (fun _ -> Ivar.create ()) in
+  let boxes = Array.init 2 (fun _ -> Mailbox.create ()) in
+  let cv = Condvar.create () in
+  let dead = ref false in
+  let act = function
+    | 1 -> Mailbox.send boxes.(0) (-1)
+    | 2 -> Condvar.broadcast cv
+    | 3 -> dead := true
+    | _ -> ()
+  in
+  List.iteri
+    (fun pid ops ->
+      let who = Printf.sprintf "p%d" pid in
+      let alive = if pid = 0 then fun () -> not !dead else fun () -> true in
+      Proc.spawn e ~name:who ~alive (fun () ->
+          note who "start";
+          List.iteri
+            (fun j op ->
+              let v =
+                match op with
+                | Sleep d -> sleep d; 0
+                | Yield -> yield (); 0
+                | Fill i ->
+                    if not (Ivar.is_filled ivars.(i)) then Ivar.fill ivars.(i) pid;
+                    0
+                | Read i -> Ivar.read ivars.(i)
+                | Send i -> Mailbox.send boxes.(i) pid; 0
+                | Recv i -> Mailbox.recv boxes.(i)
+                | Signal -> Condvar.signal cv; 0
+                | Broadcast -> Condvar.broadcast cv; 0
+                | Wait -> Condvar.wait cv; 0
+                | Callback (d, a) ->
+                    Engine.schedule e ~delay:d (fun () ->
+                        note "cb" (Printf.sprintf "%s.%d" who j);
+                        act a);
+                    0
+                | Kill -> dead := true; 0
+              in
+              note who (Printf.sprintf "op%d=%d" j v))
+            ops;
+          note who "end"))
+    procs;
+  (match until with Some u -> Engine.run ~until:u e | None -> Engine.run e);
+  ( List.rev !log,
+    Engine.now e,
+    Engine.decisions e,
+    Engine.choice_points e,
+    Engine.pending e,
+    Engine.blocked e )
+
+let queued_sleep dt =
+  let e = Proc.engine () in
+  Proc.suspend (fun resume -> Engine.schedule e ~delay:dt (fun () -> resume ()))
+
+let prop_in_place_equals_queued =
+  QCheck.Test.make ~name:"in-place sleep = queued sleep" ~count:1000
+    (QCheck.make ~print:show_program gen_program)
+    (fun program ->
+      run_program ~sleep:Proc.sleep ~yield:Proc.yield program
+      = run_program ~sleep:queued_sleep
+          ~yield:(fun () -> queued_sleep 0.0)
+          program)
+
 let suites =
   [
     ( "sim.engine",
@@ -426,6 +602,11 @@ let suites =
         Alcotest.test_case "exception propagates" `Quick
           test_proc_exception_propagates;
         Alcotest.test_case "outside process" `Quick test_proc_outside_process;
+        Alcotest.test_case "outside process after in-place sleeps" `Quick
+          test_sleep_outside_after_in_place;
+        Alcotest.test_case "sleep stops at until" `Quick
+          test_sleep_stops_at_until;
+        QCheck_alcotest.to_alcotest prop_in_place_equals_queued;
       ] );
     ( "sim.ivar",
       [
