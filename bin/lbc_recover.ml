@@ -2,90 +2,46 @@
    order (the paper's merge utility, Section 3.4) and replay the committed
    records into the database image.
 
-   --mode serial|partitioned|ondemand selects the replay shape.
-   Partitioned mode splits the merged stream into lock/region-disjoint
-   partitions (Merge.partition) and replays them as concurrent simulated
-   processes against a device charged with the OSDI-94 disk profile, so
-   the reported virtual time shows the speedup; ondemand additionally
-   starts the partitions in priority order (largest first) and reports
-   when the first one finishes — the offline analogue of a serving
-   node's time to first commit.  The recovered image is byte-identical
-   in every mode. *)
+   --mode serial|partitioned|ondemand selects the replay shape
+   (Cluster.replay_streams).  Partitioned mode splits the merged stream
+   into lock/region-disjoint partitions (Merge.partition) and replays them
+   concurrently; ondemand additionally starts the partitions in priority
+   order (largest first) and reports when the first one finishes — the
+   offline analogue of a serving node's time to first commit.  The sim
+   backend replays the way Cluster.timed_recovery does
+   (Cluster.replay_sim) against a device charged with the OSDI-94 disk
+   profile, so the reported virtual time shows the speedup.  The recovered image is byte-identical in
+   every mode.
+
+   Bad input — a file that is not a log, logs that cannot be merged,
+   command records without --db, a record that cannot be replayed —
+   ends in one line on stderr and exit 1. *)
 
 open Cmdliner
+module Cluster = Lbc_core.Cluster
+module Recovery = Lbc_rvm.Recovery
 
-type mode = Serial | Partitioned | OnDemand
 type backend = Sim | Real
 
+exception Refused of string
+
+let refuse fmt = Printf.ksprintf (fun why -> raise (Refused why)) fmt
+
 let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let b = Bytes.create len in
-  really_input ic b 0 len;
-  close_in ic;
-  b
+  Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
 
-let write_file path b =
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc
+let modes =
+  [
+    ("serial", Cluster.Serial);
+    ("partitioned", Cluster.Partitioned);
+    ("ondemand", Cluster.OnDemand);
+  ]
 
-(* Replay [streams] as one simulated process each against [db], charging
-   device time; returns the summed outcome and the elapsed virtual µs. *)
-let timed_replay ~streams ~db =
-  let engine = Lbc_sim.Engine.create () in
-  let outcomes = ref [] in
-  let first_done = ref None in
-  List.iteri
-    (fun i stream ->
-      Lbc_sim.Proc.spawn engine
-        ~name:(Printf.sprintf "recover-p%d" i)
-        (fun () ->
-          let o =
-            Lbc_rvm.Recovery.replay_records stream ~db_for_region:(fun _ ->
-                Some db)
-          in
-          if !first_done = None then
-            first_done := Some (Lbc_sim.Engine.now engine);
-          outcomes := o :: !outcomes))
-    streams;
-  Lbc_sim.Engine.run engine;
-  let outcome =
-    List.fold_left
-      (fun (acc : Lbc_rvm.Recovery.outcome) (o : Lbc_rvm.Recovery.outcome) ->
-        {
-          Lbc_rvm.Recovery.records_replayed =
-            acc.Lbc_rvm.Recovery.records_replayed
-            + o.Lbc_rvm.Recovery.records_replayed;
-          bytes_replayed =
-            acc.Lbc_rvm.Recovery.bytes_replayed
-            + o.Lbc_rvm.Recovery.bytes_replayed;
-          torn_tail =
-            acc.Lbc_rvm.Recovery.torn_tail || o.Lbc_rvm.Recovery.torn_tail;
-        })
-      { Lbc_rvm.Recovery.records_replayed = 0;
-        bytes_replayed = 0;
-        torn_tail = false }
-      !outcomes
-  in
-  (outcome, Lbc_sim.Engine.now engine, !first_done)
-
-let sum_outcomes =
-  List.fold_left
-    (fun (acc : Lbc_rvm.Recovery.outcome) (o : Lbc_rvm.Recovery.outcome) ->
-      {
-        Lbc_rvm.Recovery.records_replayed =
-          acc.Lbc_rvm.Recovery.records_replayed
-          + o.Lbc_rvm.Recovery.records_replayed;
-        bytes_replayed =
-          acc.Lbc_rvm.Recovery.bytes_replayed
-          + o.Lbc_rvm.Recovery.bytes_replayed;
-        torn_tail =
-          acc.Lbc_rvm.Recovery.torn_tail || o.Lbc_rvm.Recovery.torn_tail;
-      })
-    { Lbc_rvm.Recovery.records_replayed = 0;
-      bytes_replayed = 0;
-      torn_tail = false }
+let load_log path =
+  let dev = Lbc_storage.Dev.create ~name:path () in
+  Lbc_storage.Dev.load dev (read_file path);
+  try Lbc_wal.Log.attach dev
+  with Lbc_wal.Log.Bad_log why -> refuse "%s: not a log (%s)" path why
 
 (* Real replay: one OCaml 5 domain per partition group against a real
    file, wall-clock timed.  Partitions are lock/region-disjoint, so any
@@ -100,24 +56,22 @@ let domain_replay ~streams ~db =
   List.iteri (fun i s -> groups.(i mod buckets) <- s :: groups.(i mod buckets)) streams;
   let first_done = Atomic.make None in
   let replay_group streams () =
-    let os =
-      List.map
-        (fun stream ->
-          let o =
-            Lbc_rvm.Recovery.replay_records stream ~db_for_region:(fun _ ->
-                Some db)
-          in
-          ignore
-            (Atomic.compare_and_set first_done None (Some (wall_us ())) : bool);
-          o)
-        streams
-    in
-    sum_outcomes os
+    List.map
+      (fun stream ->
+        let o =
+          Recovery.replay_records stream ~db_for_region:(fun _ -> Some db)
+        in
+        ignore
+          (Atomic.compare_and_set first_done None (Some (wall_us ())) : bool);
+        o)
+      streams
   in
   let domains =
     Array.map (fun g -> Domain.spawn (replay_group (List.rev g))) groups
   in
-  let outcome = sum_outcomes (Array.to_list (Array.map Domain.join domains)) in
+  let outcome =
+    Recovery.sum (List.concat_map Domain.join (Array.to_list domains))
+  in
   Lbc_storage.Dev.sync db;
   (outcome, wall_us (), Atomic.get first_done)
 
@@ -125,14 +79,31 @@ let recover db_path out_path mode backend log_paths =
   (* Command records (adaptive logging) can only replay if their
      operations are registered in this process. *)
   Lbc_oo7.Commands.ensure ();
-  let logs =
-    List.map
-      (fun path ->
-        let dev = Lbc_storage.Dev.create ~name:path () in
-        Lbc_storage.Dev.load dev (read_file path);
-        Lbc_wal.Log.attach dev)
-      log_paths
+  let logs = List.map load_log log_paths in
+  let records =
+    match Lbc_core.Merge.merge_logs logs with
+    | Ok records -> records
+    | Error (Lbc_core.Merge.Unorderable why) ->
+        refuse "cannot merge logs: %s" why
   in
+  Format.printf "merged %d committed transactions from %d logs@."
+    (List.length records) (List.length logs);
+  let commands =
+    List.filter (fun (r : Lbc_wal.Record.txn) -> r.cmd <> None) records
+  in
+  (match (commands, db_path) with
+  | [], _ -> ()
+  | r :: _, None ->
+      (* A command's pre-state is the database image: against an empty
+         one it has nothing to re-execute on. *)
+      refuse
+        "command record (node %d, tid %d) re-executes against the database \
+         image: pass --db"
+        r.node r.tid
+  | _ :: _, Some _ ->
+      Format.printf
+        "%d command record(s) will be re-executed against the image@."
+        (List.length commands));
   let db, tmp_path =
     match backend with
     | Sim ->
@@ -143,55 +114,40 @@ let recover db_path out_path mode backend log_paths =
         let path = Filename.temp_file "lbc-recover" ".db" in
         (Lbc_storage.Dev.create_file ~path ~name:"db" (), Some path)
   in
-  (match db_path with
-  | Some p -> Lbc_storage.Dev.load db (read_file p)
-  | None -> ());
-  match Lbc_core.Merge.merge_logs logs with
-  | Error (Lbc_core.Merge.Unorderable why) ->
-      Format.eprintf "cannot merge logs: %s@." why;
-      exit 1
-  | Ok records ->
-      Format.printf "merged %d committed transactions from %d logs@."
-        (List.length records) (List.length logs);
-      let commands =
-        List.length
-          (List.filter
-             (fun (r : Lbc_wal.Record.txn) -> r.Lbc_wal.Record.cmd <> None)
-             records)
-      in
-      if commands > 0 then
-        Format.printf
-          "%d command record(s) will be re-executed against the image@."
-          commands;
-      let streams =
-        match mode with
-        | Serial -> if records = [] then [] else [ records ]
-        | Partitioned -> Lbc_core.Merge.partition records
-        | OnDemand ->
-            (* Priority order: drain the biggest chains first, the same
-               hottest-first heuristic a serving node's drain uses. *)
-            List.stable_sort
-              (fun a b -> compare (List.length b) (List.length a))
-              (Lbc_core.Merge.partition records)
-      in
+  Fun.protect
+    ~finally:(fun () ->
+      match tmp_path with
+      | Some p ->
+          Lbc_storage.Dev.close db;
+          (try Sys.remove p with Sys_error _ -> ())
+      | None -> ())
+    (fun () ->
+      Option.iter (fun p -> Lbc_storage.Dev.load db (read_file p)) db_path;
+      let streams = Cluster.replay_streams mode records in
       let outcome, elapsed, first_done =
-        match backend with
-        | Sim -> timed_replay ~streams ~db
-        | Real -> domain_replay ~streams ~db
+        try
+          match backend with
+          | Sim ->
+              let first = ref None in
+              let outcome, elapsed =
+                Cluster.replay_sim (Lbc_sim.Engine.create ())
+                  ~db_for_region:(fun _ -> Some db)
+                  ~on_stream:(fun t -> if !first = None then first := Some t)
+                  streams
+              in
+              (outcome, elapsed, !first)
+          | Real -> domain_replay ~streams ~db
+        with e -> refuse "cannot replay: %s" (Printexc.to_string e)
       in
       let clock = match backend with Sim -> "virtual" | Real -> "wall" in
       Format.printf
         "replayed %d records, %d bytes in %d partition(s) (%s mode, %.0f \
          %s \xc2\xb5s)@."
-        outcome.Lbc_rvm.Recovery.records_replayed
-        outcome.Lbc_rvm.Recovery.bytes_replayed (List.length streams)
-        (match mode with
-        | Serial -> "serial"
-        | Partitioned -> "partitioned"
-        | OnDemand -> "ondemand")
+        outcome.records_replayed outcome.bytes_replayed (List.length streams)
+        (fst (List.find (fun (_, m) -> m = mode) modes))
         elapsed clock;
       (match (mode, first_done) with
-      | OnDemand, Some t ->
+      | Cluster.OnDemand, Some t ->
           Format.printf
             "first partition warm at %.0f %s \xc2\xb5s (time to first \
              recovered chain)@."
@@ -205,17 +161,21 @@ let recover db_path out_path mode backend log_paths =
             if not (Sys.file_exists "_build") then Unix.mkdir "_build" 0o755;
             Filename.concat "_build" "recovered.db"
       in
-      write_file out (Lbc_storage.Dev.stable_snapshot db);
-      Format.printf "wrote %s (%d bytes)@." out (Lbc_storage.Dev.stable_size db);
-      (match tmp_path with
-      | Some p ->
-          Lbc_storage.Dev.close db;
-          (try Sys.remove p with Sys_error _ -> ())
-      | None -> ())
+      Out_channel.with_open_bin out (fun oc ->
+          Out_channel.output_bytes oc (Lbc_storage.Dev.stable_snapshot db));
+      Format.printf "wrote %s (%d bytes)@." out
+        (Lbc_storage.Dev.stable_size db))
+
+let main db_path out_path mode backend log_paths =
+  try recover db_path out_path mode backend log_paths
+  with Refused why ->
+    Format.eprintf "lbc-recover: %s@." why;
+    exit 1
 
 let db_path =
   Arg.(value & opt (some file) None & info [ "db" ] ~docv:"FILE"
-         ~doc:"Existing database image to replay into (default: empty).")
+         ~doc:"Existing database image to replay into (default: empty; \
+               required when the logs hold command records).")
 
 let out_path =
   Arg.(value & opt (some string) None & info [ "o"; "out"; "output" ]
@@ -226,14 +186,7 @@ let out_path =
 let mode =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("serial", Serial);
-             ("partitioned", Partitioned);
-             ("ondemand", OnDemand);
-           ])
-        Serial
+    & opt (enum modes) Cluster.Serial
     & info [ "mode" ] ~docv:"MODE"
         ~doc:
           "Replay shape: $(b,serial) applies the whole merged stream in \
@@ -264,6 +217,6 @@ let cmd =
   Cmd.v
     (Cmd.info "lbc-recover"
        ~doc:"Merge per-node redo logs and replay them into a database image")
-    Term.(const recover $ db_path $ out_path $ mode $ backend $ log_paths)
+    Term.(const main $ db_path $ out_path $ mode $ backend $ log_paths)
 
 let () = exit (Cmd.eval cmd)

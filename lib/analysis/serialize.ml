@@ -25,43 +25,29 @@ let spec_image spec region =
   | Some b -> Some b
   | None -> (
       match Hashtbl.find_opt spec.sizes region with
-      | None -> None  (* region outside the declared set: skipped, as
-                         receivers skip it — check_regions flags those *)
+      | None -> None
       | Some size ->
           let b = Bytes.make size '\000' in
           Hashtbl.replace spec.images region b;
           Some b)
 
-(* Apply one merged transaction to the spec.  Value records blit their
-   ranges; command records re-execute the operation against the spec's
-   byte arrays — the very same deterministic function receivers and
-   recovery run, so a spec divergence still means the *distributed*
-   execution is wrong, not the encoding.  Returns the violations the
-   record itself raises (unknown operation). *)
+(* Apply one merged transaction to the spec through the one apply
+   routine receivers and recovery run: value ranges blit into the spec's
+   byte arrays, commands re-execute against them — so a spec divergence
+   still means the *distributed* execution is wrong, not the encoding.
+   A region outside the declared set resolves to nothing and is skipped,
+   as receivers skip it — check_regions flags those.  Returns the
+   violations the record itself raises (unknown operation). *)
 let apply_txn spec (txn : R.txn) =
-  let mem ~region =
-    match spec_image spec region with
-    | Some img -> Lbc_util.Mem.of_bytes img
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Serialize: command touched undeclared region %d"
-             region)
-  in
-  match txn.R.cmd with
-  | Some c when not (Lbc_wal.Command.registered c.R.op) ->
-      [ Violation.Command_unknown
-          { txn = Violation.txn_id_of txn; op = c.R.op } ]
-  | Some c when List.exists (fun r -> spec_image spec r = None) c.R.cmd_regions
-    ->
-      (* Outside the declared region set: skipped, as receivers skip it —
-         check_regions flags those. *)
-      []
-  | _ ->
-      (* Value ranges outside the declared set are skipped too. *)
-      let declared (r : R.range) = spec_image spec r.R.region <> None in
-      Lbc_wal.Command.apply mem
-        { txn with R.ranges = List.filter declared txn.R.ranges };
-      []
+  match
+    Lbc_wal.Command.apply txn ~resolve:(spec_image spec)
+      ~mem:(fun img -> Lbc_util.Mem.of_bytes img)
+      ~store:(fun img { R.offset; data; _ } ->
+        Lbc_util.Mem.write (Lbc_util.Mem.of_bytes img) ~offset data)
+  with
+  | (_ : int) -> []
+  | exception Lbc_wal.Command.Unknown_op op ->
+      [ Violation.Command_unknown { txn = Violation.txn_id_of txn; op } ]
 
 let first_diff a b =
   let n = min (Bytes.length a) (Bytes.length b) in

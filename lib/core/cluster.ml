@@ -124,11 +124,6 @@ let create ?(config = Config.default) ?sched ?net_params ?disk
             engine = P.node_engine i;
             send = (fun ~dst m -> P.send ~src:i ~dst m);
             multicast_send = (fun ~dsts m -> P.broadcast ~src:i ~dsts m);
-            send_update =
-              (fun ~dst iov -> P.send_v ~src:i ~dst ~iov (Msg.Update iov));
-            multicast_update =
-              (fun ~dsts iov ->
-                P.broadcast_v ~src:i ~dsts ~iov (Msg.Update iov));
             peers_with_region = peers_with_region i;
             log_dev = P.open_dev (Printf.sprintf "log.%d" i);
             obs;
@@ -291,6 +286,14 @@ let total_dropped t =
   let module P = (val t.platform : Platform.S) in
   P.total_dropped ()
 
+(* Per lock, the highest write seq already replayed into the database
+   by a checkpoint (0 if none), and the whole table as a list. *)
+let checkpointed t lock =
+  Option.value ~default:0 (Hashtbl.find_opt t.checkpointed lock)
+
+let checkpointed_baseline t =
+  Hashtbl.fold (fun lock seq acc -> (lock, seq) :: acc) t.checkpointed []
+
 (* --------------------------------------------------------------- *)
 (* Node crash and rejoin *)
 
@@ -326,10 +329,7 @@ let rejoin t ~node:n =
   Lbc_net.Fabric.set_down h.fabric n false;
   Obs.instant t.obs ~name:"rejoin" ~pid:n ~tid:Obs.lane_txn ~arg:t.epoch.(n);
   Lbc_locks.Table.rejoin_reset (Node.locks t.nodes.(n));
-  let applied =
-    Hashtbl.fold (fun lock seq acc -> (lock, seq) :: acc) t.checkpointed []
-  in
-  Node.rejoin t.nodes.(n) ~applied;
+  Node.rejoin t.nodes.(n) ~applied:(checkpointed_baseline t);
   t.crashed.(n) <- false
 
 let is_crashed t n =
@@ -340,80 +340,69 @@ let merged_records t =
   Merge.merge_logs
     (Array.to_list (Array.map (fun n -> Lbc_rvm.Rvm.log (Node.rvm n)) t.nodes))
 
-let recover_database t =
+(* The merged stream, or the error every merge-then-replay entry point
+   raises when the logs admit no serial order. *)
+let merged_or_raise t =
   match merged_records t with
+  | Ok records -> records
   | Error (Merge.Unorderable why) ->
       raise (Node.Coherency_error ("log merge failed: " ^ why))
-  | Ok records ->
-      Lbc_rvm.Recovery.replay_records records ~db_for_region:(fun id ->
-          Option.map (fun info -> info.dev) (Hashtbl.find_opt t.regions id))
+
+(* Records replay into the regions' database devices. *)
+let db_for_region t id =
+  Option.map (fun info -> info.dev) (Hashtbl.find_opt t.regions id)
+
+let recover_database t =
+  Lbc_rvm.Recovery.replay_records (merged_or_raise t)
+    ~db_for_region:(db_for_region t)
 
 type replay_mode = Serial | Partitioned | OnDemand
 
-(* Server-side recovery on the simulation clock: replay runs in simulated
-   processes so device time is charged, making serial and partitioned
-   replay comparable.  Partitioned mode replays each lock/region-disjoint
-   stream concurrently; the elapsed virtual time is the slowest stream
-   instead of the sum.  OnDemand mode uses the same disjoint streams but
-   replays them in priority order (largest first, a stand-in for the
-   hottest-first drain a serving node performs) and records when the
-   first stream — the first data anyone could be unblocked on — is
-   available, as [time_to_first_partition_us]. *)
-let timed_recovery t ~mode =
-  let h = sim_handles t "Cluster.timed_recovery" in
-  let records =
-    match merged_records t with
-    | Error (Merge.Unorderable why) ->
-        raise (Node.Coherency_error ("log merge failed: " ^ why))
-    | Ok records -> records
-  in
-  let streams =
-    match mode with
-    | Serial -> if records = [] then [] else [ records ]
-    | Partitioned -> Merge.partition records
-    | OnDemand ->
-        List.stable_sort
-          (fun a b -> Int.compare (List.length b) (List.length a))
-          (Merge.partition records)
-  in
-  let db_for_region id =
-    Option.map (fun info -> info.dev) (Hashtbl.find_opt t.regions id)
-  in
+let replay_streams mode records =
+  match mode with
+  | Serial -> if records = [] then [] else [ records ]
+  | Partitioned -> Merge.partition records
+  | OnDemand ->
+      List.stable_sort
+        (fun a b -> Int.compare (List.length b) (List.length a))
+        (Merge.partition records)
+
+let replay_sim engine ~db_for_region ~on_stream streams =
   let outcomes = ref [] in
-  let first_done = ref false in
-  let t0 = Lbc_sim.Engine.now h.engine in
+  let t0 = Lbc_sim.Engine.now engine in
   List.iteri
     (fun i stream ->
-      Lbc_sim.Proc.spawn h.engine
+      Lbc_sim.Proc.spawn engine
         ~name:(Printf.sprintf "recover-p%d" i)
         (fun () ->
           let o = Lbc_rvm.Recovery.replay_records stream ~db_for_region in
-          let elapsed = Lbc_sim.Engine.now h.engine -. t0 in
-          Obs.observe t.obs "recovery_us" elapsed;
-          if mode = OnDemand && not !first_done then begin
-            first_done := true;
-            Obs.observe t.obs "time_to_first_partition_us" elapsed
-          end;
+          on_stream (Lbc_sim.Engine.now engine -. t0);
           outcomes := o :: !outcomes))
     streams;
+  Lbc_sim.Engine.run engine;
+  (Lbc_rvm.Recovery.sum !outcomes, Lbc_sim.Engine.now engine -. t0)
+
+(* Server-side recovery on the simulation clock: replay runs in simulated
+   processes so device time is charged, making the modes comparable.
+   Partitioned mode replays each lock/region-disjoint stream
+   concurrently; the elapsed virtual time is the slowest stream instead
+   of the sum.  OnDemand mode replays the same streams largest first (a
+   stand-in for the hottest-first drain a serving node performs) and
+   records when the first stream — the first data anyone could be
+   unblocked on — is available, as [time_to_first_partition_us]. *)
+let timed_recovery t ~mode =
+  let h = sim_handles t "Cluster.timed_recovery" in
+  let streams = replay_streams mode (merged_or_raise t) in
   if Obs.enabled t.obs then
     Obs.count t.obs "recovery_partitions" (List.length streams);
-  Lbc_sim.Engine.run h.engine;
-  let elapsed = Lbc_sim.Engine.now h.engine -. t0 in
-  let outcome =
-    List.fold_left
-      (fun (acc : Lbc_rvm.Recovery.outcome) (o : Lbc_rvm.Recovery.outcome) ->
-        {
-          Lbc_rvm.Recovery.records_replayed =
-            acc.records_replayed + o.records_replayed;
-          bytes_replayed = acc.bytes_replayed + o.bytes_replayed;
-          torn_tail = acc.torn_tail || o.torn_tail;
-        })
-      { Lbc_rvm.Recovery.records_replayed = 0; bytes_replayed = 0;
-        torn_tail = false }
-      !outcomes
-  in
-  (outcome, elapsed)
+  let first = ref true in
+  replay_sim h.engine ~db_for_region:(db_for_region t) streams
+    ~on_stream:(fun elapsed ->
+      Obs.observe t.obs "recovery_us" elapsed;
+      if mode = OnDemand && !first then begin
+        first := false;
+        Obs.observe t.obs "time_to_first_partition_us" elapsed
+      end)
 
 (* Incremental fuzzy checkpoint of one node, on the simulation clock.
    Peers first gossip their applied tables so the node can compute its
@@ -451,31 +440,31 @@ let fuzzy_checkpoint t ~node:n =
       Obs.instant t.obs ~name:"ckpt" ~pid:n ~tid:Obs.lane_txn
         ~arg:outcome.Lbc_rvm.Rvm.bytes_flushed)
 
-let online_checkpoint t =
-  let logs =
-    Array.to_list (Array.map (fun n -> Lbc_rvm.Rvm.log (Node.rvm n)) t.nodes)
-  in
-  let checkpointed lock =
-    Option.value ~default:0 (Hashtbl.find_opt t.checkpointed lock)
-  in
-  let prefix = Merge.merge_logs_prefix ~checkpointed logs in
-  (* Database first, then trim: the records must be durable in the
-     database before they disappear from the logs. *)
+(* Replay merged records into the database and advance the per-lock
+   baseline past their writes, so later incremental merges know those
+   writes are durable there. *)
+let checkpoint_records t records =
   ignore
-    (Lbc_rvm.Recovery.replay_records prefix.Merge.ordered
-       ~db_for_region:(fun id ->
-         Option.map (fun info -> info.dev) (Hashtbl.find_opt t.regions id)));
+    (Lbc_rvm.Recovery.replay_records records ~db_for_region:(db_for_region t)
+      : Lbc_rvm.Recovery.outcome);
   List.iter
     (fun (txn : Lbc_wal.Record.txn) ->
       if Lbc_wal.Record.is_write txn then
         List.iter
-          (fun l ->
-            if l.Lbc_wal.Record.seqno > checkpointed l.Lbc_wal.Record.lock_id
-            then
-              Hashtbl.replace t.checkpointed l.Lbc_wal.Record.lock_id
-                l.Lbc_wal.Record.seqno)
-          txn.Lbc_wal.Record.locks)
-    prefix.Merge.ordered;
+          (fun (l : Lbc_wal.Record.lock_info) ->
+            if l.seqno > checkpointed t l.lock_id then
+              Hashtbl.replace t.checkpointed l.lock_id l.seqno)
+          txn.locks)
+    records
+
+let online_checkpoint t =
+  let logs =
+    Array.to_list (Array.map (fun n -> Lbc_rvm.Rvm.log (Node.rvm n)) t.nodes)
+  in
+  let prefix = Merge.merge_logs_prefix ~checkpointed:(checkpointed t) logs in
+  (* Database first, then trim: the records must be durable in the
+     database before they disappear from the logs. *)
+  checkpoint_records t prefix.Merge.ordered;
   (* The trim is clamped per log to its low-water mark: with repair on, a
      merged-and-replayed record may still be needed by a live peer whose
      copy was lost in flight (replaying into the database does not heal a
@@ -496,34 +485,8 @@ let checkpoint t =
              (Printf.sprintf "checkpoint: node %d has pending records"
                 (Node.id n))))
     t.nodes;
-  let records =
-    match merged_records t with
-    | Error (Merge.Unorderable why) ->
-        raise (Node.Coherency_error ("log merge failed: " ^ why))
-    | Ok records -> records
-  in
-  ignore
-    (Lbc_rvm.Recovery.replay_records records ~db_for_region:(fun id ->
-         Option.map (fun info -> info.dev) (Hashtbl.find_opt t.regions id)));
-  (* Advance the per-lock baseline so later incremental merges know these
-     writes are already durable in the database. *)
-  List.iter
-    (fun (txn : Lbc_wal.Record.txn) ->
-      if Lbc_wal.Record.is_write txn then
-        List.iter
-          (fun l ->
-            let prev =
-              Option.value ~default:0
-                (Hashtbl.find_opt t.checkpointed l.Lbc_wal.Record.lock_id)
-            in
-            if l.Lbc_wal.Record.seqno > prev then
-              Hashtbl.replace t.checkpointed l.Lbc_wal.Record.lock_id
-                l.Lbc_wal.Record.seqno)
-          txn.Lbc_wal.Record.locks)
-    records;
-  let applied =
-    Hashtbl.fold (fun lock seq acc -> (lock, seq) :: acc) t.checkpointed []
-  in
+  checkpoint_records t (merged_or_raise t);
+  let applied = checkpointed_baseline t in
   Array.iter
     (fun n ->
       let log = Lbc_rvm.Rvm.log (Node.rvm n) in

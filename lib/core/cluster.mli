@@ -184,12 +184,31 @@ type replay_mode =
           the [time_to_first_partition_us] histogram — the server-side
           analogue of a serving node's on-demand drain *)
 
+val replay_streams :
+  replay_mode -> Lbc_wal.Record.txn list -> Lbc_wal.Record.txn list list
+(** The mode's shaping of a merged stream into replay streams: [Serial]
+    one (none for an empty stream), [Partitioned] the partitions,
+    [OnDemand] the partitions largest first (stable). *)
+
+val replay_sim :
+  Lbc_sim.Engine.t ->
+  db_for_region:(int -> Lbc_storage.Dev.t option) ->
+  on_stream:(float -> unit) ->
+  Lbc_wal.Record.txn list list ->
+  Lbc_rvm.Recovery.outcome * float
+(** The simulated replay shared by {!timed_recovery} and [lbc-recover]:
+    replay each stream in its own simulated process ([recover-p<i>]),
+    drive the engine until all are done, and return the summed outcome
+    and the elapsed virtual µs.  Device time is charged, so the modes
+    are comparable.  [on_stream] runs in each process as its stream
+    finishes, with the virtual µs elapsed since the call. *)
+
 val timed_recovery : t -> mode:replay_mode -> Lbc_rvm.Recovery.outcome * float
-(** Like {!recover_database}, but the replay runs in simulated processes
-    (driving the engine until done) so device time is charged; returns
-    the outcome and the elapsed virtual µs.  The recovered images are
-    byte-identical across modes — partitioning only changes wall-clock.
-    Each stream feeds the [recovery_us] histogram. *)
+(** Like {!recover_database}, but the replay runs through {!replay_sim}
+    on the cluster's engine; returns the outcome and the elapsed virtual
+    µs.  The recovered images are byte-identical across modes —
+    partitioning only changes wall-clock.  Each stream feeds the
+    [recovery_us] histogram. *)
 
 val fuzzy_checkpoint : t -> node:int -> unit
 (** Start an incremental (fuzzy) checkpoint of node [node]'s log, running

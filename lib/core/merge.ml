@@ -1,95 +1,94 @@
 type error = Unorderable of string
 
 module Imap = Map.Make (Int)
+module R = Lbc_wal.Record
 
-let merge_records logs =
-  (* Pass 1: for every lock, the ascending list of sequence numbers that
-     appear in any log.  Sequence numbers for one lock are globally unique
-     (one acquire each), so sorting gives the required total order. *)
-  let all_seqs =
-    List.fold_left
-      (List.fold_left (fun acc (txn : Lbc_wal.Record.txn) ->
-           List.fold_left
-             (fun acc l ->
-               let existing =
-                 Option.value ~default:[]
-                   (Imap.find_opt l.Lbc_wal.Record.lock_id acc)
-               in
-               Imap.add l.Lbc_wal.Record.lock_id
-                 (l.Lbc_wal.Record.seqno :: existing)
-                 acc)
-             acc txn.Lbc_wal.Record.locks))
-      Imap.empty logs
+(* Per lock: the sequence numbers not yet emitted, ascending, and the
+   highest write emitted so far. *)
+type lock_state = { mutable pending : int list; mutable last_write : int }
+
+(* The one lock-order emission loop, over per-log record arrays in log
+   order.  Pass one indexes, for every lock, the ascending sequence
+   numbers present in any log (one acquire each, so sorting gives the
+   required total order).  Pass two repeatedly takes, from each log in
+   turn, the longest prefix whose records are emittable — every lock at
+   its next expected seqno, and the write it depends on
+   ([prev_write_seq]) emitted here or [covered] — which keeps the common
+   single-writer case linear.  Returns the emitted records in order, how
+   many each log gave, and how many were left. *)
+let emit ~covered logs =
+  let locks =
+    Imap.map
+      (fun seqs ->
+        { pending = List.sort_uniq Int.compare seqs; last_write = 0 })
+      (Array.fold_left
+         (Array.fold_left (fun acc (txn : R.txn) ->
+              List.fold_left
+                (fun acc (l : R.lock_info) ->
+                  Imap.add l.lock_id
+                    (l.seqno
+                    :: Option.value ~default:[] (Imap.find_opt l.lock_id acc))
+                    acc)
+                acc txn.locks))
+         Imap.empty logs)
   in
-  let expected =
-    Imap.map (fun seqs -> ref (List.sort_uniq Int.compare seqs)) all_seqs
-  in
-  let next_expected lock_id =
-    match Imap.find_opt lock_id expected with
-    | Some { contents = s :: _ } -> Some s
-    | _ -> None
-  in
-  let consume lock_id seqno =
-    match Imap.find_opt lock_id expected with
-    | Some r -> (
-        match !r with
-        | s :: rest when s = seqno -> r := rest
-        | _ -> ())
-    | None -> ()
-  in
-  (* Pass 2: emit any head whose lock records are all next-expected. *)
-  let heads = Array.of_list (List.map (fun l -> ref l) logs) in
-  let emittable (txn : Lbc_wal.Record.txn) =
+  let emittable (txn : R.txn) =
     List.for_all
-      (fun l ->
-        next_expected l.Lbc_wal.Record.lock_id = Some l.Lbc_wal.Record.seqno)
-      txn.Lbc_wal.Record.locks
+      (fun (l : R.lock_info) ->
+        let st = Imap.find l.lock_id locks in
+        (match st.pending with s :: _ -> s = l.seqno | [] -> false)
+        && (l.prev_write_seq = 0
+           || st.last_write >= l.prev_write_seq
+           || covered l.lock_id >= l.prev_write_seq))
+      txn.locks
   in
+  let taken = Array.make (Array.length logs) 0 in
   let out = ref [] in
-  let remaining () =
-    Array.exists (fun r -> !r <> []) heads
-  in
-  let rec drain () =
-    if not (remaining ()) then Ok (List.rev !out)
-    else begin
-      let progressed = ref false in
-      Array.iter
-        (fun headref ->
-          (* Emit as long a prefix of this log as is currently safe; this
-             keeps the common single-writer case linear. *)
-          let rec take () =
-            match !headref with
-            | txn :: rest when emittable txn ->
-                List.iter
-                  (fun l ->
-                    consume l.Lbc_wal.Record.lock_id l.Lbc_wal.Record.seqno)
-                  txn.Lbc_wal.Record.locks;
-                out := txn :: !out;
-                headref := rest;
-                progressed := true;
-                take ()
-            | _ -> ()
-          in
-          take ())
-        heads;
-      if !progressed then drain ()
-      else
-        Error
-          (Unorderable
-             (Printf.sprintf
-                "no emittable head among %d stuck transactions"
-                (Array.fold_left (fun a r -> a + List.length !r) 0 heads)))
-    end
-  in
-  drain ()
+  let progressed = ref true in
+  while !progressed do
+    progressed := false;
+    Array.iteri
+      (fun i log ->
+        while taken.(i) < Array.length log && emittable log.(taken.(i)) do
+          let txn = log.(taken.(i)) in
+          let write = R.is_write txn in
+          List.iter
+            (fun (l : R.lock_info) ->
+              let st = Imap.find l.lock_id locks in
+              (match st.pending with
+              | s :: rest when s = l.seqno -> st.pending <- rest
+              | _ -> ());
+              if write then st.last_write <- l.seqno)
+            txn.locks;
+          out := txn :: !out;
+          taken.(i) <- taken.(i) + 1;
+          progressed := true
+        done)
+      logs
+  done;
+  let leftover = ref 0 in
+  Array.iteri
+    (fun i log -> leftover := !leftover + Array.length log - taken.(i))
+    logs;
+  (List.rev !out, taken, !leftover)
+
+(* A full merge is the prefix merge with every prior write covered: it
+   succeeds only if nothing is left over. *)
+let merge_records logs =
+  match
+    emit
+      ~covered:(fun _ -> max_int)
+      (Array.of_list (List.map Array.of_list logs))
+  with
+  | ordered, _, 0 -> Ok ordered
+  | _, _, stuck ->
+      Error
+        (Unorderable
+           (Printf.sprintf "no emittable head among %d stuck transactions"
+              stuck))
 
 let merge_logs logs =
-  merge_records
-    (List.map
-       (fun log ->
-         let records, _status = Lbc_wal.Log.read_all log in
-         records)
-       logs)
+  merge_records (List.map (fun log -> fst (Lbc_wal.Log.read_all log)) logs)
 
 (* Partition a merged transaction stream into independent replay streams.
    Two transactions conflict when they share a lock or touch the same
@@ -140,106 +139,35 @@ let partition records =
   List.rev_map (fun rep -> List.rev (Hashtbl.find buckets rep)) !order
 
 type prefix = {
-  ordered : Lbc_wal.Record.txn list;
+  ordered : R.txn list;
   new_heads : int list;
   leftover : int;
 }
 
 let merge_logs_prefix ?(checkpointed = fun _ -> 0) logs =
-  (* Collect each log's records together with the offset just past each
-     record (the trim point if that record ends the merged prefix). *)
-  let contents =
+  (* Each log's records with their offsets: the offset of the record
+     after the last one merged (the tail if it was the last) is the
+     trim point. *)
+  let scanned =
     List.map
       (fun log ->
         let items, _ =
           Lbc_wal.Log.fold log ~init:[] (fun acc off txn -> (off, txn) :: acc)
         in
-        let items = List.rev items in
-        let rec with_ends = function
-          | [] -> []
-          | [ (_, txn) ] -> [ (Lbc_wal.Log.tail log, txn) ]
-          | (_, txn) :: ((off2, _) :: _ as rest) ->
-              (off2, txn) :: with_ends rest
-        in
-        (Lbc_wal.Log.head log, with_ends items))
+        (log, Array.of_list (List.rev items)))
       logs
   in
-  let expected =
-    let all =
-      List.fold_left
-        (fun acc (_, items) ->
-          List.fold_left
-            (fun acc (_, (txn : Lbc_wal.Record.txn)) ->
-              List.fold_left
-                (fun acc l ->
-                  let existing =
-                    Option.value ~default:[]
-                      (Imap.find_opt l.Lbc_wal.Record.lock_id acc)
-                  in
-                  Imap.add l.Lbc_wal.Record.lock_id
-                    (l.Lbc_wal.Record.seqno :: existing)
-                    acc)
-                acc txn.Lbc_wal.Record.locks)
-            acc items)
-        Imap.empty contents
-    in
-    Imap.map (fun seqs -> ref (List.sort_uniq Int.compare seqs)) all
+  let ordered, taken, leftover =
+    emit ~covered:checkpointed
+      (Array.of_list (List.map (fun (_, items) -> Array.map snd items) scanned))
   in
-  let next_expected lock_id =
-    match Imap.find_opt lock_id expected with
-    | Some { contents = s :: _ } -> Some s
-    | _ -> None
+  let new_heads =
+    List.mapi
+      (fun i (log, items) ->
+        let k = taken.(i) in
+        if k = 0 then Lbc_wal.Log.head log
+        else if k = Array.length items then Lbc_wal.Log.tail log
+        else fst items.(k))
+      scanned
   in
-  let consume lock_id seqno =
-    match Imap.find_opt lock_id expected with
-    | Some r -> (
-        match !r with s :: rest when s = seqno -> r := rest | _ -> ())
-    | None -> ()
-  in
-  (* Highest write sequence number emitted so far, per lock. *)
-  let emitted_write : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let write_covered lock seq =
-    seq = 0
-    || Option.value ~default:0 (Hashtbl.find_opt emitted_write lock) >= seq
-    || checkpointed lock >= seq
-  in
-  let emittable (txn : Lbc_wal.Record.txn) =
-    List.for_all
-      (fun l ->
-        next_expected l.Lbc_wal.Record.lock_id = Some l.Lbc_wal.Record.seqno
-        && write_covered l.Lbc_wal.Record.lock_id l.Lbc_wal.Record.prev_write_seq)
-      txn.Lbc_wal.Record.locks
-  in
-  let heads = Array.of_list (List.map (fun (head, items) -> (ref head, ref items)) contents) in
-  let out = ref [] in
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    Array.iter
-      (fun (trim, items) ->
-        let rec take () =
-          match !items with
-          | (end_off, txn) :: rest when emittable txn ->
-              List.iter
-                (fun l ->
-                  consume l.Lbc_wal.Record.lock_id l.Lbc_wal.Record.seqno;
-                  if Lbc_wal.Record.is_write txn then
-                    Hashtbl.replace emitted_write l.Lbc_wal.Record.lock_id
-                      l.Lbc_wal.Record.seqno)
-                txn.Lbc_wal.Record.locks;
-              out := txn :: !out;
-              trim := end_off;
-              items := rest;
-              progressed := true;
-              take ()
-          | _ -> ()
-        in
-        take ())
-      heads
-  done;
-  {
-    ordered = List.rev !out;
-    new_heads = Array.to_list (Array.map (fun (trim, _) -> !trim) heads);
-    leftover =
-      Array.fold_left (fun acc (_, items) -> acc + List.length !items) 0 heads;
-  }
+  { ordered; new_heads; leftover }

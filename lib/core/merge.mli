@@ -14,7 +14,9 @@
     repeatedly emits a log-head transaction all of whose lock sequence
     numbers are globally next-expected.  Input that cannot be ordered this
     way (which two-phase locking cannot produce) is reported as
-    [Unorderable]. *)
+    [Unorderable].  {!merge_records} and {!merge_logs_prefix} share that
+    one emission loop; the full merge counts every prior write as
+    covered. *)
 
 type error =
   | Unorderable of string

@@ -58,8 +58,6 @@ type t = {
   locks : Lbc_locks.Table.t;
   send : dst:int -> Msg.t -> unit;
   multicast_send : dsts:int list -> Msg.t -> unit;
-  send_update : dst:int -> Lbc_util.Slice.t list -> unit;
-  multicast_update : dsts:int list -> Lbc_util.Slice.t list -> unit;
   peers_with_region : int -> int list;
   applied : (int, int) Hashtbl.t;  (* lock id -> applied write seqno *)
   applied_cv : Lbc_sim.Condvar.t;
@@ -90,10 +88,6 @@ type deps = {
   engine : Lbc_sim.Engine.t;
   send : dst:int -> Msg.t -> unit;
   multicast_send : dsts:int list -> Msg.t -> unit;
-  send_update : dst:int -> Lbc_util.Slice.t list -> unit;
-      (** transmit [Msg.Update iov] with gather-list framing — the
-          committed log tail travels by reference to the channel *)
-  multicast_update : dsts:int list -> Lbc_util.Slice.t list -> unit;
   peers_with_region : int -> int list;
   log_dev : Lbc_storage.Dev.t;
   obs : Obs.t;
@@ -161,8 +155,6 @@ let create (deps : deps) =
     locks;
     send = deps.send;
     multicast_send = deps.multicast_send;
-    send_update = deps.send_update;
-    multicast_update = deps.multicast_update;
     peers_with_region = deps.peers_with_region;
     applied = Hashtbl.create 16;
     applied_cv = Lbc_sim.Condvar.create ();
@@ -630,14 +622,14 @@ let broadcast (t : t) record =
       if t.config.Config.multicast then begin
         t.stats.updates_sent <- t.stats.updates_sent + 1;
         t.stats.update_bytes_sent <- t.stats.update_bytes_sent + len;
-        t.multicast_update ~dsts:peers iov
+        t.multicast_send ~dsts:peers (Msg.Update iov)
       end
       else
         List.iter
           (fun peer ->
             t.stats.updates_sent <- t.stats.updates_sent + 1;
             t.stats.update_bytes_sent <- t.stats.update_bytes_sent + len;
-            t.send_update ~dst:peer iov)
+            t.send ~dst:peer (Msg.Update iov))
           peers
 
 (* --------------------------------------------------------------- *)

@@ -32,12 +32,6 @@ type deps = {
   multicast_send : dsts:int list -> Msg.t -> unit;
       (** one-transmission delivery to several peers (used when
           [config.multicast] is set) *)
-  send_update : dst:int -> Lbc_util.Slice.t list -> unit;
-      (** transmit [Msg.Update iov] with the fabric's gather-list
-          framing: the committed log tail reaches the channel by
-          reference, never concatenated *)
-  multicast_update : dsts:int list -> Lbc_util.Slice.t list -> unit;
-      (** gather-list counterpart of [multicast_send] *)
   peers_with_region : int -> int list;
       (** nodes (other than this one) currently mapping a region — the
           eager propagation set *)

@@ -65,17 +65,13 @@ module type S = sig
   (** Start a process in node [node]'s runtime context. *)
 
   val send : src:int -> dst:int -> Msg.t -> unit
+  (** Transmit one message, framed as a u32 length prefix plus its body
+      ({!Msg.size} bytes).  The sim fabric hands the message value
+      across by reference and charges that length; the real fabric
+      writes the prefix, the header and each payload slice to the
+      destination's socket without concatenating. *)
+
   val broadcast : src:int -> dsts:int list -> Msg.t -> unit
-
-  val send_v :
-    src:int -> dst:int -> iov:Lbc_util.Slice.t list -> Msg.t -> unit
-  (** Gather-list send: u32 length prefix + the slices, writev-style.
-      The sim fabric hands the message value across by reference and
-      charges the framed length; the real fabric writes the prefix and
-      each slice to the destination's socket without concatenating. *)
-
-  val broadcast_v :
-    src:int -> dsts:int list -> iov:Lbc_util.Slice.t list -> Msg.t -> unit
 
   val start_receivers : handler:(dst:int -> src:int -> Msg.t -> unit) -> unit
   (** Start the per-channel dispatchers: for every ordered pair [(src,
@@ -125,10 +121,6 @@ let sim ~engine ~(fabric : Msg.t Lbc_net.Fabric.t)
 
     let send ~src ~dst m = Lbc_net.Fabric.send fabric ~src ~dst m
     let broadcast ~src ~dsts m = Lbc_net.Fabric.broadcast fabric ~src ~dsts m
-    let send_v ~src ~dst ~iov m = Lbc_net.Fabric.send_v fabric ~src ~dst ~iov m
-
-    let broadcast_v ~src ~dsts ~iov m =
-      Lbc_net.Fabric.broadcast_v fabric ~src ~dsts ~iov m
 
     (* One dispatcher per peer channel, like the prototype's
        per-connection receiver threads.  Daemons: being forever blocked

@@ -68,43 +68,10 @@ let deliver t ~src ~dst ~len msg =
           Lbc_sim.Mailbox.send t.channels.(src).(dst) msg
         end)
 
-let send_len t ~src ~dst ~len msg =
-  check_node t "src" src;
-  check_node t "dst" dst;
-  if src = dst then invalid_arg "Fabric.send: src = dst";
-  if t.down.(src) then count_drop t ~src ~dst ~len
-  else begin
-    t.messages_sent.(src) <- t.messages_sent.(src) + 1;
-    t.bytes_sent.(src) <- t.bytes_sent.(src) + len;
-    let sp =
-      if Obs.enabled t.obs then begin
-        Obs.count ~pid:src t.obs "net_msgs" 1;
-        Obs.count ~pid:src t.obs "net_bytes" len;
-        Obs.span_begin t.obs ~name:"net.send" ~pid:src ~tid:Obs.lane_net
-          ~arg:len
-      end
-      else Obs.null_span
-    in
-    (* Block the sender for the writev cost, then put the message on the
-       wire. *)
-    Lbc_sim.Proc.sleep (Params.send_cost t.params len);
-    deliver t ~src ~dst ~len msg;
-    ignore (Obs.span_end t.obs sp : float)
-  end
-
-let send t ~src ~dst msg = send_len t ~src ~dst ~len:(t.size msg) msg
-
-(* Length-prefix framing for gather lists: a real transport would writev
-   [u32 total; slices...] straight from the iovec. *)
-let framed_length iov = 4 + Lbc_util.Slice.iov_length iov
-let send_v t ~src ~dst ~iov msg = send_len t ~src ~dst ~len:(framed_length iov) msg
-
-let broadcast_len t ~src ~dsts ~len msg =
-  check_node t "src" src;
-  let dsts =
-    List.sort_uniq Int.compare (List.filter (fun d -> d <> src) dsts)
-  in
-  List.iter (fun d -> check_node t "dst" d) dsts;
+(* One transmission from [src] reaching each of [dsts]: the sender pays
+   a single writev cost, then the message goes on every wire. *)
+let transmit t ~src ~dsts msg =
+  let len = t.size msg in
   if t.down.(src) then List.iter (fun dst -> count_drop t ~src ~dst ~len) dsts
   else begin
     t.messages_sent.(src) <- t.messages_sent.(src) + 1;
@@ -123,10 +90,19 @@ let broadcast_len t ~src ~dsts ~len msg =
     ignore (Obs.span_end t.obs sp : float)
   end
 
-let broadcast t ~src ~dsts msg = broadcast_len t ~src ~dsts ~len:(t.size msg) msg
+let send t ~src ~dst msg =
+  check_node t "src" src;
+  check_node t "dst" dst;
+  if src = dst then invalid_arg "Fabric.send: src = dst";
+  transmit t ~src ~dsts:[ dst ] msg
 
-let broadcast_v t ~src ~dsts ~iov msg =
-  broadcast_len t ~src ~dsts ~len:(framed_length iov) msg
+let broadcast t ~src ~dsts msg =
+  check_node t "src" src;
+  let dsts =
+    List.sort_uniq Int.compare (List.filter (fun d -> d <> src) dsts)
+  in
+  List.iter (fun d -> check_node t "dst" d) dsts;
+  transmit t ~src ~dsts msg
 
 let recv t ~dst ~src =
   check_node t "src" src;

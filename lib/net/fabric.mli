@@ -37,17 +37,6 @@ val broadcast : 'm t -> src:int -> dsts:int list -> 'm -> unit
     hardware the paper's Section 4.3.1 wishes for).  The sender pays the
     cost of a single send; self and duplicate destinations are ignored. *)
 
-val send_v :
-  'm t -> src:int -> dst:int -> iov:Lbc_util.Slice.t list -> 'm -> unit
-(** Like {!send}, but for a message whose payload is the gather list
-    [iov]: the wire length is [4 + Slice.iov_length iov] (u32 length
-    prefix + the slices, writev-style), independent of the fabric's
-    [size] function.  No byte of [iov] is copied on the send path. *)
-
-val broadcast_v :
-  'm t -> src:int -> dsts:int list -> iov:Lbc_util.Slice.t list -> 'm -> unit
-(** {!broadcast} with {!send_v}'s gather-list framing. *)
-
 val recv : 'm t -> dst:int -> src:int -> 'm
 (** Blocking receive on the channel from [src] to [dst] (one receiver
     thread per peer channel, as in the prototype). *)

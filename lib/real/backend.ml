@@ -3,7 +3,7 @@
    u32-prefix framing the sim fabric accounts for; devices are real
    files with real [fsync].
 
-   Data path of one [send_v]:
+   Data path of one [send] (a commit's [Msg.Update] takes the same one):
 
    - the sending node's domain encodes the message header
      ({!Msg_codec.encode}) and gather-writes prefix + header + payload
@@ -129,11 +129,6 @@ let factory ~nodes ~(config : Lbc_core.Config.t) :
 
     let send ~src ~dst m = transmit ~src ~dst m
     let broadcast ~src ~dsts m = List.iter (fun dst -> transmit ~src ~dst m) dsts
-    let send_v ~src ~dst ~iov:_ m = transmit ~src ~dst m
-
-    let broadcast_v ~src ~dsts ~iov:_ m =
-      List.iter (fun dst -> transmit ~src ~dst m) dsts
-
     let start_receivers ~handler =
       for n = 0 to nodes - 1 do
         for p = 0 to nodes - 1 do

@@ -1,8 +1,8 @@
 (* Socket framing for the real fabric: every message is one frame —
    a little-endian u32 byte count followed by that many payload bytes.
    This is exactly the frame the sim fabric accounts for
-   ([Fabric.framed_length iov = 4 + iov_length iov]); here the prefix
-   and payload are actually written.
+   ([Msg.size (Update iov) = 4 + iov_length iov]); here the prefix and
+   payload are actually written.
 
    [write] is a gather write: the prefix, then each slice of the iovec
    straight from its backing buffer ([Unix.write base pos len]) — the

@@ -1,8 +1,8 @@
 (** u32-prefixed message framing over a byte stream.
 
-    Same frame layout the sim fabric accounts for
-    ([Lbc_net.Fabric.framed_length]): a little-endian u32 payload length,
-    then the payload.  The writer gathers the payload from an iovec
+    Same frame layout the sim fabric accounts for ({!Lbc_core.Msg.size}
+    counts the prefix): a little-endian u32 payload length, then the
+    payload.  The writer gathers the payload from an iovec
     without concatenating; the reader tolerates arbitrary short reads. *)
 
 val header_bytes : int

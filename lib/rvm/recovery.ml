@@ -1,4 +1,13 @@
-type outcome = { records_replayed : int; bytes_replayed : int; torn_tail : bool }
+type outcome = { records_replayed : int; bytes_replayed : int }
+
+let sum =
+  List.fold_left
+    (fun a o ->
+      {
+        records_replayed = a.records_replayed + o.records_replayed;
+        bytes_replayed = a.bytes_replayed + o.bytes_replayed;
+      })
+    { records_replayed = 0; bytes_replayed = 0 }
 
 module Mem = Lbc_util.Mem
 
@@ -17,14 +26,16 @@ type cmd_buf = {
   mutable buf_hi : int;  (* dirty extent; empty when [lo >= hi] *)
 }
 
-(* One replay session: the devices written and the command images. *)
+(* One replay session: the devices written, the command images and
+   the running totals. *)
 type session = {
   mutable touched : Lbc_storage.Dev.t list;
   mutable bufs : cmd_buf list;
-  mutable cmd_bytes : int;  (* bytes stored by commands so far *)
+  mutable records : int;
+  mutable bytes : int;  (* stored by value ranges and by commands *)
 }
 
-let session () = { touched = []; bufs = []; cmd_bytes = 0 }
+let session () = { touched = []; bufs = []; records = 0; bytes = 0 }
 
 let touch s dev =
   if not (List.memq dev s.touched) then s.touched <- dev :: s.touched
@@ -51,7 +62,7 @@ let buf_for s dev =
             Mem.extend b.buf_mem (offset + len);
             b.buf_lo <- min b.buf_lo offset;
             b.buf_hi <- max b.buf_hi (offset + len);
-            s.cmd_bytes <- s.cmd_bytes + len);
+            s.bytes <- s.bytes + len);
       s.bufs <- b :: s.bufs;
       b
 
@@ -62,47 +73,24 @@ let buf_note b ~off src =
   Mem.extend b.buf_mem (off + n);
   Bytes.blit src 0 (Mem.image b.buf_mem) off n
 
-(* Replay one record into the database devices.  Value records blit
-   their saved ranges; command records re-execute the operation, reading
-   the pre-state from (and writing the redo state to) the session image
-   of the devices — the checkpoint image plus earlier replayed records
-   IS the operation's pre-state, because merge order preserves each
-   lock's write chain. *)
-let apply_ranges ~db_for_region s txn (records, bytes) =
-  let bytes = ref bytes in
-  (match txn.Lbc_wal.Record.cmd with
-  | Some c ->
-      let missing =
-        List.exists
-          (fun r -> db_for_region r = None)
-          c.Lbc_wal.Record.cmd_regions
-      in
-      if not missing then begin
-        let mem ~region =
-          match db_for_region region with
-          | Some dev -> (buf_for s dev).buf_mem
-          | None -> assert false
-        in
-        let stored = s.cmd_bytes in
-        Lbc_wal.Command.execute mem ~op:c.Lbc_wal.Record.op
-          ~params:c.Lbc_wal.Record.params;
-        bytes := !bytes + s.cmd_bytes - stored
-      end
-  | None ->
-      List.iter
-        (fun { Lbc_wal.Record.region; offset; data } ->
-          match db_for_region region with
-          | Some dev ->
-              Lbc_storage.Dev.write dev ~off:offset data ~pos:0
-                ~len:(Bytes.length data);
-              Option.iter
-                (fun b -> buf_note b ~off:offset data)
-                (find_buf s dev);
-              bytes := !bytes + Bytes.length data;
-              touch s dev
-          | None -> ())
-        txn.Lbc_wal.Record.ranges);
-  (records + 1, !bytes)
+(* Replay one record into the database devices through the one apply
+   routine: a value range lands on its device (mirrored into the image
+   if a command already snapshotted it); a command re-executes against
+   the session image of the devices — the checkpoint image plus earlier
+   replayed records IS the operation's pre-state, because merge order
+   preserves each lock's write chain. *)
+let apply ~db_for_region s txn =
+  ignore
+    (Lbc_wal.Command.apply txn ~resolve:db_for_region
+       ~mem:(fun dev -> (buf_for s dev).buf_mem)
+       ~store:(fun dev { Lbc_wal.Record.offset; data; _ } ->
+         Lbc_storage.Dev.write dev ~off:offset data ~pos:0
+           ~len:(Bytes.length data);
+         Option.iter (fun b -> buf_note b ~off:offset data) (find_buf s dev);
+         s.bytes <- s.bytes + Bytes.length data;
+         touch s dev)
+      : int);
+  s.records <- s.records + 1
 
 (* Write each dirty image extent back to its device in one bulk write,
    then sync every device the session wrote. *)
@@ -115,41 +103,21 @@ let finish s =
         touch s b.buf_dev
       end)
     s.bufs;
-  List.iter Lbc_storage.Dev.sync s.touched
+  List.iter Lbc_storage.Dev.sync s.touched;
+  { records_replayed = s.records; bytes_replayed = s.bytes }
 
 let replay_records txns ~db_for_region =
   let s = session () in
-  let records, bytes =
-    List.fold_left
-      (fun acc txn -> apply_ranges ~db_for_region s txn acc)
-      (0, 0) txns
-  in
-  finish s;
-  { records_replayed = records; bytes_replayed = bytes; torn_tail = false }
+  List.iter (apply ~db_for_region s) txns;
+  finish s
 
 let replay_chain ~log ~offsets ~db_for_region =
   (* On-demand recovery: apply exactly one region-index chain, reading
      its records by offset instead of scanning the whole tail. *)
   let s = session () in
   match
-    Lbc_wal.Log.fold_chain log ~offsets ~init:(0, 0) (fun acc _off txn ->
-        apply_ranges ~db_for_region s txn acc)
+    Lbc_wal.Log.fold_chain log ~offsets ~init:() (fun () _off txn ->
+        apply ~db_for_region s txn)
   with
-  | Ok (records, bytes) ->
-      finish s;
-      Ok { records_replayed = records; bytes_replayed = bytes;
-           torn_tail = false }
-  | Error _ as e -> e
-
-let replay ~log ~db_for_region =
-  let s = session () in
-  let (records, bytes), status =
-    Lbc_wal.Log.fold log ~init:(0, 0) (fun acc _off txn ->
-        apply_ranges ~db_for_region s txn acc)
-  in
-  finish s;
-  {
-    records_replayed = records;
-    bytes_replayed = bytes;
-    torn_tail = (match status with Lbc_wal.Log.Clean -> false | Lbc_wal.Log.Torn_at _ -> true);
-  }
+  | Ok () -> Ok (finish s)
+  | Error e -> Error e

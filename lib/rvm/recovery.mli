@@ -1,33 +1,31 @@
-(** Crash recovery: replay a committed redo log into the permanent
+(** Crash recovery: replay committed redo records into the permanent
     database devices.
 
-    This is the standard single-log RVM recovery procedure.  In the
-    distributed configuration each node writes its own log, and those logs
-    must first be merged into one (module [Lbc_core.Merge]) before replay
-    — exactly the utility the paper adds in Section 3.4. *)
+    This is the standard RVM recovery procedure.  In the distributed
+    configuration each node writes its own log, and those logs must
+    first be merged into one stream (module [Lbc_core.Merge]) before
+    replay — exactly the utility the paper adds in Section 3.4. *)
 
-type outcome = {
-  records_replayed : int;
-  bytes_replayed : int;
-  torn_tail : bool;  (** the log ended in a torn record, which was ignored *)
-}
+type outcome = { records_replayed : int; bytes_replayed : int }
 
-val replay : log:Lbc_wal.Log.t -> db_for_region:(int -> Lbc_storage.Dev.t option) -> outcome
-(** Apply every committed record, in log order, to the database device
-    of its region, then sync the touched devices.  Value records blit
+val sum : outcome list -> outcome
+(** Totals over several replays (one per partition stream). *)
+
+val replay_records :
+  Lbc_wal.Record.txn list -> db_for_region:(int -> Lbc_storage.Dev.t option) -> outcome
+(** Apply every record of an already-merged stream, in order, to the
+    database device of its region, then sync the touched devices.  Each
+    record goes through {!Lbc_wal.Command.apply}: value records blit
     their saved ranges; command records re-execute the registered
     operation against an in-memory image of the devices, snapshotted on
     first touch and flushed back in one bulk write at the end (the
     checkpoint image plus the records replayed so far is exactly the
-    operation's pre-state).  Ranges whose
-    region resolves to [None] are skipped, as is a command touching any
-    unresolved region.
+    operation's pre-state).  Ranges whose region resolves to [None] are
+    skipped, as is a command touching any unresolved region.
     @raise Lbc_wal.Command.Unknown_op for a command record whose
-    operation this process never registered. *)
-
-val replay_records :
-  Lbc_wal.Record.txn list -> db_for_region:(int -> Lbc_storage.Dev.t option) -> outcome
-(** Same, from an already-merged record list. *)
+    operation this process never registered.
+    @raise Lbc_wal.Command.Undeclared_region for an operation that
+    touches a region outside its record's [cmd_regions]. *)
 
 val replay_chain :
   log:Lbc_wal.Log.t ->

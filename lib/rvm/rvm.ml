@@ -342,41 +342,18 @@ let is_live txn = txn.live
 
 let apply_record t record =
   let n = ref 0 and bytes = ref 0 in
-  (match record.Lbc_wal.Record.cmd with
-  | Some c ->
-      (* A command replays all-or-nothing: executing it against a subset
-         of its regions would interleave reads of missing state.  If any
-         region is unmapped the record is skipped and counted, same as a
-         value range for an unmapped region. *)
-      let missing =
-        List.filter
-          (fun r -> not (Hashtbl.mem t.regions r))
-          c.Lbc_wal.Record.cmd_regions
-      in
-      if missing <> [] then
-        t.stats.unmapped_ranges <-
-          t.stats.unmapped_ranges + List.length missing
-      else begin
-        let count ~offset:_ ~len =
-          incr n;
-          bytes := !bytes + len
-        in
-        let mem ~region =
-          Region.mem (Hashtbl.find t.regions region) ~declare:count
-        in
-        Lbc_wal.Command.execute mem ~op:c.Lbc_wal.Record.op
-          ~params:c.Lbc_wal.Record.params
-      end
-  | None ->
-      List.iter
-        (fun { Lbc_wal.Record.region; offset; data } ->
-          match Hashtbl.find_opt t.regions region with
-          | Some reg ->
-              Region.write reg ~offset data;
-              incr n;
-              bytes := !bytes + Bytes.length data
-          | None -> t.stats.unmapped_ranges <- t.stats.unmapped_ranges + 1)
-        record.Lbc_wal.Record.ranges);
+  let count ~offset:_ ~len =
+    incr n;
+    bytes := !bytes + len
+  in
+  let skipped =
+    Lbc_wal.Command.apply record ~resolve:(Hashtbl.find_opt t.regions)
+      ~mem:(fun reg -> Region.mem reg ~declare:count)
+      ~store:(fun reg { Lbc_wal.Record.offset; data; _ } ->
+        Region.write reg ~offset data;
+        count ~offset ~len:(Bytes.length data))
+  in
+  t.stats.unmapped_ranges <- t.stats.unmapped_ranges + skipped;
   t.stats.records_applied <- t.stats.records_applied + 1;
   t.stats.bytes_applied <- t.stats.bytes_applied + !bytes;
   t.options.instrumentation.on_apply ~ranges:!n ~bytes:!bytes

@@ -156,17 +156,18 @@ val clear_live_txns : t -> unit
 
 val apply_record : t -> Lbc_wal.Record.txn -> unit
 (** Apply a record to the mapped region images — used by the coherency
-    receiver for records from peer nodes.  A value record's new-value
-    ranges are blitted in; a command record's operation is executed
-    against the images through [Lbc_wal.Command.execute] (the interlock
+    receiver for records from peer nodes — through
+    {!Lbc_wal.Command.apply}: a value record's ranges are blitted in, a
+    command record's operation runs against the images (the interlock
     guarantees the pre-state matches the writer's, so the deterministic
-    operation reproduces the writer's bytes).  Ranges addressed to
-    unmapped regions are skipped and counted in [stats.unmapped_ranges]
-    (a command touching any unmapped region is skipped whole): a nonzero
-    count means a peer sent updates this node silently could not apply —
-    surfaced by [Report] and flagged by [lbc-check verify].
+    operation reproduces the writer's bytes).  What that routine skips
+    for unmapped regions is counted in [stats.unmapped_ranges]: a
+    nonzero count means a peer sent updates this node silently could not
+    apply — surfaced by [Report] and flagged by [lbc-check verify].
     @raise Lbc_wal.Command.Unknown_op for a command record whose
-    operation this process never registered. *)
+    operation this process never registered.
+    @raise Lbc_wal.Command.Undeclared_region for an operation that
+    touches a region outside its record's [cmd_regions]. *)
 
 (** {1 Checkpointing} *)
 

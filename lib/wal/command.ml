@@ -24,6 +24,7 @@ let log_mode_of_name s =
 type mem = region:int -> Lbc_util.Mem.t
 
 exception Unknown_op of int
+exception Undeclared_region of { op : int; region : int }
 
 type entry = { name : string; run : mem -> params:Bytes.t -> unit }
 
@@ -45,20 +46,51 @@ let name op =
   | Some e -> Some e.name
   | None -> None
 
-let execute m ~op ~params =
-  match Hashtbl.find_opt table op with
-  | Some e -> e.run m ~params
-  | None -> raise (Unknown_op op)
+let () =
+  Printexc.register_printer (function
+    | Undeclared_region { op; region } ->
+        Some
+          (Printf.sprintf
+             "Command.Undeclared_region: op %d (%s) touched region %d outside \
+              its declared regions"
+             op
+             (Option.value (name op) ~default:"?")
+             region)
+    | _ -> None)
 
-(* Replay a decoded record against [m]: blit the ranges of a value
-   record, execute the operation of a command record.  The shared
-   fragment every replayer (recovery, coherency receiver, oracle spec)
-   would otherwise duplicate. *)
-let apply m (t : Record.txn) =
+(* The one replay routine: the record-kind dispatch and the
+   missing-region rule live here and nowhere else.  A command replays
+   all-or-nothing — run against a subset of its regions it would read
+   state this store does not hold — so it resolves its declared regions
+   up front, but builds each accessor only when the op asks for it: a
+   backing that pays for its accessor (a recovery session snapshots a
+   device) pays exactly as the op touches regions. *)
+let apply ~resolve ~mem ~store (t : Record.txn) =
   match t.cmd with
-  | Some c -> execute m ~op:c.op ~params:c.params
   | None ->
-      List.iter
-        (fun (r : Record.range) ->
-          Lbc_util.Mem.write (m ~region:r.region) ~offset:r.offset r.data)
-        t.ranges
+      List.fold_left
+        (fun skipped (r : Record.range) ->
+          match resolve r.region with
+          | Some b ->
+              store b r;
+              skipped
+          | None -> skipped + 1)
+        0 t.ranges
+  | Some c ->
+      let run =
+        match Hashtbl.find_opt table c.op with
+        | Some e -> e.run
+        | None -> raise (Unknown_op c.op)
+      in
+      let backings =
+        List.map (fun region -> (region, resolve region)) c.cmd_regions
+      in
+      let missing =
+        List.length (List.filter (fun (_, b) -> Option.is_none b) backings)
+      in
+      if missing = 0 then
+        run ~params:c.params (fun ~region ->
+            match List.assoc_opt region backings with
+            | Some (Some b) -> mem b
+            | _ -> raise (Undeclared_region { op = c.op; region }));
+      missing

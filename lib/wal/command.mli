@@ -33,8 +33,14 @@ val log_mode_of_name : string -> log_mode option
 type mem = region:int -> Lbc_util.Mem.t
 
 exception Unknown_op of int
-(** Raised by {!execute}/{!apply} for an unregistered operation id — a
-    log written by a binary with commands this one does not know. *)
+(** Raised by {!apply} for an unregistered operation id — a log written
+    by a binary with commands this one does not know. *)
+
+exception Undeclared_region of { op : int; region : int }
+(** Raised by {!apply} when operation [op] reaches a region outside its
+    record's [cmd_regions] — the set merge, partitioning and replay key
+    on, so an op that strays from it is a bug in the op, whichever
+    replayer runs it. *)
 
 val register : op:int -> name:string -> (mem -> params:Bytes.t -> unit) -> unit
 (** Register (idempotently) the body of operation [op].  Re-registering
@@ -44,8 +50,22 @@ val register : op:int -> name:string -> (mem -> params:Bytes.t -> unit) -> unit
 val registered : int -> bool
 val name : int -> string option
 
-val execute : mem -> op:int -> params:Bytes.t -> unit
-
-val apply : mem -> Record.txn -> unit
-(** Replay one decoded record against [mem]: blit the ranges of a value
-    record, execute the operation of a command record. *)
+val apply :
+  resolve:(int -> 'r option) ->
+  mem:('r -> Lbc_util.Mem.t) ->
+  store:('r -> Record.range -> unit) ->
+  Record.txn ->
+  int
+(** The one replay routine, shared by the coherency receiver, crash
+    recovery and the oracle's sequential spec; each supplies how a
+    region resolves in its store ([resolve], [None] when the store has
+    no such region, and [mem], a command's accessor to a resolved one)
+    and how a value range lands ([store]).  A value record lands each
+    range whose region resolves and skips the others one by one.  A
+    command record runs only if every [cmd_regions] entry resolves, and
+    is otherwise skipped whole, one skip per unresolved region.  Returns
+    the skips.
+    @raise Unknown_op for an unregistered operation, before any region
+    is resolved.
+    @raise Undeclared_region for an operation that touches a region
+    outside [cmd_regions]. *)

@@ -353,6 +353,10 @@ let test_apply_record_skips_unmapped () =
   check_int "applied count still bumps" 1 (Rvm.stats b).Rvm.records_applied;
   check_int "no bytes" 0 (Rvm.stats b).Rvm.bytes_applied
 
+(* Recovery of one node's log: its live records, in log order. *)
+let replay_log log ~db_for_region =
+  Recovery.replay_records (fst (Lbc_wal.Log.read_all log)) ~db_for_region
+
 let test_recovery_replays_log () =
   let rvm, _, db, log_dev = mk_node () in
   let txn = Rvm.begin_txn rvm in
@@ -365,12 +369,13 @@ let test_recovery_replays_log () =
   Dev.crash log_dev;
   Dev.crash db;
   let log = Lbc_wal.Log.attach log_dev in
+  let records, status = Lbc_wal.Log.read_all log in
+  Alcotest.(check bool) "clean" true (status = Lbc_wal.Log.Clean);
   let outcome =
-    Recovery.replay ~log ~db_for_region:(fun id ->
+    Recovery.replay_records records ~db_for_region:(fun id ->
         if id = 0 then Some db else None)
   in
   check_int "two records" 2 outcome.Recovery.records_replayed;
-  Alcotest.(check bool) "clean" false outcome.Recovery.torn_tail;
   (* The database device now holds the committed state, durably. *)
   Dev.crash db;
   Alcotest.(check string) "db recovered" "committed!too"
@@ -388,9 +393,7 @@ let test_truncate_then_recover () =
   Dev.crash db;
   Dev.crash log_dev;
   let log = Lbc_wal.Log.attach log_dev in
-  let outcome =
-    Recovery.replay ~log ~db_for_region:(fun _ -> Some db)
-  in
+  let outcome = replay_log log ~db_for_region:(fun _ -> Some db) in
   check_int "nothing to replay" 0 outcome.Recovery.records_replayed;
   Alcotest.(check string) "db has checkpoint" "check"
     (Bytes.to_string (Dev.read db ~off:0 ~len:5))
@@ -456,7 +459,7 @@ let prop_recovery_matches_model =
       Dev.crash log_dev;
       Dev.crash db;
       let log = Lbc_wal.Log.attach log_dev in
-      ignore (Recovery.replay ~log ~db_for_region:(fun _ -> Some db));
+      ignore (replay_log log ~db_for_region:(fun _ -> Some db));
       let recovered = Bytes.make size '\000' in
       let have = min size (Dev.size db) in
       if have > 0 then
@@ -856,23 +859,72 @@ let test_recovery_replays_cmd () =
   Dev.crash log_dev;
   Dev.crash db;
   let log = Lbc_wal.Log.attach log_dev in
-  let outcome = Recovery.replay ~log ~db_for_region:(fun _ -> Some db) in
+  let outcome = replay_log log ~db_for_region:(fun _ -> Some db) in
   check_int "three records" 3 outcome.Recovery.records_replayed;
   Alcotest.(check bytes) "db recovered through command re-execution" expect
     (Dev.read db ~off:0 ~len:64)
 
-(* The ISSUE's replay-identity property: random interleavings of value
-   and command commits must recover byte-identically to an all-value log
-   under every replay shape — serial, partitioned, and on-demand per
-   region-index chain. *)
+(* An op that strays outside its declaration: the record declares
+   region 0, the op writes region 7. *)
+let stray_op = 931
+
+let test_undeclared_region_one_error () =
+  Lbc_wal.Command.register ~op:stray_op ~name:"test-stray" (fun mem ~params:_ ->
+      Lbc_util.Mem.write (mem ~region:7) ~offset:0 (Bytes.of_string "x"));
+  let record =
+    {
+      Lbc_wal.Record.node = 1;
+      tid = 1;
+      locks = [];
+      ranges = [];
+      cmd =
+        Some
+          { Lbc_wal.Record.op = stray_op; params = Bytes.empty;
+            cmd_regions = [ 0 ] };
+    }
+  in
+  let fails_undeclared what f =
+    match f () with
+    | () -> Alcotest.failf "%s: the stray op ran" what
+    | exception (Lbc_wal.Command.Undeclared_region { op; region } as e) ->
+        check_int (what ^ ": op") stray_op op;
+        check_int (what ^ ": region") 7 region;
+        Alcotest.(check string)
+          (what ^ ": message names op and region")
+          "Command.Undeclared_region: op 931 (test-stray) touched region 7 \
+           outside its declared regions"
+          (Printexc.to_string e)
+  in
+  let rvm, _, db, _ = mk_node () in
+  fails_undeclared "receiver" (fun () -> Rvm.apply_record rvm record);
+  fails_undeclared "recovery" (fun () ->
+      ignore
+        (Recovery.replay_records [ record ] ~db_for_region:(fun id ->
+             if id = 0 then Some db else None)
+          : Recovery.outcome));
+  fails_undeclared "oracle" (fun () ->
+      ignore
+        (Lbc_analysis.Serialize.check ~regions:[ (0, 256) ] ~finals:[]
+           [ [ record ] ]
+          : Lbc_analysis.Violation.t list))
+
+(* Replay identity: random interleavings of value and command commits
+   must recover byte-identically to an all-value log under every replay
+   target — serial, partitioned, on-demand per region-index chain, a
+   receiver fed through [apply_record] — and the serializability oracle
+   must accept every recovered image.  The writer also writes a region
+   no target maps: each replayer skips it, and the receiver counts each
+   skip. *)
 let prop_mixed_replay_identity =
   let size = 256 in
   let regions = 2 in
+  (* Region [regions] is the one no replay target maps. *)
+  let unmapped = regions in
   let gen_ops =
     QCheck.Gen.(
       list_size (1 -- 12)
         (pair
-           (pair (int_bound (regions - 1)) bool)
+           (pair (int_bound unmapped) bool)
            (triple (int_bound 190) (1 -- 32) (1 -- 255))))
   in
   QCheck.Test.make ~name:"mixed value/cmd logs replay byte-identical"
@@ -884,12 +936,12 @@ let prop_mixed_replay_identity =
           ~options:(with_log_mode Lbc_wal.Command.Adaptive)
           ~node:0 ~log_dev ()
       in
-      for rid = 0 to regions - 1 do
+      for rid = 0 to unmapped do
         ignore (Rvm.map_region rvm ~id:rid ~db:(Dev.create ()) ~size)
       done;
       (* Per-region locks so the merged stream partitions into real
          chains; chain each lock's writes like the lock package would. *)
-      let seqno = Array.make regions 0 in
+      let seqno = Array.make (unmapped + 1) 0 in
       let outcomes =
         List.map
           (fun ((rid, as_cmd), (offset, len, delta)) ->
@@ -917,9 +969,9 @@ let prop_mixed_replay_identity =
         (devs, fun rid -> if rid < regions then Some devs.(rid) else None)
       in
       let image devs rid = Dev.read devs.(rid) ~off:0 ~len:size in
-      let matches devs =
+      let matches read =
         List.for_all2
-          (fun rid final -> Bytes.equal final (image devs rid))
+          (fun rid final -> Bytes.equal final (read rid))
           (List.init regions Fun.id)
           finals
       in
@@ -947,8 +999,34 @@ let prop_mixed_replay_identity =
           | Ok _ -> ()
           | Error _ -> chains_ok := false)
         (Lbc_wal.Region_index.chains idx);
-      !chains_ok && matches vdevs && matches sdevs && matches pdevs
-      && matches odevs)
+      (* A receiver mapping the same regions, fed the record stream. *)
+      let peer = Rvm.init ~node:1 ~log_dev:(Dev.create ()) () in
+      for rid = 0 to regions - 1 do
+        ignore (Rvm.map_region peer ~id:rid ~db:(Dev.create ()) ~size)
+      done;
+      List.iter (Rvm.apply_record peer) mixed;
+      let received rid =
+        Region.read (Rvm.region peer rid) ~offset:0 ~len:size
+      in
+      (* One skip per op on the unmapped region: a value record there
+         holds one range, a command declares one region. *)
+      let skipped =
+        List.length (List.filter (fun ((rid, _), _) -> rid = unmapped) ops)
+      in
+      let violations =
+        Lbc_analysis.Serialize.check
+          ~regions:(List.init regions (fun rid -> (rid, size)))
+          ~finals:
+            [
+              ("serial", image sdevs); ("partitioned", image pdevs);
+              ("ondemand", image odevs); ("receiver", received);
+            ]
+          [ mixed ]
+      in
+      !chains_ok && matches (image vdevs) && matches (image sdevs)
+      && matches (image pdevs) && matches (image odevs) && matches received
+      && violations = []
+      && (Rvm.stats peer).Rvm.unmapped_ranges = skipped)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -1036,6 +1114,8 @@ let suites =
           test_apply_cmd_record_peer;
         Alcotest.test_case "recovery re-executes cmds" `Quick
           test_recovery_replays_cmd;
+        Alcotest.test_case "undeclared region fails one way" `Quick
+          test_undeclared_region_one_error;
         qtest prop_mixed_replay_identity;
       ] );
   ]
