@@ -5,7 +5,7 @@
      bench/main.exe              regenerate everything
      bench/main.exe table2      (also: table3 fig1 fig2 fig3 fig4 fig5
                                  fig6 fig7 fig8 ablations macro validate
-                                 bechamel)
+                                 json real flight-overhead)
 
    Absolute numbers come from the paper's cost model (Alpha 3000-400,
    OSF/1, AN1 — Table 2); host-measured numbers are labelled as such.
@@ -504,78 +504,6 @@ let macro () =
   pr "(200 transactions of 4 sparse 8-byte updates; 25%% cross-segment)@."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmark suite: one Test.make per table/figure family *)
-
-let bechamel () =
-  hr "Bechamel micro-benchmarks (host wall-clock, ns/run)";
-  let open Bechamel in
-  let page_src = Bytes.make 8192 'a' and page_dst = Bytes.make 8192 'b' in
-  let record =
-    let o = outcome_for (Traversal.T2 Traversal.A) in
-    o.Runner.record
-  in
-  let encoded = Lbc_core.Wire.encode record in
-  let rvm_for_fig5 () =
-    let rvm =
-      Lbc_rvm.Rvm.init ~node:0 ~log_dev:(Lbc_storage.Dev.create ())
-        ~options:
-          { Lbc_rvm.Rvm.default_options with Lbc_rvm.Rvm.disk_logging = false }
-        ()
-    in
-    ignore
-      (Lbc_rvm.Rvm.map_region rvm ~id:0 ~db:(Lbc_storage.Dev.create ())
-         ~size:(1 lsl 20));
-    rvm
-  in
-  let tests =
-    [
-      (* Table 2 *)
-      Test.make ~name:"table2/page_copy_8k"
-        (Staged.stage (fun () -> Bytes.blit page_src 0 page_dst 0 8192));
-      Test.make ~name:"table2/page_compare_8k"
-        (Staged.stage (fun () -> ignore (Bytes.equal page_src page_dst)));
-      (* Table 3 / Figures 1-3: the wire path *)
-      Test.make ~name:"table3/wire_encode_T2A"
-        (Staged.stage (fun () -> ignore (Lbc_core.Wire.encode record)));
-      Test.make ~name:"table3/wire_decode_T2A"
-        (Staged.stage (fun () -> ignore (Lbc_core.Wire.decode encoded)));
-      (* Figures 5-6: set_range paths *)
-      Test.make ~name:"fig5/set_range_txn_1000_ordered"
-        (Staged.stage (fun () ->
-             let rvm = rvm_for_fig5 () in
-             let txn = Lbc_rvm.Rvm.begin_txn rvm in
-             for i = 0 to 999 do
-               Lbc_rvm.Rvm.set_range txn ~region:0 ~offset:(i * 16) ~len:8
-             done;
-             ignore (Lbc_rvm.Rvm.commit txn)));
-      (* Figure 8: recoverability path *)
-      Test.make ~name:"fig8/record_encode_disk"
-        (Staged.stage (fun () -> ignore (Lbc_wal.Record.encode record)));
-      Test.make ~name:"fig8/crc32_4k"
-        (Staged.stage (fun () ->
-             ignore (Lbc_util.Crc32.bytes page_src ~pos:0 ~len:4096)));
-    ]
-  in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  let results = benchmark (Test.make_grouped ~name:"lbc" ~fmt:"%s %s" tests) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> pr "%-40s %12.1f ns/run@." name est
-      | _ -> pr "%-40s %12s@." name "n/a")
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Recovery benchmark: serial vs partitioned replay of a merged log over
    a home-segment workload (one lock/region per node, so the closure
    splits into one partition per node), plus the incremental fuzzy
@@ -828,12 +756,46 @@ let adaptive_bench_one kind =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Latency percentiles, aggregated across a set of runs by merging the
+   per-run histogram buckets; both JSON files print the same block. *)
+module H = Lbc_obs.Obs.Histogram
+
+let latency_metrics = [ "commit_us"; "lock_wait_us"; "apply_lag_us" ]
+
+let merge_hists agg hists =
+  List.iter
+    (fun (name, h) ->
+      let into =
+        match Hashtbl.find_opt agg name with
+        | Some x -> x
+        | None ->
+            let x = H.create () in
+            Hashtbl.add agg name x;
+            x
+      in
+      H.merge ~into h)
+    hists
+
+let agg_hist agg metric =
+  match Hashtbl.find_opt agg metric with Some h -> h | None -> H.create ()
+
+let add_latency_block buf ~indent agg =
+  List.iteri
+    (fun mi metric ->
+      let h = agg_hist agg metric in
+      if mi > 0 then Buffer.add_char buf ',';
+      Printf.bprintf buf
+        "\n%s%S: { \"count\": %d, \"mean_us\": %.2f, \"p50_us\": %.2f, \
+         \"p95_us\": %.2f, \"p99_us\": %.2f, \"max_us\": %.2f }"
+        indent metric (H.count h) (H.mean h) (H.percentile h 50.0)
+        (H.percentile h 95.0) (H.percentile h 99.0) (H.max_value h))
+    latency_metrics
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable output: every Table-3 traversal under each
    propagation policy, written to BENCH_oo7.json for CI trending. *)
 
 let json () =
-  let module H = Lbc_obs.Obs.Histogram in
   let buf = Buffer.create 4096 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let measured =
@@ -854,9 +816,7 @@ let json () =
       addf "\n    {\n      \"name\": %S,\n      \"log_mode\": %S,\n      \"traversals\": ["
         cname
         (Lbc_wal.Command.log_mode_name config.Lbc_core.Config.log_mode);
-      (* Latency percentiles are aggregated across the config's
-         traversals by merging the per-run histogram buckets. *)
-      let agg : (string, H.t) Hashtbl.t = Hashtbl.create 8 in
+      let agg = Hashtbl.create 8 in
       List.iteri
         (fun ti kind ->
           let cluster = Runner.setup ~config ~nodes:2 small in
@@ -864,18 +824,7 @@ let json () =
           Lbc_util.Slice.reset_counters ();
           let o = Runner.run ~cluster ~writer:0 small kind in
           let p = o.Runner.profile in
-          List.iter
-            (fun (name, h) ->
-              let into =
-                match Hashtbl.find_opt agg name with
-                | Some x -> x
-                | None ->
-                    let x = H.create () in
-                    Hashtbl.add agg name x;
-                    x
-              in
-              H.merge ~into h)
-            (Lbc_obs.Obs.hists (Lbc_core.Cluster.obs cluster));
+          merge_hists agg (Lbc_obs.Obs.hists (Lbc_core.Cluster.obs cluster));
           if ti > 0 then addf ",";
           addf
             "\n        { \"name\": %S, \"elapsed_us\": %.1f, \
@@ -893,21 +842,7 @@ let json () =
             (Lbc_util.Slice.encode_allocs ()))
         Traversal.table3_kinds;
       addf "\n      ],\n      \"latency\": {";
-      List.iteri
-        (fun mi metric ->
-          let h =
-            match Hashtbl.find_opt agg metric with
-            | Some h -> h
-            | None -> H.create ()
-          in
-          if mi > 0 then addf ",";
-          addf
-            "\n        %S: { \"count\": %d, \"mean_us\": %.2f, \
-             \"p50_us\": %.2f, \"p95_us\": %.2f, \"p99_us\": %.2f, \
-             \"max_us\": %.2f }"
-            metric (H.count h) (H.mean h) (H.percentile h 50.0)
-            (H.percentile h 95.0) (H.percentile h 99.0) (H.max_value h))
-        [ "commit_us"; "lock_wait_us"; "apply_lag_us" ];
+      add_latency_block buf ~indent:"        " agg;
       addf "\n      }\n    }")
     configs;
   addf "\n  ],";
@@ -1146,7 +1081,6 @@ let flight_overhead_bench () =
 
 let real_json () =
   hr "Real backend: wall-clock OO7 + parallel scaling (BENCH_real.json)";
-  let module H = Lbc_obs.Obs.Histogram in
   let host_domains = Domain.recommended_domain_count () in
   pr "host offers %d domains@." host_domains;
   let oo7_nodes = 4 in
@@ -1157,23 +1091,12 @@ let real_json () =
   addf "  \"oo7\": [";
   (* Wall-clock latency percentiles, aggregated across the OO7 runs the
      same way BENCH_oo7 aggregates virtual-time percentiles. *)
-  let agg : (string, H.t) Hashtbl.t = Hashtbl.create 8 in
+  let agg = Hashtbl.create 8 in
   List.iteri
     (fun i kind ->
       let o, wall_us, msgs, bytes, hists = real_oo7 ~nodes:oo7_nodes kind in
       let p = o.Runner.profile in
-      List.iter
-        (fun (name, h) ->
-          let into =
-            match Hashtbl.find_opt agg name with
-            | Some x -> x
-            | None ->
-                let x = H.create () in
-                Hashtbl.add agg name x;
-                x
-          in
-          H.merge ~into h)
-        hists;
+      merge_hists agg hists;
       if i > 0 then addf ",";
       addf
         "\n    { \"name\": %S, \"nodes\": %d, \"elapsed_us\": %.1f, \
@@ -1185,23 +1108,14 @@ let real_json () =
         (Traversal.name kind) oo7_nodes wall_us msgs bytes)
     Traversal.table3_kinds;
   addf "\n  ],\n  \"latency\": {";
-  List.iteri
-    (fun mi metric ->
-      let h =
-        match Hashtbl.find_opt agg metric with
-        | Some h -> h
-        | None -> H.create ()
-      in
-      if mi > 0 then addf ",";
-      addf
-        "\n    %S: { \"count\": %d, \"mean_us\": %.2f, \"p50_us\": %.2f, \
-         \"p95_us\": %.2f, \"p99_us\": %.2f, \"max_us\": %.2f }"
-        metric (H.count h) (H.mean h) (H.percentile h 50.0)
-        (H.percentile h 95.0) (H.percentile h 99.0) (H.max_value h);
+  add_latency_block buf ~indent:"    " agg;
+  List.iter
+    (fun metric ->
+      let h = agg_hist agg metric in
       pr "latency %-14s n=%-6d p50 %8.1fµs  p95 %8.1fµs  p99 %8.1fµs@."
         metric (H.count h) (H.percentile h 50.0) (H.percentile h 95.0)
         (H.percentile h 99.0))
-    [ "commit_us"; "lock_wait_us"; "apply_lag_us" ];
+    latency_metrics;
   addf "\n  },\n  \"parallel\": [";
   List.iteri
     (fun i nodes ->
@@ -1275,7 +1189,6 @@ let () =
           | "validate" -> validate ()
           | "ablations" -> ablations ()
           | "macro" -> macro ()
-          | "bechamel" -> bechamel ()
           | "json" -> json ()
           | "real" -> real_json ()
           | "flight-overhead" ->

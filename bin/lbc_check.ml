@@ -11,21 +11,11 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let b = Bytes.create len in
-  really_input ic b 0 len;
-  close_in ic;
-  b
-
 let load_log path =
-  let dev = Lbc_storage.Dev.create ~name:path () in
-  Lbc_storage.Dev.load dev (read_file path);
-  match Lbc_wal.Log.attach dev with
-  | log -> log
-  | exception Lbc_wal.Log.Bad_log why ->
-      Format.eprintf "%s: not a log image: %s@." path why;
+  match Lbc_wal.Log.load_file path with
+  | Ok log -> log
+  | Error why ->
+      Format.eprintf "%s@." why;
       exit 2
 
 let report violations =

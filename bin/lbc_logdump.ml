@@ -1,23 +1,14 @@
-(* Inspect a redo-log image: header, live records, torn tails. *)
+(* Inspect a redo-log image: header, live records, torn tails.  A path
+   that cannot be read or holds no log exits 1. *)
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let b = Bytes.create len in
-  really_input ic b 0 len;
-  close_in ic;
-  b
-
 let dump verbose path =
-  let dev = Lbc_storage.Dev.create ~name:path () in
-  Lbc_storage.Dev.load dev (read_file path);
-  match Lbc_wal.Log.attach dev with
-  | exception Lbc_wal.Log.Bad_log why ->
-      Format.eprintf "%s: not a log: %s@." path why;
+  match Lbc_wal.Log.load_file path with
+  | Error why ->
+      Format.eprintf "%s@." why;
       exit 1
-  | log ->
+  | Ok log ->
       Format.printf "%s: head=%d tail=%d live=%d bytes, %d records@." path
         (Lbc_wal.Log.head log) (Lbc_wal.Log.tail log)
         (Lbc_wal.Log.live_bytes log)

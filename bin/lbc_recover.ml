@@ -13,9 +13,9 @@
    profile, so the reported virtual time shows the speedup.  The recovered image is byte-identical in
    every mode.
 
-   Bad input — a file that is not a log, logs that cannot be merged,
-   command records without --db, a record that cannot be replayed —
-   ends in one line on stderr and exit 1. *)
+   Bad input — a path that cannot be read, a file that is not a log,
+   logs that cannot be merged, command records without --db, a record
+   that cannot be replayed — ends in one line on stderr and exit 1. *)
 
 open Cmdliner
 module Cluster = Lbc_core.Cluster
@@ -27,9 +27,6 @@ exception Refused of string
 
 let refuse fmt = Printf.ksprintf (fun why -> raise (Refused why)) fmt
 
-let read_file path =
-  Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
-
 let modes =
   [
     ("serial", Cluster.Serial);
@@ -38,10 +35,9 @@ let modes =
   ]
 
 let load_log path =
-  let dev = Lbc_storage.Dev.create ~name:path () in
-  Lbc_storage.Dev.load dev (read_file path);
-  try Lbc_wal.Log.attach dev
-  with Lbc_wal.Log.Bad_log why -> refuse "%s: not a log (%s)" path why
+  match Lbc_wal.Log.load_file path with
+  | Ok log -> log
+  | Error why -> refuse "%s" why
 
 (* Real replay: one OCaml 5 domain per partition group against a real
    file, wall-clock timed.  Partitions are lock/region-disjoint, so any
@@ -122,7 +118,12 @@ let recover db_path out_path mode backend log_paths =
           (try Sys.remove p with Sys_error _ -> ())
       | None -> ())
     (fun () ->
-      Option.iter (fun p -> Lbc_storage.Dev.load db (read_file p)) db_path;
+      Option.iter
+        (fun p ->
+          match Lbc_storage.Dev.load_file db p with
+          | Ok () -> ()
+          | Error why -> refuse "%s" why)
+        db_path;
       let streams = Cluster.replay_streams mode records in
       let outcome, elapsed, first_done =
         try

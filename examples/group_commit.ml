@@ -20,7 +20,6 @@ let () =
   let config =
     { Config.default with
       Config.disk_logging = true;
-      flush_on_commit = true;
       group_commit = true;
       group_commit_max = workers;
       group_commit_delay = 50.0;

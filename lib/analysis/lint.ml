@@ -1,4 +1,4 @@
-(* Repo-specific source lint.  Three rules, all lexical over comment- and
+(* Repo-specific source lint.  Eight rules, all lexical over comment- and
    string-stripped source text:
 
    - poly-compare: a bare (or Stdlib-qualified) [compare] applied as a

@@ -23,11 +23,13 @@ type result = { check : string; ok : bool; detail : string }
 let all_ok results = List.for_all (fun r -> r.ok) results
 
 (* --------------------------------------------------------------- *)
-(* Workload (mirrors test/test_chaos.ml, scaled down) *)
+(* The chaos workload (mirrors test/test_chaos.ml, scaled down); the
+   explorer's scenarios run the same geometry and worker *)
 
 let regions = 2
 let locks_per_region = 2
 let region_size = 2048
+let all_locks = regions * locks_per_region
 let lock_region l = l / locks_per_region
 
 let lock_offset rng l =
@@ -35,34 +37,44 @@ let lock_offset rng l =
   let span = region_size / locks_per_region in
   (part * span) + (8 * Lbc_util.Rng.int rng (span / 8))
 
-let build_sim_logs ?(checkpoints = false) ~config ~nodes ~seed ~iterations ()
-    =
-  let c = Cluster.create ~config ~nodes () in
+let mk_cluster ?sched config ~nodes =
+  let c = Cluster.create ~config ?sched ~nodes () in
   for r = 0 to regions - 1 do
     Cluster.add_region c ~id:r ~size:region_size;
     Cluster.map_region_all c ~region:r
   done;
+  c
+
+(* [iterations] transactions on [node], each over one or two random
+   locks; a quarter of the held locks go unwritten and one transaction
+   in ten aborts.  Draws from its own split of [rng]. *)
+let worker c rng ~node ~iterations =
+  let rng = Lbc_util.Rng.split rng in
+  Cluster.spawn c ~node (fun node ->
+      for _ = 1 to iterations do
+        let txn = Node.Txn.begin_ node in
+        let l1 = Lbc_util.Rng.int rng all_locks in
+        let l2 = Lbc_util.Rng.int rng all_locks in
+        let ls = List.sort_uniq Int.compare [ l1; l2 ] in
+        List.iter (fun l -> Node.Txn.acquire txn l) ls;
+        List.iter
+          (fun l ->
+            if Lbc_util.Rng.int rng 4 > 0 then
+              Node.Txn.set_u64 txn ~region:(lock_region l)
+                ~offset:(lock_offset rng l)
+                (Lbc_util.Rng.int64 rng))
+          ls;
+        if Lbc_util.Rng.int rng 10 = 0 then Node.Txn.abort txn
+        else Node.Txn.commit txn;
+        Lbc_sim.Proc.sleep (Lbc_util.Rng.float rng 30.0)
+      done)
+
+let build_sim_logs ?(checkpoints = false) ~config ~nodes ~seed ~iterations ()
+    =
+  let c = mk_cluster config ~nodes in
   let rng = Lbc_util.Rng.create seed in
   for n = 0 to nodes - 1 do
-    let rng = Lbc_util.Rng.split rng in
-    Cluster.spawn c ~node:n (fun node ->
-        for _ = 1 to iterations do
-          let txn = Node.Txn.begin_ node in
-          let l1 = Lbc_util.Rng.int rng (regions * locks_per_region) in
-          let l2 = Lbc_util.Rng.int rng (regions * locks_per_region) in
-          let ls = List.sort_uniq Int.compare [ l1; l2 ] in
-          List.iter (fun l -> Node.Txn.acquire txn l) ls;
-          List.iter
-            (fun l ->
-              if Lbc_util.Rng.int rng 4 > 0 then
-                Node.Txn.set_u64 txn ~region:(lock_region l)
-                  ~offset:(lock_offset rng l)
-                  (Lbc_util.Rng.int64 rng))
-            ls;
-          if Lbc_util.Rng.int rng 10 = 0 then Node.Txn.abort txn
-          else Node.Txn.commit txn;
-          Lbc_sim.Proc.sleep (Lbc_util.Rng.float rng 30.0)
-        done)
+    worker c rng ~node:n ~iterations
   done;
   if checkpoints then begin
     Cluster.run ~until:300.0 c;

@@ -59,8 +59,8 @@ let node t i =
     invalid_arg (Printf.sprintf "Cluster.node: no node %d" i);
   t.nodes.(i)
 
-let create ?(config = Config.default) ?sched ?net_params ?disk
-    ?(backend = Platform.Sim) ~nodes () =
+let create ?(config = Config.default) ?sched ?(backend = Platform.Sim) ~nodes
+    () =
   if nodes <= 0 then invalid_arg "Cluster.create: nodes must be positive";
   let platform, sim =
     match backend with
@@ -69,26 +69,16 @@ let create ?(config = Config.default) ?sched ?net_params ?disk
           invalid_arg
             "Cluster.create: schedule policies are sim-only (deterministic \
              same-time ties do not exist on a preemptive backend)";
-        if net_params <> None || disk <> None then
-          invalid_arg
-            "Cluster.create: net/disk cost models are sim-only (the real \
-             backend pays real costs)";
         (make ~nodes ~config, None)
     | Platform.Sim ->
         let net_params =
-          match net_params with
-          | Some p -> p
-          | None ->
-              if config.Config.charge_costs then Lbc_net.Params.an1
-              else Lbc_net.Params.instant
+          if config.Config.charge_costs then Lbc_net.Params.an1
+          else Lbc_net.Params.instant
         in
         let disk =
-          match disk with
-          | Some d -> d
-          | None ->
-              if config.Config.charge_costs && config.Config.disk_logging then
-                Lbc_storage.Latency.osdi94_disk
-              else Lbc_storage.Latency.none
+          if config.Config.charge_costs && config.Config.disk_logging then
+            Lbc_storage.Latency.osdi94_disk
+          else Lbc_storage.Latency.none
         in
         let engine = Lbc_sim.Engine.create ?policy:sched () in
         let fabric =
@@ -224,7 +214,7 @@ let spawn t ~node:n f =
     ~alive:(fun () -> (not t.crashed.(n)) && t.epoch.(n) = epoch0)
     (fun () -> f target)
 
-let run ?until ?(check_stranded = true) t =
+let run ?until t =
   match t.sim with
   | Some h ->
       (match Lbc_sim.Engine.run ?until h.engine with
@@ -236,7 +226,7 @@ let run ?until ?(check_stranded = true) t =
           raise e);
       (* Only a drained queue proves the blocked processes can never
          resume; a [~until] pause is not a verdict. *)
-      if until = None && check_stranded then (
+      if until = None then (
         match Lbc_sim.Engine.blocked h.engine with
         | [] -> ()
         | descs ->

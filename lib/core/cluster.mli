@@ -21,20 +21,19 @@ type t
 val create :
   ?config:Config.t ->
   ?sched:Lbc_sim.Schedule.policy ->
-  ?net_params:Lbc_net.Params.t ->
-  ?disk:Lbc_storage.Latency.t ->
   ?backend:Platform.backend ->
   nodes:int ->
   unit ->
   t
-(** Build a cluster.  When [net_params]/[disk] are omitted they follow
-    [config.charge_costs]: AN1 network and the OSDI-94 disk profile when
-    charging costs, free otherwise.  [sched] selects the engine's
-    same-time schedule policy (default stable FIFO); seeded policies
-    explore alternative legal interleavings and record a replayable
-    decision trace ({!schedule_decisions}).  [backend] (default
-    {!Platform.Sim}) selects the platform; [sched]/[net_params]/[disk]
-    are sim-only and raise [Invalid_argument] with a custom backend. *)
+(** Build a cluster.  On the sim the cost models follow
+    [config.charge_costs]: the AN1 network, and the OSDI-94 disk profile
+    when disk logging is on, when charging costs; free otherwise.
+    [sched] selects the engine's same-time schedule policy (default
+    stable FIFO); seeded policies explore alternative legal
+    interleavings and record a replayable decision trace
+    ({!schedule_decisions}).  [backend] (default {!Platform.Sim})
+    selects the platform; [sched] is sim-only and raises
+    [Invalid_argument] with a custom backend. *)
 
 val backend_name : t -> string
 (** ["sim"] or the custom platform's name (e.g. ["real"]). *)
@@ -70,17 +69,17 @@ val spawn : t -> node:int -> (Node.t -> unit) -> unit
     node: if the node crashes, the process is killed at its next
     scheduling point. *)
 
-val run : ?until:Lbc_sim.Engine.time -> ?check_stranded:bool -> t -> unit
+val run : ?until:Lbc_sim.Engine.time -> t -> unit
 (** Drive the cluster until the spawned work completes.  Sim: drain the
     event queue; when it drains completely (no [until] cutoff) while
     some processes are still blocked — say on a receive whose message
     was dropped, or in a lock-wait cycle — the run did not end, it hung;
     raise {!Lbc_sim.Engine.Stranded} with one description per stuck
-    process instead of returning as if all work completed.  Pass
-    [~check_stranded:false] to opt out (e.g. to inspect the wreckage of
-    an expected hang with {!blocked}).  Real: block until every spawned
-    task finishes and the socket fabric is quiescent ([?until] raises
-    {!Platform.Unsupported} — there is no virtual-time cutoff). *)
+    process instead of returning as if all work completed.  The stuck
+    processes stay in {!blocked}, so a caller expecting the hang can
+    catch [Stranded] and inspect the wreckage.  Real: block until every
+    spawned task finishes and the socket fabric is quiescent ([?until]
+    raises {!Platform.Unsupported} — there is no virtual-time cutoff). *)
 
 val now : t -> Lbc_sim.Engine.time
 (** Virtual µs on sim, wall-clock µs since platform start on real. *)

@@ -2,7 +2,6 @@ type propagation = Eager | Lazy
 
 type t = {
   disk_logging : bool;
-  flush_on_commit : bool;
   log_mode : Lbc_wal.Command.log_mode;
   propagation : propagation;
   multicast : bool;
@@ -23,7 +22,6 @@ type t = {
 let default =
   {
     disk_logging = true;
-    flush_on_commit = true;
     log_mode = Lbc_wal.Command.Value;
     propagation = Eager;
     multicast = false;

@@ -3,7 +3,9 @@
     The defaults correspond to the paper's prototype: eager propagation
     at commit, compressed wire headers, disk logging on.  [set_range]
     always coalesces with the prototype's optimized policy
-    ({!Lbc_rvm.Range_tree}) and logs 104-byte RVM range headers.  The
+    ({!Lbc_rvm.Range_tree}) and logs 104-byte RVM range headers, and
+    with disk logging on every commit forces its record to the log
+    before it returns (alone, or in its group-commit batch).  The
     benchmarks flip individual knobs to reproduce the ablations (disk
     logging off to isolate coherency costs, lazy propagation from
     Section 2.2). *)
@@ -21,7 +23,6 @@ type propagation =
 
 type t = {
   disk_logging : bool;
-  flush_on_commit : bool;
   log_mode : Lbc_wal.Command.log_mode;
       (** per-transaction record encoding: [Value] logs new-value ranges
           (the paper's RVM, the default), [Command] logs the declared
@@ -53,8 +54,8 @@ type t = {
   group_commit : bool;
       (** batch concurrent commits on the same node into one log write +
           one sync (group commit).  Takes effect only with
-          [disk_logging] and [flush_on_commit]; committers park until
-          their batch is durable. *)
+          [disk_logging]; committers park until their batch is
+          durable. *)
   group_commit_max : int;
       (** records that close a batch by size *)
   group_commit_delay : float;

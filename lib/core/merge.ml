@@ -90,53 +90,15 @@ let merge_records logs =
 let merge_logs logs =
   merge_records (List.map (fun log -> fst (Lbc_wal.Log.read_all log)) logs)
 
-(* Partition a merged transaction stream into independent replay streams.
-   Two transactions conflict when they share a lock or touch the same
-   region; the partition is the transitive closure of that relation
-   (union-find over lock and region ids), so streams from different
-   partitions touch disjoint regions under disjoint locks and can be
-   replayed concurrently.  Within a partition the merged order is kept. *)
+(* Partition a merged transaction stream into independent replay streams:
+   the region index (the lock∪region conflict closure) over stream
+   positions instead of log offsets.  Its chains come in order of first
+   position, each in position order, so the merged order is kept. *)
 let partition records =
-  let parent = Hashtbl.create 64 in
-  let rec find k =
-    match Hashtbl.find_opt parent k with
-    | None ->
-        Hashtbl.replace parent k k;
-        k
-    | Some p when p = k -> k
-    | Some p ->
-        let root = find p in
-        Hashtbl.replace parent k root;
-        root
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then Hashtbl.replace parent ra rb
-  in
-  let keys (txn : Lbc_wal.Record.txn) =
-    List.map (fun l -> `Lock l.Lbc_wal.Record.lock_id) txn.Lbc_wal.Record.locks
-    @ List.map (fun r -> `Region r) (Lbc_wal.Record.regions txn)
-  in
-  List.iter
-    (fun txn ->
-      match keys txn with
-      | [] -> ()
-      | k0 :: rest -> List.iter (union k0) rest)
-    records;
-  let buckets = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun txn ->
-      (* lockless, rangeless transactions have no replay effect; group
-         them in a catch-all stream rather than inventing one each *)
-      let rep = match keys txn with [] -> `Lock (-1) | k :: _ -> find k in
-      match Hashtbl.find_opt buckets rep with
-      | None ->
-          Hashtbl.replace buckets rep [ txn ];
-          order := rep :: !order
-      | Some txns -> Hashtbl.replace buckets rep (txn :: txns))
-    records;
-  List.rev_map (fun rep -> List.rev (Hashtbl.find buckets rep)) !order
+  let txns = Array.of_list records in
+  let idx = Lbc_wal.Region_index.create () in
+  Array.iteri (fun i txn -> Lbc_wal.Region_index.add idx ~off:i txn) txns;
+  List.map (List.map (Array.get txns)) (Lbc_wal.Region_index.chains idx)
 
 type prefix = {
   ordered : R.txn list;

@@ -34,11 +34,12 @@ val merge_logs :
 
 val partition : Lbc_wal.Record.txn list -> Lbc_wal.Record.txn list list
 (** Split a merged stream into independent replay streams: transactions
-    sharing a lock or a region — transitively (union-find over the
-    lock/region closure) — land in the same stream, so distinct streams
-    touch disjoint regions under disjoint locks and may be replayed
-    concurrently.  Within a stream the input order is preserved; streams
-    are returned in order of first appearance.  Partitioning the input of
+    sharing a lock or a region — transitively — land in the same stream,
+    so distinct streams touch disjoint regions under disjoint locks and
+    may be replayed concurrently.  This is {!Lbc_wal.Region_index} over
+    stream positions; transactions with neither share one catch-all
+    stream.  Within a stream the input order is preserved; streams are
+    returned in order of first appearance.  Partitioning the input of
     {!Lbc_rvm.Recovery.replay_records} this way is what makes parallel
     recovery sound. *)
 
@@ -57,8 +58,8 @@ val merge_logs_prefix :
     for each of its locks, the previous write it depends on
     ([prev_write_seq]) has either been emitted in this merge or is
     already covered by an earlier checkpoint ([checkpointed lock],
-    default 0).  Records whose predecessors are not yet durable (lazy
-    commits still in flight) are left in place for the next round.  This
+    default 0).  Records whose predecessors are neither merged nor
+    covered are left in place for the next round.  This
     is what makes the paper's Section 3.5 online trimming possible: "one
     node would checkpoint at a time, broadcasting to other nodes when
     done to inform them of their new log head". *)

@@ -131,11 +131,7 @@ let create (deps : deps) =
     Lbc_rvm.Rvm.init ~options:rvm_options ~node:deps.node_id
       ~log_dev:deps.log_dev ()
   in
-  if
-    deps.config.Config.group_commit
-    && deps.config.Config.disk_logging
-    && deps.config.Config.flush_on_commit
-  then
+  if deps.config.Config.group_commit && deps.config.Config.disk_logging then
     Lbc_wal.Log.enable_group_commit (Lbc_rvm.Rvm.log rvm) ~engine:deps.engine
       ~max_records:deps.config.Config.group_commit_max
       ~delay:deps.config.Config.group_commit_delay;
@@ -215,6 +211,22 @@ let retain (t : t) (record : Lbc_wal.Record.txn) =
       Hashtbl.replace t.retained lock (record :: existing))
     record.Lbc_wal.Record.locks
 
+(* Fold a peer's reported applied table into what we know of it. *)
+let merge_peer_applied (t : t) peer applied =
+  let tbl =
+    match Hashtbl.find_opt t.peer_applied peer with
+    | Some tbl -> tbl
+    | None ->
+        let tbl = Hashtbl.create 16 in
+        Hashtbl.replace t.peer_applied peer tbl;
+        tbl
+  in
+  List.iter
+    (fun (lock, seq) ->
+      if seq > Option.value ~default:0 (Hashtbl.find_opt tbl lock) then
+        Hashtbl.replace tbl lock seq)
+    applied
+
 let resync (t : t) ~applied =
   if t.pending <> [] then
     raise (Coherency_error "resync with records still pending");
@@ -232,21 +244,7 @@ let resync (t : t) ~applied =
   t.unacked <- [];
   Lbc_wal.Log.set_retention_water (Lbc_rvm.Rvm.log t.rvm) max_int;
   for peer = 0 to t.nodes - 1 do
-    if peer <> t.id then begin
-      let tbl =
-        match Hashtbl.find_opt t.peer_applied peer with
-        | Some tbl -> tbl
-        | None ->
-            let tbl = Hashtbl.create 16 in
-            Hashtbl.replace t.peer_applied peer tbl;
-            tbl
-      in
-      List.iter
-        (fun (lock, seq) ->
-          if seq > Option.value ~default:0 (Hashtbl.find_opt tbl lock) then
-            Hashtbl.replace tbl lock seq)
-        applied
-    end
+    if peer <> t.id then merge_peer_applied t peer applied
   done;
   Lbc_sim.Condvar.broadcast t.applied_cv
 
@@ -255,14 +253,17 @@ let retained_count t =
 
 let gc_retained t = Hashtbl.reset t.retained
 
+(* The sequence number a record carries for [lock], if it holds it. *)
+let seq_of_lock lock (record : Lbc_wal.Record.txn) =
+  List.find_map
+    (fun (l : Lbc_wal.Record.lock_info) ->
+      if l.lock_id = lock then Some l.seqno else None)
+    record.locks
+
 let retained_after t ~lock ~have =
   let seq_for record =
-    match
-      List.find_opt
-        (fun l -> l.Lbc_wal.Record.lock_id = lock)
-        record.Lbc_wal.Record.locks
-    with
-    | Some l -> l.Lbc_wal.Record.seqno
+    match seq_of_lock lock record with
+    | Some s -> s
     | None -> raise (Coherency_error "retained record lacks its lock")
   in
   Option.value ~default:[] (Hashtbl.find_opt t.retained lock)
@@ -311,19 +312,13 @@ let prune_retained (t : t) =
       in
       go 0 max_int
     in
-    let seq_for lock (record : Lbc_wal.Record.txn) =
-      match
-        List.find_opt
-          (fun l -> l.Lbc_wal.Record.lock_id = lock)
-          record.Lbc_wal.Record.locks
-      with
-      | Some l -> l.Lbc_wal.Record.seqno
-      | None -> max_int
-    in
     Hashtbl.filter_map_inplace
       (fun lock records ->
         let f = floor lock in
-        match List.filter (fun r -> seq_for lock r > f) records with
+        let keep r =
+          Option.value ~default:max_int (seq_of_lock lock r) > f
+        in
+        match List.filter keep records with
         | [] -> None
         | kept -> Some kept)
       t.retained
@@ -372,19 +367,7 @@ let gossip_low_water (t : t) =
   done
 
 let receive_low_water (t : t) ~src ~applied =
-  let tbl =
-    match Hashtbl.find_opt t.peer_applied src with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 16 in
-        Hashtbl.replace t.peer_applied src tbl;
-        tbl
-  in
-  List.iter
-    (fun (lock, seq) ->
-      if seq > Option.value ~default:0 (Hashtbl.find_opt tbl lock) then
-        Hashtbl.replace tbl lock seq)
-    applied;
+  merge_peer_applied t src applied;
   update_retention t
 
 (* --------------------------------------------------------------- *)
@@ -440,7 +423,10 @@ let apply_now (t : t) (record : Lbc_wal.Record.txn) =
   Lbc_sim.Condvar.broadcast t.applied_cv
 
 (* Apply everything applicable, holding the rest; newly applied records can
-   unblock held ones, so iterate to a fixpoint. *)
+   unblock held ones, so iterate to a fixpoint.  A record is applied only
+   if it is still ready when its turn comes: two held copies of one
+   record are both ready in the same pass, and the first one applied
+   makes the second a duplicate. *)
 let rec drain_pending t =
   let ready, rest =
     List.partition (fun r -> readiness t r = Ready) t.pending
@@ -450,7 +436,7 @@ let rec drain_pending t =
   match ready with
   | [] -> ()
   | _ ->
-      List.iter (apply_now t) ready;
+      List.iter (fun r -> if readiness t r = Ready then apply_now t r) ready;
       drain_pending t
 
 let fetch_mark_key t lock = Printf.sprintf "fetch:%d:%d" t.id lock
@@ -663,6 +649,19 @@ let replay_one t ~off (record : Lbc_wal.Record.txn) =
   if retains t && Lbc_wal.Record.is_write record then
     track_unacked t ~offset:off record ~peers:(propagation_peers t record)
 
+(* Mark every region a chain covers, skipping regions this node does not
+   map. *)
+let mark_regions (t : t) (s : stream) mark =
+  List.iter
+    (fun k ->
+      match Lbc_wal.Region_index.untag k with
+      | Lbc_wal.Region_index.Region rid -> (
+          match Lbc_rvm.Rvm.region t.rvm rid with
+          | reg -> mark reg
+          | exception Not_found -> ())
+      | Lbc_wal.Region_index.Lock _ -> ())
+    s.skeys
+
 let rec replay_stream (t : t) (r : recovery) (s : stream) =
   match s.status with
   | Warm -> ()
@@ -701,15 +700,7 @@ let rec replay_stream (t : t) (r : recovery) (s : stream) =
          Lbc_sim.Condvar.broadcast r.warm_cv;
          raise e);
       s.status <- Warm;
-      List.iter
-        (fun k ->
-          match Lbc_wal.Region_index.untag k with
-          | Lbc_wal.Region_index.Region rid -> (
-              match Lbc_rvm.Rvm.region t.rvm rid with
-              | reg -> Lbc_rvm.Region.set_warm reg
-              | exception Not_found -> ())
-          | Lbc_wal.Region_index.Lock _ -> ())
-        s.skeys;
+      mark_regions t s Lbc_rvm.Region.set_warm;
       r.cold <- r.cold - 1;
       ignore (Obs.span_end t.obs sp : float);
       Obs.observe t.obs "recovery_us"
@@ -810,18 +801,7 @@ let rejoin (t : t) ~applied =
      until that chain replays: mark them cold so direct reads gate too.
      Retention stays pinned at the head until the unacked list is
      rebuilt (streams warm out of log order). *)
-  Array.iter
-    (fun s ->
-      List.iter
-        (fun k ->
-          match Lbc_wal.Region_index.untag k with
-          | Lbc_wal.Region_index.Region rid -> (
-              match Lbc_rvm.Rvm.region t.rvm rid with
-              | reg -> Lbc_rvm.Region.set_cold reg
-              | exception Not_found -> ())
-          | Lbc_wal.Region_index.Lock _ -> ())
-        s.skeys)
-    streams;
+  Array.iter (fun s -> mark_regions t s Lbc_rvm.Region.set_cold) streams;
   (* Pin unconditionally, not just under [retains t]: even in an eager
      non-repair config the cold chains' records are the only copy of
      their committed updates (the regions were reloaded from the
@@ -1025,15 +1005,11 @@ module Txn = struct
       Obs.span_begin node.obs ~name:"commit" ~pid:node.id ~tid:Obs.lane_txn
         ~arg:0
     in
-    let mode =
-      if node.config.Config.flush_on_commit then Lbc_rvm.Rvm.Flush
-      else Lbc_rvm.Rvm.No_flush
-    in
     (* Captured before the append: the record will land at or after this
        offset (concurrent committers may slip in during cost charging),
        so a retention mark here never trims the record itself. *)
     let log_off = Lbc_wal.Log.tail (Lbc_rvm.Rvm.log node.rvm) in
-    let outcome = Lbc_rvm.Rvm.commit_full ~mode t.rvm_txn in
+    let outcome = Lbc_rvm.Rvm.commit_full t.rvm_txn in
     let record = outcome.Lbc_rvm.Rvm.record in
     let wrote = Lbc_wal.Record.is_write record in
     if wrote then begin

@@ -25,20 +25,6 @@ let network v = { zero with network = v }
 let apply v = { zero with apply = v }
 let disk v = { zero with disk = v }
 
-let scale k t =
-  {
-    detect = k *. t.detect;
-    collect = k *. t.collect;
-    network = k *. t.network;
-    apply = k *. t.apply;
-    disk = k *. t.disk;
-  }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "detect=%.1f collect=%.1f network=%.1f apply=%.1f disk=%.1f total=%.1f µs"
-    t.detect t.collect t.network t.apply t.disk (total t)
-
 let pp_ms ppf t =
   let ms v = v /. 1000.0 in
   Format.fprintf ppf

@@ -21,7 +21,5 @@ val apply : float -> t
 val disk : float -> t
 (** Single-phase constructors, to be combined with {!add}. *)
 
-val scale : float -> t -> t
-val pp : Format.formatter -> t -> unit
 val pp_ms : Format.formatter -> t -> unit
 (** Render in milliseconds with the phase breakdown. *)

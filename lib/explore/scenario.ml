@@ -33,47 +33,10 @@ type t = {
 }
 
 (* --------------------------------------------------------------- *)
-(* Shared cluster-scenario plumbing (the chaos-test geometry) *)
+(* Shared cluster-scenario plumbing: the chaos geometry and worker are
+   the checker self-test's *)
 
-let regions = 2
-let locks_per_region = 2
-let region_size = 2048
-let all_locks = regions * locks_per_region
-let lock_region l = l / locks_per_region
-
-let lock_offset rng l =
-  let part = l mod locks_per_region in
-  let span = region_size / locks_per_region in
-  (part * span) + (8 * Lbc_util.Rng.int rng (span / 8))
-
-let mk_cluster config ~sched nodes =
-  let c = Cluster.create ~config ~sched ~nodes () in
-  for r = 0 to regions - 1 do
-    Cluster.add_region c ~id:r ~size:region_size;
-    Cluster.map_region_all c ~region:r
-  done;
-  c
-
-let worker c rng n iterations =
-  let rng = Lbc_util.Rng.split rng in
-  Cluster.spawn c ~node:n (fun node ->
-      for _ = 1 to iterations do
-        let txn = Node.Txn.begin_ node in
-        let l1 = Lbc_util.Rng.int rng all_locks in
-        let l2 = Lbc_util.Rng.int rng all_locks in
-        let ls = List.sort_uniq Int.compare [ l1; l2 ] in
-        List.iter (fun l -> Node.Txn.acquire txn l) ls;
-        List.iter
-          (fun l ->
-            if Lbc_util.Rng.int rng 4 > 0 then
-              Node.Txn.set_u64 txn ~region:(lock_region l)
-                ~offset:(lock_offset rng l)
-                (Lbc_util.Rng.int64 rng))
-          ls;
-        if Lbc_util.Rng.int rng 10 = 0 then Node.Txn.abort txn
-        else Node.Txn.commit txn;
-        Lbc_sim.Proc.sleep (Lbc_util.Rng.float rng 30.0)
-      done)
+module W = Lbc_analysis.Selftest
 
 (* Every node acquires every listed lock once, pulling whatever its cache
    still misses (mandatory for lazy propagation, harmless elsewhere). *)
@@ -266,16 +229,16 @@ let drop_heal =
         }
       in
       let nodes = 3 in
-      let c = mk_cluster config ~sched nodes in
+      let c = W.mk_cluster config ~sched ~nodes in
       ( c,
         fun () ->
           drop_updates c ~src:0 ~dst:1;
           let rng = Lbc_util.Rng.create 808 in
           for n = 0 to nodes - 1 do
-            worker c rng n 20
+            W.worker c rng ~node:n ~iterations:20
           done;
           Cluster.run c;
-          final_pull c ~nodes ~locks:all_locks;
+          final_pull c ~nodes ~locks:W.all_locks;
           oracle c ~nodes ~region_ids:[ 0; 1 ] ))
 
 let crash_rejoin =
@@ -292,20 +255,20 @@ let crash_rejoin =
         }
       in
       let nodes = 5 in
-      let c = mk_cluster config ~sched nodes in
+      let c = W.mk_cluster config ~sched ~nodes in
       ( c,
         fun () ->
           drop_updates c ~src:0 ~dst:1;
           drop_updates c ~src:2 ~dst:3;
           let rng = Lbc_util.Rng.create 909 in
           for n = 0 to nodes - 1 do
-            worker c rng n 20
+            W.worker c rng ~node:n ~iterations:20
           done;
           crash_then_rejoin_bg c ~node:4 ~after:150.0
-            ~more_work:(fun () -> worker c rng 4 5)
+            ~more_work:(fun () -> W.worker c rng ~node:4 ~iterations:5)
             ();
           Cluster.run c;
-          final_pull c ~nodes ~locks:all_locks;
+          final_pull c ~nodes ~locks:W.all_locks;
           oracle c ~nodes ~region_ids:[ 0; 1 ] ))
 
 let checkpoint_under_faults =
@@ -322,13 +285,13 @@ let checkpoint_under_faults =
         }
       in
       let nodes = 5 in
-      let c = mk_cluster config ~sched nodes in
+      let c = W.mk_cluster config ~sched ~nodes in
       ( c,
         fun () ->
           drop_updates c ~src:0 ~dst:1;
           let rng = Lbc_util.Rng.create 1010 in
           for n = 0 to nodes - 1 do
-            worker c rng n 15
+            W.worker c rng ~node:n ~iterations:15
           done;
           Cluster.run ~until:100.0 c;
           Cluster.crash c ~node:4;
@@ -337,7 +300,7 @@ let checkpoint_under_faults =
           ignore (Cluster.online_checkpoint c);
           Cluster.rejoin c ~node:4;
           Cluster.run c;
-          final_pull c ~nodes ~locks:all_locks;
+          final_pull c ~nodes ~locks:W.all_locks;
           oracle c ~nodes ~region_ids:[ 0; 1 ] ))
 
 (* Home-segment worker: each node writes only its own lock's slots, so
@@ -352,8 +315,8 @@ let worker_home c rng n iterations =
       for _ = 1 to iterations do
         let txn = Node.Txn.begin_ node in
         Node.Txn.acquire txn n;
-        Node.Txn.set_u64 txn ~region:(lock_region n)
-          ~offset:(lock_offset rng n) (Lbc_util.Rng.int64 rng);
+        Node.Txn.set_u64 txn ~region:(W.lock_region n)
+          ~offset:(W.lock_offset rng n) (Lbc_util.Rng.int64 rng);
         Node.Txn.commit txn;
         Lbc_sim.Proc.sleep (Lbc_util.Rng.float rng 20.0)
       done)
@@ -380,7 +343,7 @@ let rejoin_under_load =
         }
       in
       let nodes = 3 in
-      let c = mk_cluster config ~sched nodes in
+      let c = W.mk_cluster config ~sched ~nodes in
       ( c,
         fun () ->
           let rng = Lbc_util.Rng.create 1515 in
@@ -403,7 +366,7 @@ let rejoin_under_load =
             worker_home c rng n 5
           done;
           Cluster.run c;
-          final_pull c ~nodes ~locks:all_locks;
+          final_pull c ~nodes ~locks:W.all_locks;
           oracle c ~nodes ~region_ids:[ 0; 1 ] ))
 
 (* --------------------------------------------------------------- *)

@@ -257,30 +257,10 @@ let note_heat t lock =
   if Obs.enabled t.obs then
     Obs.count ~pid:t.node t.obs (heat_key_memo t lock) 1
 
-let acquire t lock =
-  note_heat t lock;
-  let s = state t lock in
-  if s.have_token && (not s.busy) && live_waiters s.waiters = 0 then begin
-    t.stats.local_grants <- t.stats.local_grants + 1;
-    Obs.observe ~pid:t.node t.obs "lock_wait_us" 0.0;
-    grant_locally s
-  end
-  else begin
-    let sp =
-      Obs.span_begin t.obs ~name:"lock.wait" ~pid:t.node ~tid:Obs.lane_lock
-        ~arg:lock
-    in
-    let w = enqueue_waiter t s in
-    match
-      Lbc_sim.Ivar.read ~info:(Printf.sprintf "lock-wait l%d" lock) w.iv
-    with
-    | Some g ->
-        Obs.observe ~pid:t.node t.obs "lock_wait_us" (Obs.span_end t.obs sp);
-        g
-    | None -> raise (Protocol_error "acquire: waiter cancelled unexpectedly")
-  end
-
-let acquire_timeout t lock ~timeout =
+(* Grant at once when the token is here and free; otherwise queue and
+   wait for it.  With a [timeout] the wait is cancelled after that many
+   virtual µs and yields [None]; without one nothing can cancel it. *)
+let acquire_within t lock ~timeout =
   note_heat t lock;
   let s = state t lock in
   if s.have_token && (not s.busy) && live_waiters s.waiters = 0 then begin
@@ -294,21 +274,31 @@ let acquire_timeout t lock ~timeout =
         ~arg:lock
     in
     let w = enqueue_waiter t s in
-    let engine = Lbc_sim.Proc.engine () in
-    Lbc_sim.Engine.schedule engine ~delay:timeout (fun () ->
-        if not (Lbc_sim.Ivar.is_filled w.iv) then begin
-          w.cancelled <- true;
-          Lbc_sim.Ivar.fill w.iv None
-        end);
-    let res =
-      Lbc_sim.Ivar.read
-        ~info:(Printf.sprintf "lock-wait l%d (timeout %.0f)" lock timeout)
-        w.iv
+    let info =
+      match timeout with
+      | None -> Printf.sprintf "lock-wait l%d" lock
+      | Some timeout ->
+          Lbc_sim.Engine.schedule (Lbc_sim.Proc.engine ()) ~delay:timeout
+            (fun () ->
+              if not (Lbc_sim.Ivar.is_filled w.iv) then begin
+                w.cancelled <- true;
+                Lbc_sim.Ivar.fill w.iv None
+              end);
+          Printf.sprintf "lock-wait l%d (timeout %.0f)" lock timeout
     in
+    let res = Lbc_sim.Ivar.read ~info w.iv in
     let wait = Obs.span_end t.obs sp in
     if res <> None then Obs.observe ~pid:t.node t.obs "lock_wait_us" wait;
     res
   end
+
+let acquire t lock =
+  match acquire_within t lock ~timeout:None with
+  | Some g -> g
+  | None -> raise (Protocol_error "acquire: waiter cancelled unexpectedly")
+
+let acquire_timeout t lock ~timeout =
+  acquire_within t lock ~timeout:(Some timeout)
 
 let release t lock ~wrote =
   let s = state t lock in

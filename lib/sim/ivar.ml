@@ -12,7 +12,6 @@ let fill t v =
       List.iter (fun resume -> resume v) (List.rev waiters)
 
 let is_filled t = match t.state with Full _ -> true | Empty _ -> false
-let peek t = match t.state with Full v -> Some v | Empty _ -> None
 
 let read ?(info = "ivar.read") t =
   match t.state with

@@ -11,8 +11,6 @@ val fill : 'a t -> 'a -> unit
 
 val is_filled : 'a t -> bool
 
-val peek : 'a t -> 'a option
-
 val read : ?info:string -> 'a t -> 'a
 (** Return the value, suspending the calling process until filled.
     [info] (default ["ivar.read"]) describes the wait in the engine's

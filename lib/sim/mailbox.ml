@@ -14,5 +14,4 @@ let recv ?(info = "mailbox.recv") t =
   | Some v -> v
   | None -> Proc.suspend ~info (fun resume -> Queue.add resume t.waiters)
 
-let length t = Queue.length t.items
 let is_empty t = Queue.is_empty t.items

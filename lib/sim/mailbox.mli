@@ -12,5 +12,4 @@ val recv : ?info:string -> 'a t -> 'a
     blocked-process registry. *)
 
 val try_recv : 'a t -> 'a option
-val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -267,3 +267,12 @@ let load t b =
           f.flen <- 0);
       file_write f ~off:0 b ~pos:0 ~len:(Bytes.length b);
       with_fd f (fun () -> Unix.fsync f.fd)
+
+let load_file t path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | image -> Ok (load t (Bytes.unsafe_of_string image))
+  | exception Sys_error why ->
+      (* Some messages name the path already ("P: No such file ..."),
+         a read error does not ("Is a directory"). *)
+      let prefix = path ^ ": " in
+      Error (if String.starts_with ~prefix why then why else prefix ^ why)

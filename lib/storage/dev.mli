@@ -77,6 +77,10 @@ val load : t -> Bytes.t -> unit
 (** Replace both images with the given contents, marking them stable (used
     by tools to import a real file). *)
 
+val load_file : t -> string -> (unit, string) result
+(** {!load} the contents of the file at [path].  A file that cannot be
+    read is [Error], one line naming [path]. *)
+
 (** Accounting *)
 
 val bytes_written : t -> int

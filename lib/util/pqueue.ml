@@ -86,10 +86,6 @@ let pop_exn t =
   | Some v -> v
   | None -> invalid_arg "Pqueue.pop_exn: empty"
 
-let clear t =
-  t.size <- 0;
-  t.heap <- [||]
-
 let to_list t =
   let copy =
     {

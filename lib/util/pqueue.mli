@@ -25,7 +25,5 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty queue. *)
 
-val clear : 'a t -> unit
-
 val to_list : 'a t -> 'a list
 (** Elements in ascending order; O(n log n), does not modify the queue. *)

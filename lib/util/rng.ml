@@ -3,7 +3,6 @@ type t = { mutable state : int64 }
 let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
 
 let int64 t =
   t.state <- Int64.add t.state golden;

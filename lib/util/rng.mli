@@ -12,8 +12,6 @@ val create : int -> t
 val split : t -> t
 (** An independent generator derived from the current state. *)
 
-val copy : t -> t
-
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 

@@ -31,7 +31,6 @@ let of_bytes ?(pos = 0) ?len b =
 
 let of_string s = { b = Bytes.of_string s; off = 0; len = String.length s }
 let length s = s.len
-let is_empty s = s.len = 0
 let base s = s.b
 let pos s = s.off
 
@@ -53,16 +52,6 @@ let to_bytes s =
   Bytes.sub s.b s.off s.len
 
 let to_string s = Bytes.sub_string s.b s.off s.len
-
-let equal a b =
-  a.len = b.len
-  &&
-  let rec loop i =
-    i >= a.len || (Bytes.get a.b (a.off + i) = Bytes.get b.b (b.off + i) && loop (i + 1))
-  in
-  loop 0
-
-let pp ppf s = Format.fprintf ppf "slice(%dB@@%d)" s.len s.off
 
 let iov_length iov = List.fold_left (fun acc s -> acc + s.len) 0 iov
 

@@ -42,7 +42,6 @@ val of_string : string -> t
     byte base). *)
 
 val length : t -> int
-val is_empty : t -> bool
 
 val get : t -> int -> char
 (** [get s i] is byte [i] of the window; bounds-checked. *)
@@ -64,11 +63,6 @@ val to_bytes : t -> Bytes.t
 (** Materialize the window as fresh bytes (counted). *)
 
 val to_string : t -> string
-
-val equal : t -> t -> bool
-(** Content equality. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Gather lists (iovecs)} *)
 

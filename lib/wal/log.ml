@@ -139,6 +139,16 @@ let attach dev =
       obs = Obs.disabled; obs_node = 0 }
   end
 
+let load_file path =
+  let dev = Lbc_storage.Dev.create ~name:path () in
+  match Lbc_storage.Dev.load_file dev path with
+  | Error _ as e -> e
+  | Ok () -> (
+      match attach dev with
+      | log -> Ok log
+      | exception Bad_log why ->
+          Error (Printf.sprintf "%s: not a log (%s)" path why))
+
 let set_obs t obs ~node =
   t.obs <- obs;
   t.obs_node <- node

@@ -35,6 +35,11 @@ val attach : Lbc_storage.Dev.t -> t
 (** Open the log on [dev], initializing a fresh header if the device is
     empty.  Scans for the tail. *)
 
+val load_file : string -> (t, string) result
+(** The tools' loader: copy the log image in the file at [path] into an
+    in-memory device named [path] and {!attach} it.  A file that cannot
+    be read, or holds no log, is [Error], one line naming [path]. *)
+
 val set_obs : t -> Lbc_obs.Obs.t -> node:int -> unit
 (** Install a trace/metrics sink (the log itself does not know which
     node owns it, hence [node]): appends become [log.append] instants,

@@ -18,12 +18,6 @@ let ctrl_magic = 0x4C42434B (* "LBCK" *)
 let rvm_disk_header_size = 104
 let min_header_size = 4 + 8 + 8 (* region, offset, length *)
 
-let check_header_size n =
-  if n < min_header_size then
-    invalid_arg
-      (Printf.sprintf "Record: range_header_size %d < minimum %d" n
-         min_header_size)
-
 (* Single-pass encode into a caller-supplied writer: the record may land
    after bytes already in the arena (group commit batches several), so
    every patch offset is relative to the arena length at entry.  The
@@ -66,17 +60,19 @@ let encode_cmd_into w t c =
   List.iter (Codec.varint w) c.cmd_regions;
   seal w ~start
 
-let encode_into ?(range_header_size = rvm_disk_header_size) w t =
+(* Every range header is padded to RVM's 104 bytes; the size still rides
+   in the record, and the decoder honours whatever size a record
+   carries. *)
+let encode_into w t =
   match t.cmd with
   | Some c -> encode_cmd_into w t c
   | None ->
-      check_header_size range_header_size;
       let start = Codec.length w in
       Codec.u32 w magic;
       Codec.u32 w 0 (* total, patched below *);
       Codec.u16 w t.node;
       Codec.int_as_u64 w t.tid;
-      Codec.u16 w range_header_size;
+      Codec.u16 w rvm_disk_header_size;
       Codec.varint w (List.length t.locks);
       List.iter
         (fun l ->
@@ -85,7 +81,7 @@ let encode_into ?(range_header_size = rvm_disk_header_size) w t =
           Codec.varint w l.prev_write_seq)
         t.locks;
       Codec.varint w (List.length t.ranges);
-      let pad = range_header_size - min_header_size in
+      let pad = rvm_disk_header_size - min_header_size in
       List.iter
         (fun r ->
           Codec.u32 w r.region;
@@ -98,9 +94,9 @@ let encode_into ?(range_header_size = rvm_disk_header_size) w t =
         t.ranges;
       seal w ~start
 
-let encode ?range_header_size t =
+let encode t =
   let w = Codec.writer ~capacity:1024 () in
-  encode_into ?range_header_size w t;
+  encode_into w t;
   Codec.contents w
 
 let locks_size t =
@@ -111,7 +107,7 @@ let locks_size t =
     (Codec.varint_size (List.length t.locks))
     t.locks
 
-let encoded_size ?(range_header_size = rvm_disk_header_size) t =
+let encoded_size t =
   match t.cmd with
   | Some c ->
       let regions =
@@ -124,10 +120,9 @@ let encoded_size ?(range_header_size = rvm_disk_header_size) t =
       + Codec.varint_size (Bytes.length c.params)
       + Bytes.length c.params + regions + 4
   | None ->
-      check_header_size range_header_size;
       let ranges =
         List.fold_left
-          (fun acc r -> acc + range_header_size + Bytes.length r.data)
+          (fun acc r -> acc + rvm_disk_header_size + Bytes.length r.data)
           0 t.ranges
       in
       4 + 4 + 2 + 8 + 2 + locks_size t

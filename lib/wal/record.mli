@@ -18,10 +18,11 @@
       [prev_write_seq] chain value records use, so ordering, merge, and
       partitioning are encoding-agnostic.
 
-    On disk each range carries a fixed-size header padded to
-    [range_header_size] bytes; CMU RVM's disk header was 104 bytes, which
-    is the default and is what makes the paper's compressed 4-24 byte
-    {e wire} headers (module [Lbc_core.Wire]) worthwhile.  The whole record
+    On disk each range carries a fixed-size header padded to CMU RVM's
+    104 bytes, which is what makes the paper's compressed 4-24 byte
+    {e wire} headers (module [Lbc_core.Wire]) worthwhile.  Each record
+    stores its header size, and the decoder reads whatever size a record
+    carries (at least {!min_header_size}).  The whole record
     is covered by a CRC-32 so that torn tails are detected and ignored by
     recovery. *)
 
@@ -63,16 +64,17 @@ val rvm_disk_header_size : int
 (** 104 — the standard RVM range-header size the paper compresses from. *)
 
 val min_header_size : int
-(** Smallest legal [range_header_size] (the unpadded fixed fields). *)
+(** Smallest range-header size the decoder accepts (the unpadded fixed
+    fields). *)
 
-val encoded_size : ?range_header_size:int -> txn -> int
+val encoded_size : txn -> int
 (** Exact on-disk size of [encode t]. *)
 
-val encode : ?range_header_size:int -> txn -> Bytes.t
-(** Serialize one record.  [range_header_size] defaults to
-    {!rvm_disk_header_size}. *)
+val encode : txn -> Bytes.t
+(** Serialize one record, with {!rvm_disk_header_size}-byte range
+    headers. *)
 
-val encode_into : ?range_header_size:int -> Lbc_util.Codec.writer -> txn -> unit
+val encode_into : Lbc_util.Codec.writer -> txn -> unit
 (** Append the record's encoding to [w] in a single pass — the
     total-length field is patched in place and the CRC is computed over
     the arena directly, so nothing is materialized.  Appending after

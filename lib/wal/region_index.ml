@@ -2,12 +2,12 @@
 
    Two committed transactions conflict when they share a lock or touch
    the same region; the index is the transitive closure of that relation
-   (union-find over lock and region ids — the same closure
-   [Lbc_core.Merge.partition] computes over a merged record stream), with
-   each connected component holding the ascending log offsets of its
-   records.  Chains from different components touch disjoint regions
-   under disjoint locks, so they replay independently; within a chain,
-   offset order is log order is replay order.
+   (union-find over lock and region ids), with each connected component
+   holding the ascending log offsets of its records.  Chains from
+   different components touch disjoint regions under disjoint locks, so
+   they replay independently; within a chain, offset order is log order
+   is replay order.  [Lbc_core.Merge.partition] is this index over the
+   positions of a merged record stream.
 
    The index is persisted as a [Region_index] control record alongside a
    checkpoint's end marker ({!to_ctrl}/{!of_entries}) and extended
@@ -22,14 +22,17 @@ type key = Lock of int | Region of int
 let tag = function Lock i -> 2 * (i + 1) | Region i -> (2 * i) + 1
 let untag k = if k land 1 = 1 then Region (k lsr 1) else Lock ((k lsr 1) - 1)
 
+(* Each record is kept as its offset and one of its keys; the offsets
+   are grouped by the key's root only when chains are read, so a union
+   costs one table write however many records the two chains hold. *)
 type t = {
   parent : (int, int) Hashtbl.t;  (* union-find over tagged keys *)
-  offs : (int, int list) Hashtbl.t;  (* root -> offsets, newest first *)
+  mutable items : (int * int) list;
+      (* (offset, a key of its record), offsets strictly descending *)
   mutable last_off : int;  (* highest offset indexed; -1 when empty *)
 }
 
-let create () =
-  { parent = Hashtbl.create 64; offs = Hashtbl.create 16; last_off = -1 }
+let create () = { parent = Hashtbl.create 64; items = []; last_off = -1 }
 
 let rec find t k =
   match Hashtbl.find_opt t.parent k with
@@ -44,17 +47,14 @@ let rec find t k =
 
 let union t a b =
   let ra = find t a and rb = find t b in
-  if ra <> rb then begin
-    Hashtbl.replace t.parent ra rb;
-    match Hashtbl.find_opt t.offs ra with
-    | None -> ()
-    | Some l ->
-        Hashtbl.remove t.offs ra;
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt t.offs rb)
-        in
-        Hashtbl.replace t.offs rb (List.rev_append l existing)
-  end
+  if ra <> rb then Hashtbl.replace t.parent ra rb
+
+(* Join a record's keys into one chain; returns its root for now. *)
+let join t = function
+  | [] -> None
+  | k0 :: rest ->
+      List.iter (union t k0) rest;
+      Some (find t k0)
 
 let txn_keys (txn : Record.txn) =
   let ks =
@@ -66,71 +66,64 @@ let txn_keys (txn : Record.txn) =
   match ks with [] -> [ tag (Lock (-1)) ] | ks -> ks
 
 let add t ~off txn =
-  match txn_keys txn with
-  | [] -> ()
-  | k0 :: rest ->
-      List.iter (fun k -> union t k0 k) rest;
-      let r = find t k0 in
-      Hashtbl.replace t.offs r
-        (off :: Option.value ~default:[] (Hashtbl.find_opt t.offs r));
-      if off > t.last_off then t.last_off <- off
+  match join t (txn_keys txn) with
+  | None -> ()
+  | Some k ->
+      if off <= t.last_off then
+        invalid_arg "Region_index.add: offsets must ascend";
+      t.items <- (off, k) :: t.items;
+      t.last_off <- off
 
 let of_entries entries =
   let t = create () in
-  List.iter
-    (fun (e : Record.index_entry) ->
-      match e.keys with
-      | [] -> ()
-      | k0 :: rest ->
-          List.iter (fun k -> union t k0 k) rest;
-          let r = find t k0 in
-          Hashtbl.replace t.offs r
-            (List.rev_append e.offsets
-               (Option.value ~default:[] (Hashtbl.find_opt t.offs r)));
-          List.iter (fun o -> if o > t.last_off then t.last_off <- o) e.offsets)
-    entries;
+  let items =
+    List.concat_map
+      (fun (e : Record.index_entry) ->
+        match join t e.keys with
+        | None -> []
+        | Some k -> List.map (fun o -> (o, k)) e.offsets)
+      entries
+  in
+  t.items <- List.sort (fun (a, _) (b, _) -> Int.compare b a) items;
+  (match t.items with (o, _) :: _ -> t.last_off <- o | [] -> ());
   t
 
 let drop_below t ~head =
-  let roots = Hashtbl.fold (fun r _ acc -> r :: acc) t.offs [] in
+  t.items <- List.filter (fun (o, _) -> o >= head) t.items
+
+(* Live chains as (root, ascending offsets), ordered by first offset. *)
+let groups t =
+  let by_root = Hashtbl.create 16 in
+  let order = ref [] in
   List.iter
-    (fun r ->
-      match Hashtbl.find_opt t.offs r with
-      | None -> ()
-      | Some l -> Hashtbl.replace t.offs r (List.filter (fun o -> o >= head) l))
-    roots
+    (fun (o, k) ->
+      let r = find t k in
+      match Hashtbl.find_opt by_root r with
+      | Some offs -> offs := o :: !offs
+      | None ->
+          Hashtbl.add by_root r (ref [ o ]);
+          order := r :: !order)
+    (List.rev t.items);
+  List.rev_map (fun r -> (r, List.rev !(Hashtbl.find by_root r))) !order
 
 (* Canonical form: each live chain (≥ 1 record) with its keys sorted
    ascending and offsets ascending, chains ordered by first offset —
    deterministic regardless of union-find internals. *)
 let entries t =
-  let ks = Hashtbl.fold (fun k _ acc -> k :: acc) t.parent [] in
   let keys_by_root = Hashtbl.create 16 in
   List.iter
     (fun k ->
       let r = find t k in
       Hashtbl.replace keys_by_root r
         (k :: Option.value ~default:[] (Hashtbl.find_opt keys_by_root r)))
-    ks;
-  let chains =
-    Hashtbl.fold
-      (fun r keys acc ->
-        let offsets =
-          List.sort Int.compare
-            (Option.value ~default:[] (Hashtbl.find_opt t.offs r))
-        in
-        if offsets = [] then acc
-        else { Record.keys = List.sort Int.compare keys; offsets } :: acc)
-      keys_by_root []
-  in
-  List.sort
-    (fun (a : Record.index_entry) (b : Record.index_entry) ->
-      match (a.offsets, b.offsets) with
-      | o1 :: _, o2 :: _ -> Int.compare o1 o2
-      | _ -> 0 (* unreachable: empty chains were dropped *))
-    chains
+    (Hashtbl.fold (fun k _ acc -> k :: acc) t.parent []);
+  List.map
+    (fun (r, offsets) ->
+      { Record.keys = List.sort Int.compare (Hashtbl.find keys_by_root r);
+        offsets })
+    (groups t)
 
-let chains t = List.map (fun (e : Record.index_entry) -> e.offsets) (entries t)
+let chains t = List.map snd (groups t)
 
 let to_ctrl t ~node ~ckpt_id =
   { Record.kind = Record.Region_index; node; ckpt_id; entries = entries t }

@@ -1,9 +1,9 @@
 (** Replay-partition index over one log's live tail.
 
-    The union-find closure of lock∪region conflict keys — the same
-    closure [Lbc_core.Merge.partition] computes over a merged record
-    stream — with each connected component holding the ascending log
-    offsets of its records.  Chains from different components touch
+    The union-find closure of lock∪region conflict keys, with each
+    connected component holding the ascending log offsets of its
+    records.  [Lbc_core.Merge.partition] is this index over the
+    positions of a merged record stream.  Chains from different components touch
     disjoint regions under disjoint locks and replay independently;
     within a chain, offset order is replay order.
 
@@ -25,8 +25,9 @@ type t
 val create : unit -> t
 
 val add : t -> off:int -> Record.txn -> unit
-(** Feed one committed record at its log offset.  Records must be fed in
-    log (offset) order per log; chains merge as shared keys appear. *)
+(** Feed one committed record at its log offset; chains merge as shared
+    keys appear.  Offsets must ascend past every offset already indexed
+    (raises [Invalid_argument] otherwise). *)
 
 val of_entries : Record.index_entry list -> t
 (** Rebuild from a persisted {!Record.Region_index} payload. *)

@@ -794,6 +794,41 @@ let test_pin_accept_ordering_preserved () =
     (Bytes.to_string (Node.read n2 ~region ~offset:0 ~len:5));
   check_int "drained" 0 (Node.pending_count n2)
 
+(* Records by node 0 delivered to a receiver by hand: a u64 store
+   ([Some v]) or, as a command record, a counter increment, at [offset]
+   of the test region. *)
+let incr_op = 941
+
+let register_incr () =
+  Lbc_wal.Command.register ~op:incr_op ~name:"test-core-incr"
+    (fun mem ~params ->
+      let offset = Lbc_util.Codec.get_varint (Lbc_util.Codec.reader params) in
+      let m = mem ~region in
+      Lbc_util.Mem.set_u64 m offset (Int64.add (Lbc_util.Mem.get_u64 m offset) 1L))
+
+let hand_record ~tid ~locks ~offset store =
+  let ranges, cmd =
+    match store with
+    | Some v ->
+        let data = Bytes.create 8 in
+        Bytes.set_int64_le data 0 v;
+        ([ { Lbc_wal.Record.region; offset; data } ], None)
+    | None ->
+        let w = Lbc_util.Codec.writer () in
+        Lbc_util.Codec.varint w offset;
+        ( [],
+          Some
+            { Lbc_wal.Record.op = incr_op; params = Lbc_util.Codec.contents w;
+              cmd_regions = [ region ] } )
+  in
+  { Lbc_wal.Record.node = 0; tid; locks; ranges; cmd }
+
+let deliver node record =
+  Node.handle node ~src:0 (Msg.Update (Wire.encode_iov record))
+
+let records_applied node =
+  (Lbc_rvm.Rvm.stats (Node.rvm node)).Lbc_rvm.Rvm.records_applied
+
 let test_duplicate_delivery_ignored () =
   (* Deliver the same committed record twice by hand: the second copy is
      recognized by its sequence numbers and dropped. *)
@@ -811,7 +846,104 @@ let test_duplicate_delivery_ignored () =
   Node.handle n1 ~src:0 (Msg.Update payload);
   check_i64 "value intact" 5L (Node.get_u64 n1 ~region ~offset:0);
   check_int "applied seq not advanced twice" 1 (Node.applied_seq n1 lock);
-  check_int "no pending garbage" 0 (Node.pending_count n1)
+  check_int "no pending garbage" 0 (Node.pending_count n1);
+  (* Two copies held behind a missing predecessor become ready in the
+     same drain; only the first may apply.  A value record applied twice
+     is counted twice; a command record applied twice runs twice. *)
+  register_incr ();
+  List.iter
+    (fun (what, store) ->
+      let c = mk () in
+      let n1 = Cluster.node c 1 in
+      let r seqno =
+        hand_record ~tid:seqno ~offset:0 (store seqno)
+          ~locks:
+            [ { Lbc_wal.Record.lock_id = lock; seqno;
+                prev_write_seq = seqno - 1 } ]
+      in
+      deliver n1 (r 2);
+      deliver n1 (r 2);
+      check_int (what ^ ": both copies held") 2 (Node.pending_count n1);
+      deliver n1 (r 1);
+      check_i64 (what ^ ": serial value") 2L (Node.get_u64 n1 ~region ~offset:0);
+      check_int (what ^ ": each record applied once") 2 (records_applied n1);
+      check_int (what ^ ": applied seq") 2 (Node.applied_seq n1 lock);
+      check_int (what ^ ": nothing pending") 0 (Node.pending_count n1))
+    [ ("value", fun seqno -> Some (Int64.of_int seqno)); ("command", fun _ -> None) ]
+
+(* The receiver against a serial model.  A serial history of writes by
+   node 0: each takes one or two of four locks (sometimes after a
+   read-only acquire, which bumps a seqno without a record) and stores
+   to, or increments, a u64 in a slot its first lock owns.  It reaches
+   node 1 in a random order with random duplicates, sometimes partly
+   while node 1 is pinned.  Every record must apply exactly once, none
+   may stay pending, and the cache must equal the serial image. *)
+let prop_receiver_model =
+  let nlocks = 4 and slots = 4 in
+  let size = nlocks * slots * 8 in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (1 -- 25)
+           (pair
+              (quad (int_bound (nlocks - 1)) (int_bound (nlocks - 1))
+                 (int_bound (slots - 1)) bool)
+              (opt (int_bound 1000))))
+        (quad (list_size (0 -- 10) nat) int bool nat))
+  in
+  QCheck.Test.make ~name:"receiver applies a shuffled, duplicated history once"
+    ~count:300 (QCheck.make gen)
+    (fun (writes, (dups, shuffle_seed, pinned, cut)) ->
+      register_incr ();
+      let seq = Array.make nlocks 0 in
+      let serial = Bytes.make size '\000' in
+      let records =
+        Array.of_list
+          (List.mapi
+             (fun i ((a, b, slot, read_first), store) ->
+               let ls = List.sort_uniq Int.compare [ a; b ] in
+               let locks =
+                 List.map
+                   (fun l ->
+                     let prev_write_seq = seq.(l) in
+                     (* a read-only acquire takes a seqno and logs nothing *)
+                     if read_first then seq.(l) <- seq.(l) + 1;
+                     seq.(l) <- seq.(l) + 1;
+                     { Lbc_wal.Record.lock_id = l; seqno = seq.(l);
+                       prev_write_seq })
+                   ls
+               in
+               let offset = ((List.hd ls * slots) + slot) * 8 in
+               let store = Option.map Int64.of_int store in
+               Bytes.set_int64_le serial offset
+                 (match store with
+                 | Some v -> v
+                 | None -> Int64.add (Bytes.get_int64_le serial offset) 1L);
+               hand_record ~tid:(i + 1) ~locks ~offset store)
+             writes)
+      in
+      let n = Array.length records in
+      let arrivals =
+        Array.of_list (List.init n Fun.id @ List.map (fun d -> d mod n) dups)
+      in
+      Lbc_util.Rng.shuffle (Lbc_util.Rng.create shuffle_seed) arrivals;
+      let c = mk ~region_size:size () in
+      let n1 = Cluster.node c 1 in
+      (* pinned: the first [cut] arrivals are buffered, then accepted *)
+      let cut = if pinned then cut mod (Array.length arrivals + 1) else 0 in
+      if cut > 0 then Node.pin n1;
+      Array.iteri
+        (fun k i ->
+          if k = cut then Node.accept n1;
+          deliver n1 records.(i))
+        arrivals;
+      Node.accept n1;
+      records_applied n1 = n
+      && List.for_all
+           (fun l -> Node.applied_seq n1 l = seq.(l))
+           (List.init nlocks Fun.id)
+      && Node.pending_count n1 = 0
+      && Bytes.equal serial (Node.read n1 ~region ~offset:0 ~len:size))
 
 let test_group_commit_cluster () =
   (* End to end through Config -> Node -> Rvm -> Log: concurrent
@@ -981,18 +1113,6 @@ let test_server_crash_then_recovery () =
       (Bytes.get_int64_le (Lbc_storage.Dev.read dev ~off:(8 * n) ~len:8) 0)
   done
 
-let test_no_flush_commits_lost_on_server_crash () =
-  let config = { Config.default with Config.flush_on_commit = false } in
-  let c = mk ~config () in
-  Cluster.spawn c ~node:0 (fun node ->
-      increment node ~offset:0;
-      increment node ~offset:0);
-  Cluster.run c;
-  (* Nothing was forced: the server crash wipes the buffered log. *)
-  Lbc_storage.Store.crash_all (Cluster.store c);
-  let outcome = Cluster.recover_database c in
-  check_int "lazy commits lost" 0 outcome.Lbc_rvm.Recovery.records_replayed
-
 (* ------------------------------------------------------------------ *)
 (* Online incremental checkpointing (Section 3.5) *)
 
@@ -1068,8 +1188,8 @@ let test_online_after_offline_checkpoint () =
   check_int "second write checkpointed online" 1 (Cluster.online_checkpoint c)
 
 let test_merge_prefix_holds_back_gaps () =
-  (* Log 0 holds (lock 0, seq 2) but seq 1 is nowhere (a lazy commit that
-     never became durable): nothing can be emitted. *)
+  (* Log 0 holds (lock 0, seq 2) but seq 1 is in no log and not
+     checkpointed: nothing can be emitted. *)
   let t seqno =
     {
       Lbc_wal.Record.node = 0;
@@ -1193,6 +1313,7 @@ let suites =
           test_abort_propagates_nothing;
         Alcotest.test_case "duplicate delivery" `Quick
           test_duplicate_delivery_ignored;
+        qtest prop_receiver_model;
         Alcotest.test_case "double acquire rejected" `Quick
           test_double_acquire_same_lock_rejected;
         Alcotest.test_case "wire large offsets" `Quick test_wire_large_offsets;
@@ -1260,8 +1381,6 @@ let suites =
       [
         Alcotest.test_case "torn log tail" `Quick test_recovery_ignores_torn_tails;
         Alcotest.test_case "server crash" `Quick test_server_crash_then_recovery;
-        Alcotest.test_case "no-flush lost" `Quick
-          test_no_flush_commits_lost_on_server_crash;
         Alcotest.test_case "deadlock timeout, abort, retry" `Quick
           test_deadlock_timeout_abort_retry;
       ] );

@@ -1,4 +1,4 @@
-(* Tests for the lbc.util substrate: CRC-32, codecs, RNG, stats, pqueue. *)
+(* Tests for the lbc.util substrate: CRC-32, codecs, RNG, pqueue. *)
 
 open Lbc_util
 
@@ -329,38 +329,6 @@ let test_rng_shuffle_permutes () =
   Alcotest.(check (array int)) "same multiset" (Array.init 100 Fun.id) sorted
 
 (* ------------------------------------------------------------------ *)
-(* Stats *)
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check_int "count" 8 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max s);
-  (* Sample variance of this classic data set is 32/7. *)
-  Alcotest.(check (float 1e-9)) "variance" (32.0 /. 7.0) (Stats.variance s)
-
-let test_stats_merge () =
-  let all = Stats.create () and a = Stats.create () and b = Stats.create () in
-  let data = List.init 37 (fun i -> float_of_int (i * i) /. 3.0) in
-  List.iteri
-    (fun i x ->
-      Stats.add all x;
-      Stats.add (if i mod 2 = 0 then a else b) x)
-    data;
-  let m = Stats.merge a b in
-  check_int "count" (Stats.count all) (Stats.count m);
-  Alcotest.(check (float 1e-6)) "mean" (Stats.mean all) (Stats.mean m);
-  Alcotest.(check (float 1e-6)) "variance" (Stats.variance all)
-    (Stats.variance m)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check (float 0.0)) "mean" 0.0 (Stats.mean s);
-  Alcotest.(check (float 0.0)) "variance" 0.0 (Stats.variance s)
-
-(* ------------------------------------------------------------------ *)
 (* Pqueue *)
 
 let test_pqueue_ordering () =
@@ -488,12 +456,6 @@ let suites =
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         qtest prop_rng_int_in_bounds;
-      ] );
-    ( "util.stats",
-      [
-        Alcotest.test_case "basic" `Quick test_stats_basic;
-        Alcotest.test_case "merge" `Quick test_stats_merge;
-        Alcotest.test_case "empty" `Quick test_stats_empty;
       ] );
     ( "util.pqueue",
       [
