@@ -3,10 +3,10 @@
    With [Config.group_commit] on, a node's redo log coalesces concurrent
    commits into one device write and one sync per batch instead of one
    sync per transaction.  Four application processes on node 0 commit in
-   lockstep against separate locks; the log flushes them in batches of up
-   to four (or after a 50 us window), so the sync count lands well below
-   the transaction count while every committed byte still reaches node 1
-   and survives recovery.
+   lockstep against separate locks; a batch closes at eight records or
+   100 us after its first one, so each round's four commits share a
+   batch, the sync count lands well below the transaction count, and
+   every committed byte still reaches node 1 and survives recovery.
 
    Run with:  dune exec examples/group_commit.exe *)
 
@@ -18,12 +18,7 @@ let workers = 4
 
 let () =
   let config =
-    { Config.default with
-      Config.disk_logging = true;
-      group_commit = true;
-      group_commit_max = workers;
-      group_commit_delay = 50.0;
-    }
+    { Config.default with Config.disk_logging = true; group_commit = true }
   in
   let cluster = Cluster.create ~config ~nodes:2 () in
   Cluster.add_region cluster ~id:region ~size:4096;

@@ -151,7 +151,7 @@ val is_crashed : t -> int -> bool
 
 val fabric : t -> Msg.t Lbc_net.Fabric.t
 (** The underlying fabric, for fault injection in tests
-    ({!Lbc_net.Fabric.set_drop}, {!Lbc_net.Fabric.set_drop_filter}). *)
+    ({!Lbc_net.Fabric.set_drop_filter}). *)
 
 (** {1 Traffic} *)
 

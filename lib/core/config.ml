@@ -10,8 +10,6 @@ type t = {
   repair_timeout : float;
   lease_timeout : float;
   group_commit : bool;
-  group_commit_max : int;
-  group_commit_delay : float;
   ckpt_slice_bytes : int;
   ckpt_slice_interval : float;
   ckpt_gossip_delay : float;
@@ -30,8 +28,6 @@ let default =
     repair_timeout = 2_000.0;
     lease_timeout = 10_000.0;
     group_commit = false;
-    group_commit_max = 8;
-    group_commit_delay = 100.0;
     ckpt_slice_bytes = 4096;
     ckpt_slice_interval = 50.0;
     ckpt_gossip_delay = 500.0;

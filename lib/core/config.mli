@@ -53,14 +53,10 @@ type t = {
           the tokens it held (models lease expiry / epoch change) *)
   group_commit : bool;
       (** batch concurrent commits on the same node into one log write +
-          one sync (group commit).  Takes effect only with
-          [disk_logging]; committers park until their batch is
-          durable. *)
-  group_commit_max : int;
-      (** records that close a batch by size *)
-  group_commit_delay : float;
-      (** virtual µs after a batch's first record before it is flushed
-          regardless of size *)
+          one sync (group commit), with {!Lbc_wal.Log.enable_group_commit}'s
+          defaults: a batch closes at 8 records or 100 virtual µs after
+          its first record.  Takes effect only with [disk_logging];
+          committers park until their batch is durable. *)
   ckpt_slice_bytes : int;
       (** bytes per fuzzy-checkpoint flush slice; between slices the
           checkpointer yields so commits can interleave *)

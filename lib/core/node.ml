@@ -59,20 +59,18 @@ type t = {
   send : dst:int -> Msg.t -> unit;
   multicast_send : dsts:int list -> Msg.t -> unit;
   peers_with_region : int -> int list;
-  applied : (int, int) Hashtbl.t;  (* lock id -> applied write seqno *)
+  mutable receiver : Receiver.t;  (* fresh at every rejoin *)
   applied_cv : Lbc_sim.Condvar.t;
-  mutable pending : Lbc_wal.Record.txn list;  (* arrival order *)
   retained : (int, Lbc_wal.Record.txn list) Hashtbl.t;  (* newest first *)
   peer_applied : (int, (int, int) Hashtbl.t) Hashtbl.t;
       (* peer -> lock -> applied write seqno, from low-water gossip *)
   mutable unacked : (int * int list * (int * int) list) list;
       (* own committed writes not yet known applied by every propagation
-         peer: (log offset, peers, (lock, seqno) list), oldest first.
-         The head's offset is the log's repair-retention low-water mark. *)
+         peer: (log offset, peers, (lock, seqno) list).  The least offset
+         is the log's repair-retention low-water mark. *)
   fetch_marks : (int * int, unit) Hashtbl.t;  (* (lock, have) fetches sent *)
   repairs : (int, repair) Hashtbl.t;  (* lock id -> gap under watch *)
   txn_updates : int ref;  (* set_range calls in the running transaction *)
-  mutable pinned : bool;  (* version-pinned reader: buffer, don't apply *)
   mutable recovery : recovery option;  (* live during an on-demand rejoin *)
   mutable ttfc_mark : float option;
       (* rejoin instant, consumed by the first commit after it
@@ -132,9 +130,7 @@ let create (deps : deps) =
       ~log_dev:deps.log_dev ()
   in
   if deps.config.Config.group_commit && deps.config.Config.disk_logging then
-    Lbc_wal.Log.enable_group_commit (Lbc_rvm.Rvm.log rvm) ~engine:deps.engine
-      ~max_records:deps.config.Config.group_commit_max
-      ~delay:deps.config.Config.group_commit_delay;
+    Lbc_wal.Log.enable_group_commit (Lbc_rvm.Rvm.log rvm) ~engine:deps.engine;
   let locks =
     Lbc_locks.Table.create ~node:deps.node_id ~nodes:deps.nodes
       ~send:(fun ~dst m -> deps.send ~dst (Msg.Lock m))
@@ -152,16 +148,14 @@ let create (deps : deps) =
     send = deps.send;
     multicast_send = deps.multicast_send;
     peers_with_region = deps.peers_with_region;
-    applied = Hashtbl.create 16;
+    receiver = Receiver.create ();
     applied_cv = Lbc_sim.Condvar.create ();
-    pending = [];
     retained = Hashtbl.create 16;
     peer_applied = Hashtbl.create 8;
     unacked = [];
     fetch_marks = Hashtbl.create 16;
     repairs = Hashtbl.create 8;
     txn_updates;
-    pinned = false;
     recovery = None;
     ttfc_mark = None;
     stats =
@@ -184,13 +178,9 @@ let locks (t : t) = t.locks
 let config (t : t) = t.config
 let stats (t : t) = t.stats
 
-let applied_seq t lock =
-  Option.value ~default:0 (Hashtbl.find_opt t.applied lock)
-
-let set_applied t lock seq =
-  if seq > applied_seq t lock then Hashtbl.replace t.applied lock seq
-
-let pending_count t = List.length t.pending
+let applied_seq t lock = Receiver.applied_seq t.receiver lock
+let set_applied t lock seq = Receiver.set_applied t.receiver lock seq
+let pending_count t = Receiver.pending_count t.receiver
 
 let map_region t ~id ~db ~size = Lbc_rvm.Rvm.map_region t.rvm ~id ~db ~size
 
@@ -226,27 +216,6 @@ let merge_peer_applied (t : t) peer applied =
       if seq > Option.value ~default:0 (Hashtbl.find_opt tbl lock) then
         Hashtbl.replace tbl lock seq)
     applied
-
-let resync (t : t) ~applied =
-  if t.pending <> [] then
-    raise (Coherency_error "resync with records still pending");
-  List.iter
-    (fun region -> Lbc_rvm.Region.reload_from_db region)
-    (Lbc_rvm.Rvm.regions t.rvm);
-  List.iter (fun (lock, seq) -> set_applied t lock seq) applied;
-  Hashtbl.reset t.retained;
-  Hashtbl.reset t.fetch_marks;
-  Hashtbl.reset t.repairs;
-  (* The checkpoint replayed every log into the database and this resync
-     brings each node to that state, so nothing committed before it can
-     be fetched again: lift the retention mark.  Record the checkpoint
-     state as ground truth for every peer's applied table. *)
-  t.unacked <- [];
-  Lbc_wal.Log.set_retention_water (Lbc_rvm.Rvm.log t.rvm) max_int;
-  for peer = 0 to t.nodes - 1 do
-    if peer <> t.id then merge_peer_applied t peer applied
-  done;
-  Lbc_sim.Condvar.broadcast t.applied_cv
 
 let retained_count t =
   Hashtbl.fold (fun _ rs acc -> acc + List.length rs) t.retained 0
@@ -357,11 +326,8 @@ let clear_retention (t : t) =
   t.unacked <- [];
   Lbc_wal.Log.set_retention_water (Lbc_rvm.Rvm.log t.rvm) max_int
 
-let applied_snapshot (t : t) =
-  Hashtbl.fold (fun lock seq acc -> (lock, seq) :: acc) t.applied []
-
 let gossip_low_water (t : t) =
-  let applied = applied_snapshot t in
+  let applied = Receiver.applied t.receiver in
   for peer = 0 to t.nodes - 1 do
     if peer <> t.id then t.send ~dst:peer (Msg.LowWater { applied })
   done
@@ -371,25 +337,10 @@ let receive_low_water (t : t) ~src ~applied =
   update_retention t
 
 (* --------------------------------------------------------------- *)
-(* Applying received records in lock-sequence order *)
+(* Applying received records in lock-sequence order ([Receiver]) *)
 
-type readiness = Ready | Hold | Duplicate
-
-let readiness t (record : Lbc_wal.Record.txn) =
-  let dup =
-    List.exists
-      (fun l -> applied_seq t l.Lbc_wal.Record.lock_id >= l.Lbc_wal.Record.seqno)
-      record.Lbc_wal.Record.locks
-  in
-  if dup then Duplicate
-  else if
-    List.for_all
-      (fun l ->
-        applied_seq t l.Lbc_wal.Record.lock_id >= l.Lbc_wal.Record.prev_write_seq)
-      record.Lbc_wal.Record.locks
-  then Ready
-  else Hold
-
+(* Land a ready record's bytes; the receiver marks its writes applied
+   once this returns. *)
 let apply_now (t : t) (record : Lbc_wal.Record.txn) =
   let sp =
     if Obs.enabled t.obs then begin
@@ -415,29 +366,11 @@ let apply_now (t : t) (record : Lbc_wal.Record.txn) =
     else Obs.null_span
   in
   Lbc_rvm.Rvm.apply_record t.rvm record;
-  List.iter
-    (fun l -> set_applied t l.Lbc_wal.Record.lock_id l.Lbc_wal.Record.seqno)
-    record.Lbc_wal.Record.locks;
   if retains t then retain t record;
-  ignore (Obs.span_end t.obs sp : float);
-  Lbc_sim.Condvar.broadcast t.applied_cv
+  ignore (Obs.span_end t.obs sp : float)
 
-(* Apply everything applicable, holding the rest; newly applied records can
-   unblock held ones, so iterate to a fixpoint.  A record is applied only
-   if it is still ready when its turn comes: two held copies of one
-   record are both ready in the same pass, and the first one applied
-   makes the second a duplicate. *)
-let rec drain_pending t =
-  let ready, rest =
-    List.partition (fun r -> readiness t r = Ready) t.pending
-  in
-  let rest = List.filter (fun r -> readiness t r <> Duplicate) rest in
-  t.pending <- rest;
-  match ready with
-  | [] -> ()
-  | _ ->
-      List.iter (fun r -> if readiness t r = Ready then apply_now t r) ready;
-      drain_pending t
+(* Wake interlocked acquirers once a record's writes count as applied. *)
+let landed (t : t) () = Lbc_sim.Condvar.broadcast t.applied_cv
 
 let fetch_mark_key t lock = Printf.sprintf "fetch:%d:%d" t.id lock
 
@@ -538,33 +471,54 @@ let request_dependencies (t : t) (record : Lbc_wal.Record.txn) =
       end)
     record.Lbc_wal.Record.locks
 
+(* A record that arrived, or was accepted, ahead of writes it lacks. *)
+let hold (t : t) (record : Lbc_wal.Record.txn) =
+  t.stats.records_held <- t.stats.records_held + 1;
+  Obs.instant t.obs ~name:"hold" ~pid:t.id ~tid:Obs.lane_apply
+    ~arg:record.Lbc_wal.Record.node;
+  L.debug (fun m ->
+      m "node %d holds out-of-order record (node %d tid %d); %d pending"
+        t.id record.Lbc_wal.Record.node record.Lbc_wal.Record.tid
+        (pending_count t));
+  request_dependencies t record
+
+let offer (t : t) record =
+  if Receiver.receive t.receiver ~apply:(apply_now t) ~landed:(landed t) record
+  then hold t record
+
 let receive_record (t : t) record =
   t.stats.records_received <- t.stats.records_received + 1;
-  if t.pinned then t.pending <- t.pending @ [ record ]
-  else
-    match readiness t record with
-    | Duplicate -> ()
-    | Ready ->
-        apply_now t record;
-        drain_pending t
-    | Hold ->
-        t.stats.records_held <- t.stats.records_held + 1;
-        Obs.instant t.obs ~name:"hold" ~pid:t.id ~tid:Obs.lane_apply
-          ~arg:record.Lbc_wal.Record.node;
-        L.debug (fun m ->
-            m "node %d holds out-of-order record (node %d tid %d); %d pending"
-              t.id record.Lbc_wal.Record.node record.Lbc_wal.Record.tid
-              (List.length t.pending + 1));
-        t.pending <- t.pending @ [ record ];
-        request_dependencies t record
+  offer t record
 
-let pin (t : t) = t.pinned <- true
+let pin (t : t) = Receiver.pin t.receiver
+let accept (t : t) = List.iter (offer t) (Receiver.accept t.receiver)
 
-let accept (t : t) =
-  if t.pinned then begin
-    t.pinned <- false;
-    drain_pending t
-  end
+(* Reload every region's database image and seed the checkpoint state
+   [applied] with the receiver pinned ([Receiver]'s rule 3). *)
+let reload (t : t) ~applied =
+  let pinned = Receiver.pinned t.receiver in
+  pin t;
+  List.iter Lbc_rvm.Region.reload_from_db (Lbc_rvm.Rvm.regions t.rvm);
+  List.iter (fun (lock, seq) -> set_applied t lock seq) applied;
+  if not pinned then accept t
+
+let resync (t : t) ~applied =
+  if pending_count t > 0 then
+    raise (Coherency_error "resync with records still pending");
+  Hashtbl.reset t.retained;
+  Hashtbl.reset t.fetch_marks;
+  Hashtbl.reset t.repairs;
+  (* The checkpoint replayed every log into the database and this resync
+     brings each node to that state, so nothing committed before it can
+     be fetched again: lift the retention mark.  Record the checkpoint
+     state as ground truth for every peer's applied table. *)
+  t.unacked <- [];
+  Lbc_wal.Log.set_retention_water (Lbc_rvm.Rvm.log t.rvm) max_int;
+  for peer = 0 to t.nodes - 1 do
+    if peer <> t.id then merge_peer_applied t peer applied
+  done;
+  reload t ~applied;
+  Lbc_sim.Condvar.broadcast t.applied_cv
 
 (* --------------------------------------------------------------- *)
 (* Propagation at commit *)
@@ -737,8 +691,9 @@ let ensure_warm_record t (record : Lbc_wal.Record.txn) =
     (fun region -> ensure_warm_region t region)
     (Lbc_wal.Record.regions record)
 
-(* Chain priority for the background drain: total local acquire count of
-   the chain's locks (the lock table's heat counters).  With the sink off
+(* Chain priority for the background drain: the cluster-wide acquire
+   count of the chain's locks (every node's [lock_acquires:<id>] heat
+   counter, summed by the shared registry).  With [config.flight] off
    every chain scores 0 and first-appearance (log) order is kept. *)
 let stream_heat (t : t) (s : stream) =
   List.fold_left
@@ -750,21 +705,16 @@ let stream_heat (t : t) (s : stream) =
     0 s.skeys
 
 let rejoin (t : t) ~applied =
-  t.pinned <- false;
-  t.pending <- [];
+  t.receiver <- Receiver.create ();
   Hashtbl.reset t.retained;
   Hashtbl.reset t.fetch_marks;
   Hashtbl.reset t.repairs;
-  Hashtbl.reset t.applied;
   t.recovery <- None;
   (* The crash killed any process that was mid-transaction; those
      transactions will never commit, so they must not keep a later fuzzy
      checkpoint waiting for quiescence. *)
   Lbc_rvm.Rvm.clear_live_txns t.rvm;
-  List.iter
-    (fun region -> Lbc_rvm.Region.reload_from_db region)
-    (Lbc_rvm.Rvm.regions t.rvm);
-  List.iter (fun (lock, seq) -> set_applied t lock seq) applied;
+  reload t ~applied;
   (* Rebuild retention from what survives: until gossip proves otherwise,
      assume every own write still in the log may be needed by a peer (the
      gossip tables died with the crash). *)
@@ -862,15 +812,17 @@ let mem t ~region ~declare =
 (* --------------------------------------------------------------- *)
 (* Message handling *)
 
+(* A coherency apply of a cold chain's lock replays the chain first, so
+   the record is judged against recovered state. *)
+let receive_iov (t : t) iov =
+  let record = Wire.decode_iov iov in
+  ensure_warm_record t record;
+  receive_record t record
+
 let handle (t : t) ~src msg =
   match msg with
   | Msg.Lock m -> Lbc_locks.Table.handle t.locks ~src m
-  | Msg.Update iov ->
-      let record = Wire.decode_iov iov in
-      (* Coherency apply of a cold chain's lock: replay the chain first
-         so the record's readiness is judged against recovered state. *)
-      ensure_warm_record t record;
-      receive_record t record
+  | Msg.Update iov -> receive_iov t iov
   | Msg.Fetch { lock; have } ->
       (* A cold chain may hold newer committed bytes for this lock than
          the checkpoint image; warm it before serving, so a peer's
@@ -893,12 +845,7 @@ let handle (t : t) ~src msg =
         match Obs.take_mark t.obs (fetch_mark_key t lock) with
         | Some rtt -> Obs.observe ~pid:t.id t.obs "fetch_rtt_us" rtt
         | None -> ());
-      List.iter
-        (fun iov ->
-          let record = Wire.decode_iov iov in
-          ensure_warm_record t record;
-          receive_record t record)
-        payloads
+      List.iter (receive_iov t) payloads
   | Msg.LowWater { applied } -> receive_low_water t ~src ~applied
 
 (* --------------------------------------------------------------- *)
@@ -960,7 +907,7 @@ module Txn = struct
     t.held <- lock :: t.held
 
   let check_acquirable t lock =
-    if t.node.pinned then
+    if Receiver.pinned t.node.receiver then
       raise (Coherency_error "acquire on a version-pinned node");
     if List.mem lock t.held then
       raise (Coherency_error "lock already held by this transaction")

@@ -1,10 +1,10 @@
 (** One client node of the log-based coherency system.
 
-    A node owns an RVM instance, a distributed lock table, the per-lock
-    applied-sequence-number table that orders incoming updates, and the
-    buffer of records that arrived before their predecessors (Section 3.4:
-    "receiver threads hold log records until the updates for the
-    immediately preceding sequence number have been applied").
+    A node owns an RVM instance, a distributed lock table and a
+    {!Receiver}: the per-lock applied-sequence-number table that orders
+    incoming updates, and the records held until their predecessors land
+    (Section 3.4: "receiver threads hold log records until the updates
+    for the immediately preceding sequence number have been applied").
 
     Applications use the {!Txn} sub-module, which mirrors the paper's
     Table 1 interface: acquire segment locks inside a transaction, declare
@@ -63,7 +63,8 @@ val applied_seq : t -> int -> int
 (** Sequence number of the last write applied locally under a lock. *)
 
 val pending_count : t -> int
-(** Records held waiting for their predecessors. *)
+(** Records held waiting for a write they lack, plus records buffered
+    while the node is pinned. *)
 
 val read : t -> region:int -> offset:int -> len:int -> Bytes.t
 val get_u64 : t -> region:int -> offset:int -> int64
@@ -82,7 +83,8 @@ type stats = {
   mutable updates_sent : int;  (** coherency messages broadcast (per peer) *)
   mutable update_bytes_sent : int;
   mutable records_received : int;
-  mutable records_held : int;  (** arrived out of order and were buffered *)
+  mutable records_held : int;
+      (** arrived, or were accepted, ahead of a write they lack *)
   mutable interlock_waits : int;  (** acquires that waited for updates *)
   mutable fetches_sent : int;  (** lazy-mode fetch requests *)
   mutable records_fetched : int;
@@ -103,13 +105,16 @@ val stats : t -> stats
 
 val pin : t -> unit
 (** Freeze this node's cached version: incoming records are buffered
-    instead of applied.  Transactions on a pinned node must be read-only
-    and must not acquire locks (the interlock would deadlock);
+    instead of judged and applied.  Transactions on a pinned node must be
+    read-only and must not acquire locks (the interlock would deadlock);
     {!Txn.acquire} raises while pinned. *)
 
 val accept : t -> unit
-(** Move forward: apply every buffered record (in order) and resume
-    normal eager application. *)
+(** Move forward: offer the buffered records in arrival order, as if
+    they arrived now, and resume normal eager application.  Each one the
+    offer leaves held is handled as a held arrival: counted in
+    [records_held], traced as a [hold] instant, and its missing writes
+    requested (lazy fetch, repair watchdog). *)
 
 val retained_count : t -> int
 (** Records retained for lazy propagation. *)
@@ -145,18 +150,20 @@ val resync : t -> applied:(int * int) list -> unit
     its database device, set the per-lock applied sequence numbers to the
     checkpointed values, and drop retained records and held state.  Only
     valid when the node is quiescent (no transaction in progress, nothing
-    pending). *)
+    pending).  What arrives during the reload waits until the table
+    holds the checkpoint state. *)
 
 val rejoin : t -> applied:(int * int) list -> unit
 (** Bring a crashed node back into the cluster (called by
     [Cluster.rejoin] after its lock table has been reset).  All volatile
     state is rebuilt from what survives a crash: regions reload from the
     database image, [applied] is the per-lock sequence state of the last
-    checkpoint, and the node's own durable log tail is replayed — then
-    rebroadcast to the peers, healing commits the crash cut off between
-    logging and propagation (receivers discard duplicates).  Updates
-    committed elsewhere since the checkpoint are re-fetched on demand via
-    the acquire interlock and, with [config.repair], the gap watchdog.
+    checkpoint (arrivals wait until it is seeded), and the node's own
+    durable log tail is replayed — then rebroadcast to the peers, healing
+    commits the crash cut off between logging and propagation (receivers
+    discard duplicates).  Updates committed elsewhere since the
+    checkpoint are re-fetched on demand via the acquire interlock and,
+    with [config.repair], the gap watchdog.
 
     Nothing is replayed up front: the tail is indexed by replay chain
     (seeded by the newest persisted {!Lbc_wal.Record.Region_index}
@@ -164,8 +171,11 @@ val rejoin : t -> applied:(int * int) list -> unit
     it) and the node serves immediately.  The first local access, lock
     acquire, coherency apply, or peer fetch that touches a cold chain
     replays exactly that chain first; a background process drains the
-    remaining chains hottest-lock-first (by the lock table's
-    [lock_acquires:<id>] counters) and then performs the rebroadcast.
+    remaining chains hottest-lock-first and then performs the
+    rebroadcast.  A chain's heat is the cluster-wide acquire count of its
+    locks (the lock tables' [lock_acquires:<id>] counters, summed over
+    every node in the shared registry); with [config.flight] off every
+    chain scores 0 and the drain keeps log order.
     Until every chain is warm, log retention is pinned at the head.  The
     first commit after the rejoin feeds the [time_to_first_commit_us]
     histogram.  The recovered image is byte-identical to a serial

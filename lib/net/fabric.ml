@@ -6,7 +6,6 @@ type 'm t = {
   params : Params.t;
   size : 'm -> int;
   channels : 'm Lbc_sim.Mailbox.t array array;  (* channels.(src).(dst) *)
-  drop : bool array array;
   drop_filter : ('m -> bool) option array array;
   down : bool array;
   messages_sent : int array;
@@ -25,7 +24,6 @@ let create ?(params = Params.an1) ~engine ~nodes ~size () =
     channels =
       Array.init nodes (fun _ ->
           Array.init nodes (fun _ -> Lbc_sim.Mailbox.create ()));
-    drop = Array.make_matrix nodes nodes false;
     drop_filter = Array.make_matrix nodes nodes None;
     down = Array.make nodes false;
     messages_sent = Array.make nodes 0;
@@ -51,8 +49,7 @@ let count_drop t ~src ~dst ~len =
   end
 
 let should_drop t ~src ~dst msg =
-  t.drop.(src).(dst)
-  || (match t.drop_filter.(src).(dst) with Some f -> f msg | None -> false)
+  match t.drop_filter.(src).(dst) with Some f -> f msg | None -> false
 
 (* Put one message on the wire: it is dropped at delivery time if the
    destination is down by then (the crash loses in-flight traffic). *)
@@ -110,16 +107,6 @@ let recv t ~dst ~src =
   Lbc_sim.Mailbox.recv
     ~info:(Printf.sprintf "net recv %d<-%d" dst src)
     t.channels.(src).(dst)
-
-let try_recv t ~dst ~src =
-  check_node t "src" src;
-  check_node t "dst" dst;
-  Lbc_sim.Mailbox.try_recv t.channels.(src).(dst)
-
-let set_drop t ~src ~dst v =
-  check_node t "src" src;
-  check_node t "dst" dst;
-  t.drop.(src).(dst) <- v
 
 let set_drop_filter t ~src ~dst f =
   check_node t "src" src;

@@ -8,8 +8,9 @@
     ordering across different sender/receiver pairs — exactly the situation
     that forces the paper's sequence-number interlock (Section 3.4).
 
-    Fault injection: individual channels can be made lossy ({!set_drop},
-    {!set_drop_filter}) and whole nodes can be taken down ({!set_down}).
+    Fault injection: a channel can lose the messages a filter picks
+    ({!set_drop_filter}; [Some (fun _ -> true)] loses them all) and whole
+    nodes can be taken down ({!set_down}).
     Every message discarded for any reason is counted per (src, dst) pair
     and reported by {!messages_dropped} / {!total_dropped}. *)
 
@@ -41,19 +42,13 @@ val recv : 'm t -> dst:int -> src:int -> 'm
 (** Blocking receive on the channel from [src] to [dst] (one receiver
     thread per peer channel, as in the prototype). *)
 
-val try_recv : 'm t -> dst:int -> src:int -> 'm option
-
 (** {1 Fault injection} *)
 
-val set_drop : 'm t -> src:int -> dst:int -> bool -> unit
-(** While set, messages from [src] to [dst] are discarded (and counted). *)
-
 val set_drop_filter : 'm t -> src:int -> dst:int -> ('m -> bool) option -> unit
-(** Selective loss: while a filter is installed, messages from [src] to
-    [dst] for which it returns [true] are discarded (and counted).
-    Composes with {!set_drop} (either one dropping suffices).  Chaos tests
-    use this to lose only data-plane traffic while keeping the lock
-    control plane reliable. *)
+(** Loss: while a filter is installed, messages from [src] to [dst] for
+    which it returns [true] are discarded (and counted); [None] makes
+    the channel reliable again.  Chaos tests use this to lose only
+    data-plane traffic while keeping the lock control plane reliable. *)
 
 val set_down : 'm t -> int -> bool -> unit
 (** [set_down t n true] models a crash of node [n]: messages to or from

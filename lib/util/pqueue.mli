@@ -1,8 +1,7 @@
 (** Mutable binary min-heap priority queue.
 
-    The simulator's event queue and the coherency receiver's pending-record
-    queue are built on this.  Ties are broken by insertion order so that
-    iteration is deterministic. *)
+    The simulator's event queue is built on this.  Ties are broken by
+    insertion order so that iteration is deterministic. *)
 
 type 'a t
 

@@ -32,7 +32,7 @@ type lock_info = {
   prev_write_seq : int;
       (** seqno of the previous committed writing transaction under this
           lock; 0 if none.  Receivers apply this record only once their
-          applied seqno equals this value. *)
+          applied seqno has reached this value. *)
 }
 
 type range = {

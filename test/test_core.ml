@@ -626,6 +626,50 @@ let test_checkpoint_trims_and_preserves () =
   check_i64 "db has checkpointed counter" 5L
     (Bytes.get_int64_le (Lbc_storage.Dev.read dev ~off:0 ~len:8) 0)
 
+(* A peer's commit that lands while a node reloads its region from the
+   database (a charged device read) is judged against the checkpoint
+   state the reload ends with: rejoin must not hold it under a write
+   that state already covers, where nothing would wake it, and resync
+   must not apply it for the reload to overwrite. *)
+let test_reload_judges_arrivals_after () =
+  List.iter
+    (fun (what, prepare, reload) ->
+      let config = { Config.default with Config.charge_costs = true } in
+      (* The counter sits at the end of a 128 KiB region, so the database
+         image spans the region and reloading it takes ~77 ms, longer
+         than a commit's 45 ms log sync. *)
+      let region_size = 128 * 1024 in
+      let offset = region_size - 8 in
+      let c = mk ~config ~region_size () in
+      Cluster.spawn c ~node:0 (fun node ->
+          for _ = 1 to 3 do
+            increment node ~offset
+          done);
+      Cluster.run c;
+      Cluster.checkpoint c;
+      let n1 = Cluster.node c 1 in
+      let base = Node.applied_seq n1 lock in
+      Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"reloader" (fun () ->
+          prepare c;
+          let received () = (Node.stats n1).Node.records_received in
+          let before = received () in
+          Cluster.spawn c ~node:0 (fun node -> increment node ~offset);
+          reload c ~applied:[ (lock, base) ];
+          check_int (what ^ ": the commit landed during the reload")
+            (before + 1) (received ()));
+      Cluster.run c;
+      check_int (what ^ ": nothing pending") 0 (Node.pending_count n1);
+      check_int (what ^ ": applied seq") (base + 1) (Node.applied_seq n1 lock);
+      check_i64 (what ^ ": converged") 4L (Node.get_u64 n1 ~region ~offset))
+    [
+      ( "rejoin",
+        (fun c ->
+          Cluster.crash c ~node:1;
+          Lbc_sim.Proc.sleep (Config.default.Config.lease_timeout +. 100.0)),
+        fun c ~applied:_ -> Cluster.rejoin c ~node:1 );
+      ("resync", ignore, fun c ~applied -> Node.resync (Cluster.node c 1) ~applied);
+    ]
+
 let test_client_crash_loses_uncommitted_only () =
   let c = mk () in
   Cluster.spawn c ~node:0 (fun node ->
@@ -769,6 +813,50 @@ let test_pin_blocks_acquire () =
   Cluster.run c;
   Alcotest.(check bool) "acquire rejected while pinned" true !raised
 
+(* A record a pinned reader still holds after [accept] is repaired like a
+   held arrival: the first update to node 1 is lost, two commits on the
+   lock follow, then node 1 accepts.  Pinned or not, the gap watchdog
+   fetches the lost write once and node 1 converges. *)
+let test_accept_repairs_held () =
+  List.iter
+    (fun pinned ->
+      let what = if pinned then "pinned" else "unpinned" in
+      let config =
+        { Config.fault_tolerant with Config.repair_timeout = 100.0 }
+      in
+      let c = mk ~config () in
+      let lost = ref false in
+      Lbc_net.Fabric.set_drop_filter (Cluster.fabric c) ~src:0 ~dst:1
+        (Some
+           (function
+           | Msg.Update _ when not !lost ->
+               lost := true;
+               true
+           | _ -> false));
+      let n1 = Cluster.node c 1 in
+      if pinned then Node.pin n1;
+      let committed = Lbc_sim.Mailbox.create () in
+      Cluster.spawn c ~node:0 (fun node ->
+          for v = 1 to 2 do
+            let txn = Node.Txn.begin_ node in
+            Node.Txn.acquire txn lock;
+            Node.Txn.set_u64 txn ~region ~offset:0 (Int64.of_int v);
+            Node.Txn.commit txn
+          done;
+          Lbc_sim.Mailbox.send committed ());
+      Cluster.spawn c ~node:1 (fun node ->
+          Lbc_sim.Mailbox.recv committed;
+          Lbc_sim.Proc.sleep 1_000.0;
+          Node.accept node;
+          Lbc_sim.Proc.sleep 50_000.0);
+      Cluster.run c;
+      check_int (what ^ ": applied seq") 2 (Node.applied_seq n1 lock);
+      check_int (what ^ ": one repair fetch") 1
+        (Node.stats n1).Node.repair_fetches;
+      check_int (what ^ ": nothing pending") 0 (Node.pending_count n1);
+      check_i64 (what ^ ": converged") 2L (Node.get_u64 n1 ~region ~offset:0))
+    [ false; true ]
+
 let test_pin_accept_ordering_preserved () =
   (* Buffered records must still apply in lock-sequence order. *)
   let c = mk ~nodes:3 () in
@@ -847,9 +935,10 @@ let test_duplicate_delivery_ignored () =
   check_i64 "value intact" 5L (Node.get_u64 n1 ~region ~offset:0);
   check_int "applied seq not advanced twice" 1 (Node.applied_seq n1 lock);
   check_int "no pending garbage" 0 (Node.pending_count n1);
-  (* Two copies held behind a missing predecessor become ready in the
-     same drain; only the first may apply.  A value record applied twice
-     is counted twice; a command record applied twice runs twice. *)
+  (* Two copies held behind a missing predecessor are woken under one
+     key; the second is judged a duplicate when it is offered, so only
+     the first applies.  A value record applied twice is counted twice;
+     a command record applied twice runs twice. *)
   register_incr ();
   List.iter
     (fun (what, store) ->
@@ -945,14 +1034,47 @@ let prop_receiver_model =
       && Node.pending_count n1 = 0
       && Bytes.equal serial (Node.read n1 ~region ~offset:0 ~len:size))
 
+(* Held records drain in linear work: an 8,000-record chain on one lock
+   reaches node 1 in reverse order, and then in order while node 1 is
+   pinned until it accepts.  Rescanning everything held after each apply
+   would cost about 144K minor words per record here. *)
+let test_held_chain_linear () =
+  let n = 8000 in
+  let chain =
+    List.init n (fun i ->
+        let seqno = i + 1 in
+        Wire.encode_iov
+          (hand_record ~tid:seqno ~offset:0 (Some (Int64.of_int seqno))
+             ~locks:
+               [ { Lbc_wal.Record.lock_id = lock; seqno;
+                   prev_write_seq = seqno - 1 } ]))
+  in
+  List.iter
+    (fun (what, pinned, arrivals) ->
+      let c = mk () in
+      let n1 = Cluster.node c 1 in
+      Gc.minor ();
+      let words0 = Gc.minor_words () in
+      if pinned then Node.pin n1;
+      List.iter (fun iov -> Node.handle n1 ~src:0 (Msg.Update iov)) arrivals;
+      Node.accept n1;
+      let per_record = (Gc.minor_words () -. words0) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words per record (at most 2,000)"
+           what per_record)
+        true (per_record <= 2000.0);
+      check_int (what ^ ": each record applied once") n (records_applied n1);
+      check_int (what ^ ": applied seq") n (Node.applied_seq n1 lock);
+      check_int (what ^ ": nothing pending") 0 (Node.pending_count n1);
+      check_i64 (what ^ ": last value") (Int64.of_int n)
+        (Node.get_u64 n1 ~region ~offset:0))
+    [ ("reversed", false, List.rev chain); ("pinned", true, chain) ]
+
 let test_group_commit_cluster () =
   (* End to end through Config -> Node -> Rvm -> Log: concurrent
      committers on one node share batches, so the log syncs fewer times
      than it commits, and peers still converge. *)
-  let config =
-    { Config.default with Config.group_commit = true; group_commit_max = 4;
-      group_commit_delay = 50.0 }
-  in
+  let config = { Config.default with Config.group_commit = true } in
   let c = mk ~config ~nodes:2 () in
   let locks = [ 0; 1; 2; 3 ] in
   List.iter
@@ -1314,6 +1436,8 @@ let suites =
         Alcotest.test_case "duplicate delivery" `Quick
           test_duplicate_delivery_ignored;
         qtest prop_receiver_model;
+        Alcotest.test_case "held chain drains in linear work" `Quick
+          test_held_chain_linear;
         Alcotest.test_case "double acquire rejected" `Quick
           test_double_acquire_same_lock_rejected;
         Alcotest.test_case "wire large offsets" `Quick test_wire_large_offsets;
@@ -1362,6 +1486,8 @@ let suites =
         Alcotest.test_case "report renders" `Quick test_report_renders;
         Alcotest.test_case "client crash" `Quick
           test_client_crash_loses_uncommitted_only;
+        Alcotest.test_case "reload judges arrivals after" `Quick
+          test_reload_judges_arrivals_after;
       ] );
     ( "core.versioned",
       [
@@ -1369,6 +1495,8 @@ let suites =
         Alcotest.test_case "pin blocks acquire" `Quick test_pin_blocks_acquire;
         Alcotest.test_case "accept preserves order" `Quick
           test_pin_accept_ordering_preserved;
+        Alcotest.test_case "accept repairs what it holds" `Quick
+          test_accept_repairs_held;
       ] );
     ( "core.multicast",
       [

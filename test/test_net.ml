@@ -75,13 +75,15 @@ let test_self_send_rejected () =
   Engine.run e;
   Alcotest.(check bool) "rejected" true !raised
 
+let drop_all _ = true
+
 let test_drop_injection () =
   let e, f = mk () in
-  Fabric.set_drop f ~src:0 ~dst:1 true;
+  Fabric.set_drop_filter f ~src:0 ~dst:1 (Some drop_all);
   let got = ref None in
   Proc.spawn e (fun () ->
       Fabric.send f ~src:0 ~dst:1 "lost";
-      Fabric.set_drop f ~src:0 ~dst:1 false;
+      Fabric.set_drop_filter f ~src:0 ~dst:1 None;
       Fabric.send f ~src:0 ~dst:1 "kept");
   Proc.spawn e (fun () -> got := Some (Fabric.recv f ~dst:1 ~src:0));
   Engine.run e;
@@ -108,7 +110,7 @@ let test_accounting () =
 
 let test_drop_counted_per_channel () =
   let e, f = mk () in
-  Fabric.set_drop f ~src:0 ~dst:1 true;
+  Fabric.set_drop_filter f ~src:0 ~dst:1 (Some drop_all);
   Proc.spawn e (fun () ->
       Fabric.send f ~src:0 ~dst:1 "lost1";
       Fabric.send f ~src:0 ~dst:1 "lost2";

@@ -775,7 +775,8 @@ let test_report_golden () =
 (* A stranded process must surface in the blocked list. *)
 let test_report_blocked_list () =
   let c = mk_cluster Config.default 2 in
-  Lbc_net.Fabric.set_drop (Cluster.fabric c) ~src:0 ~dst:1 true;
+  Lbc_net.Fabric.set_drop_filter (Cluster.fabric c) ~src:0 ~dst:1
+    (Some (fun _ -> true));
   Cluster.spawn c ~node:0 (fun nd ->
       let txn = Node.Txn.begin_ nd in
       Node.Txn.acquire txn 0;
