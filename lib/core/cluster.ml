@@ -11,7 +11,7 @@ type region_info = {
    crash/rejoin, virtual-time recovery measurement. *)
 type sim_handles = {
   engine : Lbc_sim.Engine.t;
-  fabric : Msg.t Lbc_net.Fabric.t;
+  fabric : Lbc_util.Slice.t list Lbc_net.Fabric.t;
   store : Lbc_storage.Store.t;
 }
 
@@ -83,7 +83,7 @@ let create ?(config = Config.default) ?sched ?(backend = Platform.Sim) ~nodes
         let engine = Lbc_sim.Engine.create ?policy:sched () in
         let fabric =
           Lbc_net.Fabric.create ~params:net_params ~engine ~nodes
-            ~size:Msg.size ()
+            ~size:Msg.frame_size ()
         in
         let store = Lbc_storage.Store.create ~latency:disk () in
         (Platform.sim ~engine ~fabric ~store, Some { engine; fabric; store })

@@ -149,9 +149,10 @@ val rejoin : t -> node:int -> unit
 
 val is_crashed : t -> int -> bool
 
-val fabric : t -> Msg.t Lbc_net.Fabric.t
+val fabric : t -> Lbc_util.Slice.t list Lbc_net.Fabric.t
 (** The underlying fabric, for fault injection in tests
-    ({!Lbc_net.Fabric.set_drop_filter}). *)
+    ({!Lbc_net.Fabric.set_drop_filter}).  It carries {!Msg.encode}d
+    bodies; a filter that picks by constructor runs {!Msg.decode}. *)
 
 (** {1 Traffic} *)
 

@@ -4,11 +4,9 @@
 
    The {e sim} platform (default) is the deterministic single-core
    cooperative simulation: one {!Lbc_sim.Engine.t} drives every node,
-   delivery goes through the in-memory {!Lbc_net.Fabric} with its fault
-   injection and cost model, and devices are simulated images.  Its
-   construction and call sequences are byte-identical to the pre-seam
-   cluster, so schedule decision traces, golden vectors and
-   [Engine.Stranded] reporting are unchanged.
+   delivery carries {!Msg.encode}d bodies through the in-memory
+   {!Lbc_net.Fabric} with its fault injection and cost model, and
+   devices are simulated images.
 
    A {e custom} platform (the [lbc.real] backend) may run each node as
    an OCaml 5 domain with real sockets and real files.  Everything above
@@ -65,19 +63,23 @@ module type S = sig
   (** Start a process in node [node]'s runtime context. *)
 
   val send : src:int -> dst:int -> Msg.t -> unit
-  (** Transmit one message, framed as a u32 length prefix plus its body
-      ({!Msg.size} bytes).  The sim fabric hands the message value
-      across by reference and charges that length; the real fabric
-      writes the prefix, the header and each payload slice to the
-      destination's socket without concatenating. *)
+  (** Transmit one message as the body {!Msg.encode} makes, framed by a
+      u32 length prefix ({!Msg.frame_size} bytes).  The sim fabric
+      queues the body and charges that length; the real fabric writes
+      the prefix, the header and each payload slice to the destination's
+      socket without concatenating.  Both receivers {!Msg.decode} it.
+      [src = dst] raises [Invalid_argument]. *)
 
   val broadcast : src:int -> dsts:int list -> Msg.t -> unit
+  (** One encode reaching every destination; self and duplicate
+      destinations are ignored. *)
 
   val start_receivers : handler:(dst:int -> src:int -> Msg.t -> unit) -> unit
   (** Start the per-channel dispatchers: for every ordered pair [(src,
-      dst)], deliver that channel's messages to [handler] in send order
-      (TCP FIFO semantics), one dispatcher per channel so a blocked
-      handler only stalls its own channel. *)
+      dst)] of distinct nodes, decode that channel's messages and hand
+      them to [handler] in send order (TCP FIFO semantics), one
+      dispatcher per channel so a blocked handler only stalls its own
+      channel. *)
 
   val run : unit -> unit
   (** Drive all spawned (non-daemon) work to completion.  Sim: drain the
@@ -101,11 +103,11 @@ type backend =
           [lbc.core] never depends on the backend library. *)
 
 (* ---------------------------------------------------------------- *)
-(* The sim platform: a transparent wrapper over the engine, fabric and
-   store the cluster builds.  Every function is exactly the call the
-   cluster made before the seam existed. *)
+(* The sim platform: a wrapper over the engine, fabric and store the
+   cluster builds.  Messages cross the fabric as the bodies the sockets
+   carry, so both platforms run one codec. *)
 
-let sim ~engine ~(fabric : Msg.t Lbc_net.Fabric.t)
+let sim ~engine ~(fabric : Lbc_util.Slice.t list Lbc_net.Fabric.t)
     ~(store : Lbc_storage.Store.t) : (module S) =
   (module struct
     let name = "sim"
@@ -119,8 +121,10 @@ let sim ~engine ~(fabric : Msg.t Lbc_net.Fabric.t)
     let spawn ~node:_ ~name ~daemon ~alive f =
       Lbc_sim.Proc.spawn engine ~name ~daemon ~alive f
 
-    let send ~src ~dst m = Lbc_net.Fabric.send fabric ~src ~dst m
-    let broadcast ~src ~dsts m = Lbc_net.Fabric.broadcast fabric ~src ~dsts m
+    let send ~src ~dst m = Lbc_net.Fabric.send fabric ~src ~dst (Msg.encode m)
+
+    let broadcast ~src ~dsts m =
+      Lbc_net.Fabric.broadcast fabric ~src ~dsts (Msg.encode m)
 
     (* One dispatcher per peer channel, like the prototype's
        per-connection receiver threads.  Daemons: being forever blocked
@@ -135,8 +139,8 @@ let sim ~engine ~(fabric : Msg.t Lbc_net.Fabric.t)
               ~daemon:true
               (fun () ->
                 while true do
-                  let m = Lbc_net.Fabric.recv fabric ~dst:n ~src:p in
-                  handler ~dst:n ~src:p m
+                  let body = Lbc_net.Fabric.recv fabric ~dst:n ~src:p in
+                  handler ~dst:n ~src:p (Msg.decode body)
                 done)
         done
       done

@@ -53,7 +53,7 @@ let final_pull c ~nodes ~locks =
 
 let drop_updates c ~src ~dst =
   Lbc_net.Fabric.set_drop_filter (Cluster.fabric c) ~src ~dst
-    (Some (function Msg.Update _ -> true | _ -> false))
+    (Some (fun b -> match Msg.decode b with Msg.Update _ -> true | _ -> false))
 
 let crash_then_rejoin_bg c ~node ?(after = 0.0) ?(more_work = fun () -> ())
     () =

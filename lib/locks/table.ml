@@ -13,13 +13,6 @@ type msg =
       last_writer : int;
     }
 
-(* Nominal sizes: two small ints for requests, three for a token, plus a
-   small header carrying the epoch — comparable to the prototype's control
-   messages. *)
-let msg_size = function
-  | Request _ | Forward _ -> 16
-  | Token _ -> 24
-
 let pp_msg ppf = function
   | Request { epoch; lock; requester } ->
       Format.fprintf ppf "Request(l%d<-n%d e%d)" lock requester epoch

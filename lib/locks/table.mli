@@ -44,9 +44,6 @@ type msg =
       last_writer : int;
     }  (** ownership transfer to a requester *)
 
-val msg_size : msg -> int
-(** Nominal wire size in bytes, for traffic accounting. *)
-
 val pp_msg : Format.formatter -> msg -> unit
 
 exception Protocol_error of string

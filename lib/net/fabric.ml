@@ -6,6 +6,7 @@ type 'm t = {
   params : Params.t;
   size : 'm -> int;
   channels : 'm Lbc_sim.Mailbox.t array array;  (* channels.(src).(dst) *)
+  in_flight : (int * 'm) Queue.t array array;  (* sent, not yet delivered *)
   drop_filter : ('m -> bool) option array array;
   down : bool array;
   messages_sent : int array;
@@ -24,6 +25,8 @@ let create ?(params = Params.an1) ~engine ~nodes ~size () =
     channels =
       Array.init nodes (fun _ ->
           Array.init nodes (fun _ -> Lbc_sim.Mailbox.create ()));
+    in_flight =
+      Array.init nodes (fun _ -> Array.init nodes (fun _ -> Queue.create ()));
     drop_filter = Array.make_matrix nodes nodes None;
     down = Array.make nodes false;
     messages_sent = Array.make nodes 0;
@@ -52,18 +55,24 @@ let should_drop t ~src ~dst msg =
   match t.drop_filter.(src).(dst) with Some f -> f msg | None -> false
 
 (* Put one message on the wire: it is dropped at delivery time if the
-   destination is down by then (the crash loses in-flight traffic). *)
+   destination is down by then (the crash loses in-flight traffic).  A
+   delivery event lands its channel's oldest message in flight, not the
+   one it was scheduled with, so a policy that reorders the ripe
+   deliveries of one instant never reorders a channel. *)
 let deliver t ~src ~dst ~len msg =
   if should_drop t ~src ~dst msg then count_drop t ~src ~dst ~len
-  else
+  else begin
+    Queue.push (len, msg) t.in_flight.(src).(dst);
     Lbc_sim.Engine.schedule t.engine ~delay:t.params.Params.propagation
       (fun () ->
+        let len, msg = Queue.pop t.in_flight.(src).(dst) in
         if t.down.(dst) then count_drop t ~src ~dst ~len
         else begin
           Obs.instant t.obs ~name:"net.deliver" ~pid:dst ~tid:Obs.lane_net
             ~arg:len;
           Lbc_sim.Mailbox.send t.channels.(src).(dst) msg
         end)
+  end
 
 (* One transmission from [src] reaching each of [dsts]: the sender pays
    a single writev cost, then the message goes on every wire. *)

@@ -2,11 +2,15 @@
     a fixed set of nodes, like the TCP connections of the prototype.
 
     The fabric is polymorphic in the message type; callers supply a [size]
-    function so that costs and traffic statistics reflect the bytes a real
-    implementation would move.  Ordering guarantee: messages from one
-    sender to one receiver are delivered in send order (TCP); there is no
-    ordering across different sender/receiver pairs — exactly the situation
-    that forces the paper's sequence-number interlock (Section 3.4).
+    function so that costs and traffic statistics reflect the bytes the
+    sockets move (the cluster carries [Lbc_core.Msg.encode]d bodies and
+    charges their frame size).  Ordering guarantee: messages from one
+    sender to one receiver are delivered in send order (TCP), under every
+    schedule policy — a delivery event lands its channel's oldest message
+    in flight, so a policy that reorders the deliveries ripe at one
+    instant reorders only across channels.  There is no ordering across
+    different sender/receiver pairs — exactly the situation that forces
+    the paper's sequence-number interlock (Section 3.4).
 
     Fault injection: a channel can lose the messages a filter picks
     ({!set_drop_filter}; [Some (fun _ -> true)] loses them all) and whole

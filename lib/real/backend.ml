@@ -1,18 +1,18 @@
 (* The real platform: each node is an OCaml 5 domain running its own
-   wall-clock {!Rt}; delivery is a full socketpair mesh with the same
-   u32-prefix framing the sim fabric accounts for; devices are real
-   files with real [fsync].
+   wall-clock {!Rt}; delivery is a full socketpair mesh carrying the
+   frames the sim fabric charges; devices are real files with real
+   [fsync].
 
    Data path of one [send] (a commit's [Msg.Update] takes the same one):
 
-   - the sending node's domain encodes the message header
-     ({!Msg_codec.encode}) and gather-writes prefix + header + payload
-     slices to the destination's socket ({!Frame.write}) — the record
-     bytes go from the log arena to the kernel without concatenation;
+   - the sending node's domain encodes the message ({!Msg.encode}) and
+     gather-writes prefix + header + payload slices to the destination's
+     socket ({!Frame.write}) — the record bytes go from the log arena to
+     the kernel without concatenation;
    - a reader thread blocked on that socket reassembles the frame
-     (tolerating arbitrary short reads), decodes it — payload slices are
-     windows into the frame buffer — and {!Rt.inject}s delivery into the
-     destination's engine;
+     (tolerating arbitrary short reads), decodes it with {!Msg.decode} —
+     payload slices are windows into the frame buffer — and
+     {!Rt.inject}s delivery into the destination's engine;
    - the injected event performs [Mailbox.send] on the (dst, src)
      channel, and the per-channel dispatcher daemon hands the message to
      [Node.handle], exactly as in the sim.  FIFO per channel is the
@@ -67,7 +67,7 @@ let factory ~nodes ~(config : Lbc_core.Config.t) :
         match Frame.read fd with
         | None -> continue := false
         | Some body ->
-            let m = Msg_codec.decode body in
+            let m = Msg.decode [ Lbc_util.Slice.of_bytes body ] in
             Rt.inject rts.(i) (fun () -> Mailbox.send channels.(i).(j) m)
       done
     with
@@ -115,34 +115,38 @@ let factory ~nodes ~(config : Lbc_core.Config.t) :
           Proc.spawn (Rt.engine rts.(node)) ~name ~daemon ~alive body)
 
     (* A send happens inside the source node's engine loop — one thread
-       per socket writer, so frames never interleave. *)
-    let transmit ~src ~dst m =
-      Atomic.incr sent;
+       per socket writer, so frames never interleave.  As on the sim
+       fabric, a node has no channel to itself. *)
+    let transmit ~src ~dst body =
       match conn.(src).(dst) with
       | Some fd ->
-          let n = Frame.write fd (Msg_codec.encode m) in
+          Atomic.incr sent;
+          let n = Frame.write fd body in
           ignore (Atomic.fetch_and_add bytes n : int)
-      | None ->
-          (* self-send: loop straight back into the own (dst, src=dst)
-             channel; its dispatcher delivers like any other *)
-          Rt.inject rts.(dst) (fun () -> Mailbox.send channels.(dst).(src) m)
+      | None -> invalid_arg "Backend.send: src = dst"
 
-    let send ~src ~dst m = transmit ~src ~dst m
-    let broadcast ~src ~dsts m = List.iter (fun dst -> transmit ~src ~dst m) dsts
+    let send ~src ~dst m = transmit ~src ~dst (Msg.encode m)
+
+    let broadcast ~src ~dsts m =
+      let body = Msg.encode m in
+      List.sort_uniq Int.compare dsts
+      |> List.iter (fun dst -> if dst <> src then transmit ~src ~dst body)
+
     let start_receivers ~handler =
       for n = 0 to nodes - 1 do
         for p = 0 to nodes - 1 do
           let eng = Rt.engine rts.(n) in
-          Rt.inject rts.(n) (fun () ->
-              Proc.spawn eng
-                ~name:(Printf.sprintf "dispatch-%d<-%d" n p)
-                ~daemon:true
-                (fun () ->
-                  while true do
-                    let m = Mailbox.recv channels.(n).(p) in
-                    handler ~dst:n ~src:p m;
-                    Atomic.incr handled
-                  done))
+          if p <> n then
+            Rt.inject rts.(n) (fun () ->
+                Proc.spawn eng
+                  ~name:(Printf.sprintf "dispatch-%d<-%d" n p)
+                  ~daemon:true
+                  (fun () ->
+                    while true do
+                      let m = Mailbox.recv channels.(n).(p) in
+                      handler ~dst:n ~src:p m;
+                      Atomic.incr handled
+                    done))
         done
       done
 

@@ -8,8 +8,11 @@
     Each node is a {!Rt}: a private engine paced by the wall clock,
     driven by its own domain — everything above the platform seam runs
     unchanged, with true parallelism between nodes.  Delivery writes
-    u32-prefixed frames ({!Frame}, {!Msg_codec}) over Unix-domain
-    socketpairs; devices are files under a fresh temp directory, with
+    the bodies {!Lbc_core.Msg.encode} makes, u32-prefixed ({!Frame}),
+    over Unix-domain socketpairs, and decodes them with
+    {!Lbc_core.Msg.decode}, the codec the sim fabric runs; as there, a
+    send to self raises and a broadcast skips self and duplicate
+    destinations.  Devices are files under a fresh temp directory, with
     real [fsync].  [run] waits for quiescence (all tasks returned, all
     frames handled, all engines idle); [shutdown] joins the domains and
     removes the temp files. *)

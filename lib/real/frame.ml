@@ -1,8 +1,7 @@
 (* Socket framing for the real fabric: every message is one frame —
-   a little-endian u32 byte count followed by that many payload bytes.
-   This is exactly the frame the sim fabric accounts for
-   ([Msg.size (Update iov) = 4 + iov_length iov]); here the prefix and
-   payload are actually written.
+   a little-endian u32 byte count followed by that many body bytes.
+   The sim fabric charges the same frame ([Msg.frame_size]); here the
+   prefix and body are actually written.
 
    [write] is a gather write: the prefix, then each slice of the iovec
    straight from its backing buffer ([Unix.write base pos len]) — the
@@ -10,7 +9,7 @@
    stream that may deliver it in arbitrary short reads (TCP and pipes
    both tear frames at any byte boundary). *)
 
-let header_bytes = 4
+let header_bytes = Lbc_core.Msg.prefix_bytes
 
 let rec write_all fd b pos len =
   if len > 0 then begin

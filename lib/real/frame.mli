@@ -1,15 +1,15 @@
 (** u32-prefixed message framing over a byte stream.
 
-    Same frame layout the sim fabric accounts for ({!Lbc_core.Msg.size}
-    counts the prefix): a little-endian u32 payload length, then the
-    payload.  The writer gathers the payload from an iovec
-    without concatenating; the reader tolerates arbitrary short reads. *)
-
-val header_bytes : int
+    The frame the sim fabric charges ({!Lbc_core.Msg.frame_size}): a
+    little-endian u32 body length ({!Lbc_core.Msg.prefix_bytes} bytes),
+    then the {!Lbc_core.Msg.encode}d body.  The writer gathers the body
+    from an iovec without concatenating; the reader tolerates arbitrary
+    short reads. *)
 
 val write : Unix.file_descr -> Lbc_util.Slice.t list -> int
-(** Write one frame; returns the total bytes on the wire (prefix +
-    payload).  Each slice is written from its own backing buffer. *)
+(** Write one frame; returns the total bytes on the wire,
+    [Msg.frame_size iov].  Each slice is written from its own backing
+    buffer. *)
 
 exception Torn of string
 (** The stream ended mid-frame (peer died between the prefix and the

@@ -167,16 +167,27 @@ let get_raw r ~len =
   Slice.count_copy len;
   out
 
-let get_slice r ~len =
-  need r len "raw";
-  advance r;
-  if len <= r.limit - r.pos then begin
-    (* Whole range lies in the current segment: a window, no copy. *)
-    let s = Slice.of_bytes r.buf ~pos:r.pos ~len in
-    r.pos <- r.pos + len;
-    s
+let get_iov r ~len =
+  need r len "iov";
+  if r.pos = r.limit && len = r.rest_len then begin
+    (* The whole rest from a segment boundary: the unread list itself. *)
+    let iov = r.rest in
+    r.rest <- [];
+    r.rest_len <- 0;
+    iov
   end
-  else Slice.of_bytes (get_raw r ~len)
+  else
+    let rec take left =
+      if left = 0 then []
+      else begin
+        advance r;
+        let n = min left (r.limit - r.pos) in
+        let s = Slice.of_bytes r.buf ~pos:r.pos ~len:n in
+        r.pos <- r.pos + n;
+        s :: take (left - n)
+      end
+    in
+    take len
 
 let skip r n =
   need r n "skip";

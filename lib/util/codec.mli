@@ -87,8 +87,10 @@ val get_count : reader -> int
 val get_raw : reader -> len:int -> Bytes.t
 (** Materializing copy of the next [len] bytes (counted). *)
 
-val get_slice : reader -> len:int -> Slice.t
-(** The next [len] bytes; a zero-copy window when they lie within one
-    segment, a materializing copy (counted) when they span segments. *)
+val get_iov : reader -> len:int -> Slice.t list
+(** The next [len] bytes as zero-copy windows, one per segment they
+    touch.  Asked for the whole rest at a segment boundary, it returns
+    the reader's unread tail list itself, so a decode that hands a long
+    gather list on shares it instead of re-windowing it. *)
 
 val skip : reader -> int -> unit

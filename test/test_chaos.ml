@@ -266,7 +266,11 @@ let check_logs_clean what c nodes =
 
 let drop_updates c ~src ~dst on =
   let filter =
-    if on then Some (function Msg.Update _ -> true | _ -> false) else None
+    if on then
+      Some
+        (fun body ->
+          match Msg.decode body with Msg.Update _ -> true | _ -> false)
+    else None
   in
   Lbc_net.Fabric.set_drop_filter (Cluster.fabric c) ~src ~dst filter
 

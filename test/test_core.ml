@@ -718,6 +718,82 @@ let prop_wire_truncation_detected =
       | _ -> false
       | exception Lbc_util.Codec.Truncated _ -> true)
 
+(* The one message decoder under hostile bytes.  Each constructor's body
+   (record payloads included) gets 1-4 bytes overwritten with a random,
+   high-bit or small value, is cut short at random and split into random
+   gather segments.  [Msg.decode], then [Wire.decode_iov] on every record
+   it yields, may raise only [Truncated], allocating under 64 KiB. *)
+let msg_bodies =
+  let module T = Lbc_locks.Table in
+  let cmd =
+    { Lbc_wal.Record.op = 3; params = Bytes.of_string "args";
+      cmd_regions = [ 0; 2 ] }
+  in
+  let cmd_txn = { wire_txn with ranges = []; cmd = Some cmd } in
+  let update t = Wire.encode_iov t in
+  Array.map
+    (fun m -> Lbc_util.Slice.concat (Msg.encode m))
+    [| Msg.Lock (T.Request { epoch = 1; lock = 300; requester = 2 });
+       Msg.Lock (T.Forward { epoch = 0; lock = 5; requester = 1 });
+       Msg.Lock
+         (T.Token
+            { epoch = 2; lock = 9; seqno = 1_000; last_write_seq = 999;
+              last_writer = -1 });
+       Msg.Update (update wire_txn);
+       Msg.Update (update cmd_txn);
+       Msg.Fetch { lock = 4; have = 170 };
+       Msg.Fetched { lock = 4; payloads = [ update wire_txn; update cmd_txn ] };
+       Msg.LowWater { applied = [ (1, 10); (200, 0); (9, 70_000) ] } |]
+
+let prop_msg_decode_hostile =
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length msg_bodies - 1) >>= fun i ->
+      let n = Bytes.length msg_bodies.(i) in
+      let value =
+        oneof [ int_bound 255; map (( lor ) 0x80) (int_bound 127); int_bound 3 ]
+      in
+      quad (return i)
+        (list_size (1 -- 4) (pair (int_bound (n - 1)) value))
+        (oneof [ return n; int_bound n ])
+        (list_size (0 -- 6) (int_bound n)))
+  in
+  let print (i, edits, cut, cuts) =
+    Printf.sprintf "body %d, edits [%s], cut %d, segments at [%s]" i
+      (String.concat ";"
+         (List.map (fun (p, v) -> Printf.sprintf "%d:=%d" p v) edits))
+      cut
+      (String.concat ";" (List.map string_of_int cuts))
+  in
+  QCheck.Test.make ~name:"decode of hostile bodies raises Truncated"
+    ~count:10_000 (QCheck.make ~print gen) (fun (i, edits, cut, cuts) ->
+      let b = Bytes.copy msg_bodies.(i) in
+      List.iter (fun (p, v) -> Bytes.set_uint8 b p v) edits;
+      let bounds =
+        (0 :: List.sort Int.compare (List.map (min cut) cuts)) @ [ cut ]
+      in
+      let rec segments = function
+        | a :: (z :: _ as rest) ->
+            let seg = Bytes.sub b a (z - a) in
+            let base = Bytes.cat (Bytes.of_string "#") seg in
+            Lbc_util.Slice.of_bytes base ~pos:1 ~len:(z - a) :: segments rest
+        | _ -> []
+      in
+      let records = function
+        | Msg.Update iov -> [ iov ]
+        | Msg.Fetched { payloads; _ } -> payloads
+        | _ -> []
+      in
+      let iov = segments bounds in
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      (try
+         List.iter
+           (fun r -> ignore (Wire.decode_iov r))
+           (records (Msg.decode iov))
+       with Lbc_util.Codec.Truncated _ -> ());
+      Gc.allocated_bytes () -. before < 65536.0)
+
 (* Merge correctness on randomly generated serializable histories: a
    virtual total order of transactions touching random locks is split
    into per-node logs; the merge must respect, for every lock, the
@@ -828,11 +904,12 @@ let test_accept_repairs_held () =
       let lost = ref false in
       Lbc_net.Fabric.set_drop_filter (Cluster.fabric c) ~src:0 ~dst:1
         (Some
-           (function
-           | Msg.Update _ when not !lost ->
-               lost := true;
-               true
-           | _ -> false));
+           (fun body ->
+             match Msg.decode body with
+             | Msg.Update _ when not !lost ->
+                 lost := true;
+                 true
+             | _ -> false));
       let n1 = Cluster.node c 1 in
       if pinned then Node.pin n1;
       let committed = Lbc_sim.Mailbox.create () in
@@ -1418,6 +1495,7 @@ let suites =
         Alcotest.test_case "negative count = Truncated" `Quick
           test_wire_negative_count;
       ] );
+    ("core.msg", [ qtest prop_msg_decode_hostile ]);
     ( "core.eager",
       [
         Alcotest.test_case "update propagates" `Quick test_update_propagates;

@@ -7,7 +7,7 @@ open Lbc_locks
 let mk_cluster ?(nodes = 3) () =
   let e = Engine.create () in
   let f =
-    Fabric.create ~params:Params.instant ~engine:e ~nodes ~size:Table.msg_size ()
+    Fabric.create ~params:Params.instant ~engine:e ~nodes ~size:(fun _ -> 16) ()
   in
   let tables =
     Array.init nodes (fun n ->
@@ -195,7 +195,7 @@ let test_stress_random_contention () =
   let nodes = 4 in
   let e = Engine.create () in
   let f =
-    Fabric.create ~params:Params.an1 ~engine:e ~nodes ~size:Table.msg_size ()
+    Fabric.create ~params:Params.an1 ~engine:e ~nodes ~size:(fun _ -> 16) ()
   in
   let tables =
     Array.init nodes (fun n ->

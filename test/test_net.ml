@@ -3,8 +3,8 @@
 open Lbc_sim
 open Lbc_net
 
-let mk ?(params = Params.instant) ?(nodes = 3) () =
-  let e = Engine.create () in
+let mk ?(params = Params.instant) ?policy ?(nodes = 3) () =
+  let e = Engine.create ?policy () in
   let f = Fabric.create ~params ~engine:e ~nodes ~size:String.length () in
   (e, f)
 
@@ -16,18 +16,40 @@ let test_send_recv () =
   Engine.run e;
   Alcotest.(check string) "delivered" "ping" !got
 
-let test_fifo_per_channel () =
-  let e, f = mk () in
-  let got = ref [] in
-  Proc.spawn e (fun () ->
-      for _ = 1 to 3 do
-        let m = Fabric.recv f ~dst:1 ~src:0 in
-        got := m :: !got
-      done);
-  Proc.spawn e (fun () ->
-      List.iter (fun m -> Fabric.send f ~src:0 ~dst:1 m) [ "a"; "b"; "c" ]);
-  Engine.run e;
-  Alcotest.(check (list string)) "fifo" [ "a"; "b"; "c" ] (List.rev !got)
+(* Whatever order a policy gives the deliveries ripe at one instant,
+   every channel delivers its send order minus what it drops: 3 nodes,
+   5 back-to-back messages on every channel, and channel 0->1 losing
+   its even-numbered ones. *)
+let prop_fifo_per_channel =
+  QCheck.Test.make ~name:"fifo per channel" ~count:1000
+    QCheck.(pair bool (int_bound 1_000_000))
+    (fun (pct, seed) ->
+      let nodes = 3 in
+      let policy = if pct then Schedule.Pct seed else Random_tie seed in
+      let e, f = mk ~policy ~nodes () in
+      let even m = Char.code m.[2] land 1 = 0 in
+      Fabric.set_drop_filter f ~src:0 ~dst:1 (Some even);
+      let kept = Array.make_matrix nodes nodes [] in
+      let got = Array.make_matrix nodes nodes [] in
+      for src = 0 to nodes - 1 do
+        for dst = 0 to nodes - 1 do
+          if src <> dst then begin
+            let msgs = List.init 5 (Printf.sprintf "%d%d%d" src dst) in
+            if (src, dst) = (0, 1) then
+              kept.(src).(dst) <- List.filter (Fun.negate even) msgs
+            else kept.(src).(dst) <- msgs;
+            Proc.spawn e (fun () -> List.iter (Fabric.send f ~src ~dst) msgs);
+            Proc.spawn e (fun () ->
+                List.iter
+                  (fun _ ->
+                    let m = Fabric.recv f ~dst ~src in
+                    got.(src).(dst) <- m :: got.(src).(dst))
+                  kept.(src).(dst))
+          end
+        done
+      done;
+      Engine.run e;
+      Array.for_all2 (Array.for_all2 (fun k g -> k = List.rev g)) kept got)
 
 let test_send_cost_blocks_sender () =
   let params =
@@ -178,7 +200,7 @@ let suites =
     ( "net.fabric",
       [
         Alcotest.test_case "send/recv" `Quick test_send_recv;
-        Alcotest.test_case "fifo per channel" `Quick test_fifo_per_channel;
+        QCheck_alcotest.to_alcotest prop_fifo_per_channel;
         Alcotest.test_case "send cost blocks sender" `Quick
           test_send_cost_blocks_sender;
         Alcotest.test_case "channels independent" `Quick

@@ -4,17 +4,18 @@
    - the atomic accounting really is atomic (two domains hammering the
      Slice counters and an Obs sink lose no increments);
    - the socket framing is faithful (random [Wire.encode_iov] payloads
-     round-trip through [Msg_codec] + [Frame] byte-identically to the
-     sim fabric's by-reference delivery, including arbitrary short-read
-     boundaries);
+     round-trip through [Msg] + [Frame] byte-identically to the sim
+     fabric's delivery of the same bodies, including arbitrary
+     short-read boundaries);
    - the whole stack works end to end (an OO7 traversal propagates
      between two domains over real sockets and real files, committing
-     the same bytes the sim backend commits). *)
+     the same bytes and sending the same messages and wire bytes as the
+     sim backend). *)
 
 module Slice = Lbc_util.Slice
 module Obs = Lbc_obs.Obs
 module Frame = Lbc_real.Frame
-module Msg_codec = Lbc_real.Msg_codec
+module Msg = Lbc_core.Msg
 
 (* ---------------------------------------------------------------- *)
 (* Satellite: atomic counters under two domains *)
@@ -136,36 +137,36 @@ let feed_through_pipe ~chop frames =
    structure — only the stream). *)
 let frame_bytes iov =
   let len = Slice.iov_length iov in
-  let b = Bytes.create (Frame.header_bytes + len) in
+  let b = Bytes.create (Msg.frame_size iov) in
   Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.blit (Slice.concat iov) 0 b Frame.header_bytes len;
+  Bytes.blit (Slice.concat iov) 0 b Msg.prefix_bytes len;
   b
 
 let prop_framing_matches_sim =
   QCheck.Test.make ~count:200 ~name:"socket framing = sim delivery"
     QCheck.(pair (small_list arb_txn) (small_list (int_bound 40)))
     (fun (txns, chop) ->
-      (* Sim side: encode_iov handed across by reference, decoded from
-         the gather list. *)
+      (* Sim side: the encoded gather list, decoded as the fabric
+         queued it. *)
       let iovs = List.map Lbc_core.Wire.encode_iov txns in
-      let via_sim = List.map Lbc_core.Wire.decode_iov iovs in
+      let update_of body =
+        match Msg.decode body with
+        | Msg.Update iov -> Lbc_core.Wire.decode_iov iov
+        | _ -> QCheck.Test.fail_report "decoded to non-Update"
+      in
+      let via_sim =
+        List.map (fun iov -> update_of (Msg.encode (Msg.Update iov))) iovs
+      in
       (* Socket side: the same iovecs framed as Update messages, the
          byte stream torn at [chop] boundaries, reassembled, decoded. *)
       let frames =
-        List.map
-          (fun iov -> frame_bytes (Msg_codec.encode (Lbc_core.Msg.Update iov)))
-          iovs
+        List.map (fun iov -> frame_bytes (Msg.encode (Msg.Update iov))) iovs
       in
       let bodies = feed_through_pipe ~chop frames in
       if List.length bodies <> List.length frames then false
       else begin
         let via_socket =
-          List.map
-            (fun body ->
-              match Msg_codec.decode body with
-              | Lbc_core.Msg.Update iov -> Lbc_core.Wire.decode_iov iov
-              | _ -> QCheck.Test.fail_report "decoded to non-Update")
-            bodies
+          List.map (fun body -> update_of [ Slice.of_bytes body ]) bodies
         in
         List.for_all2
           (fun a b -> Lbc_wal.Record.equal_txn a b)
@@ -174,40 +175,57 @@ let prop_framing_matches_sim =
 
 let all_msgs =
   [
-    Lbc_core.Msg.Lock
+    Msg.Lock
       (Lbc_locks.Table.Request { epoch = 3; lock = 17; requester = 2 });
-    Lbc_core.Msg.Lock
+    Msg.Lock
       (Lbc_locks.Table.Forward { epoch = 0; lock = 0; requester = 0 });
-    Lbc_core.Msg.Lock
+    Msg.Lock
       (Lbc_locks.Table.Token
          { epoch = 7; lock = 9; seqno = 123; last_write_seq = 120;
            last_writer = -1 });
-    Lbc_core.Msg.Fetch { lock = 4; have = 17 };
-    Lbc_core.Msg.Fetched
+    Msg.Fetch { lock = 4; have = 17 };
+    Msg.Fetched
       {
         lock = 4;
         payloads =
           [ [ Slice.of_string "abc"; Slice.of_string "def" ];
             []; [ Slice.of_string "x" ] ];
       };
-    Lbc_core.Msg.LowWater { applied = [ (1, 10); (2, 0); (9, 300) ] };
-    Lbc_core.Msg.Update [ Slice.of_string "payload"; Slice.of_string "!" ];
+    Msg.LowWater { applied = [ (1, 10); (2, 0); (9, 300) ] };
+    Msg.Update [ Slice.of_string "payload"; Slice.of_string "!" ];
   ]
 
+(* Each body goes through a real frame, whose size is the one the sim
+   fabric charges, and decodes to the message on either side. *)
 let test_codec_roundtrip_all_constructors () =
+  let through_frame body =
+    let r, w = Unix.pipe () in
+    let n = Frame.write w body in
+    Unix.close w;
+    let got = Frame.read r in
+    Unix.close r;
+    match got with
+    | Some b -> (n, Msg.decode [ Slice.of_bytes b ])
+    | None -> Alcotest.fail "frame lost"
+  in
   List.iter
     (fun m ->
-      let body = Slice.concat (Msg_codec.encode m) in
-      let m' = Msg_codec.decode body in
-      let show m = Format.asprintf "%a" Lbc_core.Msg.pp m in
+      let body = Msg.encode m in
+      let n, m' = through_frame body in
+      Alcotest.(check int) "frame bytes" (Msg.frame_size body) n;
+      let show m = Format.asprintf "%a" Msg.pp m in
       Alcotest.(check string) "roundtrip" (show m) (show m');
-      (* Fetched/Update payload bytes must survive exactly *)
+      Alcotest.(check string) "sim roundtrip" (show m) (show (Msg.decode body));
+      (* Fetched/Update payload bytes must survive exactly, and the
+         sim's decode hands an update's own slice list on, uncopied *)
       match (m, m') with
-      | Lbc_core.Msg.Update a, Lbc_core.Msg.Update b ->
+      | Msg.Update a, Msg.Update b ->
           Alcotest.(check bytes) "update bytes" (Slice.concat a)
-            (Slice.concat b)
-      | Lbc_core.Msg.Fetched { payloads = a; _ },
-        Lbc_core.Msg.Fetched { payloads = b; _ } ->
+            (Slice.concat b);
+          Alcotest.(check bool) "update list shared" true
+            (match Msg.decode body with Msg.Update c -> c == a | _ -> false)
+      | Msg.Fetched { payloads = a; _ },
+        Msg.Fetched { payloads = b; _ } ->
           List.iter2
             (fun x y ->
               Alcotest.(check bytes) "payload bytes" (Slice.concat x)
@@ -220,7 +238,7 @@ let test_codec_roundtrip_all_constructors () =
    set, i.e. negative: malformed input, not an [Invalid_argument]. *)
 let test_codec_negative_count () =
   let body = Bytes.of_string "\x05\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
-  match Msg_codec.decode body with
+  match Msg.decode [ Slice.of_bytes body ] with
   | _ -> Alcotest.fail "negative payload count decoded"
   | exception Lbc_util.Codec.Truncated _ -> ()
 
@@ -245,14 +263,20 @@ let run_oo7 ~backend =
   let reader_image =
     Lbc_rvm.Region.read region ~offset:0 ~len:(Lbc_rvm.Region.size region)
   in
+  let wire =
+    ( Lbc_core.Cluster.total_messages cluster,
+      Lbc_core.Cluster.total_bytes cluster )
+  in
   Lbc_core.Cluster.shutdown cluster;
-  (outcome, reader_image)
+  (outcome, reader_image, wire)
 
 let test_oo7_real_matches_sim () =
-  let sim_outcome, sim_image = run_oo7 ~backend:None in
-  let real_outcome, real_image = run_oo7 ~backend:(Some (real_backend ())) in
-  (* Same traversal, same committed record, same propagated bytes —
-     only the clock differs. *)
+  let sim_outcome, sim_image, sim_wire = run_oo7 ~backend:None in
+  let real_outcome, real_image, real_wire =
+    run_oo7 ~backend:(Some (real_backend ()))
+  in
+  (* Same traversal, same committed record, same propagated bytes, the
+     same frames on the wire — only the clock differs. *)
   Alcotest.(check int)
     "field updates"
     sim_outcome.Lbc_oo7.Runner.result.Lbc_oo7.Traversal.field_updates
@@ -261,7 +285,8 @@ let test_oo7_real_matches_sim () =
     "record bytes"
     (Lbc_core.Wire.encode sim_outcome.Lbc_oo7.Runner.record)
     (Lbc_core.Wire.encode real_outcome.Lbc_oo7.Runner.record);
-  Alcotest.(check bytes) "reader image" sim_image real_image
+  Alcotest.(check bytes) "reader image" sim_image real_image;
+  Alcotest.(check (pair int int)) "messages, wire bytes" sim_wire real_wire
 
 (* The writer's elapsed time is on the platform clock, which on real
    domains is the wall clock: even a tiny traversal takes time. *)

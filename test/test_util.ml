@@ -202,7 +202,8 @@ type read_op =
   | U8
   | Varint
   | Raw of int
-  | Slice_of of int
+  | Iov of int
+  | Rest  (* [get_iov] of everything left *)
   | Skip of int
   | Huge_raw
 
@@ -216,8 +217,8 @@ let prop_gather_reader =
       let op =
         frequency
           [ (3, return U8); (2, return Varint); (2, map (fun l -> Raw l) len);
-            (2, map (fun l -> Slice_of l) len); (2, map (fun l -> Skip l) len);
-            (1, return Huge_raw) ]
+            (2, map (fun l -> Iov l) len); (1, return Rest);
+            (2, map (fun l -> Skip l) len); (1, return Huge_raw) ]
       in
       triple (return s) (list_size (0 -- 10) cut) (list_size (1 -- 12) op))
   in
@@ -251,7 +252,8 @@ let prop_gather_reader =
             else loop (shift + 7) acc (q + 1)
         in
         loop 0 0 p
-    | Raw l | Slice_of l -> take l
+    | Raw l | Iov l -> take l
+    | Rest -> take (n - p)
     | Skip l -> Option.map (fun (_, p') -> (`S "", p')) (take l)
     | Huge_raw -> None
   in
@@ -259,7 +261,10 @@ let prop_gather_reader =
     | U8 -> `I (Codec.get_u8 r)
     | Varint -> `I (Codec.get_varint r)
     | Raw len -> `S (Bytes.to_string (Codec.get_raw r ~len))
-    | Slice_of len -> `S (Slice.to_string (Codec.get_slice r ~len))
+    | Iov len -> `S (Bytes.to_string (Slice.concat (Codec.get_iov r ~len)))
+    | Rest ->
+        let len = Codec.remaining r in
+        `S (Bytes.to_string (Slice.concat (Codec.get_iov r ~len)))
     | Skip n ->
         Codec.skip r n;
         `S ""
