@@ -43,10 +43,15 @@ let encode m =
       [ Codec.slice w ]
   | Fetched { lock; payloads } ->
       (* Lengths up front, then the payload slices concatenated: the
-         header stays one slice and every payload rides zero-copy. *)
+         header stays one slice and every payload rides zero-copy.  The
+         last payload's list is shared, not copied (a T2-B record's is
+         20,001 cells), as [decode] shares it through [Codec.get_iov]. *)
       head tag_fetched
         (lock :: List.length payloads :: List.map Slice.iov_length payloads);
-      Codec.slice w :: List.concat payloads
+      Codec.slice w
+      :: List.fold_right
+           (fun p acc -> match acc with [] -> p | _ -> p @ acc)
+           payloads []
   | LowWater { applied } ->
       let pairs = List.concat_map (fun (lock, seq) -> [ lock; seq ]) applied in
       head tag_low_water (List.length applied :: pairs);

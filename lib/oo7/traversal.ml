@@ -52,7 +52,8 @@ type result = {
 
 type state = {
   db : Database.t;
-  visited : (int, unit) Hashtbl.t;  (* one composite's graph walk *)
+  visited : int array;  (* one composite's graph walk: the parts seen *)
+  mutable n_visited : int;
   mutable composite_visits : int;
   mutable atomic_visits : int;
   mutable field_updates : int;
@@ -86,13 +87,19 @@ let visit_atomic st part ~update ~times =
         f st part
       done
 
-(* DFS over the atomic-part graph of one composite. *)
+let rec seen st part i =
+  i < st.n_visited && (st.visited.(i) = part || seen st part (i + 1))
+
+(* DFS over the atomic-part graph of one composite.  A connection stays
+   inside its composite, so a walk sees at most [atomics_per_composite]
+   parts, and a linear scan of them beats hashing each one. *)
 let walk_graph st root ~per_atomic =
   let c = Database.config st.db in
-  Hashtbl.clear st.visited;
+  st.n_visited <- 0;
   let rec go part =
-    if not (Hashtbl.mem st.visited part) then begin
-      Hashtbl.add st.visited part ();
+    if not (seen st part 0) then begin
+      st.visited.(st.n_visited) <- part;
+      st.n_visited <- st.n_visited + 1;
       per_atomic part;
       for k = 0 to c.Schema.connections_per_atomic - 1 do
         go (Database.connection_target st.db part k)
@@ -154,10 +161,12 @@ let visit_composite st comp kind =
           visit_atomic st p ~update ~times)
 
 let run db kind =
+  let c = Database.config db in
   let st =
     {
       db;
-      visited = Hashtbl.create 64;
+      visited = Array.make c.Schema.atomics_per_composite 0;
+      n_visited = 0;
       composite_visits = 0;
       atomic_visits = 0;
       field_updates = 0;
@@ -165,7 +174,6 @@ let run db kind =
       read_sum = 0;
     }
   in
-  let c = Database.config db in
   let rec walk_assembly addr level =
     if level = c.Schema.assembly_levels then
       for i = 0 to c.Schema.composites_per_base - 1 do

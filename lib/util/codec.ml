@@ -14,18 +14,10 @@ let slice = Slice.Arena.contents
 let slice_sub = Slice.Arena.sub
 let u8 w v = Slice.Arena.add_char w (Char.chr (v land 0xFF))
 
-let u16 w v =
-  u8 w v;
-  u8 w (v lsr 8)
-
-let u32 w v =
-  u16 w v;
-  u16 w (v lsr 16)
-
-let u64 w v =
-  for i = 0 to 7 do
-    u8 w (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-  done
+let u16 = Slice.Arena.add_u16
+let u32 = Slice.Arena.add_u32
+let u64 = Slice.Arena.add_u64
+let zeros = Slice.Arena.add_zeros
 
 let int_as_u64 w v =
   if v < 0 then invalid_arg "Codec.int_as_u64: negative";
@@ -112,22 +104,48 @@ let get_u8 r =
   r.pos <- r.pos + 1;
   v
 
+(* A word inside the current segment is one load; one that straddles a
+   segment boundary, or runs past the end (raising [Truncated] at the
+   first missing byte), is read a byte at a time. *)
+let fits r n =
+  advance r;
+  r.limit - r.pos >= n
+
 let get_u16 r =
-  let lo = get_u8 r in
-  let hi = get_u8 r in
-  lo lor (hi lsl 8)
+  if fits r 2 then begin
+    let v = Bytes.get_uint16_le r.buf r.pos in
+    r.pos <- r.pos + 2;
+    v
+  end
+  else
+    let lo = get_u8 r in
+    let hi = get_u8 r in
+    lo lor (hi lsl 8)
 
 let get_u32 r =
-  let lo = get_u16 r in
-  let hi = get_u16 r in
-  lo lor (hi lsl 16)
+  if fits r 4 then begin
+    let v = Int32.to_int (Bytes.get_int32_le r.buf r.pos) land 0xFFFFFFFF in
+    r.pos <- r.pos + 4;
+    v
+  end
+  else
+    let lo = get_u16 r in
+    let hi = get_u16 r in
+    lo lor (hi lsl 16)
 
 let get_u64 r =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (get_u8 r)) (8 * i))
-  done;
-  !v
+  if fits r 8 then begin
+    let v = Bytes.get_int64_le r.buf r.pos in
+    r.pos <- r.pos + 8;
+    v
+  end
+  else begin
+    let v = ref 0L in
+    for i = 0 to 7 do
+      v := Int64.logor !v (Int64.shift_left (Int64.of_int (get_u8 r)) (8 * i))
+    done;
+    !v
+  end
 
 let get_int_as_u64 r =
   let v = get_u64 r in

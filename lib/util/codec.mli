@@ -34,12 +34,20 @@ val slice_sub : writer -> pos:int -> len:int -> Slice.t
 (** Zero-copy window of a range written so far; same validity. *)
 
 val u8 : writer -> int -> unit
-val u16 : writer -> int -> unit
-val u32 : writer -> int -> unit
 
+val u16 : writer -> int -> unit
+(** The low 16 bits, as one store after one capacity check; likewise
+    {!u32} (low 32 bits) and {!u64}. *)
+
+val u32 : writer -> int -> unit
 val u64 : writer -> int64 -> unit
+
 val int_as_u64 : writer -> int -> unit
 (** Native non-negative int written as 8 bytes. *)
+
+val zeros : writer -> int -> unit
+(** [zeros w n] writes [n] zero bytes with one fill (the RVM range
+    header's pad). *)
 
 val varint : writer -> int -> unit
 (** LEB128 varint; accepts any non-negative OCaml int. *)
@@ -73,7 +81,13 @@ val pos : reader -> int
 val remaining : reader -> int
 
 val get_u8 : reader -> int
+
 val get_u16 : reader -> int
+(** One load when the word lies inside the current segment; a word that
+    straddles a segment boundary is read a byte at a time, and one that
+    runs past the end raises {!exception:Truncated}.  Likewise
+    {!get_u32} and {!get_u64}. *)
+
 val get_u32 : reader -> int
 val get_u64 : reader -> int64
 val get_int_as_u64 : reader -> int

@@ -95,6 +95,28 @@ module Arena = struct
     Bytes.unsafe_set a.buf a.len c;
     a.len <- a.len + 1
 
+  (* Fixed-width little-endian words: one capacity check, one store. *)
+  let add_u16 a v =
+    ensure a 2;
+    Bytes.set_uint16_le a.buf a.len v;
+    a.len <- a.len + 2
+
+  let add_u32 a v =
+    ensure a 4;
+    Bytes.set_int32_le a.buf a.len (Int32.of_int v);
+    a.len <- a.len + 4
+
+  let add_u64 a v =
+    ensure a 8;
+    Bytes.set_int64_le a.buf a.len v;
+    a.len <- a.len + 8
+
+  let add_zeros a n =
+    if n < 0 then invalid_arg "Arena.add_zeros";
+    ensure a n;
+    Bytes.fill a.buf a.len n '\000';
+    a.len <- a.len + n
+
   let add_bytes a b ~pos ~len =
     if pos < 0 || len < 0 || pos + len > Bytes.length b then
       invalid_arg "Arena.add_bytes";

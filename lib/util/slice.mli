@@ -114,6 +114,19 @@ module Arena : sig
       with {!contents} must not be used afterwards. *)
 
   val add_char : t -> char -> unit
+
+  val add_u16 : t -> int -> unit
+  (** The low 16 bits of the int, little-endian. *)
+
+  val add_u32 : t -> int -> unit
+  (** The low 32 bits of the int, little-endian. *)
+
+  val add_u64 : t -> int64 -> unit
+  (** Little-endian. *)
+
+  val add_zeros : t -> int -> unit
+  (** [n] zero bytes.  Raises [Invalid_argument] if [n] is negative. *)
+
   val add_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
   val add_string : t -> string -> unit
 

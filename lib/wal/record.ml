@@ -23,7 +23,9 @@ let min_header_size = 4 + 8 + 8 (* region, offset, length *)
    every patch offset is relative to the arena length at entry.  The
    total-length field is patched in place once the body size is known,
    and the CRC is computed over the arena bytes directly — no
-   intermediate buffer is materialized. *)
+   intermediate buffer is materialized.  All three record kinds (value,
+   command, control) share this framing: magic, total at +4, trailing
+   CRC. *)
 let seal w ~start =
   let total = Codec.length w - start + 4 in
   Codec.patch_u32 w ~at:(start + 4) total;
@@ -32,27 +34,30 @@ let seal w ~start =
     Crc32.bytes (Slice.base covered) ~pos:(Slice.pos covered)
       ~len:(Slice.length covered)
   in
-  Codec.u32 w (Int32.to_int crc land 0xFFFFFFFF)
+  Codec.u32 w (Int32.to_int crc)
 
-(* Command records reuse the value framing (magic, total at +4, trailing
-   CRC) so the log scanner and point reads need no second layout; only
-   the body differs: the operation id, its parameter blob, and the
-   regions the replayed operation will touch. *)
-let encode_cmd_into w t c =
-  if t.ranges <> [] then
-    invalid_arg "Record.encode: a command record carries no value ranges";
-  let start = Codec.length w in
-  Codec.u32 w cmd_magic;
-  Codec.u32 w 0 (* total, patched below *);
-  Codec.u16 w t.node;
-  Codec.int_as_u64 w t.tid;
-  Codec.varint w (List.length t.locks);
+let put_locks w locks =
+  Codec.varint w (List.length locks);
   List.iter
     (fun l ->
       Codec.varint w l.lock_id;
       Codec.varint w l.seqno;
       Codec.varint w l.prev_write_seq)
-    t.locks;
+    locks
+
+(* Command records reuse the value framing so the log scanner and point
+   reads need no second layout; only the body differs: the operation id,
+   its parameter blob, and the regions the replayed operation will
+   touch. *)
+let encode_cmd_into w t c =
+  if t.ranges <> [] then
+    invalid_arg "Record.encode: a command record carries no value ranges";
+  let start = Codec.length w in
+  Codec.u32 w cmd_magic;
+  Codec.u32 w 0 (* total, patched by [seal] *);
+  Codec.u16 w t.node;
+  Codec.int_as_u64 w t.tid;
+  put_locks w t.locks;
   Codec.varint w c.op;
   Codec.varint w (Bytes.length c.params);
   Codec.raw w c.params ~pos:0 ~len:(Bytes.length c.params);
@@ -69,27 +74,18 @@ let encode_into w t =
   | None ->
       let start = Codec.length w in
       Codec.u32 w magic;
-      Codec.u32 w 0 (* total, patched below *);
+      Codec.u32 w 0 (* total, patched by [seal] *);
       Codec.u16 w t.node;
       Codec.int_as_u64 w t.tid;
       Codec.u16 w rvm_disk_header_size;
-      Codec.varint w (List.length t.locks);
-      List.iter
-        (fun l ->
-          Codec.varint w l.lock_id;
-          Codec.varint w l.seqno;
-          Codec.varint w l.prev_write_seq)
-        t.locks;
+      put_locks w t.locks;
       Codec.varint w (List.length t.ranges);
-      let pad = rvm_disk_header_size - min_header_size in
       List.iter
         (fun r ->
           Codec.u32 w r.region;
           Codec.int_as_u64 w r.offset;
           Codec.int_as_u64 w (Bytes.length r.data);
-          for _ = 1 to pad do
-            Codec.u8 w 0
-          done;
+          Codec.zeros w (rvm_disk_header_size - min_header_size);
           Codec.raw w r.data ~pos:0 ~len:(Bytes.length r.data))
         t.ranges;
       seal w ~start
@@ -149,7 +145,7 @@ let ctrl_size = 4 + 4 + 1 + 2 + 8 + 4
 let encode_ctrl_into w c =
   let start = Codec.length w in
   Codec.u32 w ctrl_magic;
-  Codec.u32 w 0 (* total, patched below *);
+  Codec.u32 w 0 (* total, patched by [seal] *);
   Codec.u8 w (match c.kind with Ckpt_begin -> 1 | Ckpt_end -> 2 | Region_index -> 3);
   Codec.u16 w c.node;
   Codec.int_as_u64 w c.ckpt_id;
@@ -168,14 +164,7 @@ let encode_ctrl_into w c =
           Codec.varint w (List.length e.offsets);
           List.iter (Codec.varint w) e.offsets)
         c.entries);
-  let total = Codec.length w - start + 4 in
-  Codec.patch_u32 w ~at:(start + 4) total;
-  let covered = Codec.slice_sub w ~pos:start ~len:(total - 4) in
-  let crc =
-    Crc32.bytes (Slice.base covered) ~pos:(Slice.pos covered)
-      ~len:(Slice.length covered)
-  in
-  Codec.u32 w (Int32.to_int crc land 0xFFFFFFFF)
+  seal w ~start
 
 let encode_ctrl c =
   let w = Codec.writer ~capacity:ctrl_size () in
@@ -221,6 +210,72 @@ let all_zero s ~pos =
   let rec loop i = i >= n || (Slice.get s i = '\000' && loop (i + 1)) in
   loop pos
 
+(* The stored CRC against the one computed over the record's bytes. *)
+let crc_ok s ~pos ~total =
+  let b = Slice.base s and at = Slice.pos s + pos in
+  Int32.equal
+    (Bytes.get_int32_le b (at + total - 4))
+    (Crc32.bytes b ~pos:at ~len:(total - 4))
+
+let get_locks body =
+  List.init (Codec.get_count body) (fun _ ->
+      let lock_id = Codec.get_varint body in
+      let seqno = Codec.get_varint body in
+      let prev_write_seq = Codec.get_varint body in
+      { lock_id; seqno; prev_write_seq })
+
+let decode_ctrl body ~total ~next =
+  let kind_byte = Codec.get_u8 body in
+  let node = Codec.get_u16 body in
+  let ckpt_id = Codec.get_int_as_u64 body in
+  match kind_byte with
+  | (1 | 2) when total <> ctrl_size -> Torn "bad ctrl length"
+  | 1 -> Ctrl ({ kind = Ckpt_begin; node; ckpt_id; entries = [] }, next)
+  | 2 -> Ctrl ({ kind = Ckpt_end; node; ckpt_id; entries = [] }, next)
+  | 3 ->
+      let entries =
+        List.init (Codec.get_count body) (fun _ ->
+            let keys =
+              List.init (Codec.get_count body) (fun _ -> Codec.get_varint body)
+            in
+            let offsets =
+              List.init (Codec.get_count body) (fun _ -> Codec.get_varint body)
+            in
+            { keys; offsets })
+      in
+      Ctrl ({ kind = Region_index; node; ckpt_id; entries }, next)
+  | _ -> Torn "bad ctrl kind"
+
+let decode_txn body ~is_cmd =
+  let node = Codec.get_u16 body in
+  let tid = Codec.get_int_as_u64 body in
+  if is_cmd then begin
+    let locks = get_locks body in
+    let op = Codec.get_varint body in
+    let plen = Codec.get_varint body in
+    let params = Codec.get_raw body ~len:plen in
+    let cmd_regions =
+      List.init (Codec.get_count body) (fun _ -> Codec.get_varint body)
+    in
+    { node; tid; locks; ranges = []; cmd = Some { op; params; cmd_regions } }
+  end
+  else begin
+    let header_size = Codec.get_u16 body in
+    if header_size < min_header_size then
+      raise (Codec.Truncated "header size");
+    let locks = get_locks body in
+    let ranges =
+      List.init (Codec.get_count body) (fun _ ->
+          let region = Codec.get_u32 body in
+          let offset = Codec.get_int_as_u64 body in
+          let dlen = Codec.get_int_as_u64 body in
+          Codec.skip body (header_size - min_header_size);
+          let data = Codec.get_raw body ~len:dlen in
+          { region; offset; data })
+    in
+    { node; tid; locks; ranges; cmd = None }
+  end
+
 let decode_slice s ~pos =
   let len = Slice.length s in
   if pos >= len then End
@@ -228,132 +283,25 @@ let decode_slice s ~pos =
   else begin
     let r = Codec.reader_of_slice (Slice.sub s ~pos ~len:(len - pos)) in
     let m = Codec.get_u32 r in
-    if m = ctrl_magic then begin
-      let total = Codec.get_u32 r in
-      if total < ctrl_size then Torn "bad ctrl length"
-      else if pos + total > len then Torn "truncated record"
-      else begin
-        let stored_crc =
-          let cr =
-            Codec.reader_of_slice (Slice.sub s ~pos:(pos + total - 4) ~len:4)
-          in
-          Codec.get_u32 cr
-        in
-        let crc =
-          Int32.to_int
-            (Crc32.bytes (Slice.base s) ~pos:(Slice.pos s + pos)
-               ~len:(total - 4))
-          land 0xFFFFFFFF
-        in
-        if crc <> stored_crc then Torn "bad crc"
-        else begin
-          try
-            let body =
-              Codec.reader_of_slice
-                (Slice.sub s ~pos:(pos + 8) ~len:(total - 12))
-            in
-            let kind_byte = Codec.get_u8 body in
-            let node = Codec.get_u16 body in
-            let ckpt_id = Codec.get_int_as_u64 body in
-            match kind_byte with
-            | (1 | 2) when total <> ctrl_size -> Torn "bad ctrl length"
-            | 1 -> Ctrl ({ kind = Ckpt_begin; node; ckpt_id; entries = [] },
-                         pos + total)
-            | 2 -> Ctrl ({ kind = Ckpt_end; node; ckpt_id; entries = [] },
-                         pos + total)
-            | 3 ->
-                let n = Codec.get_count body in
-                let entries =
-                  List.init n (fun _ ->
-                      let nk = Codec.get_count body in
-                      let keys = List.init nk (fun _ -> Codec.get_varint body) in
-                      let no = Codec.get_count body in
-                      let offsets =
-                        List.init no (fun _ -> Codec.get_varint body)
-                      in
-                      { keys; offsets })
-                in
-                Ctrl ({ kind = Region_index; node; ckpt_id; entries },
-                      pos + total)
-            | _ -> Torn "bad ctrl kind"
-          with Codec.Truncated why -> Torn ("malformed ctrl body: " ^ why)
-        end
-      end
-    end
-    else if m <> magic && m <> cmd_magic then
+    let total = Codec.get_u32 r in
+    let is_ctrl = m = ctrl_magic in
+    if not (is_ctrl || m = magic || m = cmd_magic) then
       if all_zero s ~pos then End else Torn "bad magic"
+    else if is_ctrl && total < ctrl_size then Torn "bad ctrl length"
+    else if total < 12 then Torn "bad length"
+    else if pos + total > len then Torn "truncated record"
+    else if not (crc_ok s ~pos ~total) then Torn "bad crc"
     else begin
-      let total = Codec.get_u32 r in
-      if total < 12 then Torn "bad length"
-      else if pos + total > len then Torn "truncated record"
-      else begin
-        let stored_crc =
-          let cr = Codec.reader_of_slice (Slice.sub s ~pos:(pos + total - 4) ~len:4) in
-          Codec.get_u32 cr
-        in
-        let crc =
-          Int32.to_int
-            (Crc32.bytes (Slice.base s) ~pos:(Slice.pos s + pos) ~len:(total - 4))
-          land 0xFFFFFFFF
-        in
-        if crc <> stored_crc then Torn "bad crc"
-        else begin
-          try
-            let body =
-              Codec.reader_of_slice (Slice.sub s ~pos:(pos + 8) ~len:(total - 12))
-            in
-            let node = Codec.get_u16 body in
-            let tid = Codec.get_int_as_u64 body in
-            if m = cmd_magic then begin
-              let n_locks = Codec.get_count body in
-              let locks =
-                List.init n_locks (fun _ ->
-                    let lock_id = Codec.get_varint body in
-                    let seqno = Codec.get_varint body in
-                    let prev_write_seq = Codec.get_varint body in
-                    { lock_id; seqno; prev_write_seq })
-              in
-              let op = Codec.get_varint body in
-              let plen = Codec.get_varint body in
-              let params = Codec.get_raw body ~len:plen in
-              let n_regions = Codec.get_count body in
-              let cmd_regions =
-                List.init n_regions (fun _ -> Codec.get_varint body)
-              in
-              Txn
-                ( { node; tid; locks; ranges = [];
-                    cmd = Some { op; params; cmd_regions } },
-                  pos + total )
-            end
-            else begin
-              let header_size = Codec.get_u16 body in
-              if header_size < min_header_size then
-                raise (Codec.Truncated "header size")
-              else begin
-                let n_locks = Codec.get_count body in
-                let locks =
-                  List.init n_locks (fun _ ->
-                      let lock_id = Codec.get_varint body in
-                      let seqno = Codec.get_varint body in
-                      let prev_write_seq = Codec.get_varint body in
-                      { lock_id; seqno; prev_write_seq })
-                in
-                let n_ranges = Codec.get_count body in
-                let ranges =
-                  List.init n_ranges (fun _ ->
-                      let region = Codec.get_u32 body in
-                      let offset = Codec.get_int_as_u64 body in
-                      let dlen = Codec.get_int_as_u64 body in
-                      Codec.skip body (header_size - min_header_size);
-                      let data = Codec.get_raw body ~len:dlen in
-                      { region; offset; data })
-                in
-                Txn ({ node; tid; locks; ranges; cmd = None }, pos + total)
-              end
-            end
-          with Codec.Truncated why -> Torn ("malformed body: " ^ why)
-        end
-      end
+      let body =
+        Codec.reader_of_slice (Slice.sub s ~pos:(pos + 8) ~len:(total - 12))
+      in
+      let next = pos + total in
+      if is_ctrl then
+        try decode_ctrl body ~total ~next
+        with Codec.Truncated why -> Torn ("malformed ctrl body: " ^ why)
+      else
+        try Txn (decode_txn body ~is_cmd:(m = cmd_magic), next)
+        with Codec.Truncated why -> Torn ("malformed body: " ^ why)
     end
   end
 

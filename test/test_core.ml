@@ -794,6 +794,29 @@ let prop_msg_decode_hostile =
        with Lbc_util.Codec.Truncated _ -> ());
       Gc.allocated_bytes () -. before < 65536.0)
 
+(* A Fetched message with one T2-B-sized record (10,000 ranges, a
+   20,001-slice gather list) round-trips without copying that list: the
+   encoder shares the last payload list and the decoder hands its unread
+   tail on. *)
+let test_msg_fetched_shares_payload () =
+  let ranges =
+    List.init 10_000 (fun i ->
+        { Lbc_wal.Record.region = 0; offset = 16 * i; data = Bytes.make 8 'x' })
+  in
+  let iov = Wire.encode_iov { wire_txn with ranges } in
+  let m = Msg.Fetched { lock = 4; payloads = [ iov ] } in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let back = Msg.decode (Msg.encode m) in
+  let words = Gc.minor_words () -. w0 in
+  (match back with
+  | Msg.Fetched { lock = 4; payloads = [ p ] } ->
+      Alcotest.(check bool) "payload list shared" true (p == iov)
+  | m -> Alcotest.failf "decoded %a" Msg.pp m);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per round trip <= 1,000" words)
+    true (words <= 1_000.0)
+
 (* Merge correctness on randomly generated serializable histories: a
    virtual total order of transactions touching random locks is split
    into per-node logs; the merge must respect, for every lock, the
@@ -1495,7 +1518,12 @@ let suites =
         Alcotest.test_case "negative count = Truncated" `Quick
           test_wire_negative_count;
       ] );
-    ("core.msg", [ qtest prop_msg_decode_hostile ]);
+    ( "core.msg",
+      [
+        qtest prop_msg_decode_hostile;
+        Alcotest.test_case "Fetched shares its payload list" `Quick
+          test_msg_fetched_shares_payload;
+      ] );
     ( "core.eager",
       [
         Alcotest.test_case "update propagates" `Quick test_update_propagates;

@@ -36,6 +36,39 @@ let prop_crc_detects_flip =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5A));
       Crc32.string s <> Crc32.bytes b ~pos:0 ~len:(Bytes.length b))
 
+(* The table-driven update against the CRC defined bit by bit: random
+   bytes at an unaligned offset inside a larger buffer, lengths 0-300,
+   fed in random incremental pieces. *)
+let crc_bitwise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let prop_crc_matches_bitwise =
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 15) (string_size (0 -- 300)) (int_bound 15)
+        (list_size (0 -- 6) (int_bound 300)))
+  in
+  QCheck.Test.make ~name:"update matches a bitwise reference" ~count:1_000
+    (QCheck.make gen) (fun (lead, s, trail, splits) ->
+      let n = String.length s in
+      let b = Bytes.make (lead + n + trail) '#' in
+      Bytes.blit_string s 0 b lead n;
+      let cuts = List.sort_uniq Int.compare (List.map (min n) splits) in
+      let rec feed crc from = function
+        | [] -> Crc32.update crc b ~pos:(lead + from) ~len:(n - from)
+        | c :: rest ->
+            feed (Crc32.update crc b ~pos:(lead + from) ~len:(c - from)) c rest
+      in
+      Int32.equal (Crc32.finish (feed Crc32.empty 0 cuts)) (crc_bitwise s))
+
 (* ------------------------------------------------------------------ *)
 (* Codec *)
 
@@ -196,10 +229,14 @@ let test_reader_of_slices_spans_segments () =
 (* The gather reader against a model position in the flat string: cut
    into random segments (empty ones included, first and last too), read
    by random primitive sequences.  After every read [remaining] is the
-   unread count, and a read past the end raises [Truncated] — a huge
+   unread count, a word that straddles segments reads as in the flat
+   string, and a read past the end raises [Truncated] — a huge
    [get_raw] before allocating anything. *)
 type read_op =
   | U8
+  | U16
+  | U32
+  | U64
   | Varint
   | Raw of int
   | Iov of int
@@ -216,7 +253,8 @@ let prop_gather_reader =
       let len = int_bound (n + 4) in
       let op =
         frequency
-          [ (3, return U8); (2, return Varint); (2, map (fun l -> Raw l) len);
+          [ (3, return U8); (2, return U16); (2, return U32); (2, return U64);
+            (2, return Varint); (2, map (fun l -> Raw l) len);
             (2, map (fun l -> Iov l) len); (1, return Rest);
             (2, map (fun l -> Skip l) len); (1, return Huge_raw) ]
       in
@@ -240,8 +278,24 @@ let prop_gather_reader =
     let take l =
       if l <= n - p then Some (`S (String.sub s p l), p + l) else None
     in
+    let word k =
+      if p + k > n then None
+      else
+        let v = ref 0L in
+        for i = k - 1 downto 0 do
+          let byte = Int64.of_int (Char.code s.[p + i]) in
+          v := Int64.logor (Int64.shift_left !v 8) byte
+        done;
+        Some (!v, p + k)
+    in
+    let int_word k =
+      Option.map (fun (v, p') -> (`I (Int64.to_int v), p')) (word k)
+    in
     match op with
     | U8 -> if p < n then Some (`I (Char.code s.[p]), p + 1) else None
+    | U16 -> int_word 2
+    | U32 -> int_word 4
+    | U64 -> Option.map (fun (v, p') -> (`L v, p')) (word 8)
     | Varint ->
         let rec loop shift acc q =
           if shift > 62 || q >= n then None
@@ -259,6 +313,9 @@ let prop_gather_reader =
   in
   let run r = function
     | U8 -> `I (Codec.get_u8 r)
+    | U16 -> `I (Codec.get_u16 r)
+    | U32 -> `I (Codec.get_u32 r)
+    | U64 -> `L (Codec.get_u64 r)
     | Varint -> `I (Codec.get_varint r)
     | Raw len -> `S (Bytes.to_string (Codec.get_raw r ~len))
     | Iov len -> `S (Bytes.to_string (Slice.concat (Codec.get_iov r ~len)))
@@ -432,6 +489,7 @@ let suites =
         Alcotest.test_case "incremental" `Quick test_crc_incremental;
         Alcotest.test_case "bounds" `Quick test_crc_bounds;
         qtest prop_crc_detects_flip;
+        qtest prop_crc_matches_bitwise;
       ] );
     ( "util.codec",
       [

@@ -977,6 +977,81 @@ let test_log_mode_names () =
   Alcotest.(check bool) "unknown mode" true
     (Command.log_mode_of_name "bogus" = None)
 
+(* ------------------------------------------------------------------ *)
+(* The record decoder under hostile bytes *)
+
+(* One record of each kind the log holds.  Each case overwrites 1-4
+   bytes of a record's body (between the total-length field and the
+   CRC) with a random, high-bit or small value, may cut the body short,
+   re-frames it with a fresh total and CRC so the body parser runs, and
+   may then cut the whole image at random.  [Record.decode_slice] must
+   answer [Txn], [Ctrl], [End] or [Torn], raise nothing, and allocate
+   under 64 KiB.  The image ends its buffer, so a word read past the
+   record's end raises rather than reading a neighbour. *)
+let hostile_records =
+  [|
+    Record.encode
+      (mk_txn ~node:3 ~tid:0x1234_5678_9A
+         ~locks:[ lock 5 10 8; lock 300 70_000 69_999 ]
+         [ (0, 100, "hello"); (2, 1 lsl 40, "world!!!"); (2, 9, "") ]);
+    Record.encode
+      (mk_cmd_txn ~tid:99 ~locks:[ lock 4 17 12 ] ~regions:[ 0; 2; 300 ] ());
+    Record.encode_ctrl (mk_ctrl Record.Ckpt_begin);
+    Record.encode_ctrl (mk_ctrl ~ckpt_id:0xFFFF_FFFF Record.Ckpt_end);
+    Record.encode_ctrl
+      (mk_ctrl
+         ~entries:
+           [ { Record.keys = [ 0; 3; 200 ]; offsets = [ 32; 4096; 70_000 ] };
+             { Record.keys = [ 1 ]; offsets = [] } ]
+         Record.Region_index);
+  |]
+
+let reframe image body =
+  let n = Bytes.length body + 12 in
+  let b = Bytes.create n in
+  Bytes.blit image 0 b 0 4;
+  Bytes.set_int32_le b 4 (Int32.of_int n);
+  Bytes.blit body 0 b 8 (Bytes.length body);
+  Bytes.set_int32_le b (n - 4) (Lbc_util.Crc32.bytes b ~pos:0 ~len:(n - 4));
+  b
+
+let prop_decode_hostile =
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length hostile_records - 1) >>= fun i ->
+      let body = Bytes.length hostile_records.(i) - 12 in
+      let value =
+        oneof [ int_bound 255; map (( lor ) 0x80) (int_bound 127); int_bound 3 ]
+      in
+      oneof [ return body; int_bound body ] >>= fun keep ->
+      quad (return i)
+        (list_size (1 -- 4) (pair (int_bound body) value))
+        (return keep)
+        (oneof [ return (keep + 12); int_bound (keep + 12) ]))
+  in
+  let print (i, edits, keep, cut) =
+    Printf.sprintf "record %d, edits [%s], body kept %d, cut %d" i
+      (String.concat ";"
+         (List.map (fun (p, v) -> Printf.sprintf "%d:=%d" p v) edits))
+      keep cut
+  in
+  QCheck.Test.make ~name:"decode_slice of hostile records answers"
+    ~count:10_000 (QCheck.make ~print gen) (fun (i, edits, keep, cut) ->
+      let image = hostile_records.(i) in
+      let body = Bytes.sub image 8 (Bytes.length image - 12) in
+      List.iter
+        (fun (p, v) -> if p < Bytes.length body then Bytes.set_uint8 body p v)
+        edits;
+      let framed = reframe image (Bytes.sub body 0 keep) in
+      (* A window one byte into its buffer, ending where the buffer does. *)
+      let b = Bytes.cat (Bytes.of_string "#") (Bytes.sub framed 0 cut) in
+      let s = Lbc_util.Slice.of_bytes b ~pos:1 ~len:cut in
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      match Record.decode_slice s ~pos:0 with
+      | Record.Txn _ | Record.Ctrl _ | Record.End | Record.Torn _ ->
+          Gc.allocated_bytes () -. before < 65536.0)
+
 let suites =
   [
     ( "wal.record",
@@ -1052,6 +1127,7 @@ let suites =
         Alcotest.test_case "log-mode names" `Quick test_log_mode_names;
         QCheck_alcotest.to_alcotest prop_cmd_roundtrip;
       ] );
+    ( "wal.decode", [ QCheck_alcotest.to_alcotest prop_decode_hostile ] );
     ( "wal.group_commit",
       [
         Alcotest.test_case "batches by size" `Quick
