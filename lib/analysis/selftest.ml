@@ -192,7 +192,7 @@ let corrupt_seqno_gap streams =
 
 (* Append a fresh stream holding one lock-less transaction that rewrites
    bytes some properly-locked transaction also wrote.  Zero-range
-   commits (read-only transactions under Flush, lock-only records) are
+   commits (read-only transactions, lock-only records) are
    legal stream entries; the match skips them instead of trusting a
    separate guard to have filtered them before a [List.hd]. *)
 let corrupt_unlocked_write streams =

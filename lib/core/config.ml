@@ -7,7 +7,6 @@ type t = {
   multicast : bool;
   charge_costs : bool;
   repair : bool;
-  repair_timeout : float;
   lease_timeout : float;
   group_commit : bool;
   ckpt_slice_bytes : int;
@@ -25,7 +24,6 @@ let default =
     multicast = false;
     charge_costs = false;
     repair = false;
-    repair_timeout = 2_000.0;
     lease_timeout = 10_000.0;
     group_commit = false;
     ckpt_slice_bytes = 4096;

@@ -40,14 +40,12 @@ type t = {
       (** detect lost update records via sequence-number gaps and repair
           them by fetching from a peer (re-using the Lazy-mode fetch
           path); also makes every node retain applied records so it can
-          serve such fetches.  Off by default: the paper assumes reliable
+          serve such fetches.  A node waits 100 virtual µs on a gap
+          before its first repair fetch, then makes up to 8 attempts,
+          cycling over peers with doubling backoff; a gap that outlives
+          them leaves the waiter blocked for the stranded-process check
+          to report.  Off by default: the paper assumes reliable
           transport, and repair retention changes memory behaviour. *)
-  repair_timeout : float;
-      (** virtual µs a node waits on a sequence-number gap before issuing
-          a repair fetch; the node makes up to 8 attempts, cycling over
-          peers with exponential backoff, and a gap that outlives them
-          leaves the waiter blocked for the stranded-process check to
-          report *)
   lease_timeout : float;
       (** virtual µs after a node crash before the lock managers reclaim
           the tokens it held (models lease expiry / epoch change) *)

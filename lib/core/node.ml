@@ -49,13 +49,17 @@ type recovery = {
   started_at : float;
 }
 
+(* A lock waiter: the ivar its process parks on, filled with the grant,
+   or with [None] when the wait times out. *)
+type waiter = Lbc_locks.Table.grant option Lbc_sim.Ivar.t
+
 type t = {
   id : int;
   nodes : int;
   config : Config.t;
   engine : Lbc_sim.Engine.t;
   rvm : Lbc_rvm.Rvm.t;
-  locks : Lbc_locks.Table.t;
+  locks : waiter Lbc_locks.Table.t;
   send : dst:int -> Msg.t -> unit;
   multicast_send : dsts:int list -> Msg.t -> unit;
   peers_with_region : int -> int list;
@@ -134,6 +138,7 @@ let create (deps : deps) =
   let locks =
     Lbc_locks.Table.create ~node:deps.node_id ~nodes:deps.nodes
       ~send:(fun ~dst m -> deps.send ~dst (Msg.Lock m))
+      ~grant:(fun iv g -> Lbc_sim.Ivar.fill iv (Some g))
       ()
   in
   Lbc_locks.Table.set_obs locks deps.obs;
@@ -390,12 +395,13 @@ let send_fetch (t : t) ~lock ~have ~from =
    sequence-number gap that does not close means the carrying message was
    lost (or its sender crashed).  With [config.repair] set, a watchdog is
    armed whenever a node starts waiting on a gap; if the gap outlives
-   [repair_timeout], the node fetches the missing records — first from the
-   last known writer, then cycling over the other peers with doubled
-   backoff — up to [max_repair_attempts] attempts.  A gap that survives all
-   attempts leaves the waiter blocked, which the engine's stranded-process
-   report surfaces. *)
+   [repair_timeout] virtual µs, the node fetches the missing records —
+   first from the last known writer, then cycling over the other peers
+   with doubled backoff — up to [max_repair_attempts] attempts.  A gap
+   that survives all attempts leaves the waiter blocked, which the
+   engine's stranded-process report surfaces. *)
 
+let repair_timeout = 100.0
 let max_repair_attempts = 8
 
 let rec repair_check (t : t) lock =
@@ -441,14 +447,7 @@ let arm_repair (t : t) ~lock ~need ~from =
     match Hashtbl.find_opt t.repairs lock with
     | Some r -> if need > r.need then r.need <- need
     | None ->
-        let r =
-          {
-            need;
-            retries = 0;
-            delay = t.config.Config.repair_timeout;
-            prefer = from;
-          }
-        in
+        let r = { need; retries = 0; delay = repair_timeout; prefer = from } in
         Hashtbl.replace t.repairs lock r;
         Lbc_sim.Engine.schedule t.engine ~delay:r.delay (fun () ->
             repair_check t lock)
@@ -906,24 +905,55 @@ module Txn = struct
       ~prev_write_seq:g.Lbc_locks.Table.prev_write_seq;
     t.held <- lock :: t.held
 
-  let check_acquirable t lock =
+  (* The one lock wait: take the lock at once if the table can, else
+     queue an ivar and park on it.  With a [timeout] the wait is
+     cancelled after that many virtual µs and yields [None]. *)
+  let wait_grant node lock ~timeout =
+    match Lbc_locks.Table.acquire node.locks lock with
+    | Some g ->
+        Obs.observe ~pid:node.id node.obs "lock_wait_us" 0.0;
+        Some g
+    | None ->
+        let sp =
+          Obs.span_begin node.obs ~name:"lock.wait" ~pid:node.id
+            ~tid:Obs.lane_lock ~arg:lock
+        in
+        let iv = Lbc_sim.Ivar.create () in
+        Lbc_locks.Table.wait node.locks lock iv;
+        let info =
+          match timeout with
+          | None -> Printf.sprintf "lock-wait l%d" lock
+          | Some timeout ->
+              Lbc_sim.Engine.schedule node.engine ~delay:timeout (fun () ->
+                  if not (Lbc_sim.Ivar.is_filled iv) then begin
+                    Lbc_locks.Table.cancel node.locks lock iv;
+                    Lbc_sim.Ivar.fill iv None
+                  end);
+              Printf.sprintf "lock-wait l%d (timeout %.0f)" lock timeout
+        in
+        let res = Lbc_sim.Ivar.read ~info iv in
+        let wait = Obs.span_end node.obs sp in
+        if Option.is_some res then
+          Obs.observe ~pid:node.id node.obs "lock_wait_us" wait;
+        res
+
+  let acquire_within t lock ~timeout =
     if Receiver.pinned t.node.receiver then
       raise (Coherency_error "acquire on a version-pinned node");
     if List.mem lock t.held then
-      raise (Coherency_error "lock already held by this transaction")
-
-  let acquire t lock =
-    check_acquirable t lock;
-    let g = Lbc_locks.Table.acquire t.node.locks lock in
-    finish_acquire t lock g
-
-  let acquire_timeout t lock ~timeout =
-    check_acquirable t lock;
-    match Lbc_locks.Table.acquire_timeout t.node.locks lock ~timeout with
+      raise (Coherency_error "lock already held by this transaction");
+    match wait_grant t.node lock ~timeout with
     | Some g ->
         finish_acquire t lock g;
         true
     | None -> false
+
+  let acquire t lock =
+    if not (acquire_within t lock ~timeout:None) then
+      raise (Coherency_error "lock wait ended without a grant")
+
+  let acquire_timeout t lock ~timeout =
+    acquire_within t lock ~timeout:(Some timeout)
 
   let set_range t ~region ~offset ~len =
     ensure_warm_region t.node region;

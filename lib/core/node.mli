@@ -27,7 +27,8 @@ type deps = {
   nodes : int;  (** cluster size *)
   config : Config.t;
   engine : Lbc_sim.Engine.t;
-      (** used to schedule the loss-repair watchdog *)
+      (** used to schedule the loss-repair watchdog and lock-wait
+          timeouts *)
   send : dst:int -> Msg.t -> unit;
   multicast_send : dsts:int list -> Msg.t -> unit;
       (** one-transmission delivery to several peers (used when
@@ -41,8 +42,9 @@ type deps = {
           the flight recorder is off).  [create] also installs it into
           the node's lock table and log.  Transactions become [txn] /
           [commit] / [interlock] spans feeding [commit_us] /
-          [interlock_us],
-          broadcasts start a flow arrow per [(lock, seqno)], received
+          [interlock_us], queued lock acquires [lock.wait] spans
+          feeding [lock_wait_us] (an acquire granted at once observes
+          0), broadcasts start a flow arrow per [(lock, seqno)], received
           records become [apply] spans (ending those arrows and feeding
           [apply_lag_us]) or [hold] instants, and fetch round trips
           feed [fetch_rtt_us]. *)
@@ -51,7 +53,16 @@ type deps = {
 val create : deps -> t
 val id : t -> int
 val rvm : t -> Lbc_rvm.Rvm.t
-val locks : t -> Lbc_locks.Table.t
+
+type waiter
+(** A lock waiter's handle: what a {!Txn} acquire that cannot be
+    granted at once queues in the lock table and parks on, until the
+    table grants it or a timeout cancels it. *)
+
+val locks : t -> waiter Lbc_locks.Table.t
+(** The node's lock table.  {!Txn} is its one acquirer; the cluster
+    calls its crash-recovery operations and reads its stats. *)
+
 val config : t -> Config.t
 
 val handle : t -> src:int -> Msg.t -> unit
@@ -203,8 +214,12 @@ module Txn : sig
 
   val acquire_timeout : t -> int -> timeout:float -> bool
   (** Like {!acquire} but gives up after [timeout] µs of virtual time and
-      returns [false]; the caller should then {!abort} and retry —
-      two-phase locking's standard deadlock recovery. *)
+      returns [false]; the caller should then {!abort} and retry.
+      Two-phase locking can deadlock (the paper assumes applications
+      avoid it); a timeout lets a transaction abort and retry instead.
+      The queued wait is cancelled in the lock table
+      ({!Lbc_locks.Table.cancel}); a token requested for it that arrives
+      later is simply cached. *)
 
   val set_range : t -> region:int -> offset:int -> len:int -> unit
   (** [Trans.SetRange]. *)

@@ -225,7 +225,6 @@ let drop_heal =
         {
           Config.default with
           Config.repair = true;
-          Config.repair_timeout = 100.0;
         }
       in
       let nodes = 3 in
@@ -250,7 +249,6 @@ let crash_rejoin =
         {
           Config.default with
           Config.repair = true;
-          Config.repair_timeout = 100.0;
           Config.lease_timeout = 500.0;
         }
       in
@@ -280,7 +278,6 @@ let checkpoint_under_faults =
         {
           Config.default with
           Config.repair = true;
-          Config.repair_timeout = 100.0;
           Config.lease_timeout = 400.0;
         }
       in
@@ -335,7 +332,6 @@ let rejoin_under_load =
       let config =
         {
           Config.fault_tolerant with
-          Config.repair_timeout = 100.0;
           Config.lease_timeout = 400.0;
           Config.ckpt_slice_bytes = 128;
           Config.ckpt_slice_interval = 20.0;

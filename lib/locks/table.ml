@@ -24,9 +24,7 @@ let pp_msg ppf = function
 
 exception Protocol_error of string
 
-type waiter = { iv : grant option Lbc_sim.Ivar.t; mutable cancelled : bool }
-
-type lstate = {
+type 'w lstate = {
   id : int;
   mutable have_token : bool;
   mutable busy : bool;
@@ -36,32 +34,23 @@ type lstate = {
   mutable last_writer : int;  (* node of the last writing acquire; -1 if none *)
   mutable pending_remote : int option;  (* node owed our token *)
   mutable requesting : bool;  (* Request sent, Token not yet received *)
-  waiters : waiter Queue.t;
+  waiters : 'w Queue.t;  (* local handles, FIFO *)
   mutable tail : int;  (* manager-side: current end of the waiter chain *)
 }
 
 type stats = {
   mutable local_grants : int;
   mutable remote_grants : int;
-  mutable tokens_passed : int;
   mutable requests_sent : int;
   mutable stale_msgs : int;
 }
 
-(* Pop waiters until one that has not timed out. *)
-let rec next_waiter waiters =
-  match Queue.take_opt waiters with
-  | Some w when w.cancelled -> next_waiter waiters
-  | other -> other
-
-let live_waiters waiters =
-  Queue.fold (fun acc w -> if w.cancelled then acc else acc + 1) 0 waiters
-
-type t = {
+type 'w t = {
   node : int;
   nodes : int;
   send : dst:int -> msg -> unit;
-  locks : (int, lstate) Hashtbl.t;
+  grant : 'w -> grant -> unit;
+  locks : (int, 'w lstate) Hashtbl.t;
   stats : stats;
   mutable epoch : int;  (* lease epoch; messages from older epochs are stale *)
   mutable obs : Obs.t;
@@ -70,32 +59,25 @@ type t = {
          only this node's execution context touches it *)
 }
 
-let create ~node ~nodes ~send () =
+let create ~node ~nodes ~send ~grant () =
   if nodes <= 0 || node < 0 || node >= nodes then
     invalid_arg "Table.create: bad node/nodes";
   {
     node;
     nodes;
     send;
+    grant;
     locks = Hashtbl.create 16;
     stats =
-      {
-        local_grants = 0;
-        remote_grants = 0;
-        tokens_passed = 0;
-        requests_sent = 0;
-        stale_msgs = 0;
-      };
+      { local_grants = 0; remote_grants = 0; requests_sent = 0; stale_msgs = 0 };
     epoch = 0;
     obs = Obs.disabled;
     heat_keys = Hashtbl.create 16;
   }
 
 let set_obs t obs = t.obs <- obs
-let node t = t.node
 let manager_of t lock = lock mod t.nodes
 let stats t = t.stats
-let epoch t = t.epoch
 
 let state t lock =
   if lock < 0 then invalid_arg "Table: negative lock id";
@@ -121,10 +103,8 @@ let state t lock =
       Hashtbl.add t.locks lock s;
       s
 
-let held t lock = (state t lock).busy
 let has_token t lock = (state t lock).have_token
 
-(* Grant the token to one local waiter (or return the grant directly). *)
 let grant_locally s =
   s.busy <- true;
   s.seqno <- s.seqno + 1;
@@ -134,7 +114,6 @@ let grant_locally s =
 let pass_token t s ~to_ =
   if not s.have_token then raise (Protocol_error "passing a token we lack");
   s.have_token <- false;
-  t.stats.tokens_passed <- t.stats.tokens_passed + 1;
   if Obs.enabled t.obs then begin
     Obs.count ~pid:t.node t.obs "token_hops" 1;
     Obs.instant t.obs ~name:"token.pass" ~pid:t.node ~tid:Obs.lane_lock
@@ -149,6 +128,23 @@ let pass_token t s ~to_ =
          last_write_seq = s.last_write_seq;
          last_writer = s.last_writer;
        })
+
+(* The one place a free token here moves on: to the oldest local waiter,
+   else to the node owed it.  [remote] says whether a Token message just
+   brought it, for the grant counters. *)
+let serve t s ~remote =
+  match Queue.take_opt s.waiters with
+  | Some w ->
+      let g = grant_locally s in
+      if remote then t.stats.remote_grants <- t.stats.remote_grants + 1
+      else t.stats.local_grants <- t.stats.local_grants + 1;
+      t.grant w g
+  | None -> (
+      match s.pending_remote with
+      | Some r ->
+          s.pending_remote <- None;
+          pass_token t s ~to_:r
+      | None -> ())
 
 let rec request_token t s =
   if not s.requesting then begin
@@ -183,7 +179,7 @@ and handle_forward t lock requester =
   | None -> ());
   if
     s.have_token && (not s.busy)
-    && live_waiters s.waiters = 0
+    && Queue.is_empty s.waiters
     && not s.requesting
   then pass_token t s ~to_:requester
   else s.pending_remote <- Some requester
@@ -196,18 +192,7 @@ let handle_token t lock ~seqno ~last_write_seq ~last_writer =
   s.seqno <- seqno;
   s.last_write_seq <- last_write_seq;
   s.last_writer <- last_writer;
-  match next_waiter s.waiters with
-  | Some w ->
-      let g = grant_locally s in
-      t.stats.remote_grants <- t.stats.remote_grants + 1;
-      Lbc_sim.Ivar.fill w.iv (Some g)
-  | None -> (
-      (* Nobody waits any more; honour a pending forward immediately. *)
-      match s.pending_remote with
-      | Some r ->
-          s.pending_remote <- None;
-          pass_token t s ~to_:r
-      | None -> ())
+  serve t s ~remote:true
 
 let handle t ~src:_ msg =
   let msg_epoch =
@@ -222,12 +207,6 @@ let handle t ~src:_ msg =
     | Forward { lock; requester; _ } -> handle_forward t lock requester
     | Token { lock; seqno; last_write_seq; last_writer; _ } ->
         handle_token t lock ~seqno ~last_write_seq ~last_writer
-
-let enqueue_waiter t s =
-  let w = { iv = Lbc_sim.Ivar.create (); cancelled = false } in
-  Queue.add w s.waiters;
-  if not s.have_token then request_token t s;
-  w
 
 (* Per-lock acquire counters ("heat"): an on-demand rejoin drains its
    cold replay chains hottest-lock-first, reading these back through the
@@ -246,52 +225,26 @@ let heat_key_memo t lock =
       Hashtbl.replace t.heat_keys lock k;
       k
 
-let note_heat t lock =
+let acquire t lock =
   if Obs.enabled t.obs then
-    Obs.count ~pid:t.node t.obs (heat_key_memo t lock) 1
-
-(* Grant at once when the token is here and free; otherwise queue and
-   wait for it.  With a [timeout] the wait is cancelled after that many
-   virtual µs and yields [None]; without one nothing can cancel it. *)
-let acquire_within t lock ~timeout =
-  note_heat t lock;
+    Obs.count ~pid:t.node t.obs (heat_key_memo t lock) 1;
   let s = state t lock in
-  if s.have_token && (not s.busy) && live_waiters s.waiters = 0 then begin
+  if s.have_token && (not s.busy) && Queue.is_empty s.waiters then begin
     t.stats.local_grants <- t.stats.local_grants + 1;
-    Obs.observe ~pid:t.node t.obs "lock_wait_us" 0.0;
     Some (grant_locally s)
   end
-  else begin
-    let sp =
-      Obs.span_begin t.obs ~name:"lock.wait" ~pid:t.node ~tid:Obs.lane_lock
-        ~arg:lock
-    in
-    let w = enqueue_waiter t s in
-    let info =
-      match timeout with
-      | None -> Printf.sprintf "lock-wait l%d" lock
-      | Some timeout ->
-          Lbc_sim.Engine.schedule (Lbc_sim.Proc.engine ()) ~delay:timeout
-            (fun () ->
-              if not (Lbc_sim.Ivar.is_filled w.iv) then begin
-                w.cancelled <- true;
-                Lbc_sim.Ivar.fill w.iv None
-              end);
-          Printf.sprintf "lock-wait l%d (timeout %.0f)" lock timeout
-    in
-    let res = Lbc_sim.Ivar.read ~info w.iv in
-    let wait = Obs.span_end t.obs sp in
-    if res <> None then Obs.observe ~pid:t.node t.obs "lock_wait_us" wait;
-    res
-  end
+  else None
 
-let acquire t lock =
-  match acquire_within t lock ~timeout:None with
-  | Some g -> g
-  | None -> raise (Protocol_error "acquire: waiter cancelled unexpectedly")
+let wait t lock w =
+  let s = state t lock in
+  Queue.add w s.waiters;
+  if not s.have_token then request_token t s
 
-let acquire_timeout t lock ~timeout =
-  acquire_within t lock ~timeout:(Some timeout)
+let cancel t lock w =
+  let s = state t lock in
+  let rest = Queue.of_seq (Seq.filter (( != ) w) (Queue.to_seq s.waiters)) in
+  Queue.clear s.waiters;
+  Queue.transfer rest s.waiters
 
 let release t lock ~wrote =
   let s = state t lock in
@@ -306,32 +259,11 @@ let release t lock ~wrote =
       s.pending_remote <- None;
       pass_token t s ~to_:r;
       (* Local waiters must now queue through the manager again. *)
-      if live_waiters s.waiters > 0 then request_token t s
-  | None -> (
-      match next_waiter s.waiters with
-      | Some w ->
-          let g = grant_locally s in
-          t.stats.local_grants <- t.stats.local_grants + 1;
-          Lbc_sim.Ivar.fill w.iv (Some g)
-      | None -> ())
+      if not (Queue.is_empty s.waiters) then request_token t s
+  | None -> serve t s ~remote:false
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: lease-expiry reclaim and rejoin reset.              *)
-
-(* Grant to a local waiter or honour a pending forward, if idle. *)
-let dispatch t s =
-  if s.have_token && not s.busy then
-    match next_waiter s.waiters with
-    | Some w ->
-        let g = grant_locally s in
-        t.stats.local_grants <- t.stats.local_grants + 1;
-        Lbc_sim.Ivar.fill w.iv (Some g)
-    | None -> (
-        match s.pending_remote with
-        | Some r ->
-            s.pending_remote <- None;
-            pass_token t s ~to_:r
-        | None -> ())
 
 let lock_ids tables =
   let set = Hashtbl.create 64 in
@@ -382,7 +314,7 @@ let reclaim_lock tables ~failed lock =
       | Some h -> h
       | None when not (Hashtbl.mem tables.(mgr).locks lock) ->
           (* Token never left the manager. *)
-          ignore (state tables.(mgr) lock : lstate);
+          ignore (state tables.(mgr) lock : _ lstate);
           mgr
       | None ->
           (* The token went down with [failed] (held there, or in flight
@@ -433,17 +365,19 @@ let reclaim_lock tables ~failed lock =
               s.pending_remote <- None;
               if s.requesting then begin
                 s.requesting <- false;
-                if live_waiters s.waiters > 0 then rekicks := i :: !rekicks
+                if not (Queue.is_empty s.waiters) then rekicks := i :: !rekicks
               end
           | None -> ())
       tables;
-    (fun () -> dispatch tables.(holder) (state tables.(holder) lock))
+    (fun () ->
+      let s = state tables.(holder) lock in
+      if s.have_token && not s.busy then serve tables.(holder) s ~remote:false)
     :: List.map
          (fun i () ->
            let s = state tables.(i) lock in
            if
              (not s.have_token) && (not s.requesting)
-             && live_waiters s.waiters > 0
+             && not (Queue.is_empty s.waiters)
            then request_token tables.(i) s)
          (List.sort Int.compare !rekicks)
   end

@@ -10,15 +10,20 @@
 
     Each lock carries a {e sequence number} incremented on every acquire,
     and a {e last-write sequence number} updated when a writing holder
-    releases.  Both travel with the token.  An {!acquire} returns the new
+    releases.  Both travel with the token.  A {!grant} carries the new
     sequence number and the previous write's sequence number — exactly the
     pair the coherency layer logs in lock records and uses for its apply
     ordering and acquire interlock.
 
-    The table is transport-agnostic: it emits messages through the [send]
+    The table holds the token protocol and nothing else: it calls no
+    engine and never blocks.  It emits messages through the [send]
     function given at creation and consumes incoming messages via
-    {!handle}.  Locks are two-phase in intent: the caller (the coherency
-    layer's transaction wrapper) acquires during the transaction and
+    {!handle}.  A caller that cannot be granted at once queues a handle
+    of its own making with {!wait}; the table hands the grant to that
+    handle through the [grant] callback, and the caller does the waiting
+    (the coherency layer's [Node.Txn] parks a simulated process on it).
+    So the protocol can be driven alone, over plain queues.  Locks are
+    two-phase in intent: the caller acquires during the transaction and
     releases everything at commit. *)
 
 type grant = {
@@ -48,68 +53,71 @@ val pp_msg : Format.formatter -> msg -> unit
 
 exception Protocol_error of string
 
-type t
+type 'w t
+(** One node's table; ['w] is the caller's waiter handle. *)
 
-val create : node:int -> nodes:int -> send:(dst:int -> msg -> unit) -> unit -> t
+val create :
+  node:int ->
+  nodes:int ->
+  send:(dst:int -> msg -> unit) ->
+  grant:('w -> grant -> unit) ->
+  unit ->
+  'w t
 (** One table per node.  [send] must deliver [msg] to the same lock table
-    on [dst] (via {!handle}); it may block the calling process. *)
+    on [dst] (via {!handle}), in send order per destination; it may block
+    the calling process.  [grant] hands a queued handle its grant: the
+    lock is then held for that handle. *)
 
-val set_obs : t -> Lbc_obs.Obs.t -> unit
-(** Install a trace/metrics sink: queued acquisitions become
-    [lock.wait] spans feeding the [lock_wait_us] histogram (fast local
-    grants observe 0), token traffic becomes [token.pass] instants and
-    [token_hops] / [token_requests] counters.  Defaults to
+val set_obs : 'w t -> Lbc_obs.Obs.t -> unit
+(** Install a trace/metrics sink: token traffic becomes [token.pass]
+    instants and [token_hops] / [token_requests] counters.  Defaults to
     [Obs.disabled]. *)
 
-val node : t -> int
-val manager_of : t -> int -> int
-(** The manager node of a lock id. *)
-
-val handle : t -> src:int -> msg -> unit
+val handle : 'w t -> src:int -> msg -> unit
 (** Feed an incoming lock message (called by the node's dispatcher). *)
 
 val heat_key : int -> string
 (** Obs counter key counting this node's acquires of one lock
-    ([lock_acquires:<id>], bumped by {!acquire}/{!acquire_timeout} when
-    the sink is live).  An on-demand rejoin drains its cold replay chains
-    hottest-lock-first by reading these back. *)
+    ([lock_acquires:<id>], bumped by {!acquire} when the sink is live).
+    An on-demand rejoin drains its cold replay chains hottest-lock-first
+    by reading these back. *)
 
-val acquire : t -> int -> grant
-(** Block until the lock is held by this node.  Re-entrant acquisition by
-    a second local process queues FIFO behind the current holder. *)
+val acquire : 'w t -> int -> grant option
+(** Take the lock at once if the token is here, free, and no local
+    handle waits for it; otherwise [None], and nothing is queued. *)
 
-val acquire_timeout : t -> int -> timeout:float -> grant option
-(** Like {!acquire} but gives up after [timeout] µs of virtual time,
-    returning [None].  Two-phase locking can deadlock (the paper assumes
-    applications avoid it); timeouts let a transaction abort and retry
-    instead.  A token that arrives after the timeout is simply cached. *)
+val wait : 'w t -> int -> 'w -> unit
+(** Queue a handle for the lock, FIFO behind the local waiters, and
+    request the token if it is elsewhere; for an {!acquire} that just
+    answered [None].  The handle is granted, through the [grant]
+    callback, at most once. *)
 
-val release : t -> int -> wrote:bool -> unit
+val cancel : 'w t -> int -> 'w -> unit
+(** Withdraw a queued handle (compared physically); it will not be
+    granted.  A no-op for a handle already granted.  A token requested on
+    its behalf still arrives and is cached, or passed on. *)
+
+val release : 'w t -> int -> wrote:bool -> unit
 (** Release the lock; [wrote] records whether the holder's transaction
     modified data under the lock (it advances the last-write sequence
     number that receivers synchronize on). *)
 
-val held : t -> int -> bool
-(** Is the lock currently held by a local process? *)
-
-val has_token : t -> int -> bool
-
-val epoch : t -> int
-(** Current lease epoch.  Messages stamped with an older epoch are
-    discarded by {!handle}; {!reclaim} advances it on every table. *)
+val has_token : 'w t -> int -> bool
 
 (** {1 Crash recovery}
 
     The lock service tolerates the crash of a node that manages no locks
     involved in the failure: after its lease expires, {!reclaim} rebuilds
     every lock's distributed state without it.  A crash of a lock's
-    {e manager} is outside the fault model and leaves that lock broken. *)
+    {e manager} is outside the fault model and leaves that lock broken.
+    Each table carries a lease epoch; {!handle} discards messages stamped
+    with another epoch. *)
 
-val reclaim : t array -> failed:int -> unit
+val reclaim : 'w t array -> failed:int -> unit
 (** Lease-expiry recovery, run by an omniscient recovery agent over the
     tables of {e all} nodes (it stands in for the survivor-side state
-    exchange a real lease/epoch protocol would perform).  Must be called
-    from a simulated process.
+    exchange a real lease/epoch protocol would perform).  It sends, so it
+    runs where [send] may.
 
     It (1) bumps the epoch on every table so in-flight lock traffic is
     fenced off (discarded on arrival), then — atomically with the fence,
@@ -117,25 +125,25 @@ val reclaim : t array -> failed:int -> unit
     [failed]: splices [failed] out of
     the token-forwarding chain, rematerializes the token at the manager if
     it was lost with the failure (seeded with the highest sequence state
-    any surviving table recorded — the fields are monotone, so that is
-    what the lost token carried), repairs the manager's queue tail, and
-    re-enqueues requesters whose request or forward was lost.  Waiting
-    acquires on surviving nodes are served in a possibly different order
-    afterwards, but none are lost. *)
+    any table recorded, the failed node's included — the fields are
+    monotone, so that is what the lost token carried), repairs the
+    manager's queue tail, and re-enqueues requesters whose request or
+    forward was lost.  Waiting handles on surviving nodes are served in a
+    possibly different order afterwards, but none are lost. *)
 
-val rejoin_reset : t -> unit
+val rejoin_reset : 'w t -> unit
 (** Reset a crashed node's table before it re-enters the protocol: local
-    protocol state is cleared, waiters (owned by killed processes) are
-    discarded, and tokens it held are forgotten — the reclaim re-issued
-    them.  Manager-side state of locks this node manages is kept. *)
+    protocol state is cleared, queued handles (owned by killed processes)
+    are dropped ungranted, and tokens it held are forgotten — the reclaim
+    re-issued them.  Manager-side state of locks this node manages is
+    kept. *)
 
 type stats = {
   mutable local_grants : int;  (** acquires satisfied without communication *)
   mutable remote_grants : int;  (** acquires that waited for the token *)
-  mutable tokens_passed : int;
   mutable requests_sent : int;
   mutable stale_msgs : int;
       (** messages discarded by the epoch fence after a reclaim *)
 }
 
-val stats : t -> stats
+val stats : 'w t -> stats

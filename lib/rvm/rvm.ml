@@ -1,5 +1,4 @@
 type restore_mode = Restore | No_restore
-type commit_mode = Flush | No_flush
 type set_range_class = Redundant | Ordered | Unordered
 
 type instrumentation = {
@@ -290,7 +289,7 @@ type commit_outcome = {
   value : Lbc_wal.Record.txn;
 }
 
-let commit_full ?(mode = Flush) txn =
+let commit_full txn =
   check_live txn "commit";
   txn.live <- false;
   let value, n_ranges, bytes = build_record txn in
@@ -308,23 +307,16 @@ let commit_full ?(mode = Flush) txn =
   t.stats.ranges_logged <- t.stats.ranges_logged + n_ranges;
   t.stats.bytes_logged <- t.stats.bytes_logged + bytes;
   if t.options.disk_logging then begin
-    (match mode with
-    | Flush when Lbc_wal.Log.group_commit_enabled t.log ->
-        (* Group commit: join a batch and park until it is durable —
-           one device write + one sync cover the whole batch. *)
-        ignore (Lbc_wal.Log.append_durable t.log record)
-    | Flush ->
-        ignore (Lbc_wal.Log.append t.log record);
-        Lbc_wal.Log.force t.log
-    | No_flush ->
-        ignore (Lbc_wal.Log.append t.log record));
+    (* Durable before it returns: alone, or parked in its group-commit
+       batch until one device write and one sync cover the batch. *)
+    ignore (Lbc_wal.Log.append_durable t.log record);
     t.stats.log_bytes_written <-
       t.stats.log_bytes_written
       + Lbc_wal.Record.encoded_size record
   end;
   { record; value }
 
-let commit ?mode txn = (commit_full ?mode txn).record
+let commit txn = (commit_full txn).record
 
 let abort txn =
   check_live txn "abort";

@@ -3,8 +3,8 @@
 
     One [t] per node.  Applications map {!Region}s, run transactions that
     declare modified byte ranges with {!set_range} (paper Table 1), and
-    commit; commit builds a new-value redo record, optionally forces it to
-    the node's log device, and returns it — the {e committed log tail} that
+    commit; commit builds a new-value redo record, makes it durable on
+    the node's log device (when disk logging is on), and returns it — the {e committed log tail} that
     the coherency layer broadcasts to peers.
 
     The interface corresponds to the paper's Table 1:
@@ -25,10 +25,6 @@ type txn
 type restore_mode =
   | Restore  (** capture old values at [set_range]; [abort] allowed *)
   | No_restore  (** no undo copies; [abort] is an error *)
-
-type commit_mode =
-  | Flush  (** force the log before returning (durable commit) *)
-  | No_flush  (** lazy commit: buffered log write only *)
 
 (** Cost class of one [set_range] call, per the paper's Figure 5:
     [Redundant] — exact match with a previously added range;
@@ -118,13 +114,13 @@ val set_command : txn -> op:int -> params:Bytes.t -> regions:int list -> unit
     encoding is smaller under [Adaptive], the commit still logs ranges.
     @raise Txn_error if [op] is not registered. *)
 
-val commit : ?mode:commit_mode -> txn -> Lbc_wal.Record.txn
+val commit : txn -> Lbc_wal.Record.txn
 (** Commit: build the redo record from the modified ranges (reading new
     values from region memory) — or, when a command was declared and
     [options.log_mode] selects it, a command record with the same lock
-    records — append it to the log if disk logging is enabled, force the
-    log under [Flush] (default), and return the record.  The transaction
-    is dead afterwards. *)
+    records — and return it.  With disk logging on, the record is durable
+    before [commit] returns ({!Lbc_wal.Log.append_durable}: forced alone,
+    or in its group-commit batch).  The transaction is dead afterwards. *)
 
 type commit_outcome = {
   record : Lbc_wal.Record.txn;  (** what was logged and is broadcast *)
@@ -134,7 +130,7 @@ type commit_outcome = {
           accounting is defined over this, whatever the encoding *)
 }
 
-val commit_full : ?mode:commit_mode -> txn -> commit_outcome
+val commit_full : txn -> commit_outcome
 (** {!commit}, also returning the value equivalent for profiling. *)
 
 val abort : txn -> unit

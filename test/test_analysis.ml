@@ -354,8 +354,14 @@ let test_lint_rules () =
        (fun (l1, _) (l2, _) -> Int.compare l1 l2)
        lines)
 
+(* dune copies the library sources beside the test binary's directory
+   (_build/default/lib), so the tree is found from any working
+   directory. *)
 let test_lint_tree_clean () =
-  check_no_violations "lib/ lints clean" (Lint.scan_paths [ "../lib" ])
+  let lib =
+    Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "lib"
+  in
+  check_no_violations "lib/ lints clean" (Lint.scan_paths [ lib ])
 
 (* ------------------------------------------------------------------ *)
 (* Against real workloads: the sim's chaos-style traffic and OO7 *)

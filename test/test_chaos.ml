@@ -286,7 +286,7 @@ let test_chaos_drop_repair_heals () =
   let seed = chaos_seed 808 in
   with_repro ~scenario:"drop-heal" ~seed @@ fun () ->
   let config =
-    { Config.default with Config.repair = true; Config.repair_timeout = 100.0 }
+    { Config.default with Config.repair = true }
   in
   let nodes = 3 in
   let c = mk_cluster config nodes in
@@ -374,7 +374,6 @@ let test_chaos_crash_rejoin () =
     {
       Config.default with
       Config.repair = true;
-      Config.repair_timeout = 100.0;
       Config.lease_timeout = 500.0;
     }
   in
@@ -459,7 +458,6 @@ let test_chaos_checkpoint_under_faults () =
     {
       Config.default with
       Config.repair = true;
-      Config.repair_timeout = 100.0;
       Config.lease_timeout = 400.0;
     }
   in
@@ -522,7 +520,6 @@ let test_chaos_truncate_respects_retention () =
   let config =
     {
       Config.fault_tolerant with
-      Config.repair_timeout = 100.0;
       Config.lease_timeout = 300.0;
     }
   in
@@ -567,7 +564,6 @@ let test_chaos_crash_mid_fuzzy_checkpoint () =
   let config =
     {
       Config.fault_tolerant with
-      Config.repair_timeout = 100.0;
       Config.lease_timeout = 400.0;
       Config.ckpt_slice_bytes = 64;
       Config.ckpt_slice_interval = 50.0;
@@ -723,7 +719,6 @@ let test_chaos_ondemand_rejoin () =
   let config =
     {
       Config.fault_tolerant with
-      Config.repair_timeout = 100.0;
       Config.lease_timeout = 400.0;
       Config.ckpt_slice_bytes = 128;
       Config.ckpt_slice_interval = 20.0;

@@ -921,7 +921,7 @@ let test_accept_repairs_held () =
     (fun pinned ->
       let what = if pinned then "pinned" else "unpinned" in
       let config =
-        { Config.fault_tolerant with Config.repair_timeout = 100.0 }
+        Config.fault_tolerant
       in
       let c = mk ~config () in
       let lost = ref false in

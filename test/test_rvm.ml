@@ -267,20 +267,10 @@ let test_txn_commit_goes_to_log () =
   Rvm.write txn ~region:0 ~offset:0 (Bytes.of_string "logme");
   ignore (Rvm.commit txn);
   Dev.crash log_dev;
-  (* Flush mode: record survives the crash. *)
+  (* A commit is durable: the record survives the crash. *)
   let log = Lbc_wal.Log.attach log_dev in
   let records, _ = Lbc_wal.Log.read_all log in
   check_int "one record" 1 (List.length records)
-
-let test_txn_no_flush_lost_on_crash () =
-  let rvm, _, _, log_dev = mk_node () in
-  let txn = Rvm.begin_txn rvm in
-  Rvm.write txn ~region:0 ~offset:0 (Bytes.of_string "gone");
-  ignore (Rvm.commit ~mode:Rvm.No_flush txn);
-  Dev.crash log_dev;
-  let log = Lbc_wal.Log.attach log_dev in
-  let records, _ = Lbc_wal.Log.read_all log in
-  check_int "lazy commit lost" 0 (List.length records)
 
 let test_txn_disk_logging_disabled () =
   let options = { Rvm.default_options with Rvm.disk_logging = false } in
@@ -1058,8 +1048,6 @@ let suites =
         Alcotest.test_case "coalesces repeats" `Quick
           test_txn_coalesces_repeated_updates;
         Alcotest.test_case "commit reaches log" `Quick test_txn_commit_goes_to_log;
-        Alcotest.test_case "no_flush lost on crash" `Quick
-          test_txn_no_flush_lost_on_crash;
         Alcotest.test_case "disk logging disabled" `Quick
           test_txn_disk_logging_disabled;
         Alcotest.test_case "abort restores" `Quick test_txn_abort_restores;
