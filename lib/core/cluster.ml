@@ -284,6 +284,20 @@ let checkpointed t lock =
 let checkpointed_baseline t =
   Hashtbl.fold (fun lock seq acc -> (lock, seq) :: acc) t.checkpointed []
 
+(* The records a checkpoint has not yet replayed into the database: the
+   receiver's duplicate rule over the checkpoint table.  A trim clamped
+   to a retention mark leaves replayed records live in the logs, and
+   redo must not run them again. *)
+let uncheckpointed t records =
+  let replayed (l : Lbc_wal.Record.lock_info) =
+    l.seqno <= checkpointed t l.lock_id
+  in
+  if Hashtbl.length t.checkpointed = 0 then records
+  else
+    List.filter
+      (fun (r : Lbc_wal.Record.txn) -> not (List.exists replayed r.locks))
+      records
+
 (* --------------------------------------------------------------- *)
 (* Node crash and rejoin *)
 
@@ -330,11 +344,12 @@ let merged_records t =
   Merge.merge_logs
     (Array.to_list (Array.map (fun n -> Lbc_rvm.Rvm.log (Node.rvm n)) t.nodes))
 
-(* The merged stream, or the error every merge-then-replay entry point
-   raises when the logs admit no serial order. *)
+(* The merged stream less what a checkpoint already replayed, or the
+   error every merge-then-replay entry point raises when the logs admit
+   no serial order. *)
 let merged_or_raise t =
   match merged_records t with
-  | Ok records -> records
+  | Ok records -> uncheckpointed t records
   | Error (Merge.Unorderable why) ->
       raise (Node.Coherency_error ("log merge failed: " ^ why))
 
@@ -454,7 +469,8 @@ let online_checkpoint t =
   let prefix = Merge.merge_logs_prefix ~checkpointed:(checkpointed t) logs in
   (* Database first, then trim: the records must be durable in the
      database before they disappear from the logs. *)
-  checkpoint_records t prefix.Merge.ordered;
+  let records = uncheckpointed t prefix.Merge.ordered in
+  checkpoint_records t records;
   (* The trim is clamped per log to its low-water mark: with repair on, a
      merged-and-replayed record may still be needed by a live peer whose
      copy was lost in flight (replaying into the database does not heal a
@@ -464,7 +480,7 @@ let online_checkpoint t =
       if head > Lbc_wal.Log.head log then
         ignore (Lbc_wal.Log.set_head log head : int))
     logs prefix.Merge.new_heads;
-  List.length prefix.Merge.ordered
+  List.length records
 
 let checkpoint t =
   Array.iter
@@ -479,15 +495,11 @@ let checkpoint t =
   let applied = checkpointed_baseline t in
   Array.iter
     (fun n ->
-      let log = Lbc_rvm.Rvm.log (Node.rvm n) in
-      (* Ground truth overrides gossip here: every record is replayed
-         into the database and every node is about to resync to it, so
-         no peer can need anything re-sent — lift the retention mark
-         before trimming. *)
-      Node.clear_retention n;
-      ignore (Lbc_wal.Log.set_head log (Lbc_wal.Log.tail log) : int);
-      Node.gc_retained n;
       (* Bring stragglers (lazy mode) to the checkpointed state: their
-         chains are gone from the writers' retention. *)
-      Node.resync n ~applied)
+         chains are gone from the writers' retention.  Every record is in
+         the database now, so no peer can need anything re-sent: the
+         resync lifts the retention mark and the log trims to its tail. *)
+      Node.resync n ~applied;
+      let log = Lbc_rvm.Rvm.log (Node.rvm n) in
+      ignore (Lbc_wal.Log.set_head log (Lbc_wal.Log.tail log) : int))
     t.nodes

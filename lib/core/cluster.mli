@@ -170,7 +170,8 @@ val merged_records : t -> (Lbc_wal.Record.txn list, Merge.error) result
 
 val recover_database : t -> Lbc_rvm.Recovery.outcome
 (** Server-side recovery: merge all logs and replay the committed records
-    into the region database devices.
+    into the region database devices, less those a checkpoint replayed
+    (a trim clamped to a retention mark leaves them live).
     @raise Node.Coherency_error if the logs cannot be merged. *)
 
 type replay_mode =
@@ -233,5 +234,5 @@ val online_checkpoint : t -> int
     devices (synchronously — write-ahead discipline), and advance each
     log's head past its merged records.  Records whose predecessors are
     not yet in any log are left for the next round.  Returns the number
-    of records checkpointed.  This realizes the coordinated online
-    trimming the paper sketches in Section 3.5. *)
+    of records replayed, none twice.  This realizes the coordinated
+    online trimming the paper sketches in Section 3.5. *)

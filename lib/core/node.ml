@@ -65,14 +65,8 @@ type t = {
   peers_with_region : int -> int list;
   mutable receiver : Receiver.t;  (* fresh at every rejoin *)
   applied_cv : Lbc_sim.Condvar.t;
-  retained : (int, Lbc_wal.Record.txn list) Hashtbl.t;  (* newest first *)
-  peer_applied : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (* peer -> lock -> applied write seqno, from low-water gossip *)
-  mutable unacked : (int * int list * (int * int) list) list;
-      (* own committed writes not yet known applied by every propagation
-         peer: (log offset, peers, (lock, seqno) list).  The least offset
-         is the log's repair-retention low-water mark. *)
-  fetch_marks : (int * int, unit) Hashtbl.t;  (* (lock, have) fetches sent *)
+  mutable retention : Retention.t;  (* fresh at every rejoin and resync *)
+  fetch_marks : (int, int) Hashtbl.t;  (* lock -> [have] of its last fetch *)
   repairs : (int, repair) Hashtbl.t;  (* lock id -> gap under watch *)
   txn_updates : int ref;  (* set_range calls in the running transaction *)
   mutable recovery : recovery option;  (* live during an on-demand rejoin *)
@@ -155,9 +149,7 @@ let create (deps : deps) =
     peers_with_region = deps.peers_with_region;
     receiver = Receiver.create ();
     applied_cv = Lbc_sim.Condvar.create ();
-    retained = Hashtbl.create 16;
-    peer_applied = Hashtbl.create 8;
-    unacked = [];
+    retention = Retention.create ~self:deps.node_id ~nodes:deps.nodes;
     fetch_marks = Hashtbl.create 16;
     repairs = Hashtbl.create 8;
     txn_updates;
@@ -190,156 +182,32 @@ let pending_count t = Receiver.pending_count t.receiver
 let map_region t ~id ~db ~size = Lbc_rvm.Rvm.map_region t.rvm ~id ~db ~size
 
 (* --------------------------------------------------------------- *)
-(* Retention (lazy propagation, and repair service) *)
+(* Retention (lazy propagation, repair service, trimming: [Retention]) *)
 
-(* Lazy mode retains committed records so readers can fetch them; repair
-   mode additionally retains applied records on every node, so a repair
-   fetch can be served by any peer that has the data. *)
+(* Lazy mode keeps committed records so readers can fetch them; repair
+   mode also keeps applied records on every node, so a repair fetch can
+   be served by any peer that has the data. *)
 let retains (t : t) =
   t.config.Config.propagation = Config.Lazy || t.config.Config.repair
 
-let retain (t : t) (record : Lbc_wal.Record.txn) =
-  List.iter
-    (fun l ->
-      let lock = l.Lbc_wal.Record.lock_id in
-      let existing = Option.value ~default:[] (Hashtbl.find_opt t.retained lock) in
-      Hashtbl.replace t.retained lock (record :: existing))
-    record.Lbc_wal.Record.locks
+let retained_count t = Retention.count t.retention
 
-(* Fold a peer's reported applied table into what we know of it. *)
-let merge_peer_applied (t : t) peer applied =
-  let tbl =
-    match Hashtbl.find_opt t.peer_applied peer with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 16 in
-        Hashtbl.replace t.peer_applied peer tbl;
-        tbl
-  in
-  List.iter
-    (fun (lock, seq) ->
-      if seq > Option.value ~default:0 (Hashtbl.find_opt tbl lock) then
-        Hashtbl.replace tbl lock seq)
-    applied
-
-let retained_count t =
-  Hashtbl.fold (fun _ rs acc -> acc + List.length rs) t.retained 0
-
-let gc_retained t = Hashtbl.reset t.retained
-
-(* The sequence number a record carries for [lock], if it holds it. *)
-let seq_of_lock lock (record : Lbc_wal.Record.txn) =
-  List.find_map
-    (fun (l : Lbc_wal.Record.lock_info) ->
-      if l.lock_id = lock then Some l.seqno else None)
-    record.locks
-
-let retained_after t ~lock ~have =
-  let seq_for record =
-    match seq_of_lock lock record with
-    | Some s -> s
-    | None -> raise (Coherency_error "retained record lacks its lock")
-  in
-  Option.value ~default:[] (Hashtbl.find_opt t.retained lock)
-  |> List.filter (fun r -> seq_for r > have)
-  |> List.sort (fun a b -> Int.compare (seq_for a) (seq_for b))
-
-(* --------------------------------------------------------------- *)
-(* Low-water gossip: what may the log trim past?
-
-   A node's log must keep every own committed write some peer might still
-   need re-sent (repair fetch, or a rejoin rebroadcast after a crash).
-   Each write is "unacked" until every propagation peer reports — via
-   [Msg.LowWater] gossip of its applied table — an applied sequence
-   number at or past the write, for each of its locks.  The offset of the
-   oldest unacked write is the log's repair-retention low-water mark;
-   with no gossip received nothing is trimmed (conservative default). *)
-
-let peer_acked (t : t) peer ~lock ~seq =
-  match Hashtbl.find_opt t.peer_applied peer with
-  | None -> false
-  | Some tbl -> (
-      match Hashtbl.find_opt tbl lock with Some s -> s >= seq | None -> false)
-
-let acked (t : t) (_off, peers, lock_seqs) =
-  List.for_all
-    (fun peer ->
-      List.for_all (fun (lock, seq) -> peer_acked t peer ~lock ~seq) lock_seqs)
-    peers
-
-(* Drop retained records every peer has applied: none of them can appear
-   in a future fetch (a fetch always asks for records {e newer} than the
-   fetcher's applied sequence number). *)
-let prune_retained (t : t) =
-  if t.nodes > 1 then begin
-    let floor lock =
-      let rec go peer acc =
-        if peer >= t.nodes then acc
-        else if peer = t.id then go (peer + 1) acc
-        else
-          let s =
-            match Hashtbl.find_opt t.peer_applied peer with
-            | None -> 0
-            | Some tbl -> Option.value ~default:0 (Hashtbl.find_opt tbl lock)
-          in
-          go (peer + 1) (min acc s)
-      in
-      go 0 max_int
-    in
-    Hashtbl.filter_map_inplace
-      (fun lock records ->
-        let f = floor lock in
-        let keep r =
-          Option.value ~default:max_int (seq_of_lock lock r) > f
-        in
-        match List.filter keep records with
-        | [] -> None
-        | kept -> Some kept)
-      t.retained
-  end
-
-let update_retention (t : t) =
-  t.unacked <- List.filter (fun entry -> not (acked t entry)) t.unacked;
-  (* Minimum over the entries, not the list head: an on-demand rejoin
-     rebuilds the list stream by stream, out of log order. *)
-  let water =
-    List.fold_left (fun acc (off, _, _) -> min acc off) max_int t.unacked
-  in
-  (* While an on-demand rejoin still has cold streams the unacked list is
-     incomplete, so retention stays pinned at the log head. *)
-  let water =
-    match t.recovery with
-    | Some r when r.cold > 0 ->
-        min water (Lbc_wal.Log.head (Lbc_rvm.Rvm.log t.rvm))
-    | _ -> water
-  in
-  Lbc_wal.Log.set_retention_water (Lbc_rvm.Rvm.log t.rvm) water;
-  prune_retained t
-
-let track_unacked (t : t) ~offset (record : Lbc_wal.Record.txn) ~peers =
-  if peers <> [] then begin
-    let lock_seqs =
-      List.map
-        (fun l -> (l.Lbc_wal.Record.lock_id, l.Lbc_wal.Record.seqno))
-        record.Lbc_wal.Record.locks
-    in
-    t.unacked <- t.unacked @ [ (offset, peers, lock_seqs) ];
-    update_retention t
-  end
-
-let clear_retention (t : t) =
-  t.unacked <- [];
-  Lbc_wal.Log.set_retention_water (Lbc_rvm.Rvm.log t.rvm) max_int
+(* The log may trim only past own writes every propagation peer has
+   applied.  While an on-demand rejoin still has cold chains their own
+   writes are not all tracked yet, so the mark stays pinned at the head. *)
+let set_water (t : t) =
+  let log = Lbc_rvm.Rvm.log t.rvm in
+  let water = Retention.water t.retention in
+  Lbc_wal.Log.set_retention_water log
+    (match t.recovery with
+    | Some r when r.cold > 0 -> min water (Lbc_wal.Log.head log)
+    | _ -> water)
 
 let gossip_low_water (t : t) =
   let applied = Receiver.applied t.receiver in
   for peer = 0 to t.nodes - 1 do
     if peer <> t.id then t.send ~dst:peer (Msg.LowWater { applied })
   done
-
-let receive_low_water (t : t) ~src ~applied =
-  merge_peer_applied t src applied;
-  update_retention t
 
 (* --------------------------------------------------------------- *)
 (* Applying received records in lock-sequence order ([Receiver]) *)
@@ -371,7 +239,7 @@ let apply_now (t : t) (record : Lbc_wal.Record.txn) =
     else Obs.null_span
   in
   Lbc_rvm.Rvm.apply_record t.rvm record;
-  if retains t then retain t record;
+  if retains t then Retention.keep t.retention record;
   ignore (Obs.span_end t.obs sp : float)
 
 (* Wake interlocked acquirers once a record's writes count as applied. *)
@@ -380,8 +248,10 @@ let landed (t : t) () = Lbc_sim.Condvar.broadcast t.applied_cv
 let fetch_mark_key t lock = Printf.sprintf "fetch:%d:%d" t.id lock
 
 let send_fetch (t : t) ~lock ~have ~from =
-  if from <> t.id && not (Hashtbl.mem t.fetch_marks (lock, have)) then begin
-    Hashtbl.replace t.fetch_marks (lock, have) ();
+  (* [have] is the applied seqno, which only rises until the marks
+     reset, so the last mark per lock suppresses every repeat. *)
+  if from <> t.id && Hashtbl.find_opt t.fetch_marks lock <> Some have then begin
+    Hashtbl.replace t.fetch_marks lock have;
     t.stats.fetches_sent <- t.stats.fetches_sent + 1;
     if Obs.enabled t.obs then Obs.mark t.obs (fetch_mark_key t lock);
     L.debug (fun m -> m "node %d fetches lock %d > %d from node %d" t.id lock have from);
@@ -504,18 +374,17 @@ let reload (t : t) ~applied =
 let resync (t : t) ~applied =
   if pending_count t > 0 then
     raise (Coherency_error "resync with records still pending");
-  Hashtbl.reset t.retained;
   Hashtbl.reset t.fetch_marks;
   Hashtbl.reset t.repairs;
   (* The checkpoint replayed every log into the database and this resync
      brings each node to that state, so nothing committed before it can
-     be fetched again: lift the retention mark.  Record the checkpoint
-     state as ground truth for every peer's applied table. *)
-  t.unacked <- [];
-  Lbc_wal.Log.set_retention_water (Lbc_rvm.Rvm.log t.rvm) max_int;
+     be fetched again: retention starts afresh, with the checkpoint state
+     as every peer's applied table, and the mark lifts. *)
+  t.retention <- Retention.create ~self:t.id ~nodes:t.nodes;
   for peer = 0 to t.nodes - 1 do
-    if peer <> t.id then merge_peer_applied t peer applied
+    if peer <> t.id then Retention.heard t.retention ~peer applied
   done;
+  set_water t;
   reload t ~applied;
   Lbc_sim.Condvar.broadcast t.applied_cv
 
@@ -533,6 +402,11 @@ let propagation_peers (t : t) (record : Lbc_wal.Record.txn) =
     Iset.empty
     (Lbc_wal.Record.regions record)
   |> Iset.elements
+
+(* Track an own write logged at [offset] until its peers report it. *)
+let own_write (t : t) ~offset record =
+  Retention.own t.retention ~offset ~peers:(propagation_peers t record) record;
+  set_water t
 
 let broadcast (t : t) record =
   match propagation_peers t record with
@@ -600,7 +474,7 @@ let broadcast (t : t) record =
 let replay_one t ~off (record : Lbc_wal.Record.txn) =
   receive_record t record;
   if retains t && Lbc_wal.Record.is_write record then
-    track_unacked t ~offset:off record ~peers:(propagation_peers t record)
+    own_write t ~offset:off record
 
 (* Mark every region a chain covers, skipping regions this node does not
    map. *)
@@ -658,9 +532,9 @@ let rec replay_stream (t : t) (r : recovery) (s : stream) =
       ignore (Obs.span_end t.obs sp : float);
       Obs.observe t.obs "recovery_us"
         (Lbc_sim.Engine.now t.engine -. r.started_at);
-      (* The last stream warming completes the unacked rebuild: release
-         the head pin installed at rejoin. *)
-      if r.cold = 0 then update_retention t;
+      (* The last stream warming completes the own-write rebuild:
+         release the head pin installed at rejoin. *)
+      if r.cold = 0 then set_water t;
       Lbc_sim.Condvar.broadcast r.warm_cv
 
 (* Serving gates: make sure the chain covering [key] has been replayed
@@ -705,7 +579,9 @@ let stream_heat (t : t) (s : stream) =
 
 let rejoin (t : t) ~applied =
   t.receiver <- Receiver.create ();
-  Hashtbl.reset t.retained;
+  (* The gossip died with the crash: until peers report again, every own
+     write still in the log may be needed by one of them. *)
+  t.retention <- Retention.create ~self:t.id ~nodes:t.nodes;
   Hashtbl.reset t.fetch_marks;
   Hashtbl.reset t.repairs;
   t.recovery <- None;
@@ -714,12 +590,6 @@ let rejoin (t : t) ~applied =
      checkpoint waiting for quiescence. *)
   Lbc_rvm.Rvm.clear_live_txns t.rvm;
   reload t ~applied;
-  (* Rebuild retention from what survives: until gossip proves otherwise,
-     assume every own write still in the log may be needed by a peer (the
-     gossip tables died with the crash). *)
-  t.unacked <- [];
-  Hashtbl.reset t.peer_applied;
-  Lbc_wal.Log.set_retention_water (Lbc_rvm.Rvm.log t.rvm) max_int;
   (* A crash mid-fuzzy-checkpoint leaves the ckpt water pinned (the end
      marker never made it); the checkpoint is abandoned, so unpin. *)
   Lbc_wal.Log.set_ckpt_water (Lbc_rvm.Rvm.log t.rvm) max_int;
@@ -747,17 +617,15 @@ let rejoin (t : t) ~applied =
   in
   t.recovery <- Some r;
   (* Every region a cold chain touches serves stale (checkpoint) bytes
-     until that chain replays: mark them cold so direct reads gate too.
-     Retention stays pinned at the head until the unacked list is
-     rebuilt (streams warm out of log order). *)
+     until that chain replays: mark them cold so direct reads gate too. *)
   Array.iter (fun s -> mark_regions t s Lbc_rvm.Region.set_cold) streams;
-  (* Pin unconditionally, not just under [retains t]: even in an eager
-     non-repair config the cold chains' records are the only copy of
-     their committed updates (the regions were reloaded from the
-     checkpoint image, so a fuzzy checkpoint flushes nothing for them).
-     Released by [replay_stream] when the last stream warms. *)
-  if r.cold > 0 then
-    Lbc_wal.Log.set_retention_water log (Lbc_wal.Log.head log);
+  (* The mark stays pinned at the head while chains are cold, not just
+     under [retains t]: even in an eager non-repair config the cold
+     chains' records are the only copy of their committed updates (the
+     regions were reloaded from the checkpoint image, so a fuzzy
+     checkpoint flushes nothing for them).  Released by [replay_stream]
+     when the last stream warms. *)
+  set_water t;
   if Obs.enabled t.obs && r.cold > 0 then
     Obs.count ~pid:t.id t.obs "recovery_partitions" r.cold;
   Lbc_sim.Condvar.broadcast t.applied_cv;
@@ -827,7 +695,7 @@ let handle (t : t) ~src msg =
          the checkpoint image; warm it before serving, so a peer's
          repair or lazy fetch never receives stale retained state. *)
       ensure_warm_lock t lock;
-      let records = retained_after t ~lock ~have in
+      let records = Retention.after t.retention ~lock ~have in
       let payloads =
         List.map
           (fun r ->
@@ -845,7 +713,9 @@ let handle (t : t) ~src msg =
         | Some rtt -> Obs.observe ~pid:t.id t.obs "fetch_rtt_us" rtt
         | None -> ());
       List.iter (receive_iov t) payloads
-  | Msg.LowWater { applied } -> receive_low_water t ~src ~applied
+  | Msg.LowWater { applied } ->
+      Retention.heard t.retention ~peer:src applied;
+      set_water t
 
 (* --------------------------------------------------------------- *)
 (* Application transactions *)
@@ -995,10 +865,9 @@ module Txn = struct
         (fun l -> set_applied node l.Lbc_wal.Record.lock_id l.Lbc_wal.Record.seqno)
         record.Lbc_wal.Record.locks;
       if retains node then begin
-        retain node record;
+        Retention.keep node.retention record;
         if node.config.Config.disk_logging then
-          track_unacked node ~offset:log_off record
-            ~peers:(propagation_peers node record)
+          own_write node ~offset:log_off record
       end
     end;
     (* Two-phase: release everything at commit (paper Section 2.1), then

@@ -127,42 +127,30 @@ val accept : t -> unit
     [records_held], traced as a [hold] instant, and its missing writes
     requested (lazy fetch, repair watchdog). *)
 
+(** {1 Retention ({!Retention})}
+
+    With lazy propagation or [config.repair] a node keeps committed
+    records for its peers' fetches, and its log keeps every own write a
+    peer may still need re-sent: the oldest such write's offset is the
+    log's retention mark, which {!Lbc_wal.Log.set_head} clamps to.  The
+    applied tables peers gossip ([Msg.LowWater]) release both.  While a
+    rejoin has cold chains the mark stays at the log head. *)
+
 val retained_count : t -> int
-(** Records retained for lazy propagation. *)
-
-val gc_retained : t -> unit
-(** Drop all retained records (after a checkpoint has made them
-    recoverable from the database image). *)
-
-(** {1 Low-water gossip and repair retention}
-
-    With [config.repair] (or lazy propagation) a node's log must keep
-    every own committed write some peer might still need re-sent; the
-    offset of the oldest such write is installed as the log's retention
-    low-water mark, which {!Lbc_wal.Log.set_head} clamps to.  A write is
-    released once every propagation peer has gossiped ([Msg.LowWater])
-    an applied sequence number at or past it. *)
+(** Records kept for peers' fetches, counted once per lock. *)
 
 val gossip_low_water : t -> unit
 (** Send this node's applied table to every peer (costs wire time — call
     from process context). *)
 
-val update_retention : t -> unit
-(** Recompute the retention mark from the gossip received so far and
-    prune retained records every peer has applied. *)
-
-val clear_retention : t -> unit
-(** Drop all retention state and lift the log's retention mark — only
-    sound when ground truth says no peer can fetch again (a distributed
-    checkpoint followed by {!resync}). *)
-
 val resync : t -> applied:(int * int) list -> unit
 (** Post-checkpoint resynchronization: reload every mapped region from
     its database device, set the per-lock applied sequence numbers to the
-    checkpointed values, and drop retained records and held state.  Only
-    valid when the node is quiescent (no transaction in progress, nothing
-    pending).  What arrives during the reload waits until the table
-    holds the checkpoint state. *)
+    checkpointed values, drop held state, and start retention afresh
+    with the checkpoint state as every peer's applied table, which lifts
+    the log's retention mark.  Only valid when the node is quiescent (no
+    transaction in progress, nothing pending).  What arrives during the
+    reload waits until the table holds the checkpoint state. *)
 
 val rejoin : t -> applied:(int * int) list -> unit
 (** Bring a crashed node back into the cluster (called by

@@ -1409,6 +1409,51 @@ let test_online_after_offline_checkpoint () =
   Cluster.run c;
   check_int "second write checkpointed online" 1 (Cluster.online_checkpoint c)
 
+(* Redo never re-applies what the database already holds.  With
+   retention on, a checkpoint's trim stops at the retention mark, so the
+   records it replayed stay live in the logs; a command record replayed
+   again would add 1 again. *)
+let test_checkpoints_skip_replayed () =
+  register_incr ();
+  let config =
+    { Config.fault_tolerant with Config.log_mode = Lbc_wal.Command.Command }
+  in
+  let run () =
+    let c = mk ~config () in
+    (* the counter's database bytes, for the command to read *)
+    Lbc_storage.Dev.write (Cluster.region_dev c region) ~off:0
+      (Bytes.make 8 '\000') ~pos:0 ~len:8;
+    Cluster.spawn c ~node:0 (fun node ->
+        for _ = 1 to 3 do
+          let txn = Node.Txn.begin_ node in
+          Node.Txn.acquire txn lock;
+          let v = Node.Txn.get_u64 txn ~region ~offset:0 in
+          Node.Txn.set_u64 txn ~region ~offset:0 (Int64.add v 1L);
+          let w = Lbc_util.Codec.writer () in
+          Lbc_util.Codec.varint w 0;
+          Node.Txn.set_command txn ~op:incr_op
+            ~params:(Lbc_util.Codec.contents w) ~regions:[ region ];
+          Node.Txn.commit txn
+        done);
+    Cluster.run c;
+    check_int "first checkpoint" 3 (Cluster.online_checkpoint c);
+    c
+  in
+  let db_is_cache what c =
+    check_i64 what
+      (Node.get_u64 (Cluster.node c 0) ~region ~offset:0)
+      (Bytes.get_int64_le
+         (Lbc_storage.Dev.read (Cluster.region_dev c region) ~off:0 ~len:8)
+         0)
+  in
+  let c = run () in
+  check_int "second checkpoint finds nothing" 0 (Cluster.online_checkpoint c);
+  db_is_cache "database after two checkpoints" c;
+  let c = run () in
+  check_int "recovery replays nothing" 0
+    (Cluster.recover_database c).Lbc_rvm.Recovery.records_replayed;
+  db_is_cache "database after checkpoint and recovery" c
+
 let test_merge_prefix_holds_back_gaps () =
   (* Log 0 holds (lock 0, seq 2) but seq 1 is in no log and not
      checkpointed: nothing can be emitted. *)
@@ -1589,6 +1634,8 @@ let suites =
           test_checkpoint_resyncs_lazy_stragglers;
         Alcotest.test_case "online after offline checkpoint" `Quick
           test_online_after_offline_checkpoint;
+        Alcotest.test_case "checkpoints skip what they replayed" `Quick
+          test_checkpoints_skip_replayed;
         Alcotest.test_case "report renders" `Quick test_report_renders;
         Alcotest.test_case "client crash" `Quick
           test_client_crash_loses_uncommitted_only;
