@@ -147,8 +147,8 @@ let verify_cmd =
        ~doc:
          "Check redo-log images: seqno monotonicity/uniqueness, \
           prev_write_seq chains, wire-codec round-trips, merge legality, \
-          unlocked overlapping writes, checkpoint bracket integrity and \
-          (with $(b,--regions)) region coverage")
+          unlocked overlapping writes and (with $(b,--regions)) region \
+          coverage")
     Term.(const verify $ no_races $ strict $ regions $ log_paths)
 
 let lint_cmd =

@@ -263,41 +263,7 @@ let check_merge streams =
       List.rev !violations
 
 (* --------------------------------------------------------------- *)
-(* 6: checkpoint bracket integrity *)
-
-(* A fuzzy checkpoint brackets its region flushes with Ckpt_begin/Ckpt_end
-   control records, and the final trim lands exactly on the begin marker —
-   so in any well-formed log image every live end marker is preceded by
-   its live begin.  An end without its begin means the head was trimmed
-   past a checkpoint's start, the trim the ckpt low-water mark forbids. *)
-let check_ckpt_brackets logs =
-  List.concat
-    (List.mapi
-       (fun li log ->
-         let ctrls, _status =
-           Lbc_wal.Log.fold_ctrl log ~init:[] (fun acc _off c -> c :: acc)
-         in
-         let open_ckpts : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
-         let violations = ref [] in
-         List.iter
-           (fun (c : R.ctrl) ->
-             let key = (c.R.node, c.R.ckpt_id) in
-             match c.R.kind with
-             | R.Ckpt_begin -> Hashtbl.replace open_ckpts key ()
-             | R.Ckpt_end ->
-                 if Hashtbl.mem open_ckpts key then Hashtbl.remove open_ckpts key
-                 else
-                   violations :=
-                     Violation.Ckpt_trim
-                       { log = li; node = c.R.node; ckpt_id = c.R.ckpt_id }
-                     :: !violations
-             | R.Region_index -> ())
-           (List.rev ctrls);
-         List.rev !violations)
-       logs)
-
-(* --------------------------------------------------------------- *)
-(* 7: region coverage *)
+(* 6: region coverage *)
 
 (* With the mapped region set declared, every range must land inside it:
    receivers skip ranges for regions they have not mapped (counting them
@@ -339,14 +305,15 @@ let check_streams ?infer_base ?base ?(races = true) ?regions streams =
    crash residue, reported separately by the CLI, not a violation. *)
 let stream_of_log log = fst (Lbc_wal.Log.read_all log)
 
-(* A fuzzy checkpoint trims ONE node's log, so records in other logs may
-   reference write seqnos that now live nowhere — a legal hole, not data
-   loss.  Within one node's log per-lock seqnos strictly ascend, so a
-   trimmed log can only have hidden writes {e below} its first live seqno
-   on each lock (or any seqno on locks with no live record).  With
-   [infer_base] (the offline default) a seqno-gap is excused when some
-   trimmed log could have held the missing write; gaps nothing could
-   explain still fire. *)
+(* A checkpoint cuts each log at its own head: the merged cut, clamped
+   per log to its retention mark.  So a log trimmed further than a peer's
+   may have dropped writes the peer's live records still name — a legal
+   hole, not data loss.  Within one node's log per-lock seqnos strictly
+   ascend, so a trimmed log can only have hidden writes {e below} its
+   first live seqno on each lock (or any seqno on locks with no live
+   record).  With [infer_base] (the offline default) a seqno-gap is
+   excused when some trimmed log could have held the missing write; gaps
+   nothing could explain still fire. *)
 let gap_excused ~logs ~streams (v : Violation.t) =
   match v with
   | Violation.Seqno_gap { lock; missing; _ } ->
@@ -370,9 +337,6 @@ let gap_excused ~logs ~streams (v : Violation.t) =
 let check_logs ?(infer_base = true) ?base ?races ?regions logs =
   let streams = List.map stream_of_log logs in
   let violations = check_streams ~infer_base ?base ?races ?regions streams in
-  let violations =
-    if infer_base then
-      List.filter (fun v -> not (gap_excused ~logs ~streams v)) violations
-    else violations
-  in
-  violations @ check_ckpt_brackets logs
+  if infer_base then
+    List.filter (fun v -> not (gap_excused ~logs ~streams v)) violations
+  else violations

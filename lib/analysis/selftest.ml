@@ -78,7 +78,7 @@ let build_sim_logs ?(checkpoints = false) ~config ~nodes ~seed ~iterations ()
   done;
   if checkpoints then begin
     Cluster.run ~until:300.0 c;
-    ignore (Cluster.online_checkpoint c)
+    ignore (Cluster.checkpoint c : int)
   end;
   Cluster.run c;
   List.init nodes (fun n -> Lbc_rvm.Rvm.log (Node.rvm (Cluster.node c n)))
@@ -308,7 +308,7 @@ let run () =
         build_sim_streams
           ~config:{ Config.default with Config.propagation = Config.Lazy }
           ~nodes:3 ~seed:505 ~iterations:15 () );
-      ( "clean: online checkpoint (trimmed logs)",
+      ( "clean: checkpoint (trimmed logs)",
         build_sim_streams ~checkpoints:true ~config:Config.default ~nodes:3
           ~seed:202 ~iterations:15 () );
     ]

@@ -54,11 +54,6 @@ type kind =
       (* The merged log is not a legal serial order of its inputs. *)
   | Order_cycle of { detail : string }
       (* The happens-before graph has a cycle; no serial order exists. *)
-  | Ckpt_trim of { log : int; node : int; ckpt_id : int }
-      (* A live Ckpt_end marker has no live matching Ckpt_begin: the head
-         was trimmed past a checkpoint's start while its end marker is
-         still live — exactly the trim the checkpoint low-water mark
-         forbids (recovery would replay from inside the fuzzy flush). *)
   | Unmapped_region of { region : int; txn : txn_id }
       (* A record addresses a region outside the declared region set:
          receivers silently skip such ranges, so the write is lost. *)
@@ -98,7 +93,6 @@ let name = function
   | Merge_unorderable _ -> "merge-unorderable"
   | Merge_not_serial _ -> "merge-serial-order"
   | Order_cycle _ -> "order-cycle"
-  | Ckpt_trim _ -> "ckpt-low-water"
   | Unmapped_region _ -> "unmapped-region"
   | Command_unknown _ -> "command-unknown"
   | Serial_divergence _ -> "serializability"
@@ -136,11 +130,6 @@ let pp ppf v =
   | Merge_unorderable { detail } | Merge_not_serial { detail }
   | Order_cycle { detail } ->
       Format.fprintf ppf "[%s] %s" (name v) detail
-  | Ckpt_trim { log; node; ckpt_id } ->
-      Format.fprintf ppf
-        "[%s] log %d: ckpt-end for node %d ckpt %d without its ckpt-begin \
-         (head trimmed past an incomplete checkpoint)"
-        (name v) log node ckpt_id
   | Unmapped_region { region; txn } ->
       Format.fprintf ppf
         "[%s] txn %a writes region %d, which no declared region set covers"

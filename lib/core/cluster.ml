@@ -22,8 +22,10 @@ type t = {
   nodes : Node.t array;
   regions : (int, region_info) Hashtbl.t;
   checkpointed : (int, int) Hashtbl.t;
-      (* per lock: highest write seq already replayed into the database by
-         an online checkpoint *)
+      (* per lock: highest write seq a checkpoint has replayed into the
+         database, which holds exactly that prefix *)
+  mutable checkpoints : int;  (* begun so far; names each index ctrl *)
+  mutable checkpointing : bool;  (* a checkpoint is writing the database *)
   crashed : bool array;
   reclaimed : bool array;  (* lease expired, lock tokens reclaimed *)
   epoch : int array;  (* bumped at every crash; stale app processes die *)
@@ -128,6 +130,8 @@ let create ?(config = Config.default) ?sched ?(backend = Platform.Sim) ~nodes
     nodes = cluster_nodes;
     regions;
     checkpointed = Hashtbl.create 16;
+    checkpoints = 0;
+    checkpointing = false;
     crashed = Array.make nodes false;
     reclaimed = Array.make nodes false;
     epoch = Array.make nodes 0;
@@ -202,17 +206,19 @@ let map_region_all t ~region =
     ignore (map_region t ~node:n ~region)
   done
 
-let spawn t ~node:n f =
-  let target = node t n in
+(* A process that dies with its node: a crash bumps the epoch, and the
+   scheduler kills the process at its next resumption. *)
+let spawn_on t n ~name ~daemon f =
   let epoch0 = t.epoch.(n) in
   let module P = (val t.platform : Platform.S) in
-  (* The process dies with its node: a crash bumps the epoch, and the
-     scheduler kills the process at its next resumption. *)
-  P.spawn ~node:n
-    ~name:(Printf.sprintf "app-%d" n)
-    ~daemon:false
+  P.spawn ~node:n ~name ~daemon
     ~alive:(fun () -> (not t.crashed.(n)) && t.epoch.(n) = epoch0)
-    (fun () -> f target)
+    f
+
+let spawn t ~node:n f =
+  let target = node t n in
+  spawn_on t n ~name:(Printf.sprintf "app-%d" n) ~daemon:false (fun () ->
+      f target)
 
 let run ?until t =
   match t.sim with
@@ -330,6 +336,10 @@ let rejoin t ~node:n =
   if not t.crashed.(n) then invalid_arg "Cluster.rejoin: node is not down";
   if not t.reclaimed.(n) then
     invalid_arg "Cluster.rejoin: node's lease has not expired yet";
+  (* The database image is the checkpoint state only between
+     checkpoints: mid-replay it is ahead of [checkpointed]. *)
+  if t.checkpointing then
+    invalid_arg "Cluster.rejoin: a checkpoint is writing the database";
   Lbc_net.Fabric.set_down h.fabric n false;
   Obs.instant t.obs ~name:"rejoin" ~pid:n ~tid:Obs.lane_txn ~arg:t.epoch.(n);
   Lbc_locks.Table.rejoin_reset (Node.locks t.nodes.(n));
@@ -340,9 +350,10 @@ let is_crashed t n =
   ignore (node t n : Node.t);
   t.crashed.(n)
 
-let merged_records t =
-  Merge.merge_logs
-    (Array.to_list (Array.map (fun n -> Lbc_rvm.Rvm.log (Node.rvm n)) t.nodes))
+let logs t =
+  Array.to_list (Array.map (fun n -> Lbc_rvm.Rvm.log (Node.rvm n)) t.nodes)
+
+let merged_records t = Merge.merge_logs (logs t)
 
 (* The merged stream less what a checkpoint already replayed, or the
    error every merge-then-replay entry point raises when the logs admit
@@ -409,45 +420,9 @@ let timed_recovery t ~mode =
         Obs.observe t.obs "time_to_first_partition_us" elapsed
       end)
 
-(* Incremental fuzzy checkpoint of one node, on the simulation clock.
-   Peers first gossip their applied tables so the node can compute its
-   repair-retention mark; then the node flushes its dirty regions in
-   bounded slices interleaved with running commits, brackets the flush
-   with durable begin/end markers, and trims its log to the checkpoint
-   start clamped to the retention mark. *)
-let fuzzy_checkpoint t ~node:n =
-  let h = sim_handles t "Cluster.fuzzy_checkpoint" in
-  let target = node t n in
-  let epoch0 = t.epoch.(n) in
-  for p = 0 to size t - 1 do
-    if p <> n && not t.crashed.(p) then begin
-      let peer = t.nodes.(p) in
-      Lbc_sim.Proc.spawn h.engine
-        ~name:(Printf.sprintf "gossip-%d" p)
-        ~daemon:true
-        (fun () -> Node.gossip_low_water peer)
-    end
-  done;
-  Lbc_sim.Proc.spawn h.engine
-    ~name:(Printf.sprintf "ckpt-%d" n)
-    ~alive:(fun () -> (not t.crashed.(n)) && t.epoch.(n) = epoch0)
-    (fun () ->
-      Lbc_sim.Proc.sleep t.config.Config.ckpt_gossip_delay;
-      let t0 = Lbc_sim.Engine.now h.engine in
-      let outcome =
-        Lbc_rvm.Rvm.fuzzy_checkpoint
-          ~slice_bytes:t.config.Config.ckpt_slice_bytes
-          ~yield:(fun () ->
-            Lbc_sim.Proc.sleep t.config.Config.ckpt_slice_interval)
-          (Node.rvm target)
-      in
-      Obs.observe t.obs "ckpt_us" (Lbc_sim.Engine.now h.engine -. t0);
-      Obs.instant t.obs ~name:"ckpt" ~pid:n ~tid:Obs.lane_txn
-        ~arg:outcome.Lbc_rvm.Rvm.bytes_flushed)
-
 (* Replay merged records into the database and advance the per-lock
-   baseline past their writes, so later incremental merges know those
-   writes are durable there. *)
+   baseline past their writes, so later merges know those writes are
+   durable there. *)
 let checkpoint_records t records =
   ignore
     (Lbc_rvm.Recovery.replay_records records ~db_for_region:(db_for_region t)
@@ -462,44 +437,54 @@ let checkpoint_records t records =
           txn.locks)
     records
 
-let online_checkpoint t =
-  let logs =
-    Array.to_list (Array.map (fun n -> Lbc_rvm.Rvm.log (Node.rvm n)) t.nodes)
-  in
-  let prefix = Merge.merge_logs_prefix ~checkpointed:(checkpointed t) logs in
-  (* Database first, then trim: the records must be durable in the
-     database before they disappear from the logs. *)
-  let records = uncheckpointed t prefix.Merge.ordered in
-  checkpoint_records t records;
-  (* The trim is clamped per log to its low-water mark: with repair on, a
-     merged-and-replayed record may still be needed by a live peer whose
-     copy was lost in flight (replaying into the database does not heal a
-     running peer's cache — only a fetch or a resync does). *)
-  List.iter2
-    (fun log head ->
-      if head > Lbc_wal.Log.head log then
-        ignore (Lbc_wal.Log.set_head log head : int))
-    logs prefix.Merge.new_heads;
-  List.length records
-
+(* The one checkpoint: the paper's merge utility (Section 3.5), run on a
+   live cluster.  The database receives the maximal orderable prefix of
+   the merged logs and [checkpointed] advances past it, so the image
+   holds exactly a replayed prefix; then each log trims past what was
+   merged, as far as its retention mark allows. *)
 let checkpoint t =
-  Array.iter
-    (fun n ->
-      if Node.pending_count n > 0 then
-        raise
-          (Node.Coherency_error
-             (Printf.sprintf "checkpoint: node %d has pending records"
-                (Node.id n))))
+  if t.checkpointing then
+    invalid_arg "Cluster.checkpoint: a checkpoint is already running";
+  t.checkpointing <- true;
+  Fun.protect ~finally:(fun () -> t.checkpointing <- false) @@ fun () ->
+  let module P = (val t.platform : Platform.S) in
+  let t0 = P.now_us () in
+  (* The peers' applied tables release retention and so lift the marks
+     the trims clamp to.  A report still in flight costs trim, never
+     safety: retention only errs toward keeping. *)
+  Array.iteri
+    (fun p n ->
+      if not t.crashed.(p) then
+        spawn_on t p ~name:(Printf.sprintf "gossip-%d" p) ~daemon:true
+          (fun () -> Node.gossip_low_water n))
     t.nodes;
-  checkpoint_records t (merged_or_raise t);
-  let applied = checkpointed_baseline t in
-  Array.iter
-    (fun n ->
-      (* Bring stragglers (lazy mode) to the checkpointed state: their
-         chains are gone from the writers' retention.  Every record is in
-         the database now, so no peer can need anything re-sent: the
-         resync lifts the retention mark and the log trims to its tail. *)
-      Node.resync n ~applied;
-      let log = Lbc_rvm.Rvm.log (Node.rvm n) in
-      ignore (Lbc_wal.Log.set_head log (Lbc_wal.Log.tail log) : int))
-    t.nodes
+  let logs = logs t in
+  (* Write-ahead: the database receives only durable records. *)
+  List.iter Lbc_wal.Log.force logs;
+  let prefix = Merge.merge_logs_prefix ~checkpointed:(checkpointed t) logs in
+  let records = uncheckpointed t prefix.Merge.ordered in
+  (* Database first, then trim. *)
+  checkpoint_records t records;
+  t.checkpoints <- t.checkpoints + 1;
+  List.iteri
+    (fun i (log, head) ->
+      (* Clamped to the retention mark: a replayed record may still be
+         needed by a live peer whose copy was lost in flight, and the
+         database heals no running cache. *)
+      if head > Lbc_wal.Log.head log then
+        ignore (Lbc_wal.Log.set_head log head : int);
+      (* Index what survives, so a rejoin seeds its replay chains here
+         instead of partitioning the tail again. *)
+      if Lbc_wal.Log.record_count log > 0 then begin
+        let idx, _ = Lbc_wal.Region_index.of_log log in
+        ignore
+          (Lbc_wal.Log.append_ctrl log
+             (Lbc_wal.Region_index.to_ctrl idx ~node:i ~ckpt_id:t.checkpoints)
+            : int);
+        Lbc_wal.Log.force log
+      end)
+    (List.combine logs prefix.Merge.new_heads);
+  let n = List.length records in
+  Obs.observe t.obs "ckpt_us" (P.now_us () -. t0);
+  Obs.instant t.obs ~name:"ckpt" ~pid:0 ~tid:Obs.lane_txn ~arg:n;
+  n

@@ -137,8 +137,9 @@ val crash : t -> node:int -> unit
     survivors that were queued behind it. *)
 
 val rejoin : t -> node:int -> unit
-(** Bring a crashed node back, once its lease has expired (raises
-    [Invalid_argument] before that): reconnects it, resets its lock
+(** Bring a crashed node back, once its lease has expired and no
+    {!checkpoint} is writing the database (raises [Invalid_argument]
+    otherwise; callers retry): reconnects it, resets its lock
     table, reloads its regions from the database image and indexes its
     own durable log tail ({!Node.rejoin}).  The node serves at once: each
     indexed chain replays on first touch and a background drain replays
@@ -211,28 +212,29 @@ val timed_recovery : t -> mode:replay_mode -> Lbc_rvm.Recovery.outcome * float
     partitioning only changes wall-clock.  Each stream feeds the
     [recovery_us] histogram. *)
 
-val fuzzy_checkpoint : t -> node:int -> unit
-(** Start an incremental (fuzzy) checkpoint of node [node]'s log, running
-    concurrently with application work: live peers gossip their applied
-    tables ([Msg.LowWater]), and after [config.ckpt_gossip_delay] the node
-    runs {!Lbc_rvm.Rvm.fuzzy_checkpoint} with [config.ckpt_slice_bytes]
-    slices, sleeping [config.ckpt_slice_interval] between slices.  The
-    final trim is clamped to the repair-retention mark.  The checkpointer
-    dies with the node on a crash (leaving the log untrimmed — recovery
-    then replays from the previous checkpoint). *)
+val checkpoint : t -> int
+(** The one checkpoint: the paper's merge utility (Section 3.5), run
+    while the cluster runs.  In order:
+    + every live node gossips its applied table ([Msg.LowWater]), which
+      lifts retention marks once it lands;
+    + every log is forced, so the database receives only durable
+      records;
+    + the maximal orderable prefix of the merged logs
+      ({!Merge.merge_logs_prefix}), less what an earlier checkpoint
+      replayed, is replayed into the region database devices, and the
+      per-lock checkpoint table advances past its writes;
+    + each log trims to its merged head, clamped to its retention mark
+      ({!Lbc_wal.Log.set_head}), so records a peer may still need
+      survive;
+    + each log whose tail still holds records gets a fresh region-index
+      control record, which a later {!rejoin} seeds its chains from.
 
-val checkpoint : t -> unit
-(** Offline distributed log trimming (paper Section 3.5): requires a
-    quiescent cluster (no pending records); merges the logs, replays them
-    into the database devices, trims every node's log, and releases
-    lazily-retained records.
-    @raise Node.Coherency_error if some node still has pending records. *)
-
-val online_checkpoint : t -> int
-(** Incremental trimming that tolerates a running cluster: merge the
-    maximal orderable prefix of all logs, replay it into the database
-    devices (synchronously — write-ahead discipline), and advance each
-    log's head past its merged records.  Records whose predecessors are
-    not yet in any log are left for the next round.  Returns the number
-    of records replayed, none twice.  This realizes the coordinated
-    online trimming the paper sketches in Section 3.5. *)
+    The database then holds exactly a replayed prefix, and the table
+    describes it: {!rejoin} reloads that image with that table, and
+    {!recover_database} skips what it replayed.  Records whose
+    predecessors are in no log yet wait for the next round.  Returns
+    the number of records replayed, none twice.  Called at a pause it
+    takes no virtual time; inside a sim process its device writes are
+    charged, and while it runs {!rejoin} and a second [checkpoint]
+    raise [Invalid_argument].  Feeds the [ckpt_us] histogram and a
+    [ckpt] instant carrying the records replayed. *)

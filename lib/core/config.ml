@@ -9,9 +9,6 @@ type t = {
   repair : bool;
   lease_timeout : float;
   group_commit : bool;
-  ckpt_slice_bytes : int;
-  ckpt_slice_interval : float;
-  ckpt_gossip_delay : float;
   flight : bool;
   flight_ring_bytes : int;
 }
@@ -26,9 +23,6 @@ let default =
     repair = false;
     lease_timeout = 10_000.0;
     group_commit = false;
-    ckpt_slice_bytes = 4096;
-    ckpt_slice_interval = 50.0;
-    ckpt_gossip_delay = 500.0;
     flight = true;
     flight_ring_bytes = 65536;
   }

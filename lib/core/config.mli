@@ -55,15 +55,6 @@ type t = {
           defaults: a batch closes at 8 records or 100 virtual µs after
           its first record.  Takes effect only with [disk_logging];
           committers park until their batch is durable. *)
-  ckpt_slice_bytes : int;
-      (** bytes per fuzzy-checkpoint flush slice; between slices the
-          checkpointer yields so commits can interleave *)
-  ckpt_slice_interval : float;
-      (** virtual µs the checkpointer sleeps between flush slices *)
-  ckpt_gossip_delay : float;
-      (** virtual µs a fuzzy checkpoint waits after broadcasting
-          low-water gossip, so peers' applied tables arrive before the
-          retention mark is computed *)
   flight : bool;
       (** the flight recorder: every node keeps a fixed-size binary
           ring of spans, instants, flow arrows and counter deltas

@@ -65,7 +65,7 @@ type t = {
   peers_with_region : int -> int list;
   mutable receiver : Receiver.t;  (* fresh at every rejoin *)
   applied_cv : Lbc_sim.Condvar.t;
-  mutable retention : Retention.t;  (* fresh at every rejoin and resync *)
+  mutable retention : Retention.t;  (* fresh at every rejoin *)
   fetch_marks : (int, int) Hashtbl.t;  (* lock -> [have] of its last fetch *)
   repairs : (int, repair) Hashtbl.t;  (* lock id -> gap under watch *)
   txn_updates : int ref;  (* set_range calls in the running transaction *)
@@ -365,28 +365,10 @@ let accept (t : t) = List.iter (offer t) (Receiver.accept t.receiver)
 (* Reload every region's database image and seed the checkpoint state
    [applied] with the receiver pinned ([Receiver]'s rule 3). *)
 let reload (t : t) ~applied =
-  let pinned = Receiver.pinned t.receiver in
   pin t;
   List.iter Lbc_rvm.Region.reload_from_db (Lbc_rvm.Rvm.regions t.rvm);
   List.iter (fun (lock, seq) -> set_applied t lock seq) applied;
-  if not pinned then accept t
-
-let resync (t : t) ~applied =
-  if pending_count t > 0 then
-    raise (Coherency_error "resync with records still pending");
-  Hashtbl.reset t.fetch_marks;
-  Hashtbl.reset t.repairs;
-  (* The checkpoint replayed every log into the database and this resync
-     brings each node to that state, so nothing committed before it can
-     be fetched again: retention starts afresh, with the checkpoint state
-     as every peer's applied table, and the mark lifts. *)
-  t.retention <- Retention.create ~self:t.id ~nodes:t.nodes;
-  for peer = 0 to t.nodes - 1 do
-    if peer <> t.id then Retention.heard t.retention ~peer applied
-  done;
-  set_water t;
-  reload t ~applied;
-  Lbc_sim.Condvar.broadcast t.applied_cv
+  accept t
 
 (* --------------------------------------------------------------- *)
 (* Propagation at commit *)
@@ -470,11 +452,21 @@ let broadcast (t : t) record =
 
 (* Apply one record of a replay stream and account its retention.  The
    internal replay path must bypass the serving gates (it is what warms
-   them), so it calls [receive_record] directly. *)
+   them), so it calls [receive_record] directly.  A write the checkpoint
+   state already covers is dropped as a duplicate but still kept: the
+   trim left it in the log because a peer may not have applied it, and
+   that peer's fetch asks this node for it. *)
 let replay_one t ~off (record : Lbc_wal.Record.txn) =
+  let covered =
+    List.exists
+      (fun (l : Lbc_wal.Record.lock_info) -> applied_seq t l.lock_id >= l.seqno)
+      record.Lbc_wal.Record.locks
+  in
   receive_record t record;
-  if retains t && Lbc_wal.Record.is_write record then
+  if retains t && Lbc_wal.Record.is_write record then begin
+    if covered then Retention.keep t.retention record;
     own_write t ~offset:off record
+  end
 
 (* Mark every region a chain covers, skipping regions this node does not
    map. *)
@@ -508,7 +500,7 @@ let rec replay_stream (t : t) (r : recovery) (s : stream) =
       let log = Lbc_rvm.Rvm.log t.rvm in
       let sp =
         Obs.span_begin t.obs ~name:"replay-chain" ~pid:t.id
-          ~tid:Obs.lane_apply ~arg:0
+          ~tid:Obs.lane_apply ~arg:(List.length s.offsets)
       in
       (try
          List.iter
@@ -585,14 +577,7 @@ let rejoin (t : t) ~applied =
   Hashtbl.reset t.fetch_marks;
   Hashtbl.reset t.repairs;
   t.recovery <- None;
-  (* The crash killed any process that was mid-transaction; those
-     transactions will never commit, so they must not keep a later fuzzy
-     checkpoint waiting for quiescence. *)
-  Lbc_rvm.Rvm.clear_live_txns t.rvm;
   reload t ~applied;
-  (* A crash mid-fuzzy-checkpoint leaves the ckpt water pinned (the end
-     marker never made it); the checkpoint is abandoned, so unpin. *)
-  Lbc_wal.Log.set_ckpt_water (Lbc_rvm.Rvm.log t.rvm) max_int;
   t.ttfc_mark <- Some (Lbc_sim.Engine.now t.engine);
   let log = Lbc_rvm.Rvm.log t.rvm in
   (* Seeded by the checkpoint's persisted region-index control record,
@@ -621,10 +606,9 @@ let rejoin (t : t) ~applied =
   Array.iter (fun s -> mark_regions t s Lbc_rvm.Region.set_cold) streams;
   (* The mark stays pinned at the head while chains are cold, not just
      under [retains t]: even in an eager non-repair config the cold
-     chains' records are the only copy of their committed updates (the
-     regions were reloaded from the checkpoint image, so a fuzzy
-     checkpoint flushes nothing for them).  Released by [replay_stream]
-     when the last stream warms. *)
+     chains' records may be the only copy of their committed updates (the
+     reloaded image holds only what a checkpoint replayed).  Released by
+     [replay_stream] when the last stream warms. *)
   set_water t;
   if Obs.enabled t.obs && r.cold > 0 then
     Obs.count ~pid:t.id t.obs "recovery_partitions" r.cold;

@@ -143,15 +143,6 @@ val gossip_low_water : t -> unit
 (** Send this node's applied table to every peer (costs wire time — call
     from process context). *)
 
-val resync : t -> applied:(int * int) list -> unit
-(** Post-checkpoint resynchronization: reload every mapped region from
-    its database device, set the per-lock applied sequence numbers to the
-    checkpointed values, drop held state, and start retention afresh
-    with the checkpoint state as every peer's applied table, which lifts
-    the log's retention mark.  Only valid when the node is quiescent (no
-    transaction in progress, nothing pending).  What arrives during the
-    reload waits until the table holds the checkpoint state. *)
-
 val rejoin : t -> applied:(int * int) list -> unit
 (** Bring a crashed node back into the cluster (called by
     [Cluster.rejoin] after its lock table has been reset).  All volatile

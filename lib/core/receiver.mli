@@ -23,9 +23,9 @@
     - An exact-key wake is enough.  {!applied_seq} moves only through an
       applied record, an own commit (the interlock orders it after every
       earlier write on the lock, so nothing is held under it), or the
-      checkpoint state a rejoin or resync seeds while nothing is held:
-      the receiver stays pinned from before their reload (a charged
-      reload sleeps) until the state is seeded, so nothing that arrives
+      checkpoint state a rejoin seeds while nothing is held: the
+      receiver stays pinned from before its reload (a charged reload
+      sleeps) until the state is seeded, so nothing that arrives
       meanwhile is held under a write the seeding jumps past. *)
 
 type t

@@ -272,7 +272,7 @@ let crash_rejoin =
 let checkpoint_under_faults =
   cluster_scenario ~name:"checkpoint-under-faults"
     ~descr:
-      "online checkpoints while a channel drops updates and a node is down"
+      "checkpoints while a channel drops updates and a node is down"
     (fun sched ->
       let config =
         {
@@ -292,20 +292,17 @@ let checkpoint_under_faults =
           done;
           Cluster.run ~until:100.0 c;
           Cluster.crash c ~node:4;
-          ignore (Cluster.online_checkpoint c);
+          ignore (Cluster.checkpoint c : int);
           Cluster.run ~until:900.0 c;
-          ignore (Cluster.online_checkpoint c);
+          ignore (Cluster.checkpoint c : int);
           Cluster.rejoin c ~node:4;
           Cluster.run c;
           final_pull c ~nodes ~locks:W.all_locks;
           oracle c ~nodes ~region_ids:[ 0; 1 ] ))
 
 (* Home-segment worker: each node writes only its own lock's slots, so
-   every slot has a single writer.  That makes a *single-node* fuzzy
-   checkpoint recovery-consistent: nothing a peer logged can land under
-   a record the checkpoint trimmed.  (The distributed online_checkpoint
-   gives the same guarantee for arbitrary workloads by trimming every
-   log at one consistent cut.) *)
+   every slot has a single writer and the rejoin's replay chains stay
+   disjoint, one per node. *)
 let worker_home c rng n iterations =
   let rng = Lbc_util.Rng.split rng in
   Cluster.spawn c ~node:n (fun node ->
@@ -318,7 +315,7 @@ let worker_home c rng n iterations =
         Lbc_sim.Proc.sleep (Lbc_util.Rng.float rng 20.0)
       done)
 
-(* Twin of the chaos rejoin-under-load test: fuzzy checkpoint persists a
+(* Twin of the chaos rejoin-under-load test: a checkpoint persists a
    region-index control record, the node crashes, rejoins and serves
    fresh load while chains replay on first touch and the background
    drain walks the rest — all interleaved with live peer traffic under
@@ -326,17 +323,11 @@ let worker_home c rng n iterations =
 let rejoin_under_load =
   cluster_scenario ~name:"rejoin-under-load"
     ~descr:
-      "fuzzy checkpoint, crash, then on-demand rejoin serving fresh load \
-       while peers keep writing (3 nodes)"
+      "checkpoint, crash, then on-demand rejoin serving fresh load while \
+       peers keep writing (3 nodes)"
     (fun sched ->
       let config =
-        {
-          Config.fault_tolerant with
-          Config.lease_timeout = 400.0;
-          Config.ckpt_slice_bytes = 128;
-          Config.ckpt_slice_interval = 20.0;
-          Config.ckpt_gossip_delay = 50.0;
-        }
+        { Config.fault_tolerant with Config.lease_timeout = 400.0 }
       in
       let nodes = 3 in
       let c = W.mk_cluster config ~sched ~nodes in
@@ -347,7 +338,7 @@ let rejoin_under_load =
             worker_home c rng n 10
           done;
           Cluster.run c;
-          Cluster.fuzzy_checkpoint c ~node:0;
+          ignore (Cluster.checkpoint c : int);
           Cluster.run c;
           (* A post-checkpoint tail for the persisted index to extend. *)
           for n = 0 to nodes - 1 do

@@ -332,8 +332,9 @@ let merged d =
 let arg_label = function
   | "lock.wait" | "interlock" | "token.pass" -> Some "lock"
   | "net.send" | "net.deliver" | "net.drop" | "log.append" | "log.ctrl"
-  | "log.flush" | "ckpt" ->
+  | "log.flush" ->
       Some "bytes"
+  | "replay-chain" | "ckpt" -> Some "records"
   | "apply" | "hold" -> Some "writer"
   | "crash" | "rejoin" -> Some "epoch"
   | _ -> None

@@ -15,7 +15,6 @@ val map : id:int -> db:Lbc_storage.Dev.t -> size:int -> t
 
 val id : t -> int
 val size : t -> int
-val db : t -> Lbc_storage.Dev.t
 
 val read : t -> offset:int -> len:int -> Bytes.t
 (** Copy out of the in-memory image. *)
@@ -31,16 +30,14 @@ val set_u64 : t -> offset:int -> int64 -> unit
 val mem : t -> declare:(offset:int -> len:int -> unit) -> Lbc_util.Mem.t
 (** The shared accessor over the live image itself: reads go straight to
     it; a store runs [declare] (the owner's write declaration, e.g. a
-    transaction's [set_range]), marks the dirty extent, then lands. *)
-
-val flush_to_db : t -> unit
-(** Write the full in-memory image to the database device and sync it —
-    the checkpoint step of log truncation.  Clears the dirty extent. *)
+    transaction's [set_range]), then lands. *)
 
 val reload_from_db : t -> unit
 (** Replace the in-memory image with the database device's current
-    contents (zero-filling any shortfall) — the resynchronization step
-    after a distributed checkpoint.  Clears the dirty extent. *)
+    contents (zero-filling any shortfall) — a rejoin's reload of the
+    last checkpoint's image.  The cache is never written back: only a
+    cluster checkpoint's replay of merged log records writes the
+    database. *)
 
 (** {1 On-demand recovery state}
 
@@ -52,27 +49,3 @@ val reload_from_db : t -> unit
 val set_cold : t -> unit
 val set_warm : t -> unit
 val is_warm : t -> bool
-
-(** {1 Dirty tracking}
-
-    Every {!write}/{!set_u64} and every store through {!mem} extends a
-    single dirty extent; a fuzzy
-    checkpoint flushes only that extent, in bounded slices, instead of
-    stop-the-world writing whole region images. *)
-
-val is_dirty : t -> bool
-val dirty_bytes : t -> int
-(** Bytes in the dirty extent (0 when clean). *)
-
-val dirty_extent : t -> (int * int) option
-(** The extent as [Some (lo, hi)] ([lo] inclusive, [hi] exclusive). *)
-
-val flush_dirty : t -> unit
-(** Write only the dirty extent to the database device and sync it; no-op
-    when clean.  Clears the extent. *)
-
-val flush_slice : t -> max_bytes:int -> int
-(** Incremental flush: write up to [max_bytes] from the low end of the
-    dirty extent to the database device ({e without} syncing) and shrink
-    the extent.  Returns the bytes written (0 when clean).  The caller
-    syncs the device once the extent is drained. *)

@@ -42,10 +42,6 @@ type stats = {
   mutable records_applied : int;
   mutable bytes_applied : int;
   mutable unmapped_ranges : int;
-  mutable truncations : int;
-  mutable checkpoints : int;
-  mutable ckpt_slices : int;
-  mutable ckpt_bytes_flushed : int;
 }
 
 let fresh_stats () =
@@ -62,10 +58,6 @@ let fresh_stats () =
     records_applied = 0;
     bytes_applied = 0;
     unmapped_ranges = 0;
-    truncations = 0;
-    checkpoints = 0;
-    ckpt_slices = 0;
-    ckpt_bytes_flushed = 0;
   }
 
 type t = {
@@ -74,8 +66,6 @@ type t = {
   options : options;
   regions : (int, Region.t) Hashtbl.t;
   mutable next_tid : int;
-  mutable next_ckpt_id : int;
-  mutable live_txns : int;
   stats : stats;
 }
 
@@ -98,8 +88,6 @@ let init ?(options = default_options) ~node ~log_dev () =
     options;
     regions = Hashtbl.create 4;
     next_tid = 1;
-    next_ckpt_id = 1;
-    live_txns = 0;
     stats = fresh_stats ();
   }
 
@@ -124,14 +112,9 @@ let regions t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.regions []
   |> List.sort (fun a b -> Int.compare (Region.id a) (Region.id b))
 
-let live_txns t = t.live_txns
-
-let clear_live_txns t = t.live_txns <- 0
-
 let begin_txn ?(restore = No_restore) t =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
-  t.live_txns <- t.live_txns + 1;
   {
     owner = t;
     tid;
@@ -295,10 +278,6 @@ let commit_full txn =
   let value, n_ranges, bytes = build_record txn in
   let t = txn.owner in
   let record = choose_encoding t txn value in
-  (* The record is built: region memory no longer holds uncommitted stores
-     from this transaction, so a fuzzy checkpoint may cut slices while we
-     wait (below) for the log write to become durable. *)
-  t.live_txns <- t.live_txns - 1;
   t.options.instrumentation.on_commit_collect ~ranges:n_ranges ~bytes;
   t.stats.commits <- t.stats.commits + 1;
   (* Range/byte stats always count the value equivalents: they measure
@@ -327,7 +306,6 @@ let abort txn =
   (* Undo copies are newest-first; restoring in that order rewinds
      overlapping captures correctly. *)
   List.iter (fun (reg, offset, old) -> Region.write reg ~offset old) txn.undo;
-  txn.owner.live_txns <- txn.owner.live_txns - 1;
   txn.owner.stats.aborts <- txn.owner.stats.aborts + 1
 
 let is_live txn = txn.live
@@ -349,94 +327,3 @@ let apply_record t record =
   t.stats.records_applied <- t.stats.records_applied + 1;
   t.stats.bytes_applied <- t.stats.bytes_applied + !bytes;
   t.options.instrumentation.on_apply ~ranges:!n ~bytes:!bytes
-
-let truncate t =
-  (* WAL first: an open group-commit batch may hold records whose effects
-     are already in region memory; flushing the images before those records
-     are durable would put unlogged data in the database. *)
-  Lbc_wal.Log.force t.log;
-  Hashtbl.iter (fun _ reg -> Region.flush_to_db reg) t.regions;
-  (* The trim is clamped inside [set_head] to the log's low-water mark, so
-     records a peer may still re-fetch (repair retention) survive. *)
-  ignore (Lbc_wal.Log.set_head t.log (Lbc_wal.Log.tail t.log) : int);
-  t.stats.truncations <- t.stats.truncations + 1
-
-let maybe_truncate t ~high_water =
-  if Lbc_wal.Log.live_bytes t.log > high_water then begin
-    truncate t;
-    true
-  end
-  else false
-
-type ckpt_outcome = {
-  ckpt_id : int;
-  trimmed_to : int;
-  slices : int;
-  bytes_flushed : int;
-}
-
-let rec wait_quiescent t ~yield =
-  if t.live_txns > 0 then begin
-    yield ();
-    wait_quiescent t ~yield
-  end
-
-let fuzzy_checkpoint ?(slice_bytes = 4096) ?(yield = fun () -> ()) t =
-  if slice_bytes <= 0 then
-    invalid_arg "Rvm.fuzzy_checkpoint: slice_bytes must be positive";
-  let ckpt_id = t.next_ckpt_id in
-  t.next_ckpt_id <- ckpt_id + 1;
-  (* Everything committed so far — including an open group-commit batch —
-     becomes durable before the begin marker. *)
-  Lbc_wal.Log.force t.log;
-  let start =
-    Lbc_wal.Log.append_ctrl t.log
-      { Lbc_wal.Record.kind = Lbc_wal.Record.Ckpt_begin; node = t.node;
-        ckpt_id; entries = [] }
-  in
-  Lbc_wal.Log.force t.log;
-  (* Pin the head: a crash before the end marker is durable must replay
-     from the previous checkpoint, because the region images are about to
-     become a mix of old and new bytes. *)
-  Lbc_wal.Log.set_ckpt_water t.log (Lbc_wal.Log.head t.log);
-  let slices = ref 0 and bytes = ref 0 in
-  List.iter
-    (fun reg ->
-      while Region.is_dirty reg do
-        (* Cut slices only at transaction-quiescent instants: region
-           memory otherwise holds uncommitted stores, and this is a
-           redo-only log (recovery cannot undo them). *)
-        wait_quiescent t ~yield;
-        let n = Region.flush_slice reg ~max_bytes:slice_bytes in
-        incr slices;
-        bytes := !bytes + n;
-        if Region.is_dirty reg then yield ()
-        else begin
-          (* WAL first: the records covering the captured bytes must be
-             durable before the image bytes are. *)
-          Lbc_wal.Log.force t.log;
-          Lbc_storage.Dev.sync (Region.db reg)
-        end
-      done)
-    (regions t);
-  ignore
-    (Lbc_wal.Log.append_ctrl t.log
-       { Lbc_wal.Record.kind = Lbc_wal.Record.Ckpt_end; node = t.node;
-         ckpt_id; entries = [] }
-      : int);
-  Lbc_wal.Log.force t.log;
-  Lbc_wal.Log.set_ckpt_water t.log max_int;
-  let trimmed_to = Lbc_wal.Log.set_head t.log start in
-  (* Persist the replay-partition index over the post-trim live tail
-     (alongside the end marker) so a rejoining node can serve on demand
-     without re-partitioning the tail it already checkpointed. *)
-  let idx, _ = Lbc_wal.Region_index.of_log t.log in
-  ignore
-    (Lbc_wal.Log.append_ctrl t.log
-       (Lbc_wal.Region_index.to_ctrl idx ~node:t.node ~ckpt_id)
-      : int);
-  Lbc_wal.Log.force t.log;
-  t.stats.checkpoints <- t.stats.checkpoints + 1;
-  t.stats.ckpt_slices <- t.stats.ckpt_slices + !slices;
-  t.stats.ckpt_bytes_flushed <- t.stats.ckpt_bytes_flushed + !bytes;
-  { ckpt_id; trimmed_to; slices = !slices; bytes_flushed = !bytes }

@@ -98,7 +98,7 @@ val set_u64 : txn -> region:int -> offset:int -> int64 -> unit
 val mem : txn -> region:int -> Lbc_util.Mem.t
 (** The transaction's accessor to a mapped region ({!Region.mem}): reads
     go straight to region memory; a store first declares its range with
-    {!set_range}, then lands and marks the region dirty.
+    {!set_range}, then lands.
     @raise Txn_error if the region is not mapped. *)
 
 val set_lock : txn -> lock_id:int -> seqno:int -> prev_write_seq:int -> unit
@@ -139,15 +139,6 @@ val abort : txn -> unit
 
 val is_live : txn -> bool
 
-val live_txns : t -> int
-(** Transactions begun but not yet committed/aborted — the quantity a
-    fuzzy checkpoint waits on before cutting a slice. *)
-
-val clear_live_txns : t -> unit
-(** Reset the live-transaction count to zero.  For crash recovery only:
-    a simulated node crash kills processes mid-transaction, and those
-    transactions will never commit or abort. *)
-
 (** {1 Applying records} *)
 
 val apply_record : t -> Lbc_wal.Record.txn -> unit
@@ -165,49 +156,6 @@ val apply_record : t -> Lbc_wal.Record.txn -> unit
     @raise Lbc_wal.Command.Undeclared_region for an operation that
     touches a region outside its record's [cmd_regions]. *)
 
-(** {1 Checkpointing} *)
-
-val truncate : t -> unit
-(** Stop-the-world log truncation: force the log (flushing any open
-    group-commit batch — write-ahead order), flush every mapped region
-    image to its database device (synchronously), and trim the log.  The
-    trim is clamped to the log's low-water mark, so records a peer may
-    still re-fetch under repair retention survive.  Correct for a single
-    node; in the distributed case logs must be merged first (see
-    [Lbc_core.Merge]), which is why the paper's prototype trims offline. *)
-
-val maybe_truncate : t -> high_water:int -> bool
-(** Truncate iff the live log exceeds [high_water] bytes; returns whether
-    it did.  This is RVM's high-water-mark trigger. *)
-
-type ckpt_outcome = {
-  ckpt_id : int;
-  trimmed_to : int;  (** head offset after the final (clamped) trim *)
-  slices : int;
-  bytes_flushed : int;
-}
-
-val fuzzy_checkpoint :
-  ?slice_bytes:int -> ?yield:(unit -> unit) -> t -> ckpt_outcome
-(** Incremental (fuzzy) checkpoint, interleaved with commits:
-
-    + force the log and append a durable [Ckpt_begin] marker at [start];
-    + for each dirty region, flush the dirty extent in slices of at most
-      [slice_bytes] (default 4096), calling [yield] between slices so
-      committing transactions can run; each slice is cut only at a
-      transaction-quiescent instant (redo-only logging cannot undo
-      uncommitted stores at recovery), and the log is forced before each
-      region device sync (write-ahead order);
-    + append a durable [Ckpt_end] marker and trim the log to [start],
-      clamped to the low-water mark.
-
-    While the flush is in flight the head is pinned: a crash before the
-    end marker is durable recovers from the {e previous} checkpoint,
-    since the region images are a fuzzy mix of old and new bytes.
-    [yield] defaults to a no-op, which is only adequate when no
-    transaction is live (e.g. unit tests); simulated nodes pass
-    [Proc.sleep]/[Proc.yield]. *)
-
 (** {1 Statistics} *)
 
 type stats = {
@@ -224,10 +172,6 @@ type stats = {
   mutable bytes_applied : int;
   mutable unmapped_ranges : int;
       (** ranges received for regions this node has not mapped *)
-  mutable truncations : int;
-  mutable checkpoints : int;  (** completed fuzzy checkpoints *)
-  mutable ckpt_slices : int;
-  mutable ckpt_bytes_flushed : int;
 }
 
 val stats : t -> stats

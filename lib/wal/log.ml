@@ -34,10 +34,6 @@ type t = {
   mutable retention_water : int;
       (* trim barrier: offset of the oldest record a peer may still
          re-fetch (repair retention); [max_int] means unconstrained *)
-  mutable ckpt_water : int;
-      (* trim barrier held by an in-progress fuzzy checkpoint: until its
-         end marker is durable, recovery still needs the records behind
-         the partially-flushed region images; [max_int] when none *)
   enc : Codec.writer;  (* reused arena for direct appends *)
   mutable group : group option;
   mutable obs : Obs.t;
@@ -114,8 +110,7 @@ let attach dev =
   if size = 0 then begin
     let t =
       { dev; head = header_size; tail = header_size; record_count = 0;
-        retention_water = max_int; ckpt_water = max_int;
-        enc = Codec.writer ~capacity:1024 ();
+        retention_water = max_int; enc = Codec.writer ~capacity:1024 ();
         group = None; obs = Obs.disabled; obs_node = 0 }
     in
     write_header t;
@@ -130,11 +125,14 @@ let attach dev =
     if m <> log_magic then raise (Bad_log "bad magic");
     let v = Codec.get_u32 r in
     if v <> version then raise (Bad_log (Printf.sprintf "bad version %d" v));
-    let head = Codec.get_int_as_u64 r in
+    let head =
+      (* A head with its top bit set is no offset at all. *)
+      try Codec.get_int_as_u64 r
+      with Codec.Truncated _ -> raise (Bad_log "bad head offset")
+    in
     if head < header_size || head > size then raise (Bad_log "bad head offset");
     let tail, count = scan_tail dev ~from:head in
-    { dev; head; tail; record_count = count;
-      retention_water = max_int; ckpt_water = max_int;
+    { dev; head; tail; record_count = count; retention_water = max_int;
       enc = Codec.writer ~capacity:1024 (); group = None;
       obs = Obs.disabled; obs_node = 0 }
   end
@@ -158,11 +156,11 @@ let head t = t.head
 let tail t = t.tail
 let live_bytes t = t.tail - t.head
 let record_count t = t.record_count
-let low_water t = min t.retention_water t.ckpt_water
+let low_water t = t.retention_water
 
-let clamp_water off = if off >= max_int then max_int else max header_size off
-let set_retention_water t off = t.retention_water <- clamp_water off
-let set_ckpt_water t off = t.ckpt_water <- clamp_water off
+let set_retention_water t off =
+  t.retention_water <-
+    (if off >= max_int then max_int else max header_size off)
 
 (* ---------------------------------------------------------------- *)
 (* Group commit *)
@@ -305,8 +303,8 @@ let set_head t off =
   if off < header_size || off > t.tail then
     invalid_arg (Printf.sprintf "Log.set_head: offset %d out of [%d,%d]"
                    off header_size t.tail);
-  (* Trimming is clamped to the low-water mark (retention / checkpoint
-     start) and never moves the head backwards over already-dead space. *)
+  (* Trimming is clamped to the retention mark and never moves the head
+     backwards over already-dead space. *)
   let off = max t.head (min off (low_water t)) in
   t.head <- off;
   write_header t;

@@ -55,8 +55,7 @@ val tail : t -> int
 (** Offset where the next record will be appended. *)
 
 val live_bytes : t -> int
-(** [tail - head]: bytes of live log, the quantity RVM's high-water-mark
-    trimming watches. *)
+(** [tail - head]: bytes of live log. *)
 
 val record_count : t -> int
 (** Number of live records appended or scanned since attach. *)
@@ -93,29 +92,21 @@ val records_batched : t -> int
 (** Per-log group-commit accounting (0 when disabled). *)
 
 val set_head : t -> int -> int
-(** Trim the log head (checkpoint); durable immediately.  The requested
-    offset must lie in [[header_size, tail]]; the head actually installed
-    is clamped to the {!low_water} mark and never moves backwards, and is
-    returned.  With no low-water constraint the result equals the
-    request. *)
+(** Trim the log head (a cluster checkpoint's trim); durable
+    immediately.  The requested offset must lie in [[header_size, tail]];
+    the head actually installed is clamped to the {!low_water} mark and
+    never moves backwards, and is returned.  With no low-water constraint
+    the result equals the request. *)
 
 val low_water : t -> int
-(** Current effective trim barrier: the minimum of the retention and
-    checkpoint waters; [max_int] when unconstrained. *)
+(** The trim barrier {!set_retention_water} installed; [max_int] when
+    unconstrained. *)
 
 val set_retention_water : t -> int -> unit
 (** Install the repair-retention barrier: subsequent {!set_head} calls
     will not advance the head past this offset.  Owners keep it at the
     oldest own record some peer may still need re-sent or fetched; pass
     [max_int] to lift the constraint. *)
-
-val set_ckpt_water : t -> int -> unit
-(** Install the fuzzy-checkpoint barrier.  While a checkpoint's region
-    flushes are in flight the head must not move at all (a mid-checkpoint
-    crash replays from the {e previous} checkpoint), so the checkpointer
-    pins this at the current head and lifts it ([max_int]) only once the
-    end marker is durable. *)
-
 
 type scan_status = Clean | Torn_at of int * string
 

@@ -126,10 +126,9 @@ let encoded_size t =
       + ranges + 4
 
 (* Control records share the log's framing (magic, total length, CRC)
-   but carry no transaction: they bracket a fuzzy checkpoint so recovery
-   and the offline verifier can see where an in-place flush of the region
-   images started and whether it completed.  They use their own magic so
-   the transaction encoding — pinned by golden vectors — is untouched. *)
+   but carry no transaction.  They use their own magic so the
+   transaction encoding — pinned by golden vectors — is untouched.  The
+   checkpoint markers still decode, though nothing writes them now. *)
 type ctrl_kind = Ckpt_begin | Ckpt_end | Region_index
 type index_entry = { keys : int list; offsets : int list }
 

@@ -85,16 +85,17 @@ val encode_into : Lbc_util.Codec.writer -> txn -> unit
 
     Marker records sharing the log's framing (own magic, total length,
     CRC) but carrying no transaction, so the transaction encoding —
-    pinned by golden vectors — is unchanged.  Scans skip them; the
-    offline verifier reads them to detect a head trimmed past an
-    incomplete checkpoint.
+    pinned by golden vectors — is unchanged.  Scans skip them.
 
-    [Ckpt_begin]/[Ckpt_end] bracket a fuzzy checkpoint and keep their
-    original fixed-size encoding.  [Region_index] is variable-length: it
+    [Ckpt_begin]/[Ckpt_end] are checkpoint markers of a fixed-size
+    encoding; they still decode, so older logs read unchanged, but
+    nothing writes them now.  [Region_index] is variable-length: it
     persists the replay-partition index over the live log tail (the
     union-find closure of lock∪region keys), one entry per independent
     chain, so a rejoining node can start serving on demand without
-    re-partitioning the tail it already checkpointed. *)
+    re-partitioning the tail it already checkpointed.
+    [Lbc_core.Cluster.checkpoint] writes one over each log tail that
+    survives its trim. *)
 
 type ctrl_kind = Ckpt_begin | Ckpt_end | Region_index
 
@@ -108,8 +109,8 @@ type index_entry = {
 
 type ctrl = {
   kind : ctrl_kind;
-  node : int;  (** node performing the checkpoint *)
-  ckpt_id : int;  (** node-local checkpoint number, pairs begin/end *)
+  node : int;  (** node whose log holds the record *)
+  ckpt_id : int;  (** number of the checkpoint that wrote it *)
   entries : index_entry list;
       (** [Region_index] payload; must be [[]] for checkpoint markers *)
 }

@@ -9,9 +9,9 @@
    is replay order.  [Lbc_core.Merge.partition] is this index over the
    positions of a merged record stream.
 
-   The index is persisted as a [Region_index] control record alongside a
-   checkpoint's end marker ({!to_ctrl}/{!of_entries}) and extended
-   incrementally at attach time with the records appended since
+   The index is persisted as a [Region_index] control record over each
+   log tail a checkpoint's trim leaves ({!to_ctrl}/{!of_entries}) and
+   extended incrementally at attach time with the records appended since
    ({!of_log}), so a rejoining node never re-partitions the tail it
    already checkpointed. *)
 

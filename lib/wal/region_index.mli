@@ -7,8 +7,9 @@
     disjoint regions under disjoint locks and replay independently;
     within a chain, offset order is replay order.
 
-    Persisted as a {!Record.Region_index} control record alongside a
-    checkpoint's end marker and extended incrementally at attach time,
+    Persisted as a {!Record.Region_index} control record over each log
+    tail a checkpoint's trim leaves, and extended incrementally at
+    attach time,
     so a rejoining node starts serving on demand without re-partitioning
     the tail it already checkpointed. *)
 

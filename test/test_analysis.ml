@@ -479,6 +479,178 @@ let test_oo7_adaptive_logs_verify () =
     (List.exists (fun (t : R.txn) -> t.R.cmd <> None) records);
   check_no_violations "adaptive OO7 logs verify" (Invariants.check_logs logs)
 
+(* ------------------------------------------------------------------ *)
+(* lbc-check verify under hostile log images *)
+
+module Cluster = Lbc_core.Cluster
+module Node = Lbc_core.Node
+module Log = Lbc_wal.Log
+
+let verify_op = 957
+
+(* Two nodes' log images as the CLI reads them: value records, command
+   records and, over the tail the retention marks kept, the region-index
+   control record [Cluster.checkpoint] appends. *)
+let verify_images =
+  lazy
+    (Lbc_wal.Command.register ~op:verify_op ~name:"test-analysis-incr"
+       (fun mem ~params ->
+         let r = Lbc_util.Codec.reader params in
+         let region = Lbc_util.Codec.get_varint r in
+         let offset = Lbc_util.Codec.get_varint r in
+         let m = mem ~region in
+         Lbc_util.Mem.set_u64 m offset
+           (Int64.add (Lbc_util.Mem.get_u64 m offset) 1L));
+     let config =
+       { Lbc_core.Config.fault_tolerant with
+         Lbc_core.Config.log_mode = Lbc_wal.Command.Command }
+     in
+     let c = Cluster.create ~config ~nodes:2 () in
+     (* Node n writes region n under lock n, so a command's claim on its
+        whole region races with nothing. *)
+     for region = 0 to 1 do
+       Cluster.add_region c ~id:region ~size:256;
+       (* the database bytes the checkpoint's command replay reads *)
+       Lbc_storage.Dev.write (Cluster.region_dev c region) ~off:0
+         (Bytes.make 256 '\000') ~pos:0 ~len:256;
+       Cluster.map_region_all c ~region
+     done;
+     for n = 0 to 1 do
+       Cluster.spawn c ~node:n (fun node ->
+           for i = 1 to 3 do
+             let offset = 8 * i in
+             let txn = Node.Txn.begin_ node in
+             Node.Txn.acquire txn n;
+             let v = Node.Txn.get_u64 txn ~region:n ~offset in
+             Node.Txn.set_u64 txn ~region:n ~offset (Int64.add v 1L);
+             if i = 2 then begin
+               let w = Lbc_util.Codec.writer () in
+               Lbc_util.Codec.varint w n;
+               Lbc_util.Codec.varint w offset;
+               Node.Txn.set_command txn ~op:verify_op
+                 ~params:(Lbc_util.Codec.contents w) ~regions:[ n ]
+             end;
+             Node.Txn.commit txn
+           done)
+     done;
+     Cluster.run c;
+     ignore (Cluster.checkpoint c : int);
+     Cluster.run c;
+     Array.init 2 (fun n ->
+         Lbc_storage.Dev.snapshot
+           (Log.dev (Lbc_rvm.Rvm.log (Node.rvm (Cluster.node c n))))))
+
+(* Each record's (offset, total length) in a log image, walking from the
+   header over every framed record. *)
+let record_spans image =
+  let size = Bytes.length image in
+  let rec walk pos acc =
+    if pos + 8 > size then List.rev acc
+    else
+      let total = Int32.to_int (Bytes.get_int32_le image (pos + 4)) in
+      if total < 12 || pos + total > size then List.rev acc
+      else walk (pos + total) ((pos, total) :: acc)
+  in
+  Array.of_list (walk Log.header_size [])
+
+let load_image image =
+  let dev = Lbc_storage.Dev.create () in
+  Lbc_storage.Dev.load dev image;
+  match Log.attach dev with
+  | log -> Ok log
+  | exception Log.Bad_log why -> Error why
+
+let test_verify_inputs () =
+  Array.iter
+    (fun image ->
+      let log =
+        match load_image image with
+        | Ok log -> log
+        | Error why -> Alcotest.failf "clean image does not load: %s" why
+      in
+      let records, _ = Log.read_all log in
+      let indexed, _ =
+        Log.fold_ctrl log ~init:false (fun acc _ c ->
+            acc || c.R.kind = R.Region_index)
+      in
+      Alcotest.(check bool) "value records" true
+        (List.exists (fun (r : R.txn) -> r.R.cmd = None) records);
+      Alcotest.(check bool) "command records" true
+        (List.exists (fun (r : R.txn) -> r.R.cmd <> None) records);
+      Alcotest.(check bool) "a region-index ctrl" true indexed)
+    (Lazy.force verify_images);
+  check_no_violations "clean images verify"
+    (Invariants.check_logs
+       (Array.to_list
+          (Array.map
+             (fun image -> Result.get_ok (load_image image))
+             (Lazy.force verify_images))))
+
+(* One log image is mutated: 1-4 bytes of its header or of one record's
+   body, that record's CRC re-sealed so its body parser runs, and maybe
+   the image cut.  Loaded the CLI's way beside the other node's clean
+   image, [Invariants.check_logs] must answer a load error or a
+   violation list, raise nothing, and allocate no more than a fixed
+   multiple of the images' bytes. *)
+let prop_verify_hostile =
+  let gen =
+    QCheck.Gen.(
+      let* log = int_bound 1 in
+      let image = (Lazy.force verify_images).(log) in
+      let spans = record_spans image in
+      let value =
+        oneof [ int_bound 255; map (( lor ) 0x80) (int_bound 127); int_bound 3 ]
+      in
+      let* target = int_bound (Array.length spans) in
+      let lo, len =
+        if target = Array.length spans then (0, Log.header_size)
+        else
+          let pos, total = spans.(target) in
+          (pos + 8, total - 12)
+      in
+      let* edits = list_size (1 -- 4) (pair (int_bound (len - 1)) value) in
+      let* cut =
+        oneof [ return None; map Option.some (int_bound (Bytes.length image)) ]
+      in
+      return (log, target, List.map (fun (p, v) -> (lo + p, v)) edits, cut))
+  in
+  let print (log, target, edits, cut) =
+    Printf.sprintf "log %d, target %d, edits [%s], cut %s" log target
+      (String.concat ";"
+         (List.map (fun (p, v) -> Printf.sprintf "%d:=%d" p v) edits))
+      (match cut with Some n -> string_of_int n | None -> "none")
+  in
+  QCheck.Test.make ~name:"verify of hostile log images answers" ~count:10_000
+    (QCheck.make ~print gen) (fun (log, target, edits, cut) ->
+      let images = Array.map Bytes.copy (Lazy.force verify_images) in
+      let image = images.(log) in
+      List.iter (fun (p, v) -> Bytes.set_uint8 image p v) edits;
+      let spans = record_spans (Lazy.force verify_images).(log) in
+      if target < Array.length spans then begin
+        let pos, total = spans.(target) in
+        Bytes.set_int32_le image
+          (pos + total - 4)
+          (Lbc_util.Crc32.bytes image ~pos ~len:(total - 4))
+      end;
+      images.(log) <-
+        (match cut with Some n -> Bytes.sub image 0 n | None -> image);
+      let bytes = Array.fold_left (fun n b -> n + Bytes.length b) 0 images in
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      let loaded = Array.map load_image images in
+      (match
+         Array.fold_right
+           (fun l acc ->
+             match (l, acc) with
+             | Ok log, Ok logs -> Ok (log :: logs)
+             | Error why, _ | _, Error why -> Error why)
+           loaded (Ok [])
+       with
+      | Error (_ : string) -> ()
+      | Ok logs -> ignore (Invariants.check_logs logs : Violation.t list));
+      (* Clean and mutated cases allocate under 20 bytes per image byte. *)
+      Gc.allocated_bytes () -. before < (64.0 *. float_of_int bytes) +. 65536.0)
+
 let suites =
   [
     ( "analysis",
@@ -513,5 +685,11 @@ let suites =
           test_race_cmd_conservative;
         Alcotest.test_case "adaptive OO7 logs verify" `Quick
           test_oo7_adaptive_logs_verify;
+      ] );
+    ( "analysis.verify",
+      [
+        Alcotest.test_case "inputs hold every record kind" `Quick
+          test_verify_inputs;
+        QCheck_alcotest.to_alcotest prop_verify_hostile;
       ] );
   ]

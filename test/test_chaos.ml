@@ -122,11 +122,11 @@ let run_chaos ?scenario ~config ~nodes ~seed ~checkpoints () =
         worker c rng n 20
       done;
       if checkpoints then begin
-        (* Interleave online checkpoints with the running workload. *)
+        (* Interleave checkpoints with the running workload. *)
         Cluster.run ~until:300.0 c;
-        ignore (Cluster.online_checkpoint c);
+        ignore (Cluster.checkpoint c : int);
         Cluster.run ~until:600.0 c;
-        ignore (Cluster.online_checkpoint c)
+        ignore (Cluster.checkpoint c : int)
       end;
       Cluster.run c;
       Alcotest.(check bool) "caches converged" true (converged c nodes);
@@ -448,9 +448,9 @@ let test_chaos_traced () =
     "every flow resolves into an apply span" 0
     f.Lbc_obs.Explorer.fl_unresolved
 
-(* Online checkpoints must keep working while a channel is lossy and a
-   node is down: each call merges whatever prefix is orderable (possibly
-   empty) without corrupting anything. *)
+(* Checkpoints must keep working while a channel is lossy and a node is
+   down: each call merges whatever prefix is orderable (possibly empty)
+   without corrupting anything. *)
 let test_chaos_checkpoint_under_faults () =
   let seed = chaos_seed 1010 in
   with_repro ~scenario:"checkpoint-under-faults" ~seed @@ fun () ->
@@ -470,10 +470,10 @@ let test_chaos_checkpoint_under_faults () =
   done;
   Cluster.run ~until:100.0 c;
   Cluster.crash c ~node:4;
-  let ckpt1 = Cluster.online_checkpoint c in
+  let ckpt1 = Cluster.checkpoint c in
   Alcotest.(check bool) "checkpoint under faults returns" true (ckpt1 >= 0);
   Cluster.run ~until:900.0 c;
-  ignore (Cluster.online_checkpoint c);
+  ignore (Cluster.checkpoint c : int);
   Cluster.rejoin c ~node:4;
   Cluster.run c;
   final_pull c nodes;
@@ -481,19 +481,9 @@ let test_chaos_checkpoint_under_faults () =
   Alcotest.(check bool) "recovery matches" true (recovery_matches c)
 
 (* ----------------------------------------------------------------- *)
-(* Fuzzy checkpoints, retention clamping, partitioned recovery *)
+(* Checkpoints, retention clamping, partitioned recovery *)
 
 let log_of c n = Lbc_rvm.Rvm.log (Node.rvm (Cluster.node c n))
-
-let ctrl_counts log =
-  let counts, _ =
-    Lbc_wal.Log.fold_ctrl log ~init:(0, 0) (fun (b, e) _ c ->
-        match c.Lbc_wal.Record.kind with
-        | Lbc_wal.Record.Ckpt_begin -> (b + 1, e)
-        | Lbc_wal.Record.Ckpt_end -> (b, e + 1)
-        | Lbc_wal.Record.Region_index -> (b, e))
-  in
-  counts
 
 let crash_then_rejoin ?(after_rejoin = fun () -> ()) c ~node:n =
   Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"chaos-controller" (fun () ->
@@ -508,21 +498,15 @@ let crash_then_rejoin ?(after_rejoin = fun () -> ()) c ~node:n =
       rejoin_when_lease_expires ();
       after_rejoin ())
 
-(* Satellite regression (the PR's headline bugfix): a node-local
-   [Rvm.truncate] used to trim the log to its tail even when the repair
-   service still needed the records.  The sequence that exposed it: the
-   only update carrying a write is dropped, the writer truncates, then
-   crashes — its in-memory retained table dies — and rejoins, rebuilding
-   retention from whatever the log still holds.  If the truncate threw
-   the record away, the victim's repair fetch finds nothing and the
-   cluster strands; with the retention low-water clamp it converges. *)
-let test_chaos_truncate_respects_retention () =
-  let config =
-    {
-      Config.fault_tolerant with
-      Config.lease_timeout = 300.0;
-    }
-  in
+(* A checkpoint replays a write into the database, but its trim stops at
+   the writer's retention mark while a live peer has not applied it.  The
+   sequence: the only update carrying the write is dropped, a checkpoint
+   runs, then the writer crashes (its in-memory retention dies) and
+   rejoins, rebuilding retention from its log.  The checkpoint state it
+   rejoins with already covers the write, yet the victim's repair fetch
+   must still find it there. *)
+let test_chaos_checkpoint_respects_retention () =
+  let config = { Config.fault_tolerant with Config.lease_timeout = 300.0 } in
   let nodes = 2 in
   let c = mk_cluster config nodes in
   (* Node 1 writes; its updates to node 0 vanish.  Lock 0 is managed by
@@ -532,19 +516,25 @@ let test_chaos_truncate_respects_retention () =
       let txn = Node.Txn.begin_ node in
       Node.Txn.acquire txn 0;
       Node.Txn.set_u64 txn ~region:0 ~offset:0 77L;
-      Node.Txn.commit txn;
-      (* Node-local stop-the-world truncation right after the commit. *)
-      Lbc_rvm.Rvm.truncate (Node.rvm node));
+      Node.Txn.commit txn);
   Cluster.run c;
+  Alcotest.(check int) "checkpoint replays the write" 1 (Cluster.checkpoint c);
+  Cluster.run c;
+  let log1 = log_of c 1 in
   Alcotest.(check bool)
     "retention clamp kept the unacked record" true
-    (Lbc_wal.Log.record_count (log_of c 1) > 0);
+    (Lbc_wal.Log.record_count log1 > 0);
+  let indexed, _ =
+    Lbc_wal.Log.fold_ctrl log1 ~init:false (fun acc _ ctrl ->
+        acc || ctrl.Lbc_wal.Record.kind = Lbc_wal.Record.Region_index)
+  in
+  Alcotest.(check bool) "surviving tail indexed" true indexed;
   crash_then_rejoin c ~node:1;
   Cluster.run c;
   Alcotest.(check bool) "writer is back" false (Cluster.is_crashed c 1);
   (* The victim pulls the write: the interlock parks it until the repair
-     watchdog fetches the record the writer retained across the
-     truncate+crash. *)
+     watchdog fetches the record the writer kept across the checkpoint
+     and the crash. *)
   Cluster.spawn c ~node:0 (fun node ->
       let txn = Node.Txn.begin_ node in
       Node.Txn.acquire txn 0;
@@ -553,21 +543,21 @@ let test_chaos_truncate_respects_retention () =
       Node.Txn.commit txn);
   Cluster.run c;
   Alcotest.(check bool) "caches converged" true (converged c nodes);
-  check_logs_clean "logs clean after truncate+crash+repair" c nodes
+  check_logs_clean "logs clean after checkpoint+crash+repair" c nodes
 
-(* Satellite: crash in the middle of a fuzzy checkpoint — after the
-   Ckpt_begin marker is durable, before the Ckpt_end — then recover.
-   The pinned ckpt water kept the log untrimmed, so replay from the
-   previous checkpoint covers the fuzzy half-flushed images; rejoin
-   lifts the abandoned pin. *)
-let test_chaos_crash_mid_fuzzy_checkpoint () =
+(* A node crashes while a charged checkpoint replays into the database,
+   and its lease runs out long before the replay ends.  The rejoin is
+   refused until the checkpoint is done, so it never reloads an image
+   ahead of the checkpoint table; then everything converges, and
+   recovery over the trimmed logs reproduces the caches.  The workload
+   finishes first: survivors waiting on a lock while its manager is down
+   this long strand with or without a checkpoint (CHANGES.md, FOUND). *)
+let test_chaos_crash_mid_checkpoint () =
   let config =
     {
       Config.fault_tolerant with
+      Config.charge_costs = true;
       Config.lease_timeout = 400.0;
-      Config.ckpt_slice_bytes = 64;
-      Config.ckpt_slice_interval = 50.0;
-      Config.ckpt_gossip_delay = 100.0;
     }
   in
   let nodes = 3 in
@@ -576,67 +566,54 @@ let test_chaos_crash_mid_fuzzy_checkpoint () =
   for n = 0 to nodes - 1 do
     worker c rng n 15
   done;
-  Cluster.run ~until:200.0 c;
-  Cluster.fuzzy_checkpoint c ~node:0;
-  (* Step the clock until the checkpoint is mid-flight: a live begin
-     marker with no matching end. *)
-  let deadline = ref 250.0 in
-  while
-    (let b, e = ctrl_counts (log_of c 0) in
-     b <= e)
-    && !deadline < 20_000.0
-  do
-    deadline := !deadline +. 25.0;
-    Cluster.run ~until:!deadline c
-  done;
-  let b, e = ctrl_counts (log_of c 0) in
-  Alcotest.(check bool) "checkpoint is mid-flight" true (b > e);
-  crash_then_rejoin c ~node:0;
   Cluster.run c;
-  Alcotest.(check bool) "node is back up" false (Cluster.is_crashed c 0);
+  let replayed = ref 0 and refused = ref 0 in
+  Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"checkpointer" (fun () ->
+      replayed := Cluster.checkpoint c);
+  Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"chaos-controller" (fun () ->
+      Cluster.crash c ~node:2;
+      let rec rejoin_when_allowed () =
+        match Cluster.rejoin c ~node:2 with
+        | () -> ()
+        | exception Invalid_argument why ->
+            if contains why "checkpoint" then incr refused;
+            Lbc_sim.Proc.sleep 50.0;
+            rejoin_when_allowed ()
+      in
+      rejoin_when_allowed ());
+  Cluster.run c;
+  Alcotest.(check bool) "checkpoint replayed records" true (!replayed > 0);
+  Alcotest.(check bool) "rejoin refused while it replayed" true (!refused > 0);
+  Alcotest.(check bool) "node is back up" false (Cluster.is_crashed c 2);
   final_pull c nodes;
   Alcotest.(check bool) "caches converged" true (converged c nodes);
   Alcotest.(check bool) "recovery matches" true (recovery_matches c);
-  check_logs_clean "logs clean after mid-ckpt crash" c nodes;
-  (* The orphaned begin marker is still live (never trimmed past), and
-     the end marker never made it. *)
-  let b', e' = ctrl_counts (log_of c 0) in
-  Alcotest.(check bool) "begin survives, end absent" true (b' > e')
+  check_logs_clean "logs clean after a crash mid-checkpoint" c nodes
 
-(* A fuzzy checkpoint on a live cluster trims the log incrementally and
-   leaves both markers at the head; everything still converges and
-   server-side recovery over the trimmed log reproduces the caches. *)
-let test_chaos_fuzzy_checkpoint_trims () =
-  let config =
-    {
-      Config.default with
-      Config.ckpt_slice_bytes = 128;
-      Config.ckpt_slice_interval = 20.0;
-      Config.ckpt_gossip_delay = 50.0;
-    }
-  in
+(* The checkpoint on a live cluster whose slots have many writers: every
+   log trims past what the merge replayed, and recovery over the trimmed
+   logs reproduces the caches. *)
+let test_chaos_checkpoint_trims () =
   let nodes = 3 in
-  let c = mk_cluster config nodes in
+  let c = mk_cluster Config.default nodes in
   let rng = Lbc_util.Rng.create 1313 in
   for n = 0 to nodes - 1 do
     worker c rng n 15
   done;
   Cluster.run ~until:300.0 c;
-  Cluster.fuzzy_checkpoint c ~node:0;
+  Alcotest.(check bool) "records replayed" true (Cluster.checkpoint c > 0);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "log %d head advanced" n)
+        true
+        (Lbc_wal.Log.head (log_of c n) > Lbc_wal.Log.header_size))
+    (List.init nodes Fun.id);
   Cluster.run c;
-  let log0 = log_of c 0 in
-  Alcotest.(check bool) "log head advanced" true
-    (Lbc_wal.Log.head log0 > Lbc_wal.Log.header_size);
-  let b, e = ctrl_counts log0 in
-  Alcotest.(check (pair int int)) "begin and end markers live" (1, 1) (b, e);
-  Alcotest.(check int) "water lifted" max_int (Lbc_wal.Log.low_water log0);
-  Alcotest.(check bool) "several slices ran" true
-    ((Lbc_rvm.Rvm.stats (Node.rvm (Cluster.node c 0))).Lbc_rvm.Rvm.ckpt_slices
-    > 1);
   Alcotest.(check bool) "caches converged" true (converged c nodes);
-  Alcotest.(check bool) "recovery over trimmed log matches" true
+  Alcotest.(check bool) "recovery over trimmed logs matches" true
     (recovery_matches c);
-  check_logs_clean "logs clean after fuzzy checkpoint" c nodes
+  check_logs_clean "logs clean after checkpoint" c nodes
 
 (* Partitioned replay: same recovered bytes as serial replay, in less
    virtual time.  Home-segment workload so the lock/region closure splits
@@ -695,12 +672,8 @@ let test_chaos_partitioned_recovery () =
    recovered database matching the caches byte for byte.  The restarted
    node's first commit feeds [time_to_first_commit_us].
 
-   Home-segment workload (each node writes only its own lock's slots):
-   a single-node fuzzy checkpoint is only recovery-consistent when the
-   trimmed records have no older cross-node writes beneath them, which
-   single-writer slots guarantee (the distributed [online_checkpoint]
-   guarantees it for arbitrary workloads by trimming every log at one
-   consistent cut). *)
+   Home-segment workload (each node writes only its own lock's slots),
+   so the rejoin's replay chains stay disjoint, one per node. *)
 let worker_home c rng n iterations =
   let rng = Lbc_util.Rng.split rng in
   Cluster.spawn c ~node:n (fun node ->
@@ -716,15 +689,7 @@ let worker_home c rng n iterations =
 let test_chaos_ondemand_rejoin () =
   let seed = chaos_seed 1515 in
   with_repro ~scenario:"rejoin-under-load" ~seed @@ fun () ->
-  let config =
-    {
-      Config.fault_tolerant with
-      Config.lease_timeout = 400.0;
-      Config.ckpt_slice_bytes = 128;
-      Config.ckpt_slice_interval = 20.0;
-      Config.ckpt_gossip_delay = 50.0;
-    }
-  in
+  let config = { Config.fault_tolerant with Config.lease_timeout = 400.0 } in
   let nodes = 3 in
   let c = mk_cluster config nodes in
   let rng = Lbc_util.Rng.create seed in
@@ -732,9 +697,9 @@ let test_chaos_ondemand_rejoin () =
     worker_home c rng n 10
   done;
   Cluster.run c;
-  (* Persist a region-index control record with a fuzzy checkpoint so
-     the rejoin seeds its chains from it instead of rescanning... *)
-  Cluster.fuzzy_checkpoint c ~node:0;
+  (* Persist a region-index control record with a checkpoint so the
+     rejoin seeds its chains from it instead of rescanning... *)
+  ignore (Cluster.checkpoint c : int);
   Cluster.run c;
   (* ...then grow a post-checkpoint tail for the index to extend over. *)
   for n = 0 to nodes - 1 do
@@ -759,6 +724,69 @@ let test_chaos_ondemand_rejoin () =
       Alcotest.(check bool) "time to first commit observed" true
         (Lbc_obs.Obs.Histogram.count h > 0)
   | None -> Alcotest.fail "no time_to_first_commit_us histogram"
+
+(* The recovery spans carry record counts: each replay-chain span's
+   argument is its chain's length, so after an on-demand rejoin the
+   spans on the node's ring sum to the records its index covered, and
+   the checkpoint's instant carries the records it replayed.  The ring
+   holds the whole run, so no span is dropped. *)
+let test_chaos_replay_chain_args () =
+  let module FD = Lbc_obs.Flight_dump in
+  let config =
+    {
+      Config.fault_tolerant with
+      Config.lease_timeout = 400.0;
+      Config.flight_ring_bytes = 1 lsl 20;
+    }
+  in
+  let nodes = 3 in
+  let c = mk_cluster config nodes in
+  let rng = Lbc_util.Rng.create 1616 in
+  for n = 0 to nodes - 1 do
+    worker_home c rng n 10
+  done;
+  Cluster.run c;
+  let replayed = Cluster.checkpoint c in
+  Cluster.run c;
+  for n = 0 to nodes - 1 do
+    worker_home c rng n 10
+  done;
+  Cluster.run c;
+  let idx, _ = Lbc_wal.Region_index.of_log (log_of c 0) in
+  let indexed =
+    List.fold_left
+      (fun n chain -> n + List.length chain)
+      0
+      (Lbc_wal.Region_index.chains idx)
+  in
+  crash_then_rejoin c ~node:0;
+  Cluster.run c;
+  let path = Filename.temp_file "lbc-replay" ".bin" in
+  let (_ : string) = Cluster.dump_flight ~path c in
+  let d =
+    match FD.read path with
+    | Error e -> Alcotest.failf "trace not decodable: %s" e
+    | Ok d -> d
+  in
+  Sys.remove path;
+  let ring0 = d.FD.d_rings.(0) in
+  Alcotest.(check int) "nothing dropped" 0 ring0.FD.r_dropped;
+  let args name kind =
+    Array.fold_left
+      (fun acc ev ->
+        if ev.FD.ev_name = name && ev.FD.ev_kind = kind then
+          ev.FD.ev_arg :: acc
+        else acc)
+      [] ring0.FD.r_events
+  in
+  Alcotest.(check bool) "the tail held records" true (indexed > 0);
+  Alcotest.(check int) "replay-chain args sum to the indexed records"
+    indexed
+    (List.fold_left ( + ) 0 (args "replay-chain" FD.Span));
+  Alcotest.(check (list int)) "ckpt carries the records replayed"
+    [ replayed ] (args "ckpt" FD.Instant);
+  Alcotest.(check (option string)) "labelled records" (Some "records")
+    (FD.arg_label "replay-chain")
 
 (* Satellite regression: with lazy propagation a peer's fetch must not
    be answered from a not-yet-replayed chain.  Node 1 commits writes
@@ -856,12 +884,12 @@ let suites =
       ] );
     ( "chaos-ckpt",
       [
-        Alcotest.test_case "truncate respects repair retention" `Quick
-          test_chaos_truncate_respects_retention;
-        Alcotest.test_case "crash mid fuzzy checkpoint" `Quick
-          test_chaos_crash_mid_fuzzy_checkpoint;
-        Alcotest.test_case "fuzzy checkpoint trims live cluster" `Quick
-          test_chaos_fuzzy_checkpoint_trims;
+        Alcotest.test_case "checkpoint respects repair retention" `Quick
+          test_chaos_checkpoint_respects_retention;
+        Alcotest.test_case "node crash while the checkpoint replays" `Quick
+          test_chaos_crash_mid_checkpoint;
+        Alcotest.test_case "checkpoint trims a live cluster" `Quick
+          test_chaos_checkpoint_trims;
         Alcotest.test_case "partitioned recovery" `Quick
           test_chaos_partitioned_recovery;
       ] );
@@ -871,5 +899,7 @@ let suites =
           test_chaos_ondemand_rejoin;
         Alcotest.test_case "cold fetch gated by chain replay" `Quick
           test_chaos_ondemand_fetch_gate;
+        Alcotest.test_case "replay-chain spans count records" `Quick
+          test_chaos_replay_chain_args;
       ] );
   ]

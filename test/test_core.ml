@@ -504,8 +504,8 @@ let test_partition_empty_and_keyless () =
    extended by scanning only the records appended afterwards, partitions
    the live tail exactly like a fresh [Merge.partition] over it.  Exact
    equality holds because the index is written fresh over the post-trim
-   tail (as [Rvm.fuzzy_checkpoint] does); an index persisted before a
-   trim may legally be coarser. *)
+   tail (as [Cluster.checkpoint] does); an index persisted before a trim
+   may legally be coarser. *)
 let gen_index_case =
   let open QCheck.Gen in
   let gen_keys =
@@ -617,7 +617,7 @@ let test_checkpoint_trims_and_preserves () =
         increment node ~offset:0
       done);
   Cluster.run c;
-  Cluster.checkpoint c;
+  check_int "records replayed" 5 (Cluster.checkpoint c);
   check_int "log 0 trimmed" 0
     (Lbc_wal.Log.live_bytes (Lbc_rvm.Rvm.log (Node.rvm (Cluster.node c 0))));
   (* A brand-new cluster sharing the same database devices would see the
@@ -629,8 +629,7 @@ let test_checkpoint_trims_and_preserves () =
 (* A peer's commit that lands while a node reloads its region from the
    database (a charged device read) is judged against the checkpoint
    state the reload ends with: rejoin must not hold it under a write
-   that state already covers, where nothing would wake it, and resync
-   must not apply it for the reload to overwrite. *)
+   that state already covers, where nothing would wake it. *)
 let test_reload_judges_arrivals_after () =
   List.iter
     (fun (what, prepare, reload) ->
@@ -646,7 +645,7 @@ let test_reload_judges_arrivals_after () =
             increment node ~offset
           done);
       Cluster.run c;
-      Cluster.checkpoint c;
+      ignore (Cluster.checkpoint c : int);
       let n1 = Cluster.node c 1 in
       let base = Node.applied_seq n1 lock in
       Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"reloader" (fun () ->
@@ -667,7 +666,6 @@ let test_reload_judges_arrivals_after () =
           Cluster.crash c ~node:1;
           Lbc_sim.Proc.sleep (Config.default.Config.lease_timeout +. 100.0)),
         fun c ~applied:_ -> Cluster.rejoin c ~node:1 );
-      ("resync", ignore, fun c ~applied -> Node.resync (Cluster.node c 1) ~applied);
     ]
 
 let test_client_crash_loses_uncommitted_only () =
@@ -1336,16 +1334,16 @@ let test_server_crash_then_recovery () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Online incremental checkpointing (Section 3.5) *)
+(* Checkpointing a live cluster (Section 3.5) *)
 
-let test_online_checkpoint_midstream () =
+let test_checkpoint_midstream () =
   let c = mk () in
   Cluster.spawn c ~node:0 (fun node ->
       for _ = 1 to 10 do
         increment node ~offset:0
       done);
   Cluster.run c;
-  let n = Cluster.online_checkpoint c in
+  let n = Cluster.checkpoint c in
   check_int "first batch checkpointed" 10 n;
   check_int "log 0 trimmed" 0
     (Lbc_wal.Log.live_bytes (Lbc_rvm.Rvm.log (Node.rvm (Cluster.node c 0))));
@@ -1363,17 +1361,18 @@ let test_online_checkpoint_midstream () =
   check_i64 "final value durable" 20L
     (Bytes.get_int64_le (Lbc_storage.Dev.read dev ~off:0 ~len:8) 0)
 
-let test_online_checkpoint_idempotent () =
+let test_checkpoint_idempotent () =
   let c = mk () in
   Cluster.spawn c ~node:0 (fun node -> increment node ~offset:0);
   Cluster.run c;
-  check_int "first" 1 (Cluster.online_checkpoint c);
-  check_int "second finds nothing" 0 (Cluster.online_checkpoint c)
+  check_int "first" 1 (Cluster.checkpoint c);
+  check_int "second finds nothing" 0 (Cluster.checkpoint c)
 
-let test_checkpoint_resyncs_lazy_stragglers () =
-  (* In lazy mode a checkpoint drops the writers' retained chains; the
-     checkpoint must therefore bring stale caches to the checkpointed
-     state, or later acquires could never catch up. *)
+(* A checkpoint replays a lazy writer's chain into the database but trims
+   nothing a straggler still needs: the writer keeps the chain for the
+   straggler's fetch, and releases it once the straggler reports it
+   applied. *)
+let test_checkpoint_keeps_lazy_chains () =
   let c = mk ~config:{ Config.default with Config.propagation = Config.Lazy } () in
   Cluster.spawn c ~node:0 (fun node ->
       for _ = 1 to 5 do
@@ -1383,47 +1382,54 @@ let test_checkpoint_resyncs_lazy_stragglers () =
   (* Node 1 never acquired: its cache is stale and no chain was pushed. *)
   check_i64 "stale before checkpoint" 0L
     (Node.get_u64 (Cluster.node c 1) ~region ~offset:0);
-  Cluster.checkpoint c;
-  check_i64 "resynced by checkpoint" 5L
-    (Node.get_u64 (Cluster.node c 1) ~region ~offset:0);
-  check_int "retained chains dropped" 0 (Node.retained_count (Cluster.node c 0));
-  (* And the reader can acquire without any fetch. *)
-  let fetches0 = (Node.stats (Cluster.node c 1)).Node.fetches_sent in
+  check_int "chain replayed" 5 (Cluster.checkpoint c);
+  Cluster.run c;
+  let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
+  check_int "writer keeps its chain" 5 (Node.retained_count n0);
+  check_int "and its log" 5
+    (Lbc_wal.Log.record_count (Lbc_rvm.Rvm.log (Node.rvm n0)));
+  check_i64 "straggler still stale" 0L (Node.get_u64 n1 ~region ~offset:0);
+  let fetches0 = (Node.stats n1).Node.fetches_sent in
   Cluster.spawn c ~node:1 (fun node ->
       let txn = Node.Txn.begin_ node in
       Node.Txn.acquire txn lock;
-      Alcotest.(check int64) "reads checkpointed value" 5L
+      Alcotest.(check int64) "reads the fetched chain" 5L
         (Node.Txn.get_u64 txn ~region ~offset:0);
       Node.Txn.commit txn);
   Cluster.run c;
-  check_int "no fetch needed" fetches0 (Node.stats (Cluster.node c 1)).Node.fetches_sent
+  check_int "one fetch" (fetches0 + 1) (Node.stats n1).Node.fetches_sent;
+  check_int "only the straggler's read replays" 1 (Cluster.checkpoint c);
+  Cluster.run c;
+  check_int "released once reported" 0 (Node.retained_count n0)
 
 let test_online_after_offline_checkpoint () =
-  (* The offline checkpoint must feed the incremental baseline: a write
-     whose predecessor was trimmed offline is still trimmable online. *)
+  (* A checkpoint feeds the next one's baseline: a write whose
+     predecessor an earlier checkpoint trimmed is still replayed. *)
   let c = mk () in
   Cluster.spawn c ~node:0 (fun node -> increment node ~offset:0);
   Cluster.run c;
-  Cluster.checkpoint c;
+  check_int "first write checkpointed" 1 (Cluster.checkpoint c);
   Cluster.spawn c ~node:0 (fun node -> increment node ~offset:0);
   Cluster.run c;
-  check_int "second write checkpointed online" 1 (Cluster.online_checkpoint c)
+  check_int "second write checkpointed" 1 (Cluster.checkpoint c)
 
 (* Redo never re-applies what the database already holds.  With
    retention on, a checkpoint's trim stops at the retention mark, so the
    records it replayed stay live in the logs; a command record replayed
-   again would add 1 again. *)
+   again would add 1 again.  The writer is either node: a checkpoint
+   writes the merged logs, never one node's cache, so it is the same
+   when a reader runs it. *)
 let test_checkpoints_skip_replayed () =
   register_incr ();
   let config =
     { Config.fault_tolerant with Config.log_mode = Lbc_wal.Command.Command }
   in
-  let run () =
+  let run ~writer =
     let c = mk ~config () in
     (* the counter's database bytes, for the command to read *)
     Lbc_storage.Dev.write (Cluster.region_dev c region) ~off:0
       (Bytes.make 8 '\000') ~pos:0 ~len:8;
-    Cluster.spawn c ~node:0 (fun node ->
+    Cluster.spawn c ~node:writer (fun node ->
         for _ = 1 to 3 do
           let txn = Node.Txn.begin_ node in
           Node.Txn.acquire txn lock;
@@ -1436,23 +1442,62 @@ let test_checkpoints_skip_replayed () =
           Node.Txn.commit txn
         done);
     Cluster.run c;
-    check_int "first checkpoint" 3 (Cluster.online_checkpoint c);
+    check_int "first checkpoint" 3 (Cluster.checkpoint c);
     c
   in
-  let db_is_cache what c =
-    check_i64 what
-      (Node.get_u64 (Cluster.node c 0) ~region ~offset:0)
-      (Bytes.get_int64_le
-         (Lbc_storage.Dev.read (Cluster.region_dev c region) ~off:0 ~len:8)
-         0)
+  let db c =
+    Bytes.get_int64_le
+      (Lbc_storage.Dev.read (Cluster.region_dev c region) ~off:0 ~len:8)
+      0
   in
-  let c = run () in
-  check_int "second checkpoint finds nothing" 0 (Cluster.online_checkpoint c);
-  db_is_cache "database after two checkpoints" c;
-  let c = run () in
-  check_int "recovery replays nothing" 0
-    (Cluster.recover_database c).Lbc_rvm.Recovery.records_replayed;
-  db_is_cache "database after checkpoint and recovery" c
+  let db_is_cache what c =
+    check_i64 what (Node.get_u64 (Cluster.node c 0) ~region ~offset:0) (db c)
+  in
+  List.iter
+    (fun writer ->
+      let c = run ~writer in
+      check_int "second checkpoint finds nothing" 0 (Cluster.checkpoint c);
+      db_is_cache "database after two checkpoints" c;
+      let c = run ~writer in
+      check_int "recovery replays nothing" 0
+        (Cluster.recover_database c).Lbc_rvm.Recovery.records_replayed;
+      db_is_cache "database after checkpoint and recovery" c;
+      check_i64 "database holds three increments" 3L (db c))
+    [ 0; 1 ]
+
+(* A rejoin reloads the database with the checkpoint table as its
+   applied state, so the two must describe one prefix.  Two checkpoints
+   with the gossip between them let every node release the writer's
+   five records; node 2 then crashes and rejoins, and its acquire must
+   read 5 without needing any of them. *)
+let test_rejoin_after_checkpoints () =
+  let c = mk ~config:Config.fault_tolerant ~nodes:3 () in
+  Cluster.spawn c ~node:0 (fun node ->
+      for _ = 1 to 5 do
+        increment node ~offset:0
+      done);
+  Cluster.run c;
+  check_int "first checkpoint" 5 (Cluster.checkpoint c);
+  Cluster.run c;
+  check_int "second checkpoint" 0 (Cluster.checkpoint c);
+  Cluster.run c;
+  List.iter
+    (fun n ->
+      check_int (Printf.sprintf "node %d released the records" n) 0
+        (Node.retained_count (Cluster.node c n)))
+    [ 0; 1; 2 ];
+  Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"controller" (fun () ->
+      Cluster.crash c ~node:2;
+      Lbc_sim.Proc.sleep (Config.default.Config.lease_timeout +. 100.0);
+      Cluster.rejoin c ~node:2);
+  Cluster.run c;
+  Cluster.spawn c ~node:2 (fun node ->
+      let txn = Node.Txn.begin_ node in
+      Node.Txn.acquire txn lock;
+      Alcotest.(check int64) "rejoined node reads 5" 5L
+        (Node.Txn.get_u64 txn ~region ~offset:0);
+      Node.Txn.commit txn);
+  Cluster.run c
 
 let test_merge_prefix_holds_back_gaps () =
   (* Log 0 holds (lock 0, seq 2) but seq 1 is in no log and not
@@ -1625,17 +1670,19 @@ let suites =
           test_distributed_recovery_matches_caches;
         Alcotest.test_case "checkpoint" `Quick test_checkpoint_trims_and_preserves;
         Alcotest.test_case "online checkpoint" `Quick
-          test_online_checkpoint_midstream;
+          test_checkpoint_midstream;
         Alcotest.test_case "online checkpoint idempotent" `Quick
-          test_online_checkpoint_idempotent;
+          test_checkpoint_idempotent;
         Alcotest.test_case "merge prefix holds gaps" `Quick
           test_merge_prefix_holds_back_gaps;
-        Alcotest.test_case "checkpoint resyncs lazy stragglers" `Quick
-          test_checkpoint_resyncs_lazy_stragglers;
+        Alcotest.test_case "checkpoint keeps lazy chains" `Quick
+          test_checkpoint_keeps_lazy_chains;
         Alcotest.test_case "online after offline checkpoint" `Quick
           test_online_after_offline_checkpoint;
         Alcotest.test_case "checkpoints skip what they replayed" `Quick
           test_checkpoints_skip_replayed;
+        Alcotest.test_case "rejoin after checkpoints" `Quick
+          test_rejoin_after_checkpoints;
         Alcotest.test_case "report renders" `Quick test_report_renders;
         Alcotest.test_case "client crash" `Quick
           test_client_crash_loses_uncommitted_only;

@@ -217,15 +217,6 @@ let test_region_u64 () =
   Alcotest.(check int64) "u64 roundtrip" 0x1122334455667788L
     (Region.get_u64 r ~offset:8)
 
-let test_region_flush () =
-  let db = Dev.create () in
-  let r = Region.map ~id:0 ~db ~size:8 in
-  Region.write r ~offset:0 (Bytes.of_string "ABCDEFGH");
-  Region.flush_to_db r;
-  Dev.crash db;
-  Alcotest.(check string) "flushed image stable" "ABCDEFGH"
-    (Bytes.to_string (Dev.read db ~off:0 ~len:8))
-
 (* ------------------------------------------------------------------ *)
 (* Rvm transactions *)
 
@@ -371,34 +362,6 @@ let test_recovery_replays_log () =
   Alcotest.(check string) "db recovered" "committed!too"
     (Bytes.to_string (Dev.read db ~off:0 ~len:13))
 
-let test_truncate_then_recover () =
-  let rvm, _, db, log_dev = mk_node () in
-  let txn = Rvm.begin_txn rvm in
-  Rvm.write txn ~region:0 ~offset:0 (Bytes.of_string "check");
-  ignore (Rvm.commit txn);
-  Rvm.truncate rvm;
-  check_int "log trimmed" 0 (Lbc_wal.Log.live_bytes (Rvm.log rvm));
-  (* After truncation, replaying the (empty) log over the checkpointed db
-     must still give the committed state. *)
-  Dev.crash db;
-  Dev.crash log_dev;
-  let log = Lbc_wal.Log.attach log_dev in
-  let outcome = replay_log log ~db_for_region:(fun _ -> Some db) in
-  check_int "nothing to replay" 0 outcome.Recovery.records_replayed;
-  Alcotest.(check string) "db has checkpoint" "check"
-    (Bytes.to_string (Dev.read db ~off:0 ~len:5))
-
-let test_maybe_truncate_high_water () =
-  let rvm, _, _, _ = mk_node () in
-  let txn = Rvm.begin_txn rvm in
-  Rvm.write txn ~region:0 ~offset:0 (Bytes.make 64 'x');
-  ignore (Rvm.commit txn);
-  Alcotest.(check bool) "below water: no trim" false
-    (Rvm.maybe_truncate rvm ~high_water:1_000_000);
-  Alcotest.(check bool) "above water: trims" true
-    (Rvm.maybe_truncate rvm ~high_water:10);
-  check_int "truncations" 1 (Rvm.stats rvm).Rvm.truncations
-
 let test_multi_region_txn () =
   let log_dev = Dev.create () in
   let rvm = Rvm.init ~node:0 ~log_dev () in
@@ -455,210 +418,6 @@ let prop_recovery_matches_model =
       if have > 0 then
         Bytes.blit (Dev.read db ~off:0 ~len:have) 0 recovered 0 have;
       Bytes.equal shadow recovered)
-
-(* ------------------------------------------------------------------ *)
-(* Dirty-extent tracking and incremental flush *)
-
-let test_region_dirty_tracking () =
-  let db = Dev.create () in
-  let r = Region.map ~id:0 ~db ~size:64 in
-  Alcotest.(check bool) "clean after map" false (Region.is_dirty r);
-  Region.write r ~offset:8 (Bytes.of_string "dirty");
-  Alcotest.(check bool) "dirty after write" true (Region.is_dirty r);
-  Alcotest.(check (option (pair int int))) "extent covers the write"
-    (Some (8, 13)) (Region.dirty_extent r);
-  Region.write r ~offset:40 (Bytes.of_string "more");
-  Alcotest.(check (option (pair int int))) "extent widens" (Some (8, 44))
-    (Region.dirty_extent r);
-  check_int "dirty bytes" 36 (Region.dirty_bytes r);
-  Region.flush_dirty r;
-  Alcotest.(check bool) "clean after flush" false (Region.is_dirty r);
-  Dev.crash db;
-  Alcotest.(check string) "flushed bytes stable" "dirty"
-    (Bytes.to_string (Dev.read db ~off:8 ~len:5))
-
-let test_region_flush_slice () =
-  let db = Dev.create () in
-  let r = Region.map ~id:0 ~db ~size:64 in
-  Region.write r ~offset:0 (Bytes.of_string "0123456789");
-  check_int "first slice" 4 (Region.flush_slice r ~max_bytes:4);
-  Alcotest.(check (option (pair int int))) "extent shrank from the low end"
-    (Some (4, 10)) (Region.dirty_extent r);
-  (* A store into the already-flushed prefix re-dirties it. *)
-  Region.write r ~offset:0 (Bytes.of_string "AB");
-  Alcotest.(check (option (pair int int))) "extent re-extends" (Some (0, 10))
-    (Region.dirty_extent r);
-  let total = ref 0 in
-  while Region.is_dirty r do
-    total := !total + Region.flush_slice r ~max_bytes:4
-  done;
-  Dev.sync db;
-  check_int "drained" 10 !total;
-  check_int "slice on clean region is a no-op" 0
-    (Region.flush_slice r ~max_bytes:4);
-  Dev.crash db;
-  Alcotest.(check string) "final image includes the re-dirtied bytes"
-    "AB23456789"
-    (Bytes.to_string (Dev.read db ~off:0 ~len:10))
-
-(* ------------------------------------------------------------------ *)
-(* Fuzzy checkpoint *)
-
-let test_fuzzy_checkpoint () =
-  let rvm, _region, db, _log_dev = mk_node () in
-  let commit_write offset s =
-    let txn = Rvm.begin_txn rvm in
-    Rvm.write txn ~region:0 ~offset (Bytes.of_string s);
-    ignore (Rvm.commit txn)
-  in
-  commit_write 0 "fuzzy";
-  commit_write 16 "ckpt!";
-  let log = Rvm.log rvm in
-  let o = Rvm.fuzzy_checkpoint ~slice_bytes:8 rvm in
-  check_int "first checkpoint id" 1 o.Rvm.ckpt_id;
-  (* dirty extent [0,21) in 8-byte slices *)
-  check_int "three slices" 3 o.Rvm.slices;
-  check_int "bytes flushed" 21 o.Rvm.bytes_flushed;
-  (* The trim landed on the Ckpt_begin marker: no txn records remain, and
-     both markers are live (begin first, end after). *)
-  check_int "txn records trimmed" 0 (Lbc_wal.Log.record_count log);
-  check_int "head at ckpt start" o.Rvm.trimmed_to (Lbc_wal.Log.head log);
-  let ctrls, status =
-    Lbc_wal.Log.fold_ctrl log ~init:[] (fun acc _ c -> c :: acc)
-  in
-  Alcotest.(check bool) "ctrl scan clean" true (status = Lbc_wal.Log.Clean);
-  Alcotest.(check (list bool))
-    "begin, end, then region index live"
-    [ true; false; false ]
-    (List.rev_map
-       (fun c -> c.Lbc_wal.Record.kind = Lbc_wal.Record.Ckpt_begin)
-       ctrls);
-  (* The persisted index covers the (empty) post-trim tail. *)
-  (match ctrls with
-  | { Lbc_wal.Record.kind = Lbc_wal.Record.Region_index; entries; _ } :: _ ->
-      Alcotest.(check int) "empty tail indexes no chains" 0
-        (List.length entries)
-  | _ -> Alcotest.fail "newest ctrl is not the region index");
-  (* The ckpt water is lifted: a later truncate can trim the markers. *)
-  Alcotest.(check int) "water lifted" max_int (Lbc_wal.Log.low_water log);
-  let st = Rvm.stats rvm in
-  check_int "checkpoint counted" 1 st.Rvm.checkpoints;
-  check_int "slices counted" 3 st.Rvm.ckpt_slices;
-  (* Crash: the database image alone carries the committed state. *)
-  Dev.crash db;
-  Alcotest.(check string) "db has first write" "fuzzy"
-    (Bytes.to_string (Dev.read db ~off:0 ~len:5));
-  Alcotest.(check string) "db has second write" "ckpt!"
-    (Bytes.to_string (Dev.read db ~off:16 ~len:5))
-
-let test_fuzzy_checkpoint_interleaved_commits () =
-  (* Commits that land between slices must survive: their records stay
-     past the trim point, and their bytes reach the next checkpoint. *)
-  let rvm, _region, db, _log_dev = mk_node () in
-  let commit_write offset s =
-    let txn = Rvm.begin_txn rvm in
-    Rvm.write txn ~region:0 ~offset (Bytes.of_string s);
-    ignore (Rvm.commit txn)
-  in
-  commit_write 0 (String.make 32 'a');
-  let mid_commits = ref 0 in
-  let o =
-    Rvm.fuzzy_checkpoint ~slice_bytes:8 rvm ~yield:(fun () ->
-        if !mid_commits = 0 then begin
-          incr mid_commits;
-          commit_write 40 "late"
-        end)
-  in
-  check_int "mid-flight commit happened" 1 !mid_commits;
-  Alcotest.(check bool) "several slices" true (o.Rvm.slices >= 4);
-  (* The late commit's record must still be live (it committed after
-     Ckpt_begin, so it sits past the trim point). *)
-  check_int "late record live" 1 (Lbc_wal.Log.record_count (Rvm.log rvm));
-  (* Its bytes were picked up either by the extent re-extension or by a
-     second checkpoint; after one more the db must hold them. *)
-  ignore (Rvm.fuzzy_checkpoint rvm);
-  Dev.crash db;
-  Alcotest.(check string) "late write durable" "late"
-    (Bytes.to_string (Dev.read db ~off:40 ~len:4))
-
-let test_truncate_respects_retention () =
-  (* Satellite regression: a retention mark (repair service) must clamp
-     Rvm.truncate, not be bulldozed by it. *)
-  let rvm, _region, _db, _log_dev = mk_node () in
-  let txn = Rvm.begin_txn rvm in
-  Rvm.write txn ~region:0 ~offset:0 (Bytes.of_string "keep");
-  let record = Rvm.commit txn in
-  ignore record;
-  let log = Rvm.log rvm in
-  let off = Lbc_wal.Log.head log in
-  Lbc_wal.Log.set_retention_water log off;
-  Rvm.truncate rvm;
-  check_int "record survives the truncate" 1 (Lbc_wal.Log.record_count log);
-  Lbc_wal.Log.set_retention_water log max_int;
-  Rvm.truncate rvm;
-  check_int "trim completes once the mark lifts" 0
-    (Lbc_wal.Log.record_count log)
-
-(* Satellite regression: truncate while a group-commit batch is open must
-   flush the batch to the log *before* flushing region images, or the
-   stable database briefly holds bytes whose commit record is not yet
-   durable — a crash in that window surfaces uncommitted state. *)
-let test_truncate_flushes_open_batch_first () =
-  let engine = Lbc_sim.Engine.create () in
-  let latency = Latency.osdi94_disk in
-  let log_dev = Dev.create ~latency ~name:"log" () in
-  let db = Dev.create ~latency ~name:"db" () in
-  let rvm = Rvm.init ~node:0 ~log_dev () in
-  let _r = Rvm.map_region rvm ~id:0 ~db ~size:64 in
-  Lbc_wal.Log.enable_group_commit ~max_records:8 ~delay:2_000.0 (Rvm.log rvm)
-    ~engine;
-  let payload = "XXXXXXXX" in
-  Lbc_sim.Proc.spawn engine ~name:"committer" (fun () ->
-      let txn = Rvm.begin_txn rvm in
-      Rvm.write txn ~region:0 ~offset:0 (Bytes.of_string payload);
-      (* Parks in the open batch until someone flushes it. *)
-      ignore (Rvm.commit txn));
-  Lbc_sim.Proc.spawn engine ~name:"truncator" (fun () ->
-      Lbc_sim.Proc.sleep 10.0;
-      Rvm.truncate rvm);
-  let violations = ref [] in
-  Lbc_sim.Proc.spawn engine ~name:"monitor" (fun () ->
-      (* Poll through the truncate's device-time charges: whenever the
-         stable database image shows the payload, the commit must be
-         durable — its record decodes from the stable log image, or the
-         log head has moved (the trim ran, which implies the batch was
-         flushed first). *)
-      (* The truncate's device charges stretch over ~10^5 virtual µs under
-         the osdi94 profile; poll well past it. *)
-      for _ = 1 to 4_000 do
-        Lbc_sim.Proc.sleep 50.0;
-        let stable = Dev.stable_snapshot db in
-        if
-          Bytes.length stable >= String.length payload
-          && Bytes.sub_string stable 0 (String.length payload) = payload
-        then begin
-          let d' = Dev.create () in
-          Dev.load d' (Dev.stable_snapshot log_dev);
-          match Lbc_wal.Log.attach d' with
-          | exception Lbc_wal.Log.Bad_log _ ->
-              violations := "stable log unreadable" :: !violations
-          | log' ->
-              let recs, _ = Lbc_wal.Log.read_all log' in
-              let trimmed =
-                Lbc_wal.Log.head log' > Lbc_wal.Log.header_size
-              in
-              if recs = [] && not trimmed then
-                violations :=
-                  Printf.sprintf
-                    "t=%.0f: stable db has committed bytes, stable log has \
-                     no record"
-                    (Lbc_sim.Proc.now ())
-                  :: !violations
-        end
-      done);
-  Lbc_sim.Engine.run engine;
-  Alcotest.(check (list string)) "write-ahead order held" [] !violations;
-  check_int "truncation ran" 1 (Rvm.stats rvm).Rvm.truncations
 
 let test_apply_record_counts_unmapped () =
   let b, _, _, _ = mk_node () in
@@ -1040,7 +799,6 @@ let suites =
       [
         Alcotest.test_case "map loads db" `Quick test_region_map_loads_db;
         Alcotest.test_case "u64 accessors" `Quick test_region_u64;
-        Alcotest.test_case "flush to db" `Quick test_region_flush;
       ] );
     ( "rvm.txn",
       [
@@ -1065,24 +823,10 @@ let suites =
     ( "rvm.recovery",
       [
         Alcotest.test_case "replay log" `Quick test_recovery_replays_log;
-        Alcotest.test_case "truncate then recover" `Quick
-          test_truncate_then_recover;
-        Alcotest.test_case "high-water trim" `Quick test_maybe_truncate_high_water;
         qtest prop_recovery_matches_model;
       ] );
     ( "rvm.ckpt",
       [
-        Alcotest.test_case "region dirty tracking" `Quick
-          test_region_dirty_tracking;
-        Alcotest.test_case "flush_slice drains incrementally" `Quick
-          test_region_flush_slice;
-        Alcotest.test_case "fuzzy checkpoint" `Quick test_fuzzy_checkpoint;
-        Alcotest.test_case "fuzzy checkpoint with interleaved commits" `Quick
-          test_fuzzy_checkpoint_interleaved_commits;
-        Alcotest.test_case "truncate respects retention mark" `Quick
-          test_truncate_respects_retention;
-        Alcotest.test_case "truncate flushes open batch first" `Quick
-          test_truncate_flushes_open_batch_first;
         Alcotest.test_case "apply_record counts unmapped ranges" `Quick
           test_apply_record_counts_unmapped;
       ] );
