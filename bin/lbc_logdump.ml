@@ -27,18 +27,11 @@ let dump verbose path =
                     (Bytes.length r.Lbc_wal.Record.data))
                 txn.Lbc_wal.Record.ranges)
       in
-      (match status with
+      match status with
       | Lbc_wal.Log.Clean -> ()
       | Lbc_wal.Log.Torn_at (off, why) ->
           Format.printf "  torn record at %d (%s) — ignored by recovery@." off
-            why);
-      let n, _ =
-        Lbc_wal.Log.fold_ctrl log ~init:0 (fun n off c ->
-            if n = 0 then Format.printf "  control records:@.";
-            Format.printf "  @[<h>%8d: %a@]@." off Lbc_wal.Record.pp_ctrl c;
-            n + 1)
-      in
-      ignore n
+            why
 
 let dump_all verbose paths = List.iter (dump verbose) paths
 

@@ -14,8 +14,9 @@
    every mode.
 
    Bad input — a path that cannot be read, a file that is not a log,
-   logs that cannot be merged, command records without --db, a record
-   that cannot be replayed — ends in one line on stderr and exit 1. *)
+   logs that cannot be merged, logs that span more than one region,
+   command records without --db, a record that cannot be replayed —
+   ends in one line on stderr and exit 1. *)
 
 open Cmdliner
 module Cluster = Lbc_core.Cluster
@@ -82,6 +83,14 @@ let recover db_path out_path mode backend log_paths =
     | Error (Lbc_core.Merge.Unorderable why) ->
         refuse "cannot merge logs: %s" why
   in
+  (* The one output image is one region's database. *)
+  (match
+     List.sort_uniq Int.compare (List.concat_map Lbc_wal.Record.regions records)
+   with
+  | [] | [ _ ] -> ()
+  | regions ->
+      refuse "logs span regions %s: one output image holds one region"
+        (String.concat ", " (List.map string_of_int regions)));
   Format.printf "merged %d committed transactions from %d logs@."
     (List.length records) (List.length logs);
   let commands =

@@ -24,7 +24,6 @@ type t = {
   checkpointed : (int, int) Hashtbl.t;
       (* per lock: highest write seq a checkpoint has replayed into the
          database, which holds exactly that prefix *)
-  mutable checkpoints : int;  (* begun so far; names each index ctrl *)
   mutable checkpointing : bool;  (* a checkpoint is writing the database *)
   crashed : bool array;
   reclaimed : bool array;  (* lease expired, lock tokens reclaimed *)
@@ -130,7 +129,6 @@ let create ?(config = Config.default) ?sched ?(backend = Platform.Sim) ~nodes
     nodes = cluster_nodes;
     regions;
     checkpointed = Hashtbl.create 16;
-    checkpoints = 0;
     checkpointing = false;
     crashed = Array.make nodes false;
     reclaimed = Array.make nodes false;
@@ -465,25 +463,14 @@ let checkpoint t =
   let records = uncheckpointed t prefix.Merge.ordered in
   (* Database first, then trim. *)
   checkpoint_records t records;
-  t.checkpoints <- t.checkpoints + 1;
-  List.iteri
-    (fun i (log, head) ->
-      (* Clamped to the retention mark: a replayed record may still be
-         needed by a live peer whose copy was lost in flight, and the
-         database heals no running cache. *)
+  (* Clamped to the retention mark: a replayed record may still be
+     needed by a live peer whose copy was lost in flight, and the
+     database heals no running cache. *)
+  List.iter2
+    (fun log head ->
       if head > Lbc_wal.Log.head log then
-        ignore (Lbc_wal.Log.set_head log head : int);
-      (* Index what survives, so a rejoin seeds its replay chains here
-         instead of partitioning the tail again. *)
-      if Lbc_wal.Log.record_count log > 0 then begin
-        let idx, _ = Lbc_wal.Region_index.of_log log in
-        ignore
-          (Lbc_wal.Log.append_ctrl log
-             (Lbc_wal.Region_index.to_ctrl idx ~node:i ~ckpt_id:t.checkpoints)
-            : int);
-        Lbc_wal.Log.force log
-      end)
-    (List.combine logs prefix.Merge.new_heads);
+        ignore (Lbc_wal.Log.set_head log head : int))
+    logs prefix.Merge.new_heads;
   let n = List.length records in
   Obs.observe t.obs "ckpt_us" (P.now_us () -. t0);
   Obs.instant t.obs ~name:"ckpt" ~pid:0 ~tid:Obs.lane_txn ~arg:n;

@@ -225,9 +225,7 @@ val checkpoint : t -> int
       per-lock checkpoint table advances past its writes;
     + each log trims to its merged head, clamped to its retention mark
       ({!Lbc_wal.Log.set_head}), so records a peer may still need
-      survive;
-    + each log whose tail still holds records gets a fresh region-index
-      control record, which a later {!rejoin} seeds its chains from.
+      survive.
 
     The database then holds exactly a replayed prefix, and the table
     describes it: {!rejoin} reloads that image with that table, and

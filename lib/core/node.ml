@@ -27,10 +27,10 @@ type repair = {
 }
 
 (* On-demand rejoin: the surviving log tail, split into independent
-   replay chains by the persisted region index.  Each chain (stream) is
-   cold until replayed; the first touch of any of its keys — a local
-   read/write, a lock acquire, a coherency apply, or a peer fetch —
-   replays exactly that chain, while a background drain walks the rest
+   replay chains by the region index.  Each chain (stream) is cold until
+   replayed; the first touch of any of its keys — a local read/write, a
+   lock acquire, a coherency apply, or a peer fetch — replays exactly
+   that chain, while a background drain walks the rest
    hottest-lock-first. *)
 type stream_status = Cold | Replaying | Warm
 
@@ -433,13 +433,12 @@ let broadcast (t : t) record =
 (* Bring a crashed node back: every volatile structure is rebuilt from
    what survives a crash — the database image (as of [applied], the last
    checkpoint) and the node's own durable log.  Nothing is replayed up
-   front: the tail is indexed into replay chains (seeded by the
-   checkpoint's persisted region-index record) and the node serves
-   immediately.  The first touch of a cold chain replays just that chain
-   through [receive_record]; a background drain walks the rest
-   hottest-lock-first.  Records whose cross-lock dependencies are missing
-   are held and, with repair enabled, trigger repair fetches from the
-   peers.  Updates committed elsewhere since the checkpoint are recovered
+   front: the tail is indexed into replay chains in one scan of the log
+   and the node serves immediately.  The first touch of a cold chain
+   replays just that chain through [receive_record]; a background drain
+   walks the rest hottest-lock-first.  Records whose cross-lock
+   dependencies are missing are held and, with repair enabled, trigger
+   repair fetches from the peers.  Updates committed elsewhere since the checkpoint are recovered
    on demand: the first acquire of each lock interlocks on the token's
    last-write sequence number and repairs the gap.
 
@@ -580,16 +579,14 @@ let rejoin (t : t) ~applied =
   reload t ~applied;
   t.ttfc_mark <- Some (Lbc_sim.Engine.now t.engine);
   let log = Lbc_rvm.Rvm.log t.rvm in
-  (* Seeded by the checkpoint's persisted region-index control record,
-     extended with whatever was appended since. *)
+  (* The rejoin's one scan of its log: the chains of the live tail. *)
   let idx, _status = Lbc_wal.Region_index.of_log log in
-  let entries = Lbc_wal.Region_index.entries idx in
   let streams =
     Array.of_list
       (List.mapi
-         (fun i (e : Lbc_wal.Record.index_entry) ->
-           { sid = i; offsets = e.offsets; skeys = e.keys; status = Cold })
-         entries)
+         (fun i (c : Lbc_wal.Region_index.chain) ->
+           { sid = i; offsets = c.offsets; skeys = c.keys; status = Cold })
+         (Lbc_wal.Region_index.entries idx))
   in
   let by_key = Hashtbl.create 32 in
   Array.iter

@@ -155,11 +155,11 @@ val rejoin : t -> applied:(int * int) list -> unit
     checkpoint are re-fetched on demand via the acquire interlock and,
     with [config.repair], the gap watchdog.
 
-    Nothing is replayed up front: the tail is indexed by replay chain
-    (seeded by the newest persisted {!Lbc_wal.Record.Region_index}
-    control record, extended by scanning only the records appended after
-    it) and the node serves immediately.  The first local access, lock
-    acquire, coherency apply, or peer fetch that touches a cold chain
+    Nothing is replayed up front: one scan of the log indexes the live
+    tail by replay chain ({!Lbc_wal.Region_index.of_log}, exactly
+    [Merge.partition] of those records) and the node serves
+    immediately.  The first local access, lock acquire, coherency
+    apply, or peer fetch that touches a cold chain
     replays exactly that chain first; a background process drains the
     remaining chains hottest-lock-first and then performs the
     rebroadcast.  A chain's heat is the cluster-wide acquire count of its

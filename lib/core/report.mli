@@ -2,8 +2,5 @@
     introspection a deployed system needs (per-node transaction, traffic
     and log statistics). *)
 
-val pp_node : Format.formatter -> Node.t -> unit
-(** One line of per-node statistics. *)
-
 val pp_cluster : Format.formatter -> Cluster.t -> unit
 (** Full table: every node plus cluster-wide traffic. *)

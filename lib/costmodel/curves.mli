@@ -26,15 +26,12 @@ val page_vs_cpycmp_breakeven : rate -> float
 
 (** {1 Figure 7 — breakeven updates per page} *)
 
-val fig7_breakeven : trap:float -> per_update_cost:float -> float
-(** Maximum updates per page for which log-based coherency beats Cpy/Cmp,
-    given a trap cost and an average per-update cost: [(trap + copy +
-    compare) / per_update_cost].  With the OSF/1 trap and the 18.1 µs
-    unordered update cost of a 1000-update transaction this is 45 (55 with
-    the 14.8 µs ordered cost), as quoted in Section 4.3. *)
-
 val fig7_standard : per_update_cost:float -> float
-(** [fig7_breakeven] with the measured OSF/1 trap (360.1 µs). *)
+(** Maximum updates per page for which log-based coherency beats Cpy/Cmp,
+    given an average per-update cost and the measured OSF/1 trap
+    (360.1 µs): [(trap + copy + compare) / per_update_cost].  With the
+    18.1 µs unordered update cost of a 1000-update transaction this is 45
+    (55 with the 14.8 µs ordered cost), as quoted in Section 4.3. *)
 
 val fig7_fast_trap : per_update_cost:float -> float
-(** [fig7_breakeven] with the hypothetical 10 µs trap. *)
+(** The same breakeven with the hypothetical 10 µs trap. *)

@@ -21,6 +21,8 @@ let per_update_cost cls ~nth =
   | Unordered ->
       unordered_base +. (unordered_log_coeff *. log2 (float_of_int (max 2 nth)))
 
+(* Total detect cost of a transaction given how many calls of each class
+   it made (order-insensitive approximation using the running count). *)
 let detect_log ~update_classes =
   List.fold_left
     (fun acc (cls, count) ->

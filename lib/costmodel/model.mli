@@ -26,10 +26,6 @@ val per_update_cost : update_class -> nth:int -> float
     Unordered calls grow logarithmically with the range-tree size;
     ordered and redundant calls are flat. *)
 
-val detect_log : update_classes:(update_class * int) list -> float
-(** Total detect cost of a transaction given how many calls of each class
-    it made (order-insensitive approximation using the running count). *)
-
 val collect_log : ranges:int -> bytes:int -> float
 (** Commit-time gather: building iovecs and copying modified bytes to the
     system buffer. *)

@@ -59,7 +59,6 @@ type trace = {
   t_decisions : int list;
 }
 
-val trace_of_failure : failure -> trace
 val save_trace : string -> failure -> unit
 
 val read_trace : string -> (trace, string) result

@@ -315,11 +315,10 @@ let worker_home c rng n iterations =
         Lbc_sim.Proc.sleep (Lbc_util.Rng.float rng 20.0)
       done)
 
-(* Twin of the chaos rejoin-under-load test: a checkpoint persists a
-   region-index control record, the node crashes, rejoins and serves
-   fresh load while chains replay on first touch and the background
-   drain walks the rest — all interleaved with live peer traffic under
-   the explored schedule. *)
+(* Twin of the chaos rejoin-under-load test: a checkpoint trims the
+   logs, the node crashes, rejoins and serves fresh load while chains
+   replay on first touch and the background drain walks the rest — all
+   interleaved with live peer traffic under the explored schedule. *)
 let rejoin_under_load =
   cluster_scenario ~name:"rejoin-under-load"
     ~descr:
@@ -340,7 +339,7 @@ let rejoin_under_load =
           Cluster.run c;
           ignore (Cluster.checkpoint c : int);
           Cluster.run c;
-          (* A post-checkpoint tail for the persisted index to extend. *)
+          (* A post-checkpoint tail for the rejoin to index. *)
           for n = 0 to nodes - 1 do
             worker_home c rng n 10
           done;

@@ -38,10 +38,10 @@ val crash_rejoin : t
 val checkpoint_under_faults : t
 
 val rejoin_under_load : t
-(** Checkpoint (persisting a region-index control record), crash, then
-    a rejoin that serves fresh load while chains replay on first touch
-    and peers keep committing.  The home-segment workload keeps the
-    rejoin's chains disjoint, one per node. *)
+(** Checkpoint, more commits, crash, then a rejoin that serves fresh
+    load while chains replay on first touch and peers keep committing.
+    The home-segment workload keeps the rejoin's chains disjoint, one
+    per node. *)
 
 val oo7_eager : t
 val oo7_multicast : t

@@ -331,8 +331,7 @@ let merged d =
    events pass 0 and render without args. *)
 let arg_label = function
   | "lock.wait" | "interlock" | "token.pass" -> Some "lock"
-  | "net.send" | "net.deliver" | "net.drop" | "log.append" | "log.ctrl"
-  | "log.flush" ->
+  | "net.send" | "net.deliver" | "net.drop" | "log.append" | "log.flush" ->
       Some "bytes"
   | "replay-chain" | "ckpt" -> Some "records"
   | "apply" | "hold" -> Some "writer"

@@ -73,9 +73,10 @@ val flow_id : lock:int -> seqno:int -> int
 
     Spans and instants carry one int argument: the lock id on
     [lock.wait], [interlock] and [token.pass]; the byte count on
-    [net.send], [net.deliver], [net.drop], [log.append], [log.ctrl],
-    [log.flush] and [ckpt]; the writer on [apply] and [hold]; the epoch
-    on [crash] and [rejoin]; 0 elsewhere ({!Flight_dump.arg_label}). *)
+    [net.send], [net.deliver], [net.drop], [log.append] and
+    [log.flush]; the record count on [replay-chain] and [ckpt]; the
+    writer on [apply] and [hold]; the epoch on [crash] and [rejoin]; 0
+    elsewhere ({!Flight_dump.arg_label}). *)
 
 val span_begin : t -> name:string -> pid:int -> tid:int -> arg:int -> span
 

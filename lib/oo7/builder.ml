@@ -57,7 +57,8 @@ let build (c : Schema.config) =
     a
   in
   let root = build_assembly 1 in
-  (* Composite directory, with spare capacity for structural inserts. *)
+  (* Composite directory.  Its spare half holds no entries; it keeps the
+     heap's layout, and so every simulated address, as it has been. *)
   let capacity = 2 * c.Schema.num_composites in
   let dir = Heap.alloc heap (8 * capacity) in
   Array.iteri (fun i comp -> Heap.set_int heap (dir + (8 * i)) comp) composites;

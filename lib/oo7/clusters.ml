@@ -61,9 +61,3 @@ let index_parts db ~comp =
   iter_parts db ~comp (fun part ->
       if not (Iavl.insert idx part) then
         raise (Database.Bad_database "index_parts: duplicate entry"))
-
-let unindex_parts db ~comp =
-  let idx = Database.index db in
-  iter_parts db ~comp (fun part ->
-      if not (Iavl.delete idx part) then
-        raise (Database.Bad_database "unindex_parts: missing entry"))

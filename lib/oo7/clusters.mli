@@ -1,7 +1,7 @@
 open Lbc_pheap
 
-(** Construction of one composite-part cluster — shared by the database
-    builder and by run-time structural insertion ({!Operations}).
+(** Construction of one composite-part cluster, for the database
+    builder.
 
     A cluster is the composite record, its atomic parts (contiguous, so
     they share pages), their connection objects, and the document — just
@@ -18,6 +18,3 @@ val build_one :
 
 val index_parts : Database.t -> comp:int -> unit
 (** Insert every atomic part of [comp] into the part index. *)
-
-val unindex_parts : Database.t -> comp:int -> unit
-(** Remove every atomic part of [comp] from the part index. *)

@@ -15,9 +15,6 @@ val traversal_params :
 (** Parameter blob for {!Lbc_rvm.Rvm.set_command}: the schema
     configuration (varints), the region id, and the traversal kind. *)
 
-val decode_params : Bytes.t -> Schema.config * int * Traversal.kind
-(** @raise Lbc_util.Codec.Truncated on malformed parameters. *)
-
 val ensure : unit -> unit
 (** Register the traversal operation with {!Lbc_wal.Command} (idempotent).
     Must run before any log decode or replay that may meet an OO7 command

@@ -11,7 +11,6 @@ let hdr_magic = header_field "db_magic"
 let hdr_root = header_field "root_assembly"
 let hdr_n_composites = header_field "n_composites"
 let hdr_dir = header_field "composite_dir"
-let hdr_dir_capacity = header_field "dir_capacity"
 let hdr_index_slots = header_field "index_slots"
 let part_date_off = Layout.offset Schema.atomic_part "date"
 let part_x_off = Layout.offset Schema.atomic_part "x"
@@ -77,29 +76,12 @@ let get t addr = Heap.get_int t.heap addr
 let set t addr v = Heap.set_int t.heap addr v
 let root_assembly t = get t (header_addr + hdr_root)
 let num_composites t = get t (header_addr + hdr_n_composites)
-let dir_capacity t = get t (header_addr + hdr_dir_capacity)
 let dir t = get t (header_addr + hdr_dir)
 
 let composite t i =
   if i < 0 || i >= num_composites t then
     invalid_arg (Printf.sprintf "Database.composite: index %d" i);
   get t (dir t + (8 * i))
-
-let set_num_composites t n = set t (header_addr + hdr_n_composites) n
-
-let append_composite t addr =
-  let n = num_composites t in
-  if n >= dir_capacity t then raise (Bad_database "composite directory full");
-  set t (dir t + (8 * n)) addr;
-  set_num_composites t (n + 1);
-  n
-
-let remove_composite t i =
-  let n = num_composites t in
-  if i < 0 || i >= n then invalid_arg "Database.remove_composite";
-  let dir = dir t in
-  if i < n - 1 then set t (dir + (8 * i)) (get t (dir + (8 * (n - 1))));
-  set_num_composites t (n - 1)
 
 let part_date t part = get t (part + part_date_off)
 let set_part_date t part v = set t (part + part_date_off) v

@@ -36,15 +36,6 @@ val num_composites : t -> int
 val composite : t -> int -> int
 (** Address of the i-th composite part (via the directory). *)
 
-val dir_capacity : t -> int
-
-val append_composite : t -> int -> int
-(** Register a new composite in the directory; returns its directory
-    position.  @raise Bad_database when the directory is full. *)
-
-val remove_composite : t -> int -> unit
-(** Swap-remove the composite at the given directory position. *)
-
 val index : t -> Iavl.t
 (** The part index: atomic parts ordered by their (mutable) build-date
     field, read indirectly through the part — so a date change that keeps
@@ -58,7 +49,6 @@ val part_date : t -> int -> int
 val set_part_date : t -> int -> int -> unit
 val part_x : t -> int -> int
 val set_part_x : t -> int -> int -> unit
-val part_y : t -> int -> int
 
 val connection_target : t -> int -> int -> int
 (** [connection_target db part k]: the atomic part the [k]-th outgoing

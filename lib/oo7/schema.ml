@@ -97,6 +97,9 @@ let total_assemblies c =
   in
   sum c.assembly_levels 0 1
 
+(* Bytes one composite part occupies together with its atomic parts,
+   connection objects and document: > 8 KB in the paper's configuration,
+   which is why each composite's updates land on pages of their own. *)
 let cluster_size c =
   Layout.size (composite_part c)
   + (c.atomics_per_composite
@@ -115,7 +118,8 @@ let region_size c =
   let with_headers =
     Heap.header_size + Layout.size header + objects
   in
-  (* Slack for alignment, index churn and structural inserts (the
-     directory has 2x capacity and inserted clusters need room). *)
+  (* Slack for alignment and index churn, plus a cluster's worth more:
+     kept at this size so heap layouts, and with them simulated
+     addresses, stay as they are. *)
   let padded = with_headers + (with_headers / 4) + (8 * cluster_size c) + 65536 in
   (padded + 65535) / 65536 * 65536

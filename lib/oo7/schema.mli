@@ -32,12 +32,10 @@ val describe : config -> string
 (** "small", "tiny", or a short summary of a custom configuration — for
     error messages. *)
 
-val base_assemblies : config -> int
-(** [fanout^(levels-1)]. *)
-
 val composite_visits : config -> int
-(** Composite parts visited by a full traversal:
-    [base_assemblies * composites_per_base] (2187 for [small]). *)
+(** Composite parts visited by a full traversal: the
+    [fanout^(levels-1)] base assemblies times [composites_per_base]
+    (2187 for [small]). *)
 
 val atomic_part : Layout.t
 (** id, date, x, y, doc_id, conn_to[i], conn_type[i] — padded to 200. *)
@@ -57,11 +55,6 @@ val doc_size : int
 val composite_part : config -> Layout.t
 (** id, date, root_part, document, parts[atomics_per_composite] — padded
     to 200 when it fits. *)
-
-val cluster_size : config -> int
-(** Bytes one composite part occupies together with its atomic parts,
-    connection objects and document — > 8 KB in the paper's configuration,
-    which is why each composite's updates land on pages of their own. *)
 
 val part_slot : int -> string
 

@@ -239,21 +239,6 @@ let fold t ~init ~f =
   in
   go (root t) init
 
-let fold_range t ~lo ~hi ~init ~f =
-  let rec go n acc =
-    if n = 0 then acc
-    else begin
-      let k = key_at t n in
-      let acc = if compare_key k lo > 0 then go (left t n) acc else acc in
-      let acc =
-        if compare_key k lo >= 0 && compare_key k hi <= 0 then f acc (value t n)
-        else acc
-      in
-      if compare_key k hi < 0 then go (right t n) acc else acc
-    end
-  in
-  go (root t) init
-
 let cardinal t = fold t ~init:0 ~f:(fun a _ -> a + 1)
 let height t = height_of t (root t)
 

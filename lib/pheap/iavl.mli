@@ -45,9 +45,5 @@ val cardinal : t -> int
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** Entries in ascending key order. *)
 
-val fold_range : t -> lo:key -> hi:key -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Entries with [lo <= key <= hi], ascending; visits only the O(log n +
-    matches) relevant subtrees (OO7's range queries Q2/Q3 run on this). *)
-
 val height : t -> int
 val check_invariants : t -> unit

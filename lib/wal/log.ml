@@ -41,7 +41,10 @@ type t = {
 }
 
 let log_magic = 0x4C42434C (* "LBCL" *)
-let version = 1
+(* A version-1 log may hold "LBCK" control records, which [Record]
+   reads as torn: attaching one would end its tail at the first of them,
+   so [attach] refuses that version. *)
+let version = 2
 let header_size = 16
 
 (* Bound on each device read during scans; a record larger than the
@@ -63,7 +66,7 @@ let write_header t =
    of the window boundary: re-anchor the window at the verdict position,
    doubling it when no progress is possible, until the window reaches
    [limit] and the verdict is final. *)
-let scan ?(ctrl = fun _ _ -> ()) dev ~from ~limit f =
+let scan dev ~from ~limit f =
   (* A crash can revert the device below the caller's logical tail; only
      what is actually on the device can be read. *)
   let limit = min limit (Lbc_storage.Dev.size dev) in
@@ -77,9 +80,6 @@ let scan ?(ctrl = fun _ _ -> ()) dev ~from ~limit f =
         | Record.Txn (txn, next) ->
             f (base + rel) txn;
             step next (count + 1)
-        | Record.Ctrl (c, next) ->
-            ctrl (base + rel) c;
-            step next count
         | Record.End ->
             if base + len >= limit then (base + rel, Clean, count)
             else if rel > 0 then go (base + rel) win count
@@ -313,28 +313,6 @@ let set_head t off =
   t.record_count <- count;
   off
 
-let append_ctrl t c =
-  (* Same device-order discipline as a direct append. *)
-  flush_batch t;
-  Codec.clear t.enc;
-  Record.encode_ctrl_into t.enc c;
-  let off = t.tail in
-  Lbc_storage.Dev.write_slice t.dev ~off (Codec.slice t.enc);
-  t.tail <- off + Codec.length t.enc;
-  Obs.instant t.obs ~name:"log.ctrl" ~pid:t.obs_node ~tid:Obs.lane_wal
-    ~arg:(Codec.length t.enc);
-  off
-
-let fold_ctrl t ~init f =
-  flush_batch t;
-  let acc = ref init in
-  let _pos, status, _count =
-    scan t.dev ~ctrl:(fun pos c -> acc := f !acc pos c) ~from:t.head
-      ~limit:t.tail
-      (fun _ _ -> ())
-  in
-  (!acc, status)
-
 let fold t ?from ~init f =
   (* An open batch is part of [head, tail) but not on the device yet. *)
   flush_batch t;
@@ -374,7 +352,6 @@ let read_at t ~off =
         in
         match Record.decode_slice image ~pos:0 with
         | Record.Txn (txn, _) -> Ok txn
-        | Record.Ctrl _ -> Error (Printf.sprintf "control record at %d" off)
         | Record.End -> Error (Printf.sprintf "no record at %d" off)
         | Record.Torn why -> Error (Printf.sprintf "%s at %d" why off)
       end

@@ -1,9 +1,10 @@
 (** An append-only redo log on a simulated device.
 
-    Layout: a 16-byte header ([magic], [version], [head] offset of the
-    first live record) followed by records ({!Record}).  The log is
-    write-ahead: {!append} buffers the record on the device and {!force}
-    issues the synchronous barrier that makes the commit durable.
+    Layout: a 16-byte header ([magic], [version] 2, [head] offset of the
+    first live record) followed by transaction records ({!Record}) and
+    nothing else.  The log is write-ahead: {!append} buffers the record
+    on the device and {!force} issues the synchronous barrier that makes
+    the commit durable.
 
     {!attach} scans the device to find the usable tail, stopping at a clean
     end or a torn record — so re-attaching after a crash silently discards
@@ -27,7 +28,9 @@
 type t
 
 exception Bad_log of string
-(** Raised by {!attach} when the device holds something that is not a log. *)
+(** Raised by {!attach} when the device holds something that is not a log
+    of this version.  A version-1 log, whose control records this decoder
+    would read as a torn tail, is refused as ["bad version 1"]. *)
 
 val header_size : int
 
@@ -83,10 +86,6 @@ val append_durable : t -> Record.txn -> int
     caller parks until the batch syncs; otherwise this is
     {!append} + {!force}. *)
 
-val flush_batch : t -> unit
-(** Write and sync the open batch now, waking its committers.  No-op
-    when no batch is open. *)
-
 val batches_flushed : t -> int
 val records_batched : t -> int
 (** Per-log group-commit accounting (0 when disabled). *)
@@ -117,17 +116,6 @@ val fold : t -> ?from:int -> init:'a -> ('a -> int -> Record.txn -> 'a) -> 'a * 
 
 val read_all : t -> Record.txn list * scan_status
 
-(** {1 Control records} *)
-
-val append_ctrl : t -> Record.ctrl -> int
-(** Append one control record (buffered, like {!append}); returns its
-    offset.  Control records do not count towards {!record_count} and are
-    skipped by {!fold}/{!read_all}. *)
-
-val fold_ctrl :
-  t -> init:'a -> ('a -> int -> Record.ctrl -> 'a) -> 'a * scan_status
-(** Fold over the live control records only (offset and payload). *)
-
 (** {1 Point reads}
 
     The {!Region_index} chains name records by log offset; on-demand
@@ -138,7 +126,7 @@ val read_at : t -> off:int -> (Record.txn, string) result
 (** Read and decode the single transaction record starting at [off].
     Errors (with the offending offset in the message) instead of raising
     on anything that is not a live, intact transaction record: offsets
-    outside [[head, tail)], control records, torn or corrupt bytes. *)
+    outside [[head, tail)], torn or corrupt bytes. *)
 
 val fold_chain :
   t ->

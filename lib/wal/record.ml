@@ -14,7 +14,6 @@ type txn = {
 
 let magic = 0x4C424354 (* "LBCT" *)
 let cmd_magic = 0x4C424343 (* "LBCC" *)
-let ctrl_magic = 0x4C42434B (* "LBCK" *)
 let rvm_disk_header_size = 104
 let min_header_size = 4 + 8 + 8 (* region, offset, length *)
 
@@ -23,9 +22,8 @@ let min_header_size = 4 + 8 + 8 (* region, offset, length *)
    every patch offset is relative to the arena length at entry.  The
    total-length field is patched in place once the body size is known,
    and the CRC is computed over the arena bytes directly — no
-   intermediate buffer is materialized.  All three record kinds (value,
-   command, control) share this framing: magic, total at +4, trailing
-   CRC. *)
+   intermediate buffer is materialized.  Both record kinds (value and
+   command) share this framing: magic, total at +4, trailing CRC. *)
 let seal w ~start =
   let total = Codec.length w - start + 4 in
   Codec.patch_u32 w ~at:(start + 4) total;
@@ -125,78 +123,8 @@ let encoded_size t =
       + Codec.varint_size (List.length t.ranges)
       + ranges + 4
 
-(* Control records share the log's framing (magic, total length, CRC)
-   but carry no transaction.  They use their own magic so the
-   transaction encoding — pinned by golden vectors — is untouched.  The
-   checkpoint markers still decode, though nothing writes them now. *)
-type ctrl_kind = Ckpt_begin | Ckpt_end | Region_index
-type index_entry = { keys : int list; offsets : int list }
-
-type ctrl = {
-  kind : ctrl_kind;
-  node : int;
-  ckpt_id : int;
-  entries : index_entry list;
-}
-
-let ctrl_size = 4 + 4 + 1 + 2 + 8 + 4
-
-let encode_ctrl_into w c =
-  let start = Codec.length w in
-  Codec.u32 w ctrl_magic;
-  Codec.u32 w 0 (* total, patched by [seal] *);
-  Codec.u8 w (match c.kind with Ckpt_begin -> 1 | Ckpt_end -> 2 | Region_index -> 3);
-  Codec.u16 w c.node;
-  Codec.int_as_u64 w c.ckpt_id;
-  (match c.kind with
-  | Ckpt_begin | Ckpt_end ->
-      (* Checkpoint markers keep the original fixed-size encoding, so
-         pre-index logs decode unchanged. *)
-      if c.entries <> [] then
-        invalid_arg "Record.encode_ctrl: checkpoint markers carry no index"
-  | Region_index ->
-      Codec.varint w (List.length c.entries);
-      List.iter
-        (fun e ->
-          Codec.varint w (List.length e.keys);
-          List.iter (Codec.varint w) e.keys;
-          Codec.varint w (List.length e.offsets);
-          List.iter (Codec.varint w) e.offsets)
-        c.entries);
-  seal w ~start
-
-let encode_ctrl c =
-  let w = Codec.writer ~capacity:ctrl_size () in
-  encode_ctrl_into w c;
-  Codec.contents w
-
-let equal_index_entry (a : index_entry) (b : index_entry) =
-  List.equal Int.equal a.keys b.keys && List.equal Int.equal a.offsets b.offsets
-
-let equal_ctrl (a : ctrl) (b : ctrl) =
-  a.kind = b.kind && a.node = b.node && a.ckpt_id = b.ckpt_id
-  && List.equal equal_index_entry a.entries b.entries
-
-let pp_ctrl ppf c =
-  Format.fprintf ppf "%s node=%d ckpt=%d"
-    (match c.kind with
-    | Ckpt_begin -> "ckpt-begin"
-    | Ckpt_end -> "ckpt-end"
-    | Region_index -> "region-index")
-    c.node c.ckpt_id;
-  if c.kind = Region_index then
-    Format.fprintf ppf " chains=%d (%s)"
-      (List.length c.entries)
-      (String.concat "; "
-         (List.map
-            (fun e ->
-              Printf.sprintf "%d keys/%d recs" (List.length e.keys)
-                (List.length e.offsets))
-            c.entries))
-
 type decode_result =
   | Txn of txn * int
-  | Ctrl of ctrl * int
   | End
   | Torn of string
 
@@ -222,28 +150,6 @@ let get_locks body =
       let seqno = Codec.get_varint body in
       let prev_write_seq = Codec.get_varint body in
       { lock_id; seqno; prev_write_seq })
-
-let decode_ctrl body ~total ~next =
-  let kind_byte = Codec.get_u8 body in
-  let node = Codec.get_u16 body in
-  let ckpt_id = Codec.get_int_as_u64 body in
-  match kind_byte with
-  | (1 | 2) when total <> ctrl_size -> Torn "bad ctrl length"
-  | 1 -> Ctrl ({ kind = Ckpt_begin; node; ckpt_id; entries = [] }, next)
-  | 2 -> Ctrl ({ kind = Ckpt_end; node; ckpt_id; entries = [] }, next)
-  | 3 ->
-      let entries =
-        List.init (Codec.get_count body) (fun _ ->
-            let keys =
-              List.init (Codec.get_count body) (fun _ -> Codec.get_varint body)
-            in
-            let offsets =
-              List.init (Codec.get_count body) (fun _ -> Codec.get_varint body)
-            in
-            { keys; offsets })
-      in
-      Ctrl ({ kind = Region_index; node; ckpt_id; entries }, next)
-  | _ -> Torn "bad ctrl kind"
 
 let decode_txn body ~is_cmd =
   let node = Codec.get_u16 body in
@@ -283,10 +189,8 @@ let decode_slice s ~pos =
     let r = Codec.reader_of_slice (Slice.sub s ~pos ~len:(len - pos)) in
     let m = Codec.get_u32 r in
     let total = Codec.get_u32 r in
-    let is_ctrl = m = ctrl_magic in
-    if not (is_ctrl || m = magic || m = cmd_magic) then
+    if not (m = magic || m = cmd_magic) then
       if all_zero s ~pos then End else Torn "bad magic"
-    else if is_ctrl && total < ctrl_size then Torn "bad ctrl length"
     else if total < 12 then Torn "bad length"
     else if pos + total > len then Torn "truncated record"
     else if not (crc_ok s ~pos ~total) then Torn "bad crc"
@@ -294,13 +198,8 @@ let decode_slice s ~pos =
       let body =
         Codec.reader_of_slice (Slice.sub s ~pos:(pos + 8) ~len:(total - 12))
       in
-      let next = pos + total in
-      if is_ctrl then
-        try decode_ctrl body ~total ~next
-        with Codec.Truncated why -> Torn ("malformed ctrl body: " ^ why)
-      else
-        try Txn (decode_txn body ~is_cmd:(m = cmd_magic), next)
-        with Codec.Truncated why -> Torn ("malformed body: " ^ why)
+      try Txn (decode_txn body ~is_cmd:(m = cmd_magic), pos + total)
+      with Codec.Truncated why -> Torn ("malformed body: " ^ why)
     end
   end
 

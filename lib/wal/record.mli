@@ -24,7 +24,7 @@
     stores its header size, and the decoder reads whatever size a record
     carries (at least {!min_header_size}).  The whole record
     is covered by a CRC-32 so that torn tails are detected and ignored by
-    recovery. *)
+    recovery.  A log holds these records and nothing else. *)
 
 type lock_info = {
   lock_id : int;
@@ -81,58 +81,15 @@ val encode_into : Lbc_util.Codec.writer -> txn -> unit
     bytes already in the writer is fine (group commit batches records
     this way); the output is byte-identical to {!encode}. *)
 
-(** {1 Control records}
-
-    Marker records sharing the log's framing (own magic, total length,
-    CRC) but carrying no transaction, so the transaction encoding —
-    pinned by golden vectors — is unchanged.  Scans skip them.
-
-    [Ckpt_begin]/[Ckpt_end] are checkpoint markers of a fixed-size
-    encoding; they still decode, so older logs read unchanged, but
-    nothing writes them now.  [Region_index] is variable-length: it
-    persists the replay-partition index over the live log tail (the
-    union-find closure of lock∪region keys), one entry per independent
-    chain, so a rejoining node can start serving on demand without
-    re-partitioning the tail it already checkpointed.
-    [Lbc_core.Cluster.checkpoint] writes one over each log tail that
-    survives its trim. *)
-
-type ctrl_kind = Ckpt_begin | Ckpt_end | Region_index
-
-type index_entry = {
-  keys : int list;
-      (** tagged lock/region ids of the chain (see {!Region_index.tag});
-          non-negative, sorted ascending *)
-  offsets : int list;
-      (** log offsets of the chain's records, ascending (= replay order) *)
-}
-
-type ctrl = {
-  kind : ctrl_kind;
-  node : int;  (** node whose log holds the record *)
-  ckpt_id : int;  (** number of the checkpoint that wrote it *)
-  entries : index_entry list;
-      (** [Region_index] payload; must be [[]] for checkpoint markers *)
-}
-
-val ctrl_size : int
-(** Exact on-disk size of a checkpoint marker, and the minimum size of
-    any control record. *)
-
-val encode_ctrl : ctrl -> Bytes.t
-val encode_ctrl_into : Lbc_util.Codec.writer -> ctrl -> unit
-val equal_index_entry : index_entry -> index_entry -> bool
-val equal_ctrl : ctrl -> ctrl -> bool
-val pp_ctrl : Format.formatter -> ctrl -> unit
-
 type decode_result =
   | Txn of txn * int  (** decoded record and offset just past it *)
-  | Ctrl of ctrl * int  (** control record and offset just past it *)
   | End  (** clean end of log: zero fill or end of data *)
   | Torn of string  (** partial or corrupt record (reason) *)
 
 val decode : Bytes.t -> pos:int -> decode_result
-(** Decode the record starting at [pos]. *)
+(** Decode the record starting at [pos].  Bytes with any other magic
+    than a value or command record's are [Torn] (or [End] when all
+    zero). *)
 
 val decode_slice : Lbc_util.Slice.t -> pos:int -> decode_result
 (** Like {!decode} but over a window (log scans use bounded device

@@ -3,25 +3,29 @@
     The union-find closure of lock∪region conflict keys, with each
     connected component holding the ascending log offsets of its
     records.  [Lbc_core.Merge.partition] is this index over the
-    positions of a merged record stream.  Chains from different components touch
-    disjoint regions under disjoint locks and replay independently;
-    within a chain, offset order is replay order.
+    positions of a merged record stream.  Chains from different
+    components touch disjoint regions under disjoint locks and replay
+    independently; within a chain, offset order is replay order.
 
-    Persisted as a {!Record.Region_index} control record over each log
-    tail a checkpoint's trim leaves, and extended incrementally at
-    attach time,
-    so a rejoining node starts serving on demand without re-partitioning
-    the tail it already checkpointed. *)
+    Nothing of it is persisted: a rejoining node rebuilds it from the
+    live records with {!of_log}, in the one scan it makes of its log, so
+    the chains are exactly the partition of the records the last trim
+    left. *)
 
 type key = Lock of int | Region of int
 
 val tag : key -> int
-(** Non-negative varint-safe encoding: locks even (the keyless catch-all
+(** Non-negative int encoding: locks even (the keyless catch-all
     [Lock (-1)] is 0), regions odd. *)
 
 val untag : int -> key
 
 type t
+
+type chain = {
+  keys : int list;  (** tagged lock/region keys, sorted ascending *)
+  offsets : int list;  (** the records' log offsets, ascending (= replay order) *)
+}
 
 val create : unit -> t
 
@@ -30,25 +34,12 @@ val add : t -> off:int -> Record.txn -> unit
     keys appear.  Offsets must ascend past every offset already indexed
     (raises [Invalid_argument] otherwise). *)
 
-val of_entries : Record.index_entry list -> t
-(** Rebuild from a persisted {!Record.Region_index} payload. *)
-
 val of_log : Log.t -> t * Log.scan_status
-(** Index [log]'s live tail: seed from the newest persisted
-    [Region_index] control record (if any), drop offsets the head has
-    passed, and extend with every record appended after it. *)
+(** Index [log]'s live tail: one {!Log.fold} that {!add}s every record. *)
 
-val drop_below : t -> head:int -> unit
-(** Forget offsets below a trimmed head.  Chain structure contributed by
-    trimmed records is kept: a coarser partition is conservative. *)
-
-val entries : t -> Record.index_entry list
-(** Canonical form: live chains (≥ 1 record) with keys sorted ascending,
-    offsets ascending, ordered by first offset. *)
+val entries : t -> chain list
+(** Canonical form: chains with keys sorted ascending, offsets
+    ascending, ordered by first offset. *)
 
 val chains : t -> int list list
 (** Just the offset chains of {!entries}. *)
-
-val to_ctrl : t -> node:int -> ckpt_id:int -> Record.ctrl
-(** Package as a control record for {!Log.append_ctrl}. *)
-

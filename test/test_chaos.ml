@@ -524,11 +524,6 @@ let test_chaos_checkpoint_respects_retention () =
   Alcotest.(check bool)
     "retention clamp kept the unacked record" true
     (Lbc_wal.Log.record_count log1 > 0);
-  let indexed, _ =
-    Lbc_wal.Log.fold_ctrl log1 ~init:false (fun acc _ ctrl ->
-        acc || ctrl.Lbc_wal.Record.kind = Lbc_wal.Record.Region_index)
-  in
-  Alcotest.(check bool) "surviving tail indexed" true indexed;
   crash_then_rejoin c ~node:1;
   Cluster.run c;
   Alcotest.(check bool) "writer is back" false (Cluster.is_crashed c 1);
@@ -697,11 +692,9 @@ let test_chaos_ondemand_rejoin () =
     worker_home c rng n 10
   done;
   Cluster.run c;
-  (* Persist a region-index control record with a checkpoint so the
-     rejoin seeds its chains from it instead of rescanning... *)
   ignore (Cluster.checkpoint c : int);
   Cluster.run c;
-  (* ...then grow a post-checkpoint tail for the index to extend over. *)
+  (* A post-checkpoint tail for the rejoin to index. *)
   for n = 0 to nodes - 1 do
     worker_home c rng n 10
   done;

@@ -500,12 +500,10 @@ let test_partition_empty_and_keyless () =
     "keyless records stay together (and ordered)" [ [ 1; 2 ] ]
     (List.map tids (Merge.partition records))
 
-(* Satellite property: the region index persisted at a checkpoint trim,
-   extended by scanning only the records appended afterwards, partitions
-   the live tail exactly like a fresh [Merge.partition] over it.  Exact
-   equality holds because the index is written fresh over the post-trim
-   tail (as [Cluster.checkpoint] does); an index persisted before a trim
-   may legally be coarser. *)
+(* The region index a rejoin builds from its log partitions the live
+   records exactly as [Merge.partition] does, after random appends and a
+   trim at a random record boundary: a trimmed record that linked two
+   chains no longer joins them. *)
 let gen_index_case =
   let open QCheck.Gen in
   let gen_keys =
@@ -524,8 +522,7 @@ let gen_index_case =
 
 let prop_region_index_matches_partition =
   QCheck.Test.make
-    ~name:"persisted region index = Merge.partition across random trims"
-    ~count:200
+    ~name:"region index = Merge.partition of the live records" ~count:200
     (QCheck.make gen_index_case)
     (fun (txns, ck, tr) ->
       let d = Lbc_storage.Dev.create () in
@@ -536,8 +533,7 @@ let prop_region_index_matches_partition =
       let after = List.filteri (fun i _ -> i >= k) txns in
       let offs_before = List.map (fun t -> Lbc_wal.Log.append log t) before in
       Lbc_wal.Log.force log;
-      (* Checkpoint: trim to a random record boundary in the prefix,
-         then persist a fresh index of what survives. *)
+      (* Trim to a random record boundary in the prefix. *)
       let cut =
         match offs_before with
         | [] -> Lbc_wal.Log.head log
@@ -547,16 +543,9 @@ let prop_region_index_matches_partition =
             else List.nth offs j
       in
       ignore (Lbc_wal.Log.set_head log cut : int);
-      let idx, _ = Lbc_wal.Region_index.of_log log in
-      ignore
-        (Lbc_wal.Log.append_ctrl log
-           (Lbc_wal.Region_index.to_ctrl idx ~node:0 ~ckpt_id:1)
-          : int);
       List.iter (fun t -> ignore (Lbc_wal.Log.append log t : int)) after;
       Lbc_wal.Log.force log;
-      (* Reload: seeded from the persisted ctrl, extended over the
-         suffix appended after it. *)
-      let idx', _ = Lbc_wal.Region_index.of_log log in
+      let idx, _ = Lbc_wal.Region_index.of_log log in
       let live =
         let items, _ =
           Lbc_wal.Log.fold log ~init:[] (fun acc off t -> (off, t) :: acc)
@@ -578,7 +567,7 @@ let prop_region_index_matches_partition =
                   Hashtbl.find tid2off t.Lbc_wal.Record.tid))
         |> canon
       in
-      let got = canon (Lbc_wal.Region_index.chains idx') in
+      let got = canon (Lbc_wal.Region_index.chains idx) in
       expected = got)
 
 let test_distributed_recovery_matches_caches () =
@@ -1499,6 +1488,65 @@ let test_rejoin_after_checkpoints () =
       Node.Txn.commit txn);
   Cluster.run c
 
+(* A rejoin's replay chains are the partition of the records its log
+   still holds.  Under lazy propagation node 0's first record, which
+   links lock 1 (region 0) and lock 2 (region 1), is broadcast and
+   applied at once; the two single-lock records after it stay unapplied
+   at the peer, so their retention stops the second checkpoint's trim
+   right after the link.  The two locks then replay as two chains. *)
+let test_rejoin_chains_after_trim () =
+  let c = mk ~config:{ Config.default with propagation = Config.Lazy } () in
+  Cluster.add_region c ~id:1 ~size:4096;
+  Cluster.map_region_all c ~region:1;
+  let log0 = Lbc_rvm.Rvm.log (Node.rvm (Cluster.node c 0)) in
+  Cluster.spawn c ~node:0 (fun node ->
+      List.iter
+        (fun locks ->
+          let txn = Node.Txn.begin_ node in
+          List.iter (Node.Txn.acquire txn) locks;
+          (* lock l guards region l - 1 *)
+          List.iter
+            (fun l -> Node.Txn.set_u64 txn ~region:(l - 1) ~offset:0 1L)
+            locks;
+          Node.Txn.commit txn)
+        [ [ 1; 2 ]; [ 1 ]; [ 2 ] ]);
+  Cluster.run c;
+  check_int "first checkpoint" 3 (Cluster.checkpoint c);
+  check_int "retention keeps all three" 3 (Lbc_wal.Log.record_count log0);
+  Cluster.run c;
+  check_int "second checkpoint" 0 (Cluster.checkpoint c);
+  check_int "the trim drops the link" 2 (Lbc_wal.Log.record_count log0);
+  Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"controller" (fun () ->
+      Cluster.crash c ~node:0;
+      Lbc_sim.Proc.sleep (Config.default.Config.lease_timeout +. 100.0);
+      Cluster.rejoin c ~node:0);
+  Cluster.run c;
+  check_int "one chain per lock" 2
+    (Lbc_obs.Obs.counter (Cluster.obs c) "recovery_partitions")
+
+(* A read-only commit logs a lock-only record, whose one key has nothing
+   to union with.  A rejoin must still give it a chain, under its lock. *)
+let test_rejoin_after_read_only_commit () =
+  let c = mk () in
+  Cluster.spawn c ~node:1 (fun node ->
+      let txn = Node.Txn.begin_ node in
+      Node.Txn.acquire txn lock;
+      Alcotest.(check int64) "reads 0" 0L
+        (Node.Txn.get_u64 txn ~region ~offset:0);
+      Node.Txn.commit txn);
+  Cluster.run c;
+  Lbc_sim.Proc.spawn (Cluster.engine c) ~name:"controller" (fun () ->
+      Cluster.crash c ~node:1;
+      Lbc_sim.Proc.sleep (Config.default.Config.lease_timeout +. 100.0);
+      Cluster.rejoin c ~node:1);
+  Cluster.run c;
+  check_int "one chain, the lock's" 1
+    (Lbc_obs.Obs.counter (Cluster.obs c) "recovery_partitions");
+  Cluster.spawn c ~node:1 (fun node -> increment node ~offset:0);
+  Cluster.run c;
+  check_i64 "rejoined node commits" 1L
+    (Node.get_u64 (Cluster.node c 0) ~region ~offset:0)
+
 let test_merge_prefix_holds_back_gaps () =
   (* Log 0 holds (lock 0, seq 2) but seq 1 is in no log and not
      checkpointed: nothing can be emitted. *)
@@ -1683,6 +1731,10 @@ let suites =
           test_checkpoints_skip_replayed;
         Alcotest.test_case "rejoin after checkpoints" `Quick
           test_rejoin_after_checkpoints;
+        Alcotest.test_case "rejoin chains follow the trim" `Quick
+          test_rejoin_chains_after_trim;
+        Alcotest.test_case "rejoin after a read-only commit" `Quick
+          test_rejoin_after_read_only_commit;
         Alcotest.test_case "report renders" `Quick test_report_renders;
         Alcotest.test_case "client crash" `Quick
           test_client_crash_loses_uncommitted_only;

@@ -161,7 +161,7 @@ let test_small_config_table3_anchors () =
   check_int "T2-A pages = 500" 500 p.Lbc_costmodel.Model.pages_updated
 
 (* ------------------------------------------------------------------ *)
-(* Full-suite traversals (T4, T5, T7), queries, structural operations *)
+(* Full-suite traversals (T4, T5, T7) *)
 
 let test_t4_scans_documents () =
   let db = tiny_db () in
@@ -190,78 +190,6 @@ let test_t7_visits_one_assembly () =
   check_int "full graphs walked"
     (tiny.Schema.composites_per_base * tiny.Schema.atomics_per_composite)
     r.Traversal.atomic_visits
-
-let test_queries () =
-  let db = tiny_db () in
-  let atoms = tiny.Schema.num_composites * tiny.Schema.atomics_per_composite in
-  check_int "q1 finds everything" 20 (Queries.q1_exact_lookups db ~lookups:20);
-  check_int "q7 full scan" atoms (Queries.q7_full_scan db);
-  let q2 = Queries.q2_range_1pct db and q3 = Queries.q3_range_10pct db in
-  Alcotest.(check bool)
-    (Printf.sprintf "ranges nested (q2=%d <= q3=%d <= all=%d)" q2 q3 atoms)
-    true
-    (q2 <= q3 && q3 <= atoms);
-  (* Exhaustive cross-check of the range scan against a full fold. *)
-  let manual frac =
-    let hi = int_of_float (frac *. float_of_int tiny.Schema.date_range) in
-    Lbc_pheap.Iavl.fold (Database.index db) ~init:0 ~f:(fun acc part ->
-        if Database.part_date db part <= hi then
-          acc + 1
-        else acc)
-  in
-  check_int "q2 matches manual count" (manual 0.01) q2;
-  check_int "q3 matches manual count" (manual 0.10) q3;
-  Alcotest.(check bool) "q4 counts pattern" true
-    (Queries.q4_document_scan db ~pattern:'A' >= Schema.doc_size)
-
-let test_insert_and_delete_composites () =
-  let db = tiny_db () in
-  let before = Database.num_composites db in
-  let idx_before = Queries.q7_full_scan db in
-  let rng = Lbc_util.Rng.create 99 in
-  let added = Operations.insert_composites db ~rng ~count:3 in
-  check_int "directory grew" (before + 3) (Database.num_composites db);
-  check_int "index grew"
-    (idx_before + (3 * tiny.Schema.atomics_per_composite))
-    (Queries.q7_full_scan db);
-  Lbc_pheap.Iavl.check_invariants (Database.index db);
-  List.iter (fun addr -> Operations.delete_composite db ~addr) added;
-  check_int "directory restored" before (Database.num_composites db);
-  check_int "index restored" idx_before (Queries.q7_full_scan db);
-  Lbc_pheap.Iavl.check_invariants (Database.index db)
-
-let test_delete_unknown_composite_rejected () =
-  let db = tiny_db () in
-  Alcotest.(check bool) "raises" true
-    (try Operations.delete_composite db ~addr:12345; false
-     with Database.Bad_database _ -> true)
-
-let test_structural_insert_propagates () =
-  (* A whole insertion — allocator bump, cluster init, directory and
-     index updates — commits atomically and replicates to the peer. *)
-  let cluster = Runner.setup ~nodes:2 tiny in
-  Cluster.spawn cluster ~node:0 (fun node ->
-      let txn = Node.Txn.begin_ node in
-      Node.Txn.acquire txn Runner.lock;
-      let db = Database.attach_txn tiny txn ~region:Runner.region in
-      let rng = Lbc_util.Rng.create 5 in
-      ignore (Operations.insert_composites db ~rng ~count:2);
-      Node.Txn.commit txn);
-  Cluster.run cluster;
-  let db1 =
-    Database.attach_node tiny (Cluster.node cluster 1) ~region:Runner.region
-  in
-  check_int "peer sees new composites"
-    (tiny.Schema.num_composites + 2)
-    (Database.num_composites db1);
-  check_int "peer index grew"
-    ((tiny.Schema.num_composites + 2) * tiny.Schema.atomics_per_composite)
-    (Queries.q7_full_scan db1);
-  Lbc_pheap.Iavl.check_invariants (Database.index db1);
-  (* The insertion is durable too. *)
-  let outcome = Cluster.recover_database cluster in
-  Alcotest.(check bool) "recovered" true
-    (outcome.Lbc_rvm.Recovery.records_replayed = 1)
 
 (* ------------------------------------------------------------------ *)
 (* The shared accessor: field access allocates nothing, bounds hold *)
@@ -446,13 +374,6 @@ let suites =
         Alcotest.test_case "T4 document scan" `Quick test_t4_scans_documents;
         Alcotest.test_case "T5 document update" `Quick test_t5_updates_documents;
         Alcotest.test_case "T7 single assembly" `Quick test_t7_visits_one_assembly;
-        Alcotest.test_case "queries" `Quick test_queries;
-        Alcotest.test_case "insert/delete composites" `Quick
-          test_insert_and_delete_composites;
-        Alcotest.test_case "delete unknown rejected" `Quick
-          test_delete_unknown_composite_rejected;
-        Alcotest.test_case "structural insert propagates" `Quick
-          test_structural_insert_propagates;
       ] );
     ( "oo7.access",
       [

@@ -112,7 +112,7 @@ let prop_records_concatenate =
         match Record.decode blob ~pos with
         | Record.Txn (t, next) -> loop next (t :: acc)
         | Record.End -> List.rev acc
-        | Record.Ctrl _ | Record.Torn _ -> []
+        | Record.Torn _ -> []
       in
       let decoded = loop 0 [] in
       List.length decoded = List.length txns
@@ -210,6 +210,25 @@ let test_log_head_top_bit () =
        ignore (Log.attach d);
        false
      with Log.Bad_log _ -> true)
+
+(* A version-1 log may hold control records, which this decoder reads as
+   a torn tail: attaching one would silently drop every record after the
+   first.  The header's version refuses it, on a device and as a file. *)
+let test_log_v1_refused () =
+  let v1 = "LCBL\x01\x00\x00\x00\x10\x00\x00\x00\x00\x00\x00\x00" in
+  let d = Dev.create () in
+  Dev.write_string d ~off:0 v1;
+  (match Log.attach d with
+  | _ -> Alcotest.fail "a version-1 log attached"
+  | exception Log.Bad_log why ->
+      Alcotest.(check string) "reason" "bad version 1" why);
+  let path = Filename.temp_file "lbc-v1" ".log" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc v1);
+  let loaded = Log.load_file path in
+  Sys.remove path;
+  match loaded with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "load_file accepted a version-1 log"
 
 let test_log_fold_offsets () =
   let d = Dev.create () in
@@ -514,62 +533,7 @@ let test_group_commit_direct_append_flushes () =
     (List.map (fun t -> t.Record.tid) txns)
 
 (* ------------------------------------------------------------------ *)
-(* Control records and low-water marks *)
-
-let ctrl_testable = Alcotest.testable Record.pp_ctrl Record.equal_ctrl
-let mk_ctrl ?(node = 2) ?(ckpt_id = 7) ?(entries = []) kind =
-  { Record.kind; node; ckpt_id; entries }
-
-let test_ctrl_roundtrip () =
-  List.iter
-    (fun kind ->
-      let c = mk_ctrl kind in
-      let b = Record.encode_ctrl c in
-      Alcotest.(check int) "fixed size" Record.ctrl_size (Bytes.length b);
-      match Record.decode b ~pos:0 with
-      | Record.Ctrl (c', next) ->
-          Alcotest.check ctrl_testable "roundtrip" c c';
-          Alcotest.(check int) "consumed all" Record.ctrl_size next
-      | _ -> Alcotest.fail "ctrl did not decode")
-    [ Record.Ckpt_begin; Record.Ckpt_end ]
-
-let test_ctrl_corrupt_is_torn () =
-  let b = Record.encode_ctrl (mk_ctrl Record.Ckpt_begin) in
-  Bytes.set b (Bytes.length b - 1) '\xff';
-  (* CRC byte *)
-  match Record.decode b ~pos:0 with
-  | Record.Torn _ -> ()
-  | _ -> Alcotest.fail "corrupt ctrl not Torn"
-
-let test_ctrl_interleaves_with_txns () =
-  let d = Dev.create () in
-  let log = Log.attach d in
-  ignore (Log.append log (mk_txn ~tid:1 [ (0, 0, "aa") ]));
-  let begin_off = Log.append_ctrl log (mk_ctrl Record.Ckpt_begin) in
-  ignore (Log.append log (mk_txn ~tid:2 [ (0, 0, "bb") ]));
-  let end_off = Log.append_ctrl log (mk_ctrl Record.Ckpt_end) in
-  Log.force log;
-  (* Txn readers never see control records. *)
-  let txns, status = Log.read_all log in
-  Alcotest.(check bool) "clean" true (status = Log.Clean);
-  Alcotest.(check (list int)) "txns only" [ 1; 2 ]
-    (List.map (fun t -> t.Record.tid) txns);
-  Alcotest.(check int) "record_count ignores ctrl" 2 (Log.record_count log);
-  (* fold_ctrl sees only the markers, in offset order. *)
-  let ctrls, status' =
-    Log.fold_ctrl log ~init:[] (fun acc off c -> (off, c.Record.kind) :: acc)
-  in
-  Alcotest.(check bool) "ctrl scan clean" true (status' = Log.Clean);
-  Alcotest.(check (list (pair int bool)))
-    "both markers at their offsets"
-    [ (begin_off, true); (end_off, false) ]
-    (List.rev_map (fun (o, k) -> (o, k = Record.Ckpt_begin)) ctrls);
-  (* Markers survive a crash + reattach like any forced record. *)
-  Dev.crash d;
-  let log' = Log.attach d in
-  Alcotest.(check int) "txns survive" 2 (Log.record_count log');
-  let ctrls', _ = Log.fold_ctrl log' ~init:0 (fun n _ _ -> n + 1) in
-  Alcotest.(check int) "ctrls survive" 2 ctrls'
+(* Low-water marks, point reads, corrupt-byte scans, the region index *)
 
 let test_set_head_clamps_to_low_water () =
   let d = Dev.create () in
@@ -591,47 +555,15 @@ let test_set_head_clamps_to_low_water () =
     (Log.set_head log (Log.tail log));
   Alcotest.(check int) "log empty" 0 (Log.live_bytes log)
 
-(* ------------------------------------------------------------------ *)
-(* Region-index control records, point reads, corrupt-byte scans *)
-
-let test_region_index_roundtrip () =
-  let entries =
-    [
-      { Record.keys = [ 1; 4; 7 ]; offsets = [ 32; 96; 1024 ] };
-      { Record.keys = [ 0 ]; offsets = [ 64 ] };
-    ]
-  in
-  let c = mk_ctrl ~entries Record.Region_index in
-  let b = Record.encode_ctrl c in
-  Alcotest.(check bool) "bigger than a fixed marker" true
-    (Bytes.length b > Record.ctrl_size);
-  match Record.decode b ~pos:0 with
-  | Record.Ctrl (c', next) ->
-      Alcotest.check ctrl_testable "roundtrip" c c';
-      Alcotest.(check int) "consumed all" (Bytes.length b) next
-  | _ -> Alcotest.fail "region-index ctrl did not decode"
-
-let test_region_index_corrupt_is_torn () =
-  let entries = [ { Record.keys = [ 3 ]; offsets = [ 32; 64 ] } ] in
-  let b = Record.encode_ctrl (mk_ctrl ~entries Record.Region_index) in
-  Bytes.set b (Bytes.length b - 1) '\xee';
-  match Record.decode b ~pos:0 with
-  | Record.Torn _ -> ()
-  | _ -> Alcotest.fail "corrupt region-index not Torn"
-
 let test_read_at () =
   let d = Dev.create () in
   let log = Log.attach d in
   let o1 = Log.append log (mk_txn ~tid:1 [ (0, 0, "aa") ]) in
-  let oc = Log.append_ctrl log (mk_ctrl Record.Ckpt_begin) in
   let o2 = Log.append log (mk_txn ~tid:2 [ (0, 8, "bb") ]) in
   Log.force log;
   (match Log.read_at log ~off:o2 with
   | Ok t -> Alcotest.(check int) "tid at offset" 2 t.Record.tid
   | Error e -> Alcotest.fail e);
-  (match Log.read_at log ~off:oc with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "ctrl offset must error");
   (match Log.read_at log ~off:(o1 + 1) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "misaligned offset must error");
@@ -677,11 +609,7 @@ let test_region_index_tracks_log () =
   let chains = Region_index.chains idx in
   Alcotest.(check (list (list int))) "two disjoint chains, log order"
     [ [ o1; o3 ]; [ o2 ] ] chains;
-  (* Persist, trim the first record, reload: the index is seeded from
-     the ctrl record and drops trimmed offsets. *)
-  ignore
-    (Log.append_ctrl log (Region_index.to_ctrl idx ~node:1 ~ckpt_id:1) : int);
-  Log.force log;
+  (* Trim the first record and index again: its offset is gone. *)
   ignore (Log.set_head log o2 : int);
   let idx', status' = Region_index.of_log log in
   Alcotest.(check bool) "clean after trim" true (status' = Log.Clean);
@@ -689,29 +617,25 @@ let test_region_index_tracks_log () =
     [ [ o2 ]; [ o3 ] ]
     (List.sort compare (Region_index.chains idx'))
 
-(* Regression: a commit can land between the checkpoint's index scan and
-   the ctrl append (the scan charges device time, so other procs run).
-   Its offset is below the ctrl record's own offset yet absent from the
-   persisted entries — the reload rescan must resume from the highest
-   *indexed* offset, not from the ctrl record's offset, or the record is
-   skipped forever and replay serves stale bytes. *)
-let test_region_index_covers_scan_gap () =
+(* A record with one key (a read-only acquire logs a lock-only record;
+   a lockless record with no effect takes the catch-all key) has nothing
+   to union, yet {!Region_index.entries} must still name its chain. *)
+let test_region_index_single_key_records () =
   let d = Dev.create () in
   let log = Log.attach d in
-  let o1 = Log.append log (mk_txn ~tid:1 ~locks:[ lock 3 1 0 ] [ (0, 0, "aa") ]) in
+  let o1 = Log.append log (mk_txn ~tid:1 ~locks:[ lock 0 1 0 ] []) in
+  let o2 = Log.append log (mk_txn ~tid:2 []) in
   Log.force log;
-  let idx, _ = Region_index.of_log log in
-  (* Concurrent commit after the scan, before the ctrl append. *)
-  let o2 = Log.append log (mk_txn ~tid:2 ~locks:[ lock 9 1 0 ] [ (1, 0, "bb") ]) in
-  ignore
-    (Log.append_ctrl log (Region_index.to_ctrl idx ~node:1 ~ckpt_id:1) : int);
-  Log.force log;
-  let idx', status = Region_index.of_log log in
-  Alcotest.(check bool) "clean" true (status = Log.Clean);
-  Alcotest.(check (list (list int)))
-    "record between scan and ctrl append is re-indexed"
-    [ [ o1 ]; [ o2 ] ]
-    (List.sort compare (Region_index.chains idx'))
+  let idx, _status = Region_index.of_log log in
+  Alcotest.(check (list (pair (list int) (list int))))
+    "one chain per key"
+    [
+      ([ Region_index.tag (Lock 0) ], [ o1 ]);
+      ([ Region_index.tag (Lock (-1)) ], [ o2 ]);
+    ]
+    (List.map
+       (fun (c : Region_index.chain) -> (c.keys, c.offsets))
+       (Region_index.entries idx))
 
 (* ------------------------------------------------------------------ *)
 (* Command records (adaptive logging) *)
@@ -975,14 +899,17 @@ let test_log_mode_names () =
 (* ------------------------------------------------------------------ *)
 (* The record decoder under hostile bytes *)
 
-(* One record of each kind the log holds.  Each case overwrites 1-4
-   bytes of a record's body (between the total-length field and the
-   CRC) with a random, high-bit or small value, may cut the body short,
-   re-frames it with a fresh total and CRC so the body parser runs, and
-   may then cut the whole image at random.  [Record.decode_slice] must
-   answer [Txn], [Ctrl], [End] or [Torn], raise nothing, and allocate
-   under 64 KiB.  The image ends its buffer, so a word read past the
-   record's end raises rather than reading a neighbour. *)
+(* One record of each kind the log holds, and the bytes of a checkpoint
+   marker a version-1 log could hold.  Each case overwrites 1-4 bytes of
+   a record's body (between the total-length field and the CRC) with a
+   random, high-bit or small value, may cut the body short, re-frames it
+   with a fresh total and CRC so the body parser runs, and may then cut
+   the whole image at random.  [Record.decode_slice] must answer [Txn],
+   [End] or [Torn], raise nothing, and allocate under 64 KiB; the
+   marker's "LBCK" magic is no record, so any of its bytes answer
+   [Torn] (an empty window is [End]).  The image ends its buffer, so a
+   word read past the record's end raises rather than reading a
+   neighbour. *)
 let hostile_records =
   [|
     Record.encode
@@ -991,15 +918,11 @@ let hostile_records =
          [ (0, 100, "hello"); (2, 1 lsl 40, "world!!!"); (2, 9, "") ]);
     Record.encode
       (mk_cmd_txn ~tid:99 ~locks:[ lock 4 17 12 ] ~regions:[ 0; 2; 300 ] ());
-    Record.encode_ctrl (mk_ctrl Record.Ckpt_begin);
-    Record.encode_ctrl (mk_ctrl ~ckpt_id:0xFFFF_FFFF Record.Ckpt_end);
-    Record.encode_ctrl
-      (mk_ctrl
-         ~entries:
-           [ { Record.keys = [ 0; 3; 200 ]; offsets = [ 32; 4096; 70_000 ] };
-             { Record.keys = [ 1 ]; offsets = [] } ]
-         Record.Region_index);
+    Bytes.of_string
+      "KCBL\x17\x00\x00\x00\x01\x02\x00\x07\x00\x00\x00\x00\x00\x00\x00\xd9\x55\x07\x7d";
   |]
+
+let v1_marker = 2
 
 let reframe image body =
   let n = Bytes.length body + 12 in
@@ -1044,7 +967,8 @@ let prop_decode_hostile =
       Gc.minor ();
       let before = Gc.allocated_bytes () in
       match Record.decode_slice s ~pos:0 with
-      | Record.Txn _ | Record.Ctrl _ | Record.End | Record.Torn _ ->
+      | (Record.Txn _ | Record.End) when i = v1_marker && cut > 0 -> false
+      | Record.Txn _ | Record.End | Record.Torn _ ->
           Gc.allocated_bytes () -. before < 65536.0)
 
 let suites =
@@ -1075,32 +999,21 @@ let suites =
         Alcotest.test_case "bad device" `Quick test_log_bad_device;
         Alcotest.test_case "head with its top bit set" `Quick
           test_log_head_top_bit;
+        Alcotest.test_case "version 1 refused" `Quick test_log_v1_refused;
         Alcotest.test_case "fold offsets" `Quick test_log_fold_offsets;
         Alcotest.test_case "windowed scan: multi-window log" `Quick
           test_scan_windowed_large_log;
         Alcotest.test_case "windowed scan: record > window" `Quick
           test_scan_record_larger_than_window;
-      ] );
-    ( "wal.ctrl",
-      [
-        Alcotest.test_case "ctrl roundtrip" `Quick test_ctrl_roundtrip;
-        Alcotest.test_case "corrupt ctrl = Torn" `Quick
-          test_ctrl_corrupt_is_torn;
-        Alcotest.test_case "ctrl interleaves with txns" `Quick
-          test_ctrl_interleaves_with_txns;
         Alcotest.test_case "set_head clamps to low water" `Quick
           test_set_head_clamps_to_low_water;
-        Alcotest.test_case "region-index roundtrip" `Quick
-          test_region_index_roundtrip;
-        Alcotest.test_case "corrupt region-index = Torn" `Quick
-          test_region_index_corrupt_is_torn;
         Alcotest.test_case "read_at / fold_chain" `Quick test_read_at;
         Alcotest.test_case "corrupt byte mid-log reports offset" `Quick
           test_scan_corrupt_byte_reports_offset;
         Alcotest.test_case "region index tracks log" `Quick
           test_region_index_tracks_log;
-        Alcotest.test_case "region index covers scan gap" `Quick
-          test_region_index_covers_scan_gap;
+        Alcotest.test_case "region index single-key records" `Quick
+          test_region_index_single_key_records;
       ] );
     ( "wal.cmd",
       [
