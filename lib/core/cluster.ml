@@ -376,10 +376,7 @@ let replay_streams mode records =
   match mode with
   | Serial -> if records = [] then [] else [ records ]
   | Partitioned -> Merge.partition records
-  | OnDemand ->
-      List.stable_sort
-        (fun a b -> Int.compare (List.length b) (List.length a))
-        (Merge.partition records)
+  | OnDemand -> Rejoin.largest_first List.length (Merge.partition records)
 
 let replay_sim engine ~db_for_region ~on_stream streams =
   let outcomes = ref [] in
@@ -400,8 +397,8 @@ let replay_sim engine ~db_for_region ~on_stream streams =
    processes so device time is charged, making the modes comparable.
    Partitioned mode replays each lock/region-disjoint stream
    concurrently; the elapsed virtual time is the slowest stream instead
-   of the sum.  OnDemand mode replays the same streams largest first (a
-   stand-in for the hottest-first drain a serving node performs) and
+   of the sum.  OnDemand mode replays the same streams largest first (the
+   order a rejoining node's background drain takes, [Rejoin.drain]) and
    records when the first stream — the first data anyone could be
    unblocked on — is available, as [time_to_first_partition_us]. *)
 let timed_recovery t ~mode =

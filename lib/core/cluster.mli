@@ -181,16 +181,16 @@ type replay_mode =
       (** one replay process per lock/region-disjoint stream
           ({!Merge.partition}); streams run concurrently *)
   | OnDemand
-      (** like [Partitioned], but streams start in priority order
-          (largest first) and the completion of the first stream feeds
-          the [time_to_first_partition_us] histogram — the server-side
-          analogue of a serving node's on-demand drain *)
+      (** like [Partitioned], but streams start largest first, the order
+          of a rejoining node's drain ({!Rejoin.drain}), and the
+          completion of the first stream feeds the
+          [time_to_first_partition_us] histogram *)
 
 val replay_streams :
   replay_mode -> Lbc_wal.Record.txn list -> Lbc_wal.Record.txn list list
 (** The mode's shaping of a merged stream into replay streams: [Serial]
     one (none for an empty stream), [Partitioned] the partitions,
-    [OnDemand] the partitions largest first (stable). *)
+    [OnDemand] the partitions largest first ({!Rejoin.largest_first}). *)
 
 val replay_sim :
   Lbc_sim.Engine.t ->

@@ -26,26 +26,12 @@ type repair = {
   prefer : int;  (* first fetch target: the last known writer *)
 }
 
-(* On-demand rejoin: the surviving log tail, split into independent
-   replay chains by the region index.  Each chain (stream) is cold until
-   replayed; the first touch of any of its keys — a local read/write, a
-   lock acquire, a coherency apply, or a peer fetch — replays exactly
-   that chain, while a background drain walks the rest
-   hottest-lock-first. *)
-type stream_status = Cold | Replaying | Warm
-
-type stream = {
-  sid : int;
-  offsets : int list;  (* log offsets of the chain's records, log order *)
-  skeys : int list;  (* tagged Region_index keys the chain covers *)
-  mutable status : stream_status;
-}
-
-type recovery = {
-  streams : stream array;
-  by_key : (int, int) Hashtbl.t;  (* tagged key -> stream index *)
-  mutable cold : int;  (* streams not yet warm *)
-  warm_cv : Lbc_sim.Condvar.t;  (* waiters for a Replaying stream *)
+(* An on-demand rejoin in progress: [Rejoin] owns the replay chains of
+   the surviving log tail; the node owns the wait for a chain another
+   process is replaying. *)
+type rejoining = {
+  chains : Rejoin.t;
+  warm_cv : Lbc_sim.Condvar.t;  (* waiters for a Replaying chain *)
   started_at : float;
 }
 
@@ -69,7 +55,7 @@ type t = {
   fetch_marks : (int, int) Hashtbl.t;  (* lock -> [have] of its last fetch *)
   repairs : (int, repair) Hashtbl.t;  (* lock id -> gap under watch *)
   txn_updates : int ref;  (* set_range calls in the running transaction *)
-  mutable recovery : recovery option;  (* live during an on-demand rejoin *)
+  mutable recovery : rejoining option;  (* live during an on-demand rejoin *)
   mutable ttfc_mark : float option;
       (* rejoin instant, consumed by the first commit after it
          (time_to_first_commit_us) *)
@@ -200,7 +186,7 @@ let set_water (t : t) =
   let water = Retention.water t.retention in
   Lbc_wal.Log.set_retention_water log
     (match t.recovery with
-    | Some r when r.cold > 0 -> min water (Lbc_wal.Log.head log)
+    | Some r when Rejoin.cold r.chains > 0 -> min water (Lbc_wal.Log.head log)
     | _ -> water)
 
 let gossip_low_water (t : t) =
@@ -433,14 +419,15 @@ let broadcast (t : t) record =
 (* Bring a crashed node back: every volatile structure is rebuilt from
    what survives a crash — the database image (as of [applied], the last
    checkpoint) and the node's own durable log.  Nothing is replayed up
-   front: the tail is indexed into replay chains in one scan of the log
-   and the node serves immediately.  The first touch of a cold chain
-   replays just that chain through [receive_record]; a background drain
-   walks the rest hottest-lock-first.  Records whose cross-lock
-   dependencies are missing are held and, with repair enabled, trigger
-   repair fetches from the peers.  Updates committed elsewhere since the checkpoint are recovered
-   on demand: the first acquire of each lock interlocks on the token's
-   last-write sequence number and repairs the gap.
+   front: the tail is indexed into replay chains ([Rejoin]) in one scan
+   of the log and the node serves immediately.  The first touch of a
+   cold chain replays just that chain through [receive_record]; a
+   background drain walks the rest largest first.  Records whose
+   cross-lock dependencies are missing are held and, with repair
+   enabled, trigger repair fetches from the peers.  Updates committed
+   elsewhere since the checkpoint are recovered on demand: the first
+   acquire of each lock interlocks on the token's last-write sequence
+   number and repairs the gap.
 
    Once every chain is warm the tail's own writes are rebroadcast to the
    peers.  A crash can land between logging a commit and propagating it,
@@ -449,7 +436,7 @@ let broadcast (t : t) record =
    rebroadcast such a record would be invisible to everyone until
    server-side recovery. *)
 
-(* Apply one record of a replay stream and account its retention.  The
+(* Apply one record of a replay chain and account its retention.  The
    internal replay path must bypass the serving gates (it is what warms
    them), so it calls [receive_record] directly.  A write the checkpoint
    state already covers is dropped as a duplicate but still kept: the
@@ -467,39 +454,27 @@ let replay_one t ~off (record : Lbc_wal.Record.txn) =
     own_write t ~offset:off record
   end
 
-(* Mark every region a chain covers, skipping regions this node does not
-   map. *)
-let mark_regions (t : t) (s : stream) mark =
-  List.iter
-    (fun k ->
-      match Lbc_wal.Region_index.untag k with
-      | Lbc_wal.Region_index.Region rid -> (
-          match Lbc_rvm.Rvm.region t.rvm rid with
-          | reg -> mark reg
-          | exception Not_found -> ())
-      | Lbc_wal.Region_index.Lock _ -> ())
-    s.skeys
-
-let rec replay_stream (t : t) (r : recovery) (s : stream) =
-  match s.status with
-  | Warm -> ()
-  | Replaying ->
+let rec replay_chain (t : t) (r : rejoining) c =
+  match Rejoin.status r.chains c with
+  | Rejoin.Warm -> ()
+  | Rejoin.Replaying ->
       (* Someone else is replaying this chain; serving order only needs
          the chain applied, not applied by us. *)
       Lbc_sim.Condvar.await
-        ~info:(Printf.sprintf "n%d awaits replay of stream %d" t.id s.sid)
+        ~info:(Printf.sprintf "n%d awaits replay of stream %d" t.id c)
         r.warm_cv
-        (fun () -> s.status <> Replaying);
+        (fun () -> Rejoin.status r.chains c <> Rejoin.Replaying);
       (* The replayer may have failed and reset the chain to Cold; retry
          in this process so a failure surfaces to every toucher instead
          of hanging the waiters. *)
-      if s.status <> Warm then replay_stream t r s
-  | Cold ->
-      s.status <- Replaying;
+      replay_chain t r c
+  | Rejoin.Cold ->
+      Rejoin.claim r.chains c;
       let log = Lbc_rvm.Rvm.log t.rvm in
+      let offsets = Rejoin.offsets r.chains c in
       let sp =
         Obs.span_begin t.obs ~name:"replay-chain" ~pid:t.id
-          ~tid:Obs.lane_apply ~arg:(List.length s.offsets)
+          ~tid:Obs.lane_apply ~arg:(List.length offsets)
       in
       (try
          List.iter
@@ -508,44 +483,39 @@ let rec replay_stream (t : t) (r : recovery) (s : stream) =
              | Ok record -> replay_one t ~off record
              | Error why ->
                  raise (Coherency_error ("on-demand replay: " ^ why)))
-           s.offsets
+           offsets
        with e ->
-         (* Leave the chain retryable and wake the waiters; [r.cold]
-            keeps counting it, so retention stays pinned at the head and
+         (* Leave the chain retryable and wake the waiters; it still
+            counts as cold, so retention stays pinned at the head and
             nothing serves its stale regions. *)
-         s.status <- Cold;
+         Rejoin.fail r.chains c;
          ignore (Obs.span_end t.obs sp : float);
          Lbc_sim.Condvar.broadcast r.warm_cv;
          raise e);
-      s.status <- Warm;
-      mark_regions t s Lbc_rvm.Region.set_warm;
-      r.cold <- r.cold - 1;
+      Rejoin.finish r.chains c;
       ignore (Obs.span_end t.obs sp : float);
       Obs.observe t.obs "recovery_us"
         (Lbc_sim.Engine.now t.engine -. r.started_at);
-      (* The last stream warming completes the own-write rebuild:
-         release the head pin installed at rejoin. *)
-      if r.cold = 0 then set_water t;
+      (* The last chain warming completes the own-write rebuild: release
+         the head pin installed at rejoin. *)
+      if Rejoin.cold r.chains = 0 then set_water t;
       Lbc_sim.Condvar.broadcast r.warm_cv
 
-(* Serving gates: make sure the chain covering [key] has been replayed
-   before state it governs is read, written, served to a peer, or used
-   in an ordering decision.  No-ops outside an on-demand recovery. *)
-let ensure_warm_key (t : t) key =
+(* Serving gates: make sure the chain covering a lock or region has been
+   replayed before state it governs is read, written, served to a peer,
+   or used in an ordering decision.  No-ops outside an on-demand
+   recovery. *)
+let ensure_warm (t : t) chain_of key =
   match t.recovery with
   | None -> ()
-  | Some r when r.cold = 0 -> ()
+  | Some r when Rejoin.cold r.chains = 0 -> ()
   | Some r -> (
-      match Hashtbl.find_opt r.by_key key with
+      match chain_of r.chains key with
       | None -> ()
-      | Some i -> replay_stream t r r.streams.(i))
+      | Some c -> replay_chain t r c)
 
-let ensure_warm_lock t lock =
-  ensure_warm_key t (Lbc_wal.Region_index.tag (Lbc_wal.Region_index.Lock lock))
-
-let ensure_warm_region t region =
-  ensure_warm_key t
-    (Lbc_wal.Region_index.tag (Lbc_wal.Region_index.Region region))
+let ensure_warm_lock t lock = ensure_warm t Rejoin.lock_chain lock
+let ensure_warm_region t region = ensure_warm t Rejoin.region_chain region
 
 let ensure_warm_record t (record : Lbc_wal.Record.txn) =
   List.iter
@@ -554,19 +524,6 @@ let ensure_warm_record t (record : Lbc_wal.Record.txn) =
   List.iter
     (fun region -> ensure_warm_region t region)
     (Lbc_wal.Record.regions record)
-
-(* Chain priority for the background drain: the cluster-wide acquire
-   count of the chain's locks (every node's [lock_acquires:<id>] heat
-   counter, summed by the shared registry).  With [config.flight] off
-   every chain scores 0 and first-appearance (log) order is kept. *)
-let stream_heat (t : t) (s : stream) =
-  List.fold_left
-    (fun acc k ->
-      match Lbc_wal.Region_index.untag k with
-      | Lbc_wal.Region_index.Lock l when l >= 0 ->
-          acc + Obs.counter t.obs (Lbc_locks.Table.heat_key l)
-      | _ -> acc)
-    0 s.skeys
 
 let rejoin (t : t) ~applied =
   t.receiver <- Receiver.create ();
@@ -581,72 +538,53 @@ let rejoin (t : t) ~applied =
   let log = Lbc_rvm.Rvm.log t.rvm in
   (* The rejoin's one scan of its log: the chains of the live tail. *)
   let idx, _status = Lbc_wal.Region_index.of_log log in
-  let streams =
-    Array.of_list
-      (List.mapi
-         (fun i (c : Lbc_wal.Region_index.chain) ->
-           { sid = i; offsets = c.offsets; skeys = c.keys; status = Cold })
-         (Lbc_wal.Region_index.entries idx))
-  in
-  let by_key = Hashtbl.create 32 in
-  Array.iter
-    (fun s -> List.iter (fun k -> Hashtbl.replace by_key k s.sid) s.skeys)
-    streams;
+  let chains = Rejoin.create (Lbc_wal.Region_index.entries idx) in
   let r =
-    { streams; by_key; cold = Array.length streams;
-      warm_cv = Lbc_sim.Condvar.create ();
+    { chains; warm_cv = Lbc_sim.Condvar.create ();
       started_at = Lbc_sim.Engine.now t.engine }
   in
   t.recovery <- Some r;
-  (* Every region a cold chain touches serves stale (checkpoint) bytes
-     until that chain replays: mark them cold so direct reads gate too. *)
-  Array.iter (fun s -> mark_regions t s Lbc_rvm.Region.set_cold) streams;
   (* The mark stays pinned at the head while chains are cold, not just
      under [retains t]: even in an eager non-repair config the cold
      chains' records may be the only copy of their committed updates (the
      reloaded image holds only what a checkpoint replayed).  Released by
-     [replay_stream] when the last stream warms. *)
+     [replay_chain] when the last chain warms. *)
   set_water t;
-  if Obs.enabled t.obs && r.cold > 0 then
-    Obs.count ~pid:t.id t.obs "recovery_partitions" r.cold;
+  let cold = Rejoin.cold chains in
+  if Obs.enabled t.obs && cold > 0 then
+    Obs.count ~pid:t.id t.obs "recovery_partitions" cold;
   Lbc_sim.Condvar.broadcast t.applied_cv;
-  if r.cold > 0 then
-    (* Background drain, hottest locks first; once every stream is warm,
-       rebroadcast the tail's own writes so peers that missed a pre-crash
-       propagation heal. *)
+  if cold > 0 then
+    (* Background drain, largest chain first; once every chain is warm,
+       rebroadcast the tail's own writes, chain by chain in first-offset
+       order, so peers that missed a pre-crash propagation heal. *)
     Lbc_sim.Proc.spawn t.engine
       ~name:(Printf.sprintf "n%d recover-drain" t.id)
       (fun () ->
-        let order =
-          List.stable_sort
-            (fun a b -> Int.compare (stream_heat t b) (stream_heat t a))
-            (Array.to_list streams)
-        in
-        List.iter (fun s -> replay_stream t r s) order;
-        Array.iter
-          (fun s ->
-            List.iter
-              (fun off ->
-                match Lbc_wal.Log.read_at log ~off with
-                | Ok rc when Lbc_wal.Record.is_write rc -> broadcast t rc
-                | Ok _ | Error _ -> ())
-              s.offsets)
-          streams)
+        List.iter (replay_chain t r) (Rejoin.drain chains);
+        for c = 0 to Rejoin.chains chains - 1 do
+          List.iter
+            (fun off ->
+              match Lbc_wal.Log.read_at log ~off with
+              | Ok rc when Lbc_wal.Record.is_write rc -> broadcast t rc
+              | Ok _ | Error _ -> ())
+            (Rejoin.offsets chains c)
+        done)
 
 let recovering (t : t) =
-  match t.recovery with Some r -> r.cold > 0 | None -> false
+  match t.recovery with Some r -> Rejoin.cold r.chains > 0 | None -> false
 
 (* --------------------------------------------------------------- *)
 (* Reads (gated on warmth during an on-demand rejoin) *)
 
 let read t ~region ~offset ~len =
   let reg = Lbc_rvm.Rvm.region t.rvm region in
-  if not (Lbc_rvm.Region.is_warm reg) then ensure_warm_region t region;
+  ensure_warm_region t region;
   Lbc_rvm.Region.read reg ~offset ~len
 
 let get_u64 t ~region ~offset =
   let reg = Lbc_rvm.Rvm.region t.rvm region in
-  if not (Lbc_rvm.Region.is_warm reg) then ensure_warm_region t region;
+  ensure_warm_region t region;
   Lbc_rvm.Region.get_u64 reg ~offset
 
 (* An accessor reads the cached image directly, so it passes the gate
@@ -654,7 +592,7 @@ let get_u64 t ~region ~offset =
    node crashes, which also ends the accessor's process. *)
 let mem t ~region ~declare =
   let reg = Lbc_rvm.Rvm.region t.rvm region in
-  if not (Lbc_rvm.Region.is_warm reg) then ensure_warm_region t region;
+  ensure_warm_region t region;
   Lbc_rvm.Region.mem reg ~declare
 
 (* --------------------------------------------------------------- *)

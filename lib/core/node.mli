@@ -157,15 +157,14 @@ val rejoin : t -> applied:(int * int) list -> unit
 
     Nothing is replayed up front: one scan of the log indexes the live
     tail by replay chain ({!Lbc_wal.Region_index.of_log}, exactly
-    [Merge.partition] of those records) and the node serves
-    immediately.  The first local access, lock acquire, coherency
-    apply, or peer fetch that touches a cold chain
-    replays exactly that chain first; a background process drains the
-    remaining chains hottest-lock-first and then performs the
-    rebroadcast.  A chain's heat is the cluster-wide acquire count of its
-    locks (the lock tables' [lock_acquires:<id>] counters, summed over
-    every node in the shared registry); with [config.flight] off every
-    chain scores 0 and the drain keeps log order.
+    [Merge.partition] of those records) into a {!Rejoin.t}, and the
+    node serves immediately.  The first local access, lock acquire,
+    coherency apply, or peer fetch that touches a cold chain replays
+    exactly that chain first; a background process drains the remaining
+    chains largest first ({!Rejoin.drain}, the order of
+    [Cluster.replay_streams OnDemand]) and then performs the
+    rebroadcast.  The drain order depends on the node's durable tail
+    alone, so it is the same with [config.flight] on or off.
     Until every chain is warm, log retention is pinned at the head.  The
     first commit after the rejoin feeds the [time_to_first_commit_us]
     histogram.  The recovered image is byte-identical to a serial

@@ -2,6 +2,8 @@ module Record = Lbc_wal.Record
 
 type t = {
   applied : (int, int) Hashtbl.t;  (* lock id -> applied write seqno *)
+  applying : (int * int, unit) Hashtbl.t;
+      (* (lock, seqno) of each write whose apply has not landed yet *)
   held : (int * int, Record.txn) Hashtbl.t;
       (* (lock, seqno of the write a record lacks) -> the record; one
          binding per held record ([Hashtbl.add]) *)
@@ -10,8 +12,8 @@ type t = {
 }
 
 let create () =
-  { applied = Hashtbl.create 16; held = Hashtbl.create 16; pinned = false;
-    buffered = [] }
+  { applied = Hashtbl.create 16; applying = Hashtbl.create 16;
+    held = Hashtbl.create 16; pinned = false; buffered = [] }
 
 let applied_seq t lock = Option.value ~default:0 (Hashtbl.find_opt t.applied lock)
 
@@ -34,7 +36,10 @@ let accept t =
    [r] was held. *)
 let offer t ~apply ~landed woken (r : Record.txn) =
   let has (l : Record.lock_info) seq = applied_seq t l.lock_id >= seq in
-  if List.exists (fun (l : Record.lock_info) -> has l l.seqno) r.locks then false
+  let dup (l : Record.lock_info) =
+    has l l.seqno || Hashtbl.mem t.applying (l.lock_id, l.seqno)
+  in
+  if List.exists dup r.locks then false
   else
     match
       List.find_opt
@@ -45,7 +50,15 @@ let offer t ~apply ~landed woken (r : Record.txn) =
         Hashtbl.add t.held (l.lock_id, l.prev_write_seq) r;
         true
     | None ->
-        apply r;
+        let writes =
+          List.map (fun (l : Record.lock_info) -> (l.lock_id, l.seqno)) r.locks
+        in
+        List.iter (fun w -> Hashtbl.replace t.applying w ()) writes;
+        (match apply r with
+        | () -> List.iter (Hashtbl.remove t.applying) writes
+        | exception e ->
+            List.iter (Hashtbl.remove t.applying) writes;
+            raise e);
         List.iter
           (fun (l : Record.lock_info) ->
             set_applied t l.lock_id l.seqno;

@@ -7,15 +7,19 @@
     its writes count as applied ([landed]).
 
     A record is a duplicate, and is dropped, once some lock's applied
-    seqno has reached the record's seqno for it.  It is ready once every
-    lock's applied seqno has reached the record's [prev_write_seq] for
-    it.  Otherwise it is held under [(lock, prev_write_seq)] of the first
-    lock it lacks: the one write whose landing offers it again.
+    seqno has reached the record's seqno for it, or while another copy
+    of it is still applying.  It is ready once every lock's applied
+    seqno has reached the record's [prev_write_seq] for it.  Otherwise
+    it is held under [(lock, prev_write_seq)] of the first lock it
+    lacks: the one write whose landing offers it again.
 
     Three rules keep this correct:
     - A record's writes are marked applied only after its apply lands.
       A charged apply sleeps, and an interlocked acquire must not get
-      past before the bytes land.
+      past before the bytes land.  Meanwhile its (lock, seqno) pairs
+      sit in a set of their own, apart from the applied table the
+      interlock reads, so a second copy offered by another dispatcher
+      is a duplicate; they leave it when the apply lands or raises.
     - A woken key's records leave the table before any of them is
       offered, and each is judged when it is offered.  An apply can
       suspend and let another dispatcher's {!receive} run in the middle

@@ -54,9 +54,6 @@ type 'w t = {
   stats : stats;
   mutable epoch : int;  (* lease epoch; messages from older epochs are stale *)
   mutable obs : Obs.t;
-  heat_keys : (int, string) Hashtbl.t;
-      (* memoized per-lock "lock_acquires:N" counter keys; per-table, so
-         only this node's execution context touches it *)
 }
 
 let create ~node ~nodes ~send ~grant () =
@@ -72,7 +69,6 @@ let create ~node ~nodes ~send ~grant () =
       { local_grants = 0; remote_grants = 0; requests_sent = 0; stale_msgs = 0 };
     epoch = 0;
     obs = Obs.disabled;
-    heat_keys = Hashtbl.create 16;
   }
 
 let set_obs t obs = t.obs <- obs
@@ -208,26 +204,7 @@ let handle t ~src:_ msg =
     | Token { lock; seqno; last_write_seq; last_writer; _ } ->
         handle_token t lock ~seqno ~last_write_seq ~last_writer
 
-(* Per-lock acquire counters ("heat"): an on-demand rejoin drains its
-   cold replay chains hottest-lock-first, reading these back through the
-   shared obs registry. *)
-let heat_key lock = Printf.sprintf "lock_acquires:%d" lock
-
-(* Memoized variant for the acquire hot path: the sink is always on
-   since the flight recorder, and a sprintf per acquire costs more than
-   the counter update itself.  Per-table, so only this node's execution
-   context touches the memo. *)
-let heat_key_memo t lock =
-  match Hashtbl.find_opt t.heat_keys lock with
-  | Some k -> k
-  | None ->
-      let k = heat_key lock in
-      Hashtbl.replace t.heat_keys lock k;
-      k
-
 let acquire t lock =
-  if Obs.enabled t.obs then
-    Obs.count ~pid:t.node t.obs (heat_key_memo t lock) 1;
   let s = state t lock in
   if s.have_token && (not s.busy) && Queue.is_empty s.waiters then begin
     t.stats.local_grants <- t.stats.local_grants + 1;

@@ -76,12 +76,6 @@ val set_obs : 'w t -> Lbc_obs.Obs.t -> unit
 val handle : 'w t -> src:int -> msg -> unit
 (** Feed an incoming lock message (called by the node's dispatcher). *)
 
-val heat_key : int -> string
-(** Obs counter key counting this node's acquires of one lock
-    ([lock_acquires:<id>], bumped by {!acquire} when the sink is live).
-    An on-demand rejoin drains its cold replay chains hottest-lock-first
-    by reading these back. *)
-
 val acquire : 'w t -> int -> grant option
 (** Take the lock at once if the token is here, free, and no local
     handle waits for it; otherwise [None], and nothing is queued. *)

@@ -3,11 +3,6 @@ type t = {
   size : int;
   db : Lbc_storage.Dev.t;
   mem : Bytes.t;
-  (* On-demand recovery state: a region mapped during an on-demand rejoin
-     is cold until its replay chain has been applied; the node's serving
-     gates block first touch on warming it.  Regions are born warm —
-     only rejoin marks them cold. *)
-  mutable warm : bool;
 }
 
 let map ~id ~db ~size =
@@ -18,7 +13,7 @@ let map ~id ~db ~size =
     let init = Lbc_storage.Dev.read db ~off:0 ~len:have in
     Bytes.blit init 0 mem 0 have
   end;
-  { id; size; db; mem; warm = true }
+  { id; size; db; mem }
 
 let id t = t.id
 let size t = t.size
@@ -28,10 +23,6 @@ let check t ~offset ~len =
     invalid_arg
       (Printf.sprintf "Region %d: range [%d,%d) outside size %d" t.id offset
          (offset + len) t.size)
-
-let set_cold t = t.warm <- false
-let set_warm t = t.warm <- true
-let is_warm t = t.warm
 
 let read t ~offset ~len =
   check t ~offset ~len;

@@ -38,14 +38,3 @@ val reload_from_db : t -> unit
     last checkpoint's image.  The cache is never written back: only a
     cluster checkpoint's replay of merged log records writes the
     database. *)
-
-(** {1 On-demand recovery state}
-
-    During an on-demand rejoin a region is {e cold} until its replay
-    chain has been applied; the node's serving gates block the first
-    touch of a cold region on warming it.  Regions are born warm — only
-    rejoin marks them cold. *)
-
-val set_cold : t -> unit
-val set_warm : t -> unit
-val is_warm : t -> bool

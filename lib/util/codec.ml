@@ -1,23 +1,63 @@
 exception Truncated of string
 
-type writer = Slice.Arena.t
+(* The writer is a growable arena: unlike [Buffer], its contents are
+   taken as a slice without copying, and a word written earlier can be
+   patched in place. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
 
-let writer ?(capacity = 256) () = Slice.Arena.create ~capacity ()
-let length = Slice.Arena.length
-let clear = Slice.Arena.clear
+let writer ?(capacity = 256) () =
+  Slice.count_alloc ();
+  { buf = Bytes.create (max capacity 16); len = 0 }
+
+let length w = w.len
+let clear w = w.len <- 0
+
+(* Growth reallocation is not charged to the copy counters: [Buffer]
+   grows the same way, so it cancels out of the before/after story. *)
+let ensure w n =
+  if w.len + n > Bytes.length w.buf then begin
+    let buf = Bytes.create (max (w.len + n) (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 buf 0 w.len;
+    w.buf <- buf
+  end
 
 let contents w =
   (* Materializing copy; zero-copy consumers use [slice] instead. *)
-  Slice.Arena.to_bytes w
+  Slice.count_copy w.len;
+  Bytes.sub w.buf 0 w.len
 
-let slice = Slice.Arena.contents
-let slice_sub = Slice.Arena.sub
-let u8 w v = Slice.Arena.add_char w (Char.chr (v land 0xFF))
+let slice w = Slice.window w.buf ~pos:0 ~len:w.len
 
-let u16 = Slice.Arena.add_u16
-let u32 = Slice.Arena.add_u32
-let u64 = Slice.Arena.add_u64
-let zeros = Slice.Arena.add_zeros
+let slice_sub w ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > w.len then invalid_arg "Codec.slice_sub";
+  Slice.window w.buf ~pos ~len
+
+let u8 w v =
+  ensure w 1;
+  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr (v land 0xFF));
+  w.len <- w.len + 1
+
+(* Fixed-width little-endian words: one capacity check, one store. *)
+let u16 w v =
+  ensure w 2;
+  Bytes.set_uint16_le w.buf w.len v;
+  w.len <- w.len + 2
+
+let u32 w v =
+  ensure w 4;
+  Bytes.set_int32_le w.buf w.len (Int32.of_int v);
+  w.len <- w.len + 4
+
+let u64 w v =
+  ensure w 8;
+  Bytes.set_int64_le w.buf w.len v;
+  w.len <- w.len + 8
+
+let zeros w n =
+  if n < 0 then invalid_arg "Codec.zeros";
+  ensure w n;
+  Bytes.fill w.buf w.len n '\000';
+  w.len <- w.len + n
 
 let int_as_u64 w v =
   if v < 0 then invalid_arg "Codec.int_as_u64: negative";
@@ -36,15 +76,22 @@ let varint_size v =
   let rec loop v n = if v < 0x80 then n else loop (v lsr 7) (n + 1) in
   loop v 1
 
-let raw w b ~pos ~len = Slice.Arena.add_bytes w b ~pos ~len
-let raw_string = Slice.Arena.add_string
+let raw w b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+    invalid_arg "Codec.raw";
+  ensure w len;
+  Bytes.blit b pos w.buf w.len len;
+  w.len <- w.len + len
+
+let raw_string w s =
+  let len = String.length s in
+  ensure w len;
+  Bytes.blit_string s 0 w.buf w.len len;
+  w.len <- w.len + len
 
 let patch_u32 w ~at v =
-  if at < 0 || at + 4 > Slice.Arena.length w then invalid_arg "Codec.patch_u32";
-  Slice.Arena.set_byte w ~at v;
-  Slice.Arena.set_byte w ~at:(at + 1) (v lsr 8);
-  Slice.Arena.set_byte w ~at:(at + 2) (v lsr 16);
-  Slice.Arena.set_byte w ~at:(at + 3) (v lsr 24)
+  if at < 0 || at + 4 > w.len then invalid_arg "Codec.patch_u32";
+  Bytes.set_int32_le w.buf at (Int32.of_int v)
 
 (* ---------------------------------------------------------------- *)
 (* Reading.  A reader walks either one byte range or a gather list of

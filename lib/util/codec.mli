@@ -1,10 +1,11 @@
 (** Little-endian binary encoding and decoding.
 
     All on-disk and on-wire formats in this repository are built from these
-    primitives.  A {!writer} is a growable arena ({!Slice.Arena}) whose
-    contents can be taken as a zero-copy {!Slice.t}; a {!reader} walks a
-    byte range — or a gather list of slices — with bounds checking and
-    reports malformed input with {!exception:Truncated} rather than
+    primitives.  A {!writer} is a growable arena whose contents can be
+    taken as a zero-copy {!Slice.t} and whose words written earlier can
+    be patched in place ({!patch_u32}); a {!reader} walks a byte range —
+    or a gather list of slices — with bounds checking and reports
+    malformed input with {!exception:Truncated} rather than
     [Invalid_argument], so callers can distinguish "corrupt input" from
     programming errors. *)
 

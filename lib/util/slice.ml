@@ -23,11 +23,13 @@ let reset_counters () =
 
 (* ---------------------------------------------------------------- *)
 
-let of_bytes ?(pos = 0) ?len b =
-  let len = match len with Some l -> l | None -> Bytes.length b - pos in
+let window b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Slice.of_bytes";
   { b; off = pos; len }
+
+let of_bytes ?(pos = 0) ?len b =
+  window b ~pos ~len:(match len with Some l -> l | None -> Bytes.length b - pos)
 
 let of_string s = { b = Bytes.of_string s; off = 0; len = String.length s }
 let length s = s.len
@@ -66,86 +68,3 @@ let concat iov =
     iov;
   count_copy total;
   out
-
-(* ---------------------------------------------------------------- *)
-
-module Arena = struct
-  type slice = t
-  type t = { mutable buf : Bytes.t; mutable len : int }
-
-  let create ?(capacity = 256) () =
-    count_alloc ();
-    { buf = Bytes.create (max capacity 16); len = 0 }
-
-  let length a = a.len
-  let clear a = a.len <- 0
-
-  (* Growth reallocation is not charged to the copy counters: [Buffer]
-     grows the same way, so it cancels out of the before/after story. *)
-  let ensure a n =
-    if a.len + n > Bytes.length a.buf then begin
-      let cap = max (a.len + n) (2 * Bytes.length a.buf) in
-      let nb = Bytes.create cap in
-      Bytes.blit a.buf 0 nb 0 a.len;
-      a.buf <- nb
-    end
-
-  let add_char a c =
-    ensure a 1;
-    Bytes.unsafe_set a.buf a.len c;
-    a.len <- a.len + 1
-
-  (* Fixed-width little-endian words: one capacity check, one store. *)
-  let add_u16 a v =
-    ensure a 2;
-    Bytes.set_uint16_le a.buf a.len v;
-    a.len <- a.len + 2
-
-  let add_u32 a v =
-    ensure a 4;
-    Bytes.set_int32_le a.buf a.len (Int32.of_int v);
-    a.len <- a.len + 4
-
-  let add_u64 a v =
-    ensure a 8;
-    Bytes.set_int64_le a.buf a.len v;
-    a.len <- a.len + 8
-
-  let add_zeros a n =
-    if n < 0 then invalid_arg "Arena.add_zeros";
-    ensure a n;
-    Bytes.fill a.buf a.len n '\000';
-    a.len <- a.len + n
-
-  let add_bytes a b ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > Bytes.length b then
-      invalid_arg "Arena.add_bytes";
-    ensure a len;
-    Bytes.blit b pos a.buf a.len len;
-    a.len <- a.len + len
-
-  let add_string a s =
-    let len = String.length s in
-    ensure a len;
-    Bytes.blit_string s 0 a.buf a.len len;
-    a.len <- a.len + len
-
-  let patch a ~at b =
-    let len = Bytes.length b in
-    if at < 0 || at + len > a.len then invalid_arg "Arena.patch";
-    Bytes.blit b 0 a.buf at len
-
-  let set_byte a ~at v =
-    if at < 0 || at >= a.len then invalid_arg "Arena.set_byte";
-    Bytes.unsafe_set a.buf at (Char.chr (v land 0xFF))
-
-  let contents a = { b = a.buf; off = 0; len = a.len }
-
-  let sub a ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > a.len then invalid_arg "Arena.sub";
-    { b = a.buf; off = pos; len }
-
-  let to_bytes a =
-    count_copy a.len;
-    Bytes.sub a.buf 0 a.len
-end

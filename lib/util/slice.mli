@@ -1,13 +1,11 @@
-(** Zero-copy byte windows and the growable arena writer under them.
+(** Zero-copy byte windows.
 
     A {!t} is an immutable view of a [Bytes.t] — base buffer, start
     offset, length.  Passing slices between layers (codec → log → wire)
     moves no bytes; only {!to_bytes} and {!concat} actually materialize
-    data, and those are the operations the copy counters charge.
-
-    The {!Arena} is the writer side: a growable byte buffer that exposes
-    its contents as a slice without copying and supports true in-place
-    patching of already-written words (what [Buffer] cannot do).
+    data, and those are the operations the copy counters charge.  The
+    writer side is {!Codec.writer}, whose contents are taken as a slice
+    without copying.
 
     {1 Copy accounting}
 
@@ -21,7 +19,7 @@
       copied — every call site that {e used to} copy but no longer does
       charges {!count_saved} with the bytes it would have moved, so
       [baseline = copied + saved].
-    - [encode_allocs]: number of writer/arena allocations on encode
+    - [encode_allocs]: number of {!Codec.writer} allocations on encode
       paths.
 
     The counters are global (not per cluster): reset them around the
@@ -36,6 +34,10 @@ type t
 val of_bytes : ?pos:int -> ?len:int -> Bytes.t -> t
 (** View of [b.[pos .. pos+len)]; the whole buffer by default.  The
     bytes are {e not} copied. *)
+
+val window : Bytes.t -> pos:int -> len:int -> t
+(** {!of_bytes} with both bounds given, for hot paths: no optional
+    argument to box. *)
 
 val of_string : string -> t
 (** Copies the string once (strings are immutable; the slice needs a
@@ -94,55 +96,3 @@ val bytes_copied_baseline : unit -> int
 
 val encode_allocs : unit -> int
 val reset_counters : unit -> unit
-
-(** {1 The arena writer} *)
-
-module Arena : sig
-  type slice = t
-
-  type t
-  (** A growable byte buffer.  Unlike [Buffer], its contents are
-      exposed as a slice without copying and fixed-size fields written
-      earlier can be patched in place. *)
-
-  val create : ?capacity:int -> unit -> t
-  (** Counted as one encode allocation. *)
-
-  val length : t -> int
-  val clear : t -> unit
-  (** Forget the contents (capacity is kept).  Slices previously taken
-      with {!contents} must not be used afterwards. *)
-
-  val add_char : t -> char -> unit
-
-  val add_u16 : t -> int -> unit
-  (** The low 16 bits of the int, little-endian. *)
-
-  val add_u32 : t -> int -> unit
-  (** The low 32 bits of the int, little-endian. *)
-
-  val add_u64 : t -> int64 -> unit
-  (** Little-endian. *)
-
-  val add_zeros : t -> int -> unit
-  (** [n] zero bytes.  Raises [Invalid_argument] if [n] is negative. *)
-
-  val add_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
-  val add_string : t -> string -> unit
-
-  val patch : t -> at:int -> Bytes.t -> unit
-  (** Overwrite already-written bytes at offset [at]; in place, O(len). *)
-
-  val set_byte : t -> at:int -> int -> unit
-  (** Overwrite one already-written byte; in place, O(1). *)
-
-  val contents : t -> slice
-  (** The bytes written so far, as a zero-copy window.  Valid until the
-      arena is next written (a growth reallocates the base) or cleared. *)
-
-  val sub : t -> pos:int -> len:int -> slice
-  (** Zero-copy window of a range written so far; same validity. *)
-
-  val to_bytes : t -> Bytes.t
-  (** Materializing copy (counted). *)
-end

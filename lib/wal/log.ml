@@ -30,7 +30,6 @@ type t = {
   dev : Lbc_storage.Dev.t;
   mutable head : int;
   mutable tail : int;
-  mutable record_count : int;
   mutable retention_water : int;
       (* trim barrier: offset of the oldest record a peer may still
          re-fetch (repair retention); [max_int] means unconstrained *)
@@ -70,46 +69,38 @@ let scan dev ~from ~limit f =
   (* A crash can revert the device below the caller's logical tail; only
      what is actually on the device can be read. *)
   let limit = min limit (Lbc_storage.Dev.size dev) in
-  let rec go base win count =
-    if base >= limit then (base, Clean, count)
+  let rec go base win =
+    if base >= limit then (base, Clean)
     else begin
       let len = min win (limit - base) in
       let image = Slice.of_bytes (Lbc_storage.Dev.read dev ~off:base ~len) in
-      let rec step rel count =
+      let rec step rel =
         match Record.decode_slice image ~pos:rel with
         | Record.Txn (txn, next) ->
             f (base + rel) txn;
-            step next (count + 1)
+            step next
         | Record.End ->
-            if base + len >= limit then (base + rel, Clean, count)
-            else if rel > 0 then go (base + rel) win count
-            else go base (2 * win) count
+            if base + len >= limit then (base + rel, Clean)
+            else if rel > 0 then go (base + rel) win
+            else go base (2 * win)
         | Record.Torn why ->
             (* Never crash on a corrupt or unexpected record: a torn
                verdict that survives the window reaching [limit] is final
                and reported with its offset. *)
-            if base + len >= limit then
-              (base + rel, Torn_at (base + rel, why), count)
-            else if rel > 0 then go (base + rel) win count
-            else go base (2 * win) count
+            if base + len >= limit then (base + rel, Torn_at (base + rel, why))
+            else if rel > 0 then go (base + rel) win
+            else go base (2 * win)
       in
-      step 0 count
+      step 0
     end
   in
-  go from scan_window 0
-
-let scan_tail dev ~from =
-  (* Walk records until a clean end or torn record; both mark the tail. *)
-  let pos, _status, count =
-    scan dev ~from ~limit:(Lbc_storage.Dev.size dev) (fun _ _ -> ())
-  in
-  (pos, count)
+  go from scan_window
 
 let attach dev =
   let size = Lbc_storage.Dev.size dev in
   if size = 0 then begin
     let t =
-      { dev; head = header_size; tail = header_size; record_count = 0;
+      { dev; head = header_size; tail = header_size;
         retention_water = max_int; enc = Codec.writer ~capacity:1024 ();
         group = None; obs = Obs.disabled; obs_node = 0 }
     in
@@ -131,8 +122,10 @@ let attach dev =
       with Codec.Truncated _ -> raise (Bad_log "bad head offset")
     in
     if head < header_size || head > size then raise (Bad_log "bad head offset");
-    let tail, count = scan_tail dev ~from:head in
-    { dev; head; tail; record_count = count; retention_water = max_int;
+    (* Walk records until a clean end or torn record; both mark the
+       tail. *)
+    let tail, _status = scan dev ~from:head ~limit:size (fun _ _ -> ()) in
+    { dev; head; tail; retention_water = max_int;
       enc = Codec.writer ~capacity:1024 (); group = None;
       obs = Obs.disabled; obs_node = 0 }
   end
@@ -155,7 +148,6 @@ let dev t = t.dev
 let head t = t.head
 let tail t = t.tail
 let live_bytes t = t.tail - t.head
-let record_count t = t.record_count
 let low_water t = t.retention_water
 
 let set_retention_water t off =
@@ -223,7 +215,6 @@ let append t txn =
   let off = t.tail in
   Lbc_storage.Dev.write_slice t.dev ~off (Codec.slice t.enc);
   t.tail <- off + Codec.length t.enc;
-  t.record_count <- t.record_count + 1;
   Obs.instant t.obs ~name:"log.append" ~pid:t.obs_node ~tid:Obs.lane_wal
     ~arg:(Codec.length t.enc);
   off
@@ -265,7 +256,6 @@ let append_durable t txn =
       b.count <- b.count + 1;
       g.records_batched <- g.records_batched + 1;
       t.tail <- b.base + Codec.length g.bw;
-      t.record_count <- t.record_count + 1;
       let id = b.id in
       if b.count >= g.max_records then flush_batch_now t g
       else begin
@@ -309,8 +299,6 @@ let set_head t off =
   t.head <- off;
   write_header t;
   Lbc_storage.Dev.sync t.dev;
-  let _, count = scan_tail t.dev ~from:t.head in
-  t.record_count <- count;
   off
 
 let fold t ?from ~init f =
@@ -318,10 +306,12 @@ let fold t ?from ~init f =
   flush_batch t;
   let from = match from with Some o -> o | None -> t.head in
   let acc = ref init in
-  let _pos, status, _count =
+  let _pos, status =
     scan t.dev ~from ~limit:t.tail (fun pos txn -> acc := f !acc pos txn)
   in
   (!acc, status)
+
+let record_count t = fst (fold t ~init:0 (fun n _ _ -> n + 1))
 
 let read_all t =
   let acc, status = fold t ~init:[] (fun acc _ txn -> txn :: acc) in

@@ -61,7 +61,9 @@ val live_bytes : t -> int
 (** [tail - head]: bytes of live log. *)
 
 val record_count : t -> int
-(** Number of live records appended or scanned since attach. *)
+(** Number of live records, counted by a {!fold} of the tail (a scan of
+    the device, for tools and tests; nothing on the commit or trim path
+    keeps a count). *)
 
 val append : t -> Record.txn -> int
 (** Append one record (buffered); returns its offset.  Ranges carry
@@ -95,7 +97,8 @@ val set_head : t -> int -> int
     immediately.  The requested offset must lie in [[header_size, tail]];
     the head actually installed is clamped to the {!low_water} mark and
     never moves backwards, and is returned.  With no low-water constraint
-    the result equals the request. *)
+    the result equals the request.  A trim writes the header and syncs,
+    nothing more: it costs the same whatever tail it keeps. *)
 
 val low_water : t -> int
 (** The trim barrier {!set_retention_water} installed; [max_int] when

@@ -13,13 +13,10 @@
    records in the one scan a rejoin makes anyway, so its chains are
    exactly [Merge.partition] of the tail. *)
 
-type key = Lock of int | Region of int
-
-(* One int per key, so the union-find table and a rejoining node's
-   key-to-chain table hash plain ints: locks are even (the keyless
-   catch-all [Lock (-1)] is 0), regions odd. *)
-let tag = function Lock i -> 2 * (i + 1) | Region i -> (2 * i) + 1
-let untag k = if k land 1 = 1 then Region (k lsr 1) else Lock ((k lsr 1) - 1)
+(* One int per key, so the union-find table hashes plain ints: locks
+   are even (the keyless catch-all, lock -1, is 0), regions odd. *)
+let lock_key l = 2 * (l + 1)
+let region_key r = (2 * r) + 1
 
 (* Each record is kept as its offset and one of its keys; the offsets
    are grouped by the key's root only when chains are read, so a union
@@ -30,7 +27,7 @@ type t = {
       (* (offset, a key of its record), offsets strictly descending *)
 }
 
-type chain = { keys : int list; offsets : int list }
+type chain = { locks : int list; regions : int list; offsets : int list }
 
 let create () = { parent = Hashtbl.create 64; items = [] }
 
@@ -54,10 +51,10 @@ let union t a b =
    inventing one each. *)
 let txn_keys (txn : Record.txn) =
   match
-    List.map (fun l -> tag (Lock l.Record.lock_id)) txn.Record.locks
-    @ List.map (fun r -> tag (Region r)) (Record.regions txn)
+    List.map (fun l -> lock_key l.Record.lock_id) txn.Record.locks
+    @ List.map region_key (Record.regions txn)
   with
-  | [] -> (tag (Lock (-1)), [])
+  | [] -> (lock_key (-1), [])
   | k0 :: rest -> (k0, rest)
 
 (* [find] registers [k0] even when [rest] is empty, so every key of
@@ -87,9 +84,10 @@ let groups t =
     (List.rev t.items);
   List.rev_map (fun r -> (r, List.rev !(Hashtbl.find by_root r))) !order
 
-(* Canonical form: each chain with its keys sorted ascending and offsets
-   ascending, chains ordered by first offset — deterministic regardless
-   of union-find internals. *)
+(* Canonical form: each chain with its locks and regions sorted
+   ascending and offsets ascending, chains ordered by first offset —
+   deterministic regardless of union-find internals.  The catch-all key
+   names no lock. *)
 let entries t =
   let keys_by_root = Hashtbl.create 16 in
   List.iter
@@ -100,7 +98,14 @@ let entries t =
     (Hashtbl.fold (fun k _ acc -> k :: acc) t.parent []);
   List.map
     (fun (r, offsets) ->
-      { keys = List.sort Int.compare (Hashtbl.find keys_by_root r); offsets })
+      let keys = List.sort Int.compare (Hashtbl.find keys_by_root r) in
+      let regions, locks = List.partition (fun k -> k land 1 = 1) keys in
+      let locks = List.filter (fun k -> k > 0) locks in
+      {
+        locks = List.map (fun k -> (k / 2) - 1) locks;
+        regions = List.map (fun k -> k / 2) regions;
+        offsets;
+      })
     (groups t)
 
 let chains t = List.map snd (groups t)

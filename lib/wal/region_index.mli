@@ -12,20 +12,16 @@
     the chains are exactly the partition of the records the last trim
     left. *)
 
-type key = Lock of int | Region of int
-
-val tag : key -> int
-(** Non-negative int encoding: locks even (the keyless catch-all
-    [Lock (-1)] is 0), regions odd. *)
-
-val untag : int -> key
-
 type t
 
 type chain = {
-  keys : int list;  (** tagged lock/region keys, sorted ascending *)
+  locks : int list;  (** the locks its records name, ascending *)
+  regions : int list;  (** the regions its records touch, ascending *)
   offsets : int list;  (** the records' log offsets, ascending (= replay order) *)
 }
+(** Records that name no lock and touch no region (effect-free,
+    lockless transactions) share one catch-all chain, which names
+    neither. *)
 
 val create : unit -> t
 
@@ -38,8 +34,8 @@ val of_log : Log.t -> t * Log.scan_status
 (** Index [log]'s live tail: one {!Log.fold} that {!add}s every record. *)
 
 val entries : t -> chain list
-(** Canonical form: chains with keys sorted ascending, offsets
-    ascending, ordered by first offset. *)
+(** Canonical form: chains with locks, regions and offsets ascending,
+    ordered by first offset. *)
 
 val chains : t -> int list list
 (** Just the offset chains of {!entries}. *)

@@ -781,6 +781,64 @@ let test_chaos_replay_chain_args () =
   Alcotest.(check (option string)) "labelled records" (Some "records")
     (FD.arg_label "replay-chain")
 
+(* The drain replays the largest chain first, with the flight recorder
+   on or off: its order comes from the rejoining node's durable tail
+   alone, not from what its peers did.  Node 1's tail holds two writes
+   under lock 2 (region 1), a lock node 0 takes twenty times, then three
+   under lock 0 (region 0), which no one else takes.  Costs are charged,
+   so each record's replay reads the log device; a controller polls
+   [Node.applied_seq] until one chain is done. *)
+let test_chaos_ondemand_drain_order () =
+  List.iter
+    (fun flight ->
+      let what = if flight then "flight on" else "flight off" in
+      let config =
+        {
+          Config.default with
+          Config.charge_costs = true;
+          Config.lease_timeout = 300.0;
+          Config.flight;
+        }
+      in
+      let c = mk_cluster config 2 in
+      let write node lock =
+        let txn = Node.Txn.begin_ node in
+        Node.Txn.acquire txn lock;
+        Node.Txn.set_u64 txn ~region:(lock_region lock) ~offset:0 7L;
+        Node.Txn.commit txn
+      in
+      Cluster.spawn c ~node:0 (fun node ->
+          for _ = 1 to 20 do
+            let txn = Node.Txn.begin_ node in
+            Node.Txn.acquire txn 2;
+            Node.Txn.commit txn
+          done);
+      Cluster.run c;
+      Cluster.spawn c ~node:1 (fun node ->
+          List.iter (write node) [ 2; 2; 0; 0; 0 ]);
+      Cluster.run c;
+      let n1 = Cluster.node c 1 in
+      let first = ref None in
+      crash_then_rejoin c ~node:1 ~after_rejoin:(fun () ->
+          let rec watch () =
+            let l0 = Node.applied_seq n1 0 and l2 = Node.applied_seq n1 2 in
+            if l0 < 3 && l2 = 0 then begin
+              Lbc_sim.Proc.sleep 1_000.0;
+              watch ()
+            end
+            else first := Some (l0, l2)
+          in
+          watch ());
+      Cluster.run c;
+      Alcotest.(check (option (pair int int)))
+        (what ^ ": the 3-record chain replays before the 2-record one")
+        (Some (3, 0)) !first;
+      Alcotest.(check bool) (what ^ ": drain finished") false
+        (Node.recovering n1);
+      Alcotest.(check (pair int int)) (what ^ ": both chains replayed") (3, 22)
+        (Node.applied_seq n1 0, Node.applied_seq n1 2))
+    [ true; false ]
+
 (* Satellite regression: with lazy propagation a peer's fetch must not
    be answered from a not-yet-replayed chain.  Node 1 commits writes
    only it knows about (lazy: nothing is broadcast), crashes, and
@@ -894,5 +952,7 @@ let suites =
           test_chaos_ondemand_fetch_gate;
         Alcotest.test_case "replay-chain spans count records" `Quick
           test_chaos_replay_chain_args;
+        Alcotest.test_case "drain takes the largest chain first" `Quick
+          test_chaos_ondemand_drain_order;
       ] );
   ]

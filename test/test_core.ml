@@ -1045,7 +1045,25 @@ let test_duplicate_delivery_ignored () =
       check_int (what ^ ": each record applied once") 2 (records_applied n1);
       check_int (what ^ ": applied seq") 2 (Node.applied_seq n1 lock);
       check_int (what ^ ": nothing pending") 0 (Node.pending_count n1))
-    [ ("value", fun seqno -> Some (Int64.of_int seqno)); ("command", fun _ -> None) ]
+    [ ("value", fun seqno -> Some (Int64.of_int seqno)); ("command", fun _ -> None) ];
+  (* Two processes on one node each offer a copy of one ready increment.
+     Under charged costs the first copy's apply sleeps before its write
+     counts as applied; the second copy, offered meanwhile, is a
+     duplicate all the same, or the increment runs twice. *)
+  let c = mk ~config:{ Config.default with Config.charge_costs = true } ~nodes:3 () in
+  let r =
+    hand_record ~tid:1 ~offset:0 None
+      ~locks:[ { Lbc_wal.Record.lock_id = lock; seqno = 1; prev_write_seq = 0 } ]
+  in
+  for _ = 1 to 2 do
+    Cluster.spawn c ~node:1 (fun node -> deliver node r)
+  done;
+  Cluster.run c;
+  let n1 = Cluster.node c 1 in
+  check_i64 "charged copies: incremented once" 1L (Node.get_u64 n1 ~region ~offset:0);
+  check_int "charged copies: applied once" 1 (records_applied n1);
+  check_int "charged copies: applied seq" 1 (Node.applied_seq n1 lock);
+  check_int "charged copies: nothing pending" 0 (Node.pending_count n1)
 
 (* The receiver against a serial model.  A serial history of writes by
    node 0: each takes one or two of four locks (sometimes after a

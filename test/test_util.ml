@@ -163,16 +163,14 @@ let test_slice_copy_accounting () =
   check_int "reset" 0 (Slice.bytes_copied ())
 
 let test_arena_patch_in_place () =
-  let a = Slice.Arena.create ~capacity:4 () in
-  Slice.Arena.add_string a "heXlo";
-  Slice.Arena.set_byte a ~at:2 (Char.code 'l');
-  Alcotest.(check string) "set_byte" "hello"
-    (Slice.to_string (Slice.Arena.contents a));
-  Slice.Arena.patch a ~at:0 (Bytes.of_string "HE");
-  Alcotest.(check string) "patch" "HEllo"
-    (Slice.to_string (Slice.Arena.contents a));
-  Slice.Arena.clear a;
-  check_int "clear" 0 (Slice.Arena.length a)
+  let w = Codec.writer ~capacity:4 () in
+  Codec.raw_string w "heXlo";
+  (* 'e' 'l' 'l' 'o', little-endian, over bytes 1-4 of a grown arena *)
+  Codec.patch_u32 w ~at:1 0x6F6C6C65;
+  Alcotest.(check string) "patched in place" "hello"
+    (Slice.to_string (Codec.slice w));
+  Codec.clear w;
+  check_int "clear" 0 (Codec.length w)
 
 let test_patch_u32_large_buffer () =
   (* Regression: patching a length field inside a buffer much larger
@@ -503,6 +501,8 @@ let suites =
         qtest prop_gather_reader;
         qtest prop_varint_roundtrip;
         qtest prop_u32_roundtrip;
+        Alcotest.test_case "arena patches in place" `Quick
+          test_arena_patch_in_place;
       ] );
     ( "util.slice",
       [
@@ -510,8 +510,6 @@ let suites =
           test_slice_windows_share_base;
         Alcotest.test_case "gather lists" `Quick test_slice_iov;
         Alcotest.test_case "copy accounting" `Quick test_slice_copy_accounting;
-        Alcotest.test_case "arena patches in place" `Quick
-          test_arena_patch_in_place;
       ] );
     ( "util.rng",
       [

@@ -187,7 +187,32 @@ let test_log_trim () =
   (* Trim point survives reattach. *)
   let log' = Log.attach d in
   Alcotest.(check int) "head persisted" off2 (Log.head log');
-  Alcotest.(check int) "count" 1 (Log.record_count log')
+  Alcotest.(check int) "count" 1 (Log.record_count log');
+  (* On a charged disk a trim costs what it writes (the header and its
+     sync), not the tail it keeps: dropping one 1 KiB record takes the
+     same virtual time over a 1 KiB tail as over a 1 MiB one. *)
+  let trim_us ~keep =
+    let d = Dev.create ~latency:Latency.osdi94_disk () in
+    let log = Log.attach d in
+    let kib = String.make 1024 'k' in
+    ignore (Log.append log (mk_txn ~tid:0 [ (0, 0, kib) ]) : int);
+    let off = Log.append log (mk_txn ~tid:1 [ (0, 0, kib) ]) in
+    for i = 2 to keep do
+      ignore (Log.append log (mk_txn ~tid:i [ (0, 0, kib) ]) : int)
+    done;
+    Log.force log;
+    let engine = Lbc_sim.Engine.create () in
+    let took = ref nan in
+    Lbc_sim.Proc.spawn engine ~name:"trim" (fun () ->
+        let t0 = Lbc_sim.Engine.now engine in
+        Alcotest.(check int) "charged trim lands" off (Log.set_head log off);
+        took := Lbc_sim.Engine.now engine -. t0);
+    Lbc_sim.Engine.run engine;
+    Alcotest.(check int) "charged trim keeps its tail" keep (Log.record_count log);
+    !took
+  in
+  Alcotest.(check (float 1e-6)) "charged trim: same cost over 1 KiB and 1 MiB"
+    (trim_us ~keep:1) (trim_us ~keep:1024)
 
 let test_log_bad_device () =
   let d = Dev.create () in
@@ -609,6 +634,12 @@ let test_region_index_tracks_log () =
   let chains = Region_index.chains idx in
   Alcotest.(check (list (list int))) "two disjoint chains, log order"
     [ [ o1; o3 ]; [ o2 ] ] chains;
+  Alcotest.(check (list (pair (list int) (list int))))
+    "each chain names its locks and regions"
+    [ ([ 3 ], [ 0 ]); ([ 9 ], [ 1 ]) ]
+    (List.map
+       (fun (c : Region_index.chain) -> (c.locks, c.regions))
+       (Region_index.entries idx));
   (* Trim the first record and index again: its offset is gone. *)
   ignore (Log.set_head log o2 : int);
   let idx', status' = Region_index.of_log log in
@@ -618,8 +649,9 @@ let test_region_index_tracks_log () =
     (List.sort compare (Region_index.chains idx'))
 
 (* A record with one key (a read-only acquire logs a lock-only record;
-   a lockless record with no effect takes the catch-all key) has nothing
-   to union, yet {!Region_index.entries} must still name its chain. *)
+   a lockless record with no effect takes the catch-all key, which names
+   no lock) has nothing to union, yet {!Region_index.entries} must still
+   name its chain. *)
 let test_region_index_single_key_records () =
   let d = Dev.create () in
   let log = Log.attach d in
@@ -627,14 +659,11 @@ let test_region_index_single_key_records () =
   let o2 = Log.append log (mk_txn ~tid:2 []) in
   Log.force log;
   let idx, _status = Region_index.of_log log in
-  Alcotest.(check (list (pair (list int) (list int))))
+  Alcotest.(check (list (triple (list int) (list int) (list int))))
     "one chain per key"
-    [
-      ([ Region_index.tag (Lock 0) ], [ o1 ]);
-      ([ Region_index.tag (Lock (-1)) ], [ o2 ]);
-    ]
+    [ ([ 0 ], [], [ o1 ]); ([], [], [ o2 ]) ]
     (List.map
-       (fun (c : Region_index.chain) -> (c.keys, c.offsets))
+       (fun (c : Region_index.chain) -> (c.locks, c.regions, c.offsets))
        (Region_index.entries idx))
 
 (* ------------------------------------------------------------------ *)
