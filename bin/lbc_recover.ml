@@ -151,9 +151,10 @@ let recover db_path out_path mode backend log_paths =
       in
       let clock = match backend with Sim -> "virtual" | Real -> "wall" in
       Format.printf
-        "replayed %d records, %d bytes in %d partition(s) (%s mode, %.0f \
-         %s \xc2\xb5s)@."
-        outcome.records_replayed outcome.bytes_replayed (List.length streams)
+        "replayed %d records, %d bytes stored, %d bytes written in %d \
+         partition(s) (%s mode, %.0f %s \xc2\xb5s)@."
+        outcome.records_replayed outcome.bytes_replayed outcome.bytes_written
+        (List.length streams)
         (fst (List.find (fun (_, m) -> m = mode) modes))
         elapsed clock;
       (match (mode, first_done) with

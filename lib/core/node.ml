@@ -33,6 +33,8 @@ type rejoining = {
   chains : Rejoin.t;
   warm_cv : Lbc_sim.Condvar.t;  (* waiters for a Replaying chain *)
   started_at : float;
+  writes : Lbc_wal.Record.txn list array;
+      (* each warm chain's writes, newest first, until the drain sends them *)
 }
 
 (* A lock waiter: the ivar its process parks on, filled with the grant,
@@ -476,11 +478,15 @@ let rec replay_chain (t : t) (r : rejoining) c =
         Obs.span_begin t.obs ~name:"replay-chain" ~pid:t.id
           ~tid:Obs.lane_apply ~arg:(List.length offsets)
       in
+      let writes = ref [] in
       (try
          List.iter
            (fun off ->
              match Lbc_wal.Log.read_at log ~off with
-             | Ok record -> replay_one t ~off record
+             | Ok record ->
+                 replay_one t ~off record;
+                 if Lbc_wal.Record.is_write record then
+                   writes := record :: !writes
              | Error why ->
                  raise (Coherency_error ("on-demand replay: " ^ why)))
            offsets
@@ -493,6 +499,7 @@ let rec replay_chain (t : t) (r : rejoining) c =
          Lbc_sim.Condvar.broadcast r.warm_cv;
          raise e);
       Rejoin.finish r.chains c;
+      r.writes.(c) <- !writes;
       ignore (Obs.span_end t.obs sp : float);
       Obs.observe t.obs "recovery_us"
         (Lbc_sim.Engine.now t.engine -. r.started_at);
@@ -541,7 +548,8 @@ let rejoin (t : t) ~applied =
   let chains = Rejoin.create (Lbc_wal.Region_index.entries idx) in
   let r =
     { chains; warm_cv = Lbc_sim.Condvar.create ();
-      started_at = Lbc_sim.Engine.now t.engine }
+      started_at = Lbc_sim.Engine.now t.engine;
+      writes = Array.make (Rejoin.chains chains) [] }
   in
   t.recovery <- Some r;
   (* The mark stays pinned at the head while chains are cold, not just
@@ -556,20 +564,15 @@ let rejoin (t : t) ~applied =
   Lbc_sim.Condvar.broadcast t.applied_cv;
   if cold > 0 then
     (* Background drain, largest chain first; once every chain is warm,
-       rebroadcast the tail's own writes, chain by chain in first-offset
-       order, so peers that missed a pre-crash propagation heal. *)
+       rebroadcast the writes its replays read, chain by chain in
+       first-offset order, so peers that missed a pre-crash propagation
+       heal. *)
     Lbc_sim.Proc.spawn t.engine
       ~name:(Printf.sprintf "n%d recover-drain" t.id)
       (fun () ->
         List.iter (replay_chain t r) (Rejoin.drain chains);
-        for c = 0 to Rejoin.chains chains - 1 do
-          List.iter
-            (fun off ->
-              match Lbc_wal.Log.read_at log ~off with
-              | Ok rc when Lbc_wal.Record.is_write rc -> broadcast t rc
-              | Ok _ | Error _ -> ())
-            (Rejoin.offsets chains c)
-        done)
+        Array.iter (fun w -> List.iter (broadcast t) (List.rev w)) r.writes;
+        Array.fill r.writes 0 (Array.length r.writes) [])
 
 let recovering (t : t) =
   match t.recovery with Some r -> Rejoin.cold r.chains > 0 | None -> false

@@ -6,7 +6,10 @@
     first be merged into one stream (module [Lbc_core.Merge]) before
     replay — exactly the utility the paper adds in Section 3.4. *)
 
-type outcome = { records_replayed : int; bytes_replayed : int }
+type outcome =
+  { records_replayed : int; bytes_replayed : int; bytes_written : int }
+(** [bytes_replayed] counts every stored byte, [bytes_written] the
+    device bytes: the value blits plus the command runs written back. *)
 
 val sum : outcome list -> outcome
 (** Totals over several replays (one per partition stream). *)
@@ -18,10 +21,13 @@ val replay_records :
     record goes through {!Lbc_wal.Command.apply}: value records blit
     their saved ranges; command records re-execute the registered
     operation against an in-memory image of the devices, snapshotted on
-    first touch and flushed back in one bulk write at the end (the
-    checkpoint image plus the records replayed so far is exactly the
-    operation's pre-state).  Ranges whose region resolves to [None] are
-    skipped, as is a command touching any unresolved region.
+    first touch (the checkpoint image plus the records replayed so far
+    is exactly the operation's pre-state).  A command store marks the
+    8-byte words it covers; at the end each maximal run of marked words
+    is written back, one device write per run, so a command writes no
+    more than its stores rounded out to whole words.  Ranges whose
+    region resolves to [None] are skipped, as is a command touching any
+    unresolved region.
     @raise Lbc_wal.Command.Unknown_op for a command record whose
     operation this process never registered.
     @raise Lbc_wal.Command.Undeclared_region for an operation that

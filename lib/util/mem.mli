@@ -7,8 +7,8 @@
     to an OCaml int.  Every store first calls the backing's {e write
     declaration} with the range it is about to change — that is where a
     transaction records [set_range] and marks the region dirty, where
-    Cpy/Cmp twins the page, where a recovery session extends its dirty
-    extent — and then lands, bounds-checked.
+    Cpy/Cmp twins the page, where a recovery session marks the words
+    it will write back — and then lands, bounds-checked.
 
     Out-of-bounds accesses and [get_int] of a value outside
     [[0, max_int]] raise {!Error}. *)
@@ -49,4 +49,4 @@ val extend : t -> int -> unit
 
 val image : t -> Bytes.t
 (** The current backing bytes (not a copy): the owner's way to write its
-    dirty extent back.  Valid until the next {!extend}. *)
+    dirty words back.  Valid until the next {!extend}. *)

@@ -28,7 +28,7 @@ val log_mode_of_name : string -> log_mode option
     region store: cached RVM regions, database devices under recovery, or
     the oracle's in-memory spec images.  An operation resolves each region
     it touches once, then reads and writes through the accessor, whose
-    write declaration does the backing's bookkeeping (dirty extents,
+    write declaration does the backing's bookkeeping (dirty words,
     apply counters). *)
 type mem = region:int -> Lbc_util.Mem.t
 

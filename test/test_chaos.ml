@@ -839,6 +839,47 @@ let test_chaos_ondemand_drain_order () =
         (Node.applied_seq n1 0, Node.applied_seq n1 2))
     [ true; false ]
 
+(* The drain rebroadcasts the tail's writes as its chains read them: it
+   reads nothing more from the log.  Node 1 commits five writes under
+   lock 0, crashes and rejoins; costs are charged, so each log read
+   pays the device's 12 ms read base.  A controller polls
+   [Node.recovering] until the last chain warms, and the run must end
+   within one read base of that. *)
+let test_chaos_ondemand_drain_rereads_nothing () =
+  let config =
+    { Config.default with Config.charge_costs = true; Config.lease_timeout = 300.0 }
+  in
+  let c = mk_cluster config 2 in
+  Cluster.spawn c ~node:1 (fun node ->
+      for _ = 1 to 5 do
+        let txn = Node.Txn.begin_ node in
+        Node.Txn.acquire txn 0;
+        Node.Txn.set_u64 txn ~region:0 ~offset:0 7L;
+        Node.Txn.commit txn
+      done);
+  Cluster.run c;
+  let n1 = Cluster.node c 1 in
+  let warm = ref None in
+  crash_then_rejoin c ~node:1 ~after_rejoin:(fun () ->
+      let rec watch () =
+        if Node.recovering n1 then begin
+          Lbc_sim.Proc.sleep 100.0;
+          watch ()
+        end
+        else warm := Some (Cluster.now c)
+      in
+      watch ());
+  Cluster.run c;
+  match !warm with
+  | None -> Alcotest.fail "the controller never saw the chains warm"
+  | Some t ->
+      let tail = Cluster.now c -. t in
+      Alcotest.(check bool)
+        (Printf.sprintf "run ends %.1f virtual us after the last chain warms"
+           tail)
+        true
+        (tail < Lbc_storage.Latency.osdi94_disk.Lbc_storage.Latency.read_base)
+
 (* Satellite regression: with lazy propagation a peer's fetch must not
    be answered from a not-yet-replayed chain.  Node 1 commits writes
    only it knows about (lazy: nothing is broadcast), crashes, and
@@ -954,5 +995,7 @@ let suites =
           test_chaos_replay_chain_args;
         Alcotest.test_case "drain takes the largest chain first" `Quick
           test_chaos_ondemand_drain_order;
+        Alcotest.test_case "drain rereads nothing" `Quick
+          test_chaos_ondemand_drain_rereads_nothing;
       ] );
   ]

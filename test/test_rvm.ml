@@ -777,6 +777,172 @@ let prop_mixed_replay_identity =
       && violations = []
       && (Rvm.stats peer).Rvm.unmapped_ranges = skipped)
 
+(* A command's replay writes back what it stored, not the extent
+   between its stores: T2-A and T3-C on the tiny schema, each logged as
+   a command next to its value twin.  Recovery of the command writes no
+   more device bytes than the value record's ranges hold, and lands on
+   the twin's image. *)
+let test_command_writeback_bounded () =
+  List.iter
+    (fun kind ->
+      let module Runner = Lbc_oo7.Runner in
+      let name = Lbc_oo7.Traversal.name kind in
+      let recover log_mode =
+        let config = { Lbc_core.Config.default with Lbc_core.Config.log_mode } in
+        let c = Runner.setup ~config ~nodes:2 Lbc_oo7.Schema.tiny in
+        let o = Runner.run ~cluster:c ~writer:0 Lbc_oo7.Schema.tiny kind in
+        let db =
+          Option.get (Store.find (Lbc_core.Cluster.store c) "region.0")
+        in
+        let before = Dev.bytes_written db in
+        let outcome = Lbc_core.Cluster.recover_database c in
+        let written = Dev.bytes_written db - before in
+        check_int (name ^ ": the session counts what the device took")
+          written outcome.Recovery.bytes_written;
+        (o, written, Dev.stable_snapshot db)
+      in
+      let o_v, _, img_v = recover Lbc_wal.Command.Value in
+      let o_a, written, img_a = recover Lbc_wal.Command.Adaptive in
+      Alcotest.(check bool) (name ^ ": logged as a command") true
+        (o_a.Runner.record.Lbc_wal.Record.cmd <> None);
+      let value_bytes = Lbc_wal.Record.ranges_bytes o_v.Runner.record in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: command replay writes %d bytes, value ranges %d"
+           name written value_bytes)
+        true (written <= value_bytes);
+      Alcotest.(check bool) (name ^ ": images equal") true
+        (Bytes.equal img_v img_a))
+    Lbc_oo7.Traversal.[ T2 A; T3 C ]
+
+(* Recovery's write-back against a flat model.  A stream on one region
+   mixes value records with an increment command: for each (offset, len)
+   span it adds 1 to every byte, reading bytes past the image's end as
+   zero, so what it stores depends on every earlier write to the span,
+   value blits included.  The device starts with a random prefix and
+   grows as stores pass its end. *)
+let incr_op = 932
+
+let incremented ~read ~size ~offset ~len =
+  let b = Bytes.make len '\000' in
+  let have = min len (size - offset) in
+  if have > 0 then Bytes.blit (read ~offset ~len:have) 0 b 0 have;
+  Bytes.map (fun c -> Char.chr ((Char.code c + 1) land 0xff)) b
+
+let register_incr_op () =
+  Lbc_wal.Command.register ~op:incr_op ~name:"test-incr" (fun mem ~params ->
+      let r = Lbc_util.Codec.reader params in
+      let m = mem ~region:0 in
+      for _ = 1 to Lbc_util.Codec.get_varint r do
+        let offset = Lbc_util.Codec.get_varint r in
+        let len = Lbc_util.Codec.get_varint r in
+        Lbc_util.Mem.write m ~offset
+          (incremented ~read:(Lbc_util.Mem.read m) ~size:(Lbc_util.Mem.size m)
+             ~offset ~len)
+      done)
+
+type wb_record = Blit of (int * string) list | Incr of (int * int) list
+
+let wb_txn tid = function
+  | Blit ranges ->
+      { Lbc_wal.Record.node = 0; tid; locks = [];
+        ranges =
+          List.map
+            (fun (offset, data) ->
+              { Lbc_wal.Record.region = 0; offset; data = Bytes.of_string data })
+            ranges;
+        cmd = None }
+  | Incr spans ->
+      let w = Lbc_util.Codec.writer () in
+      Lbc_util.Codec.varint w (List.length spans);
+      List.iter
+        (fun (offset, len) ->
+          Lbc_util.Codec.varint w offset;
+          Lbc_util.Codec.varint w len)
+        spans;
+      { Lbc_wal.Record.node = 0; tid; locks = []; ranges = [];
+        cmd =
+          Some
+            { Lbc_wal.Record.op = incr_op; params = Lbc_util.Codec.contents w;
+              cmd_regions = [ 0 ] } }
+
+let prop_writeback_matches_model =
+  let span = QCheck.Gen.(pair (int_bound 160) (1 -- 20)) in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (string_size ~gen:printable (0 -- 96))
+        (list_size (1 -- 12)
+           (oneof
+              [
+                map (fun l -> Blit l)
+                  (list_size (1 -- 3)
+                     (pair (int_bound 160)
+                        (string_size ~gen:printable (1 -- 20))));
+                map (fun l -> Incr l) (list_size (1 -- 4) span);
+              ])))
+  in
+  let print (init, records) =
+    Printf.sprintf "device %S, %s" init
+      (String.concat "; "
+         (List.map
+            (function
+              | Blit l ->
+                  "blit "
+                  ^ String.concat ","
+                      (List.map (fun (o, d) -> Printf.sprintf "%d:%S" o d) l)
+              | Incr l ->
+                  "incr "
+                  ^ String.concat ","
+                      (List.map (fun (o, n) -> Printf.sprintf "%d+%d" o n) l))
+            records))
+  in
+  QCheck.Test.make ~name:"write-back matches a flat model" ~count:500
+    (QCheck.make ~print gen) (fun (init, records) ->
+      register_incr_op ();
+      let model = ref (Bytes.of_string init) in
+      let model_write ~offset data =
+        let n = offset + Bytes.length data in
+        if n > Bytes.length !model then begin
+          let b = Bytes.make n '\000' in
+          Bytes.blit !model 0 b 0 (Bytes.length !model);
+          model := b
+        end;
+        Bytes.blit data 0 !model offset (Bytes.length data)
+      in
+      (* Stored lengths, a command's each rounded out to whole words. *)
+      let bound = ref 0 in
+      List.iter
+        (function
+          | Blit ranges ->
+              List.iter
+                (fun (offset, data) ->
+                  model_write ~offset (Bytes.of_string data);
+                  bound := !bound + String.length data)
+                ranges
+          | Incr spans ->
+              List.iter
+                (fun (offset, len) ->
+                  model_write ~offset
+                    (incremented
+                       ~read:(fun ~offset ~len -> Bytes.sub !model offset len)
+                       ~size:(Bytes.length !model) ~offset ~len);
+                  bound := !bound + (8 * (((offset + len + 7) / 8) - (offset / 8))))
+                spans)
+        records;
+      let db = Dev.create () in
+      Dev.load db (Bytes.of_string init);
+      let outcome =
+        Recovery.replay_records (List.mapi wb_txn records)
+          ~db_for_region:(fun id -> if id = 0 then Some db else None)
+      in
+      let written = Dev.bytes_written db in
+      if not (Bytes.equal (Dev.stable_snapshot db) !model) then
+        QCheck.Test.fail_reportf "recovered %S, model %S"
+          (Bytes.to_string (Dev.stable_snapshot db)) (Bytes.to_string !model);
+      if written > !bound then
+        QCheck.Test.fail_reportf "wrote %d bytes, bound %d" written !bound;
+      written = outcome.Recovery.bytes_written)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -849,5 +1015,8 @@ let suites =
         Alcotest.test_case "undeclared region fails one way" `Quick
           test_undeclared_region_one_error;
         qtest prop_mixed_replay_identity;
+        Alcotest.test_case "command write-back within the value ranges"
+          `Quick test_command_writeback_bounded;
       ] );
+    ("rvm.writeback", [ qtest prop_writeback_matches_model ]);
   ]
