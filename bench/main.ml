@@ -499,8 +499,6 @@ let macro () =
     { measured with Lbc_core.Config.propagation = Lbc_core.Config.Lazy };
   run "eager + disk logging"
     { measured with Lbc_core.Config.disk_logging = true };
-  run "eager + disk + group commit"
-    { measured with Lbc_core.Config.disk_logging = true; group_commit = true };
   pr "(200 transactions of 4 sparse 8-byte updates; 25%% cross-segment)@."
 
 (* ------------------------------------------------------------------ *)
@@ -1017,7 +1015,7 @@ let flight_overhead_bench () =
     Lbc_core.Cluster.shutdown cluster;
     wall_us
   in
-  (* Skip the real fsync per group commit: file-system timing noise on
+  (* Skip the real fsync per commit: file-system timing noise on
      shared CI hosts swamps a 2% signal (±10% run-to-run), and the log
      path's own instrumentation cost is still fully exercised — only
      the device write behind it is elided. *)

@@ -8,7 +8,6 @@ type t = {
   charge_costs : bool;
   repair : bool;
   lease_timeout : float;
-  group_commit : bool;
   flight : bool;
   flight_ring_bytes : int;
 }
@@ -22,7 +21,6 @@ let default =
     charge_costs = false;
     repair = false;
     lease_timeout = 10_000.0;
-    group_commit = false;
     flight = true;
     flight_ring_bytes = 65536;
   }

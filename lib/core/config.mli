@@ -4,11 +4,10 @@
     at commit, compressed wire headers, disk logging on.  [set_range]
     always coalesces with the prototype's optimized policy
     ({!Lbc_rvm.Range_tree}) and logs 104-byte RVM range headers, and
-    with disk logging on every commit forces its record to the log
-    before it returns (alone, or in its group-commit batch).  The
-    benchmarks flip individual knobs to reproduce the ablations (disk
-    logging off to isolate coherency costs, lazy propagation from
-    Section 2.2). *)
+    with disk logging on every commit appends its record to the log and
+    forces it before it returns.  The benchmarks flip individual knobs
+    to reproduce the ablations (disk logging off to isolate coherency
+    costs, lazy propagation from Section 2.2). *)
 
 type propagation =
   | Eager
@@ -49,12 +48,6 @@ type t = {
   lease_timeout : float;
       (** virtual µs after a node crash before the lock managers reclaim
           the tokens it held (models lease expiry / epoch change) *)
-  group_commit : bool;
-      (** batch concurrent commits on the same node into one log write +
-          one sync (group commit), with {!Lbc_wal.Log.enable_group_commit}'s
-          defaults: a batch closes at 8 records or 100 virtual µs after
-          its first record.  Takes effect only with [disk_logging];
-          committers park until their batch is durable. *)
   flight : bool;
       (** the flight recorder: every node keeps a fixed-size binary
           ring of spans, instants, flow arrows and counter deltas

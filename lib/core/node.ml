@@ -55,6 +55,9 @@ type t = {
   applied_cv : Lbc_sim.Condvar.t;
   mutable retention : Retention.t;  (* fresh at every rejoin *)
   fetch_marks : (int, int) Hashtbl.t;  (* lock -> [have] of its last fetch *)
+  fetch_sent : (int, float) Hashtbl.t;
+      (* lock -> engine time its last fetch went out (fetch_rtt_us);
+         kept only while the sink is live *)
   repairs : (int, repair) Hashtbl.t;  (* lock id -> gap under watch *)
   txn_updates : int ref;  (* set_range calls in the running transaction *)
   mutable recovery : rejoining option;  (* live during an on-demand rejoin *)
@@ -115,8 +118,6 @@ let create (deps : deps) =
     Lbc_rvm.Rvm.init ~options:rvm_options ~node:deps.node_id
       ~log_dev:deps.log_dev ()
   in
-  if deps.config.Config.group_commit && deps.config.Config.disk_logging then
-    Lbc_wal.Log.enable_group_commit (Lbc_rvm.Rvm.log rvm) ~engine:deps.engine;
   let locks =
     Lbc_locks.Table.create ~node:deps.node_id ~nodes:deps.nodes
       ~send:(fun ~dst m -> deps.send ~dst (Msg.Lock m))
@@ -139,6 +140,7 @@ let create (deps : deps) =
     applied_cv = Lbc_sim.Condvar.create ();
     retention = Retention.create ~self:deps.node_id ~nodes:deps.nodes;
     fetch_marks = Hashtbl.create 16;
+    fetch_sent = Hashtbl.create 16;
     repairs = Hashtbl.create 8;
     txn_updates;
     recovery = None;
@@ -233,15 +235,14 @@ let apply_now (t : t) (record : Lbc_wal.Record.txn) =
 (* Wake interlocked acquirers once a record's writes count as applied. *)
 let landed (t : t) () = Lbc_sim.Condvar.broadcast t.applied_cv
 
-let fetch_mark_key t lock = Printf.sprintf "fetch:%d:%d" t.id lock
-
 let send_fetch (t : t) ~lock ~have ~from =
   (* [have] is the applied seqno, which only rises until the marks
      reset, so the last mark per lock suppresses every repeat. *)
   if from <> t.id && Hashtbl.find_opt t.fetch_marks lock <> Some have then begin
     Hashtbl.replace t.fetch_marks lock have;
     t.stats.fetches_sent <- t.stats.fetches_sent + 1;
-    if Obs.enabled t.obs then Obs.mark t.obs (fetch_mark_key t lock);
+    if Obs.enabled t.obs then
+      Hashtbl.replace t.fetch_sent lock (Lbc_sim.Engine.now t.engine);
     L.debug (fun m -> m "node %d fetches lock %d > %d from node %d" t.id lock have from);
     t.send ~dst:from (Msg.Fetch { lock; have })
   end
@@ -284,7 +285,7 @@ let rec repair_check (t : t) lock =
         t.stats.repair_fetches <- t.stats.repair_fetches + 1;
         if Obs.enabled t.obs then begin
           Obs.count ~pid:t.id t.obs "repair_fetches" 1;
-          Obs.mark t.obs (fetch_mark_key t lock)
+          Hashtbl.replace t.fetch_sent lock (Lbc_sim.Engine.now t.engine)
         end;
         L.debug (fun m ->
             m "node %d repair-fetches lock %d > %d from node %d (try %d)"
@@ -538,6 +539,7 @@ let rejoin (t : t) ~applied =
      write still in the log may be needed by one of them. *)
   t.retention <- Retention.create ~self:t.id ~nodes:t.nodes;
   Hashtbl.reset t.fetch_marks;
+  Hashtbl.reset t.fetch_sent;
   Hashtbl.reset t.repairs;
   t.recovery <- None;
   reload t ~applied;
@@ -630,10 +632,12 @@ let handle (t : t) ~src msg =
       t.send ~dst:src (Msg.Fetched { lock; payloads })
   | Msg.Fetched { lock; payloads } ->
       t.stats.records_fetched <- t.stats.records_fetched + List.length payloads;
-      if Obs.enabled t.obs then (
-        match Obs.take_mark t.obs (fetch_mark_key t lock) with
-        | Some rtt -> Obs.observe ~pid:t.id t.obs "fetch_rtt_us" rtt
-        | None -> ());
+      (match Hashtbl.find_opt t.fetch_sent lock with
+      | Some sent ->
+          Hashtbl.remove t.fetch_sent lock;
+          Obs.observe ~pid:t.id t.obs "fetch_rtt_us"
+            (Lbc_sim.Engine.now t.engine -. sent)
+      | None -> ());
       List.iter (receive_iov t) payloads
   | Msg.LowWater { applied } ->
       Retention.heard t.retention ~peer:src applied;

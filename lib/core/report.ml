@@ -6,7 +6,7 @@ let pp_node ppf node =
   Format.fprintf ppf
     "node %d: %d commits (%d aborts), %d set_ranges | sent %d upd/%dB, \
      recv %d (%d held) | locks %d local/%d remote, %d interlock waits | \
-     log %dB live%s%s%s%s"
+     log %dB live%s%s%s"
     (Node.id node) rvm.Lbc_rvm.Rvm.commits rvm.Lbc_rvm.Rvm.aborts
     rvm.Lbc_rvm.Rvm.set_ranges st.Node.updates_sent st.Node.update_bytes_sent
     st.Node.records_received st.Node.records_held
@@ -17,11 +17,6 @@ let pp_node ppf node =
      then
        Printf.sprintf " | %d repair fetches, %d stale lock msgs"
          st.Node.repair_fetches locks.Lbc_locks.Table.stale_msgs
-     else "")
-    (if Lbc_wal.Log.group_commit_enabled log then
-       Printf.sprintf " | group commit: %d records in %d batches"
-         (Lbc_wal.Log.records_batched log)
-         (Lbc_wal.Log.batches_flushed log)
      else "")
     (if rvm.Lbc_rvm.Rvm.unmapped_ranges > 0 then
        Printf.sprintf " | %d UNMAPPED ranges dropped"

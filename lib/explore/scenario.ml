@@ -355,6 +355,28 @@ let rejoin_under_load =
           final_pull c ~nodes ~locks:W.all_locks;
           oracle c ~nodes ~region_ids:[ 0; 1 ] ))
 
+(* Two workers per node on a charged disk: a log write sleeps, so the
+   other worker on the same node commits while it is in flight, and the
+   two commits' appends overlap in one log.  Every other scenario either
+   leaves the disk uncharged or runs one writer per node. *)
+let commit_storm =
+  cluster_scenario ~name:"commit-storm"
+    ~descr:"two committers per node whose log writes overlap (3 nodes)"
+    (fun sched ->
+      let config = { Config.default with Config.charge_costs = true } in
+      let nodes = 3 in
+      let c = W.mk_cluster config ~sched ~nodes in
+      ( c,
+        fun () ->
+          let rng = Lbc_util.Rng.create 1717 in
+          for n = 0 to nodes - 1 do
+            W.worker c rng ~node:n ~iterations:6;
+            W.worker c rng ~node:n ~iterations:6
+          done;
+          Cluster.run c;
+          final_pull c ~nodes ~locks:W.all_locks;
+          oracle c ~nodes ~region_ids:[ 0; 1 ] ))
+
 (* --------------------------------------------------------------- *)
 (* OO7: the bench configurations as explorable scenarios *)
 
@@ -420,6 +442,7 @@ let all =
     oo7_multicast;
     oo7_lazy;
     oo7_costs;
+    commit_storm;
   ]
 
 let find name = List.find_opt (fun s -> s.name = name) all

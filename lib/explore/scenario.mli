@@ -52,5 +52,10 @@ val oo7_costs : t
     sleeps its modelled cost, so the other writer's lock traffic arrives
     amid the traversal's in-place clock advances. *)
 
+val commit_storm : t
+(** Two workers per node with [Config.charge_costs]: a log write sleeps,
+    so the second worker's commit appends to the same log while the
+    first one's write is in flight. *)
+
 val all : t list
 val find : string -> t option

@@ -331,8 +331,7 @@ let merged d =
    events pass 0 and render without args. *)
 let arg_label = function
   | "lock.wait" | "interlock" | "token.pass" -> Some "lock"
-  | "net.send" | "net.deliver" | "net.drop" | "log.append" | "log.flush" ->
-      Some "bytes"
+  | "net.send" | "net.deliver" | "net.drop" | "log.append" -> Some "bytes"
   | "replay-chain" | "ckpt" -> Some "records"
   | "apply" | "hold" -> Some "writer"
   | "crash" | "rejoin" -> Some "epoch"

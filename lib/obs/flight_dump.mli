@@ -60,7 +60,8 @@ val merged : dump -> event array
 
 val arg_label : string -> string option
 (** What a span's or instant's argument means, by event name: ["lock"],
-    ["bytes"], ["writer"] or ["epoch"]; [None] for events without one. *)
+    ["bytes"], ["records"], ["writer"] or ["epoch"]; [None] for events
+    without one. *)
 
 val render_chrome : dump -> string
 (** Chrome trace-event JSON — one process per ring, lanes as threads in

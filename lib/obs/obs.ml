@@ -156,25 +156,12 @@ type t = {
   flow_ids : int array;  (* -1 = empty *)
   flow_ts : float array;
   flows_m : Mutex.t;
-  marks : (string, float) Hashtbl.t;
-  m : Mutex.t;  (* serializes [marks] across domains *)
 }
-
-let[@inline] locked t f =
-  Mutex.lock t.m;
-  match f () with
-  | v ->
-      Mutex.unlock t.m;
-      v
-  | exception e ->
-      Mutex.unlock t.m;
-      raise e
 
 let disabled =
   { enabled = false; now_fn = (fun () -> 0.0); rings = [||];
     shards = [||]; global = shard_create 1;
-    flow_ids = [||]; flow_ts = [||]; flows_m = Mutex.create ();
-    marks = Hashtbl.create 1; m = Mutex.create () }
+    flow_ids = [||]; flow_ts = [||]; flows_m = Mutex.create () }
 
 (* Power of two; sized to dwarf the number of writes in flight between
    commit and last apply (tens on a busy cluster). *)
@@ -186,9 +173,7 @@ let create ?(ring_bytes = 65536) ~now ~nodes () =
     shards = Array.init nodes (fun _ -> shard_create 16);
     global = shard_create 32;
     flow_ids = Array.make flow_slots (-1); flow_ts = Array.make flow_slots 0.0;
-    flows_m = Mutex.create ();
-    marks = Hashtbl.create 64;
-    m = Mutex.create () }
+    flows_m = Mutex.create () }
 
 let enabled t = t.enabled
 
@@ -393,24 +378,6 @@ let flow_end t ~id ~pid ~tid =
       Some (ts -. start)
     end
   end
-
-(* Named marks: cheap cross-callback timing (e.g. repair-fetch RTT,
-   keyed by requesting node + lock). *)
-let mark t key =
-  if t.enabled then
-    let ts = t.now_fn () in
-    locked t (fun () -> Hashtbl.replace t.marks key ts)
-
-let take_mark t key =
-  if not t.enabled then None
-  else
-    let now = t.now_fn () in
-    locked t (fun () ->
-        match Hashtbl.find_opt t.marks key with
-        | None -> None
-        | Some ts ->
-            Hashtbl.remove t.marks key;
-            Some (now -. ts))
 
 (* ---------------------------------------------------------------- *)
 (* Flight recorder access *)

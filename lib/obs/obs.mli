@@ -73,8 +73,8 @@ val flow_id : lock:int -> seqno:int -> int
 
     Spans and instants carry one int argument: the lock id on
     [lock.wait], [interlock] and [token.pass]; the byte count on
-    [net.send], [net.deliver], [net.drop], [log.append] and
-    [log.flush]; the record count on [replay-chain] and [ckpt]; the
+    [net.send], [net.deliver], [net.drop] and [log.append]; the record
+    count on [replay-chain] and [ckpt]; the
     writer on [apply] and [hold]; the epoch on [crash] and [rejoin]; 0
     elsewhere ({!Flight_dump.arg_label}). *)
 
@@ -118,12 +118,6 @@ val observe : ?pid:int -> t -> string -> float -> unit
 val hist : t -> string -> Histogram.t option
 val hists : t -> (string * Histogram.t) list
 (** Merged copies — safe to keep after the sink moves on. *)
-
-val mark : t -> string -> unit
-(** Record "now" under a key — cheap cross-callback timing. *)
-
-val take_mark : t -> string -> float option
-(** Elapsed time since {!mark} under the same key, consuming the mark. *)
 
 (** {1 Flight recorder} *)
 

@@ -6,7 +6,7 @@
    the platform seam (Node, Table, Log, Rvm) reaches the runtime only
    through its stored [Engine.t] handle — so a node runs unchanged on a
    per-node engine whose event loop is paced by real time.  [Proc.sleep]
-   becomes a real sleep, group-commit timers fire on the wall clock, and
+   becomes a real sleep, timers fire on the wall clock, and
    effects-based processes cooperate exactly as in the sim, just with
    true parallelism {e between} nodes.
 

@@ -286,9 +286,9 @@ let commit_full txn =
   t.stats.ranges_logged <- t.stats.ranges_logged + n_ranges;
   t.stats.bytes_logged <- t.stats.bytes_logged + bytes;
   if t.options.disk_logging then begin
-    (* Durable before it returns: alone, or parked in its group-commit
-       batch until one device write and one sync cover the batch. *)
-    ignore (Lbc_wal.Log.append_durable t.log record);
+    (* Durable before it returns: one device write, one sync. *)
+    ignore (Lbc_wal.Log.append t.log record : int);
+    Lbc_wal.Log.force t.log;
     t.stats.log_bytes_written <-
       t.stats.log_bytes_written
       + Lbc_wal.Record.encoded_size record

@@ -119,8 +119,8 @@ val commit : txn -> Lbc_wal.Record.txn
     values from region memory) — or, when a command was declared and
     [options.log_mode] selects it, a command record with the same lock
     records — and return it.  With disk logging on, the record is durable
-    before [commit] returns ({!Lbc_wal.Log.append_durable}: forced alone,
-    or in its group-commit batch).  The transaction is dead afterwards. *)
+    before [commit] returns: {!Lbc_wal.Log.append}, then
+    {!Lbc_wal.Log.force}.  The transaction is dead afterwards. *)
 
 type commit_outcome = {
   record : Lbc_wal.Record.txn;  (** what was logged and is broadcast *)

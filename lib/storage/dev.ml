@@ -165,7 +165,6 @@ let read t ~off ~len =
 let write t ~off b ~pos ~len =
   if off < 0 || pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg (Printf.sprintf "Dev.write %s: bad range" t.name);
-  charge t (t.latency.write_base +. (t.latency.write_per_byte *. float_of_int len));
   Lbc_util.Slice.count_copy len;
   (match t.backing with
   | Mem m ->
@@ -177,7 +176,11 @@ let write t ~off b ~pos ~len =
       Queue.add { off; payload = Bytes.sub b pos len } m.pending;
       m.pending_bytes <- m.pending_bytes + len
   | File f -> file_write f ~off b ~pos ~len);
-  t.bytes_written <- t.bytes_written + len
+  t.bytes_written <- t.bytes_written + len;
+  (* Charged only once the bytes are captured: another process that runs
+     during the sleep (a second committer on the same node) may already
+     reuse [b]. *)
+  charge t (t.latency.write_base +. (t.latency.write_per_byte *. float_of_int len))
 
 let write_slice t ~off s =
   write t ~off (Lbc_util.Slice.base s) ~pos:(Lbc_util.Slice.pos s)

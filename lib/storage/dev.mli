@@ -51,11 +51,16 @@ val read : t -> off:int -> len:int -> Bytes.t
     structured torn-tail verdict instead of an untyped failure. *)
 
 val write : t -> off:int -> Bytes.t -> pos:int -> len:int -> unit
-(** Buffered write at [off]; extends the device if needed. *)
+(** Buffered write at [off]; extends the device if needed.  The bytes
+    land in the current image, and the device captures its own copy of
+    the payload, before the write's latency is charged: from the moment
+    the charge sleeps, the caller's buffer is free for reuse, even by
+    another process that runs during the sleep. *)
 
 val write_slice : t -> off:int -> Lbc_util.Slice.t -> unit
-(** {!write} from a window; the device captures its own copy of the
-    payload, so the caller may reuse or clear the backing arena. *)
+(** {!write} from a window; the caller may reuse or clear the backing
+    arena as soon as the copy is taken, before the charge's sleep
+    ends. *)
 
 val write_string : t -> off:int -> string -> unit
 

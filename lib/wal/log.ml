@@ -3,29 +3,6 @@ module Obs = Lbc_obs.Obs
 
 exception Bad_log of string
 
-(* A batch of commits riding one device write + one sync (group commit).
-   The batch arena is owned by the group and reused: the device captures
-   its own copy of the payload at flush. *)
-type batch = {
-  id : int;
-  base : int;  (* device offset where the batch lands *)
-  opened_at : float;  (* virtual time the batch opened (flush-delay metric) *)
-  mutable count : int;
-}
-
-type group = {
-  engine : Lbc_sim.Engine.t;
-  max_records : int;
-  delay : float;
-  bw : Codec.writer;  (* accumulates the open batch's records *)
-  cv : Lbc_sim.Condvar.t;  (* committers park here until their batch syncs *)
-  mutable next_id : int;
-  mutable open_batch : batch option;
-  mutable flushed_id : int;  (* highest batch id made durable *)
-  mutable batches_flushed : int;
-  mutable records_batched : int;
-}
-
 type t = {
   dev : Lbc_storage.Dev.t;
   mutable head : int;
@@ -33,8 +10,7 @@ type t = {
   mutable retention_water : int;
       (* trim barrier: offset of the oldest record a peer may still
          re-fetch (repair retention); [max_int] means unconstrained *)
-  enc : Codec.writer;  (* reused arena for direct appends *)
-  mutable group : group option;
+  enc : Codec.writer;  (* reused arena for appends *)
   mutable obs : Obs.t;
   mutable obs_node : int;
 }
@@ -102,7 +78,7 @@ let attach dev =
     let t =
       { dev; head = header_size; tail = header_size;
         retention_water = max_int; enc = Codec.writer ~capacity:1024 ();
-        group = None; obs = Obs.disabled; obs_node = 0 }
+        obs = Obs.disabled; obs_node = 0 }
     in
     write_header t;
     Lbc_storage.Dev.sync dev;
@@ -126,8 +102,7 @@ let attach dev =
        tail. *)
     let tail, _status = scan dev ~from:head ~limit:size (fun _ _ -> ()) in
     { dev; head; tail; retention_water = max_int;
-      enc = Codec.writer ~capacity:1024 (); group = None;
-      obs = Obs.disabled; obs_node = 0 }
+      enc = Codec.writer ~capacity:1024 (); obs = Obs.disabled; obs_node = 0 }
   end
 
 let load_file path =
@@ -154,142 +129,32 @@ let set_retention_water t off =
   t.retention_water <-
     (if off >= max_int then max_int else max header_size off)
 
-(* ---------------------------------------------------------------- *)
-(* Group commit *)
-
-let enable_group_commit ?(max_records = 8) ?(delay = 100.0) t ~engine =
-  if max_records < 1 then invalid_arg "Log.enable_group_commit: max_records";
-  if t.group <> None then invalid_arg "Log.enable_group_commit: already enabled";
-  t.group <-
-    Some
-      {
-        engine;
-        max_records;
-        delay;
-        bw = Codec.writer ~capacity:4096 ();
-        cv = Lbc_sim.Condvar.create ();
-        next_id = 1;
-        open_batch = None;
-        flushed_id = 0;
-        batches_flushed = 0;
-        records_batched = 0;
-      }
-
-let group_commit_enabled t = t.group <> None
-let batches_flushed t = match t.group with Some g -> g.batches_flushed | None -> 0
-let records_batched t = match t.group with Some g -> g.records_batched | None -> 0
-
-let flush_batch_now t g =
-  match g.open_batch with
-  | None -> ()
-  | Some b ->
-      g.open_batch <- None;
-      let sp =
-        if Obs.enabled t.obs then begin
-          Obs.observe ~pid:t.obs_node t.obs "gc_batch_records" (Float.of_int b.count);
-          Obs.observe ~pid:t.obs_node t.obs "gc_flush_delay_us"
-            (Lbc_sim.Engine.now g.engine -. b.opened_at);
-          Obs.span_begin t.obs ~name:"log.flush" ~pid:t.obs_node
-            ~tid:Obs.lane_wal ~arg:(Codec.length g.bw)
-        end
-        else Obs.null_span
-      in
-      (* One gathered write, one sync, for the whole batch. *)
-      Lbc_storage.Dev.write_slice t.dev ~off:b.base (Codec.slice g.bw);
-      Lbc_storage.Dev.sync t.dev;
-      ignore (Obs.span_end t.obs sp : float);
-      g.flushed_id <- b.id;
-      g.batches_flushed <- g.batches_flushed + 1;
-      Lbc_sim.Condvar.broadcast g.cv
-
-let flush_batch t = match t.group with None -> () | Some g -> flush_batch_now t g
-
+(* The offset is reserved before the write, and the device captures the
+   payload before it charges: a second committer on the same node that
+   runs during the write's sleep encodes into the same arena and takes
+   the next offset, never this one. *)
 let append t txn =
-  (* Device order must equal logical order: an open batch occupies
-     [base, tail), so it goes out before a direct append lands. *)
-  flush_batch t;
   Codec.clear t.enc;
   Record.encode_into t.enc txn;
+  let len = Codec.length t.enc in
   (* The pre-slice path materialized the encoded record before writing. *)
-  Slice.count_saved (Codec.length t.enc);
+  Slice.count_saved len;
   let off = t.tail in
+  t.tail <- off + len;
   Lbc_storage.Dev.write_slice t.dev ~off (Codec.slice t.enc);
-  t.tail <- off + Codec.length t.enc;
   Obs.instant t.obs ~name:"log.append" ~pid:t.obs_node ~tid:Obs.lane_wal
-    ~arg:(Codec.length t.enc);
+    ~arg:len;
   off
 
 let force t =
-  match t.group with
-  | Some g when g.open_batch <> None -> flush_batch_now t g (* includes the sync *)
-  | _ ->
-      let sp =
-        Obs.span_begin t.obs ~name:"log.force" ~pid:t.obs_node
-          ~tid:Obs.lane_wal ~arg:0
-      in
-      Lbc_storage.Dev.sync t.dev;
-      Obs.observe ~pid:t.obs_node t.obs "log_force_us" (Obs.span_end t.obs sp)
-
-let append_durable t txn =
-  match t.group with
-  | None ->
-      let off = append t txn in
-      force t;
-      off
-  | Some g ->
-      let b =
-        match g.open_batch with
-        | Some b -> b
-        | None ->
-            Codec.clear g.bw;
-            let b =
-              { id = g.next_id; base = t.tail;
-                opened_at = Lbc_sim.Engine.now g.engine; count = 0 }
-            in
-            g.next_id <- g.next_id + 1;
-            g.open_batch <- Some b;
-            b
-      in
-      let off = b.base + Codec.length g.bw in
-      Record.encode_into g.bw txn;
-      Slice.count_saved (b.base + Codec.length g.bw - off);
-      b.count <- b.count + 1;
-      g.records_batched <- g.records_batched + 1;
-      t.tail <- b.base + Codec.length g.bw;
-      let id = b.id in
-      if b.count >= g.max_records then flush_batch_now t g
-      else begin
-        (if b.count = 1 then
-           (* First record opens the flush window.  The timer spawns a
-              process so the sync cost is charged as virtual time. *)
-           Lbc_sim.Engine.schedule g.engine ~delay:g.delay (fun () ->
-               match g.open_batch with
-               | Some b' when b'.id = id ->
-                   Lbc_sim.Proc.spawn g.engine ~name:"log-group-flush"
-                     ~daemon:true
-                     (fun () ->
-                       match g.open_batch with
-                       | Some b'' when b''.id = id -> flush_batch_now t g
-                       | _ -> ())
-               | _ -> ()));
-        let in_process =
-          match Lbc_sim.Proc.engine () with
-          | (_ : Lbc_sim.Engine.t) -> true
-          | exception Lbc_sim.Proc.Not_in_process -> false
-        in
-        if in_process then
-          Lbc_sim.Condvar.await
-            ~info:(Printf.sprintf "group-commit batch %d" id)
-            g.cv
-            (fun () -> g.flushed_id >= id)
-        else
-          (* No process to park: degrade to an immediate flush. *)
-          flush_batch_now t g
-      end;
-      off
+  let sp =
+    Obs.span_begin t.obs ~name:"log.force" ~pid:t.obs_node ~tid:Obs.lane_wal
+      ~arg:0
+  in
+  Lbc_storage.Dev.sync t.dev;
+  Obs.observe ~pid:t.obs_node t.obs "log_force_us" (Obs.span_end t.obs sp)
 
 let set_head t off =
-  flush_batch t;
   if off < header_size || off > t.tail then
     invalid_arg (Printf.sprintf "Log.set_head: offset %d out of [%d,%d]"
                    off header_size t.tail);
@@ -302,8 +167,6 @@ let set_head t off =
   off
 
 let fold t ?from ~init f =
-  (* An open batch is part of [head, tail) but not on the device yet. *)
-  flush_batch t;
   let from = match from with Some o -> o | None -> t.head in
   let acc = ref init in
   let _pos, status =
@@ -323,7 +186,6 @@ let read_all t =
    scanning the whole tail. *)
 
 let read_at t ~off =
-  flush_batch t;
   if off < t.head || off >= t.tail then
     Error
       (Printf.sprintf "offset %d outside live window [%d,%d)" off t.head t.tail)

@@ -1,25 +1,23 @@
-(** An append-only redo log on a simulated device.
+(** An append-only redo log on a storage device.
 
     Layout: a 16-byte header ([magic], [version] 2, [head] offset of the
     first live record) followed by transaction records ({!Record}) and
     nothing else.  The log is write-ahead: {!append} buffers the record
     on the device and {!force} issues the synchronous barrier that makes
-    the commit durable.
+    the commit durable; a commit is one of each, in turn.
+
+    The log is a data structure over its device: it spawns no process
+    and schedules no event, and only the device charges time.  Two
+    appenders may still interleave on a charged device (a write sleeps
+    inside the calling sim process): {!append} reserves its offset
+    before it writes, and the device captures the payload before it
+    charges, so each record lands once at its own offset.
 
     {!attach} scans the device to find the usable tail, stopping at a clean
     end or a torn record — so re-attaching after a crash silently discards
     the unsynced tail, which is exactly RVM's recovery-time behaviour.
     Scans read the device through bounded windows (64 KiB, doubled when a
     record does not fit) rather than snapshotting it whole.
-
-    {b Group commit}: with {!enable_group_commit}, {!append_durable}
-    coalesces concurrent commits into batches that ride one device write
-    and one sync.  A batch closes when it holds [max_records] records or
-    [delay] virtual µs after its first record; each committer parks on the
-    batch until it is durable.  Callers outside any simulated process fall
-    back to an immediate flush.  Batches keep device order equal to
-    logical order: a direct {!append}, {!force}, {!set_head} or {!fold}
-    first flushes the open batch.
 
     Trimming (checkpointing) advances [head]; records before [head] are
     dead and their space is not reused (offline compaction is the job of
@@ -45,10 +43,9 @@ val load_file : string -> (t, string) result
 
 val set_obs : t -> Lbc_obs.Obs.t -> node:int -> unit
 (** Install a trace/metrics sink (the log itself does not know which
-    node owns it, hence [node]): appends become [log.append] instants,
-    syncs become [log.force] spans feeding [log_force_us], and batch
-    flushes become [log.flush] spans feeding [gc_batch_records] /
-    [gc_flush_delay_us].  Defaults to [Obs.disabled]. *)
+    node owns it, hence [node]): appends become [log.append] instants
+    carrying the record's byte count, and syncs become [log.force] spans
+    feeding [log_force_us].  Defaults to [Obs.disabled]. *)
 
 val dev : t -> Lbc_storage.Dev.t
 val head : t -> int
@@ -66,31 +63,14 @@ val record_count : t -> int
     keeps a count). *)
 
 val append : t -> Record.txn -> int
-(** Append one record (buffered); returns its offset.  Ranges carry
-    {!Record.rvm_disk_header_size}-byte headers. *)
+(** Append one record (buffered, not yet durable); returns its offset.
+    The offset is reserved before the device write, so a concurrent
+    append during the write's charged sleep takes the next one.  Ranges
+    carry {!Record.rvm_disk_header_size}-byte headers. *)
 
 val force : t -> unit
-(** Synchronous barrier: all appended records become durable.  Flushes
-    the open group-commit batch, if any. *)
-
-(** {1 Group commit} *)
-
-val enable_group_commit :
-  ?max_records:int -> ?delay:float -> t -> engine:Lbc_sim.Engine.t -> unit
-(** Turn on commit batching.  [max_records] (default 8) closes a batch by
-    size; [delay] (default 100 virtual µs) closes it by time. *)
-
-val group_commit_enabled : t -> bool
-
-val append_durable : t -> Record.txn -> int
-(** Append one record and return once it is durable; returns its offset.
-    With group commit enabled the record joins the open batch and the
-    caller parks until the batch syncs; otherwise this is
-    {!append} + {!force}. *)
-
-val batches_flushed : t -> int
-val records_batched : t -> int
-(** Per-log group-commit accounting (0 when disabled). *)
+(** Synchronous barrier: every record appended so far becomes durable
+    (one device sync). *)
 
 val set_head : t -> int -> int
 (** Trim the log head (a cluster checkpoint's trim); durable

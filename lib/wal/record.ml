@@ -18,12 +18,12 @@ let rvm_disk_header_size = 104
 let min_header_size = 4 + 8 + 8 (* region, offset, length *)
 
 (* Single-pass encode into a caller-supplied writer: the record may land
-   after bytes already in the arena (group commit batches several), so
-   every patch offset is relative to the arena length at entry.  The
-   total-length field is patched in place once the body size is known,
-   and the CRC is computed over the arena bytes directly — no
-   intermediate buffer is materialized.  Both record kinds (value and
-   command) share this framing: magic, total at +4, trailing CRC. *)
+   after bytes already in the arena, so every patch offset is relative
+   to the arena length at entry.  The total-length field is patched in
+   place once the body size is known, and the CRC is computed over the
+   arena bytes directly — no intermediate buffer is materialized.  Both
+   record kinds (value and command) share this framing: magic, total at
+   +4, trailing CRC. *)
 let seal w ~start =
   let total = Codec.length w - start + 4 in
   Codec.patch_u32 w ~at:(start + 4) total;

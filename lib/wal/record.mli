@@ -78,8 +78,8 @@ val encode_into : Lbc_util.Codec.writer -> txn -> unit
 (** Append the record's encoding to [w] in a single pass — the
     total-length field is patched in place and the CRC is computed over
     the arena directly, so nothing is materialized.  Appending after
-    bytes already in the writer is fine (group commit batches records
-    this way); the output is byte-identical to {!encode}. *)
+    bytes already in the writer is fine; the output is byte-identical
+    to {!encode}. *)
 
 type decode_result =
   | Txn of txn * int  (** decoded record and offset just past it *)

@@ -314,7 +314,11 @@ let test_lazy_fetch_on_acquire () =
   Cluster.run c;
   let st = Node.stats (Cluster.node c 1) in
   check_int "one fetch" 1 st.Node.fetches_sent;
-  check_int "three records fetched" 3 st.Node.records_fetched
+  check_int "three records fetched" 3 st.Node.records_fetched;
+  check_int "one fetch round trip timed" 1
+    (match Lbc_obs.Obs.hist (Cluster.obs c) "fetch_rtt_us" with
+    | Some h -> Lbc_obs.Obs.Histogram.count h
+    | None -> 0)
 
 let test_lazy_chain_through_writers () =
   (* 0 writes, 1 writes (fetching 0's update first), then 2 fetches from 1
@@ -1175,47 +1179,41 @@ let test_held_chain_linear () =
         (Node.get_u64 n1 ~region ~offset:0))
     [ ("reversed", false, List.rev chain); ("pinned", true, chain) ]
 
-let test_group_commit_cluster () =
-  (* End to end through Config -> Node -> Rvm -> Log: concurrent
-     committers on one node share batches, so the log syncs fewer times
-     than it commits, and peers still converge. *)
-  let config = { Config.default with Config.group_commit = true } in
+let test_concurrent_commits_logged_once () =
+  (* Four processes on node 0 commit under their own locks on a charged
+     disk: each log write sleeps, so the next committer encodes into the
+     log's arena and appends while the previous write is in flight.
+     Every commit must still land once, at its own offset. *)
+  let config = { Config.default with Config.charge_costs = true } in
   let c = mk ~config ~nodes:2 () in
-  let locks = [ 0; 1; 2; 3 ] in
+  let locks = [ 0; 1; 2; 3 ] and commits = 6 in
   List.iter
     (fun l ->
       Cluster.spawn c ~node:0 (fun node ->
-          for _ = 1 to 5 do
+          for i = 1 to commits do
             let txn = Node.Txn.begin_ node in
             Node.Txn.acquire txn l;
-            Node.Txn.set_u64 txn ~region ~offset:(8 * l) 7L;
+            Node.Txn.set_u64 txn ~region ~offset:(8 * l) (Int64.of_int i);
             Node.Txn.commit txn
           done))
     locks;
   Cluster.run c;
-  let n0 = Cluster.node c 0 in
-  let log = Lbc_rvm.Rvm.log (Node.rvm n0) in
-  Alcotest.(check bool) "group commit enabled" true
-    (Lbc_wal.Log.group_commit_enabled log);
-  check_int "all commits logged" 20 (Lbc_wal.Log.record_count log);
-  let syncs = Lbc_storage.Dev.sync_count (Lbc_wal.Log.dev log) in
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer syncs (%d) than commits (20)" syncs)
-    true (syncs < 20);
-  Alcotest.(check bool) "records were batched" true
-    (Lbc_wal.Log.batches_flushed log < Lbc_wal.Log.records_batched log);
-  (* Peers converged despite the batched durability. *)
+  let log = Lbc_rvm.Rvm.log (Node.rvm (Cluster.node c 0)) in
+  let txns, status = Lbc_wal.Log.read_all log in
+  let n = List.length locks * commits in
+  check_int "one record per commit" n (List.length txns);
+  check_int "no record twice" n
+    (List.length
+       (List.sort_uniq Int.compare
+          (List.map (fun t -> t.Lbc_wal.Record.tid) txns)));
+  Alcotest.(check bool) "log clean" true (status = Lbc_wal.Log.Clean);
   List.iter
     (fun l ->
       check_i64
-        (Printf.sprintf "peer sees lock %d's write" l)
-        7L
+        (Printf.sprintf "peer reads lock %d's last value" l)
+        (Int64.of_int commits)
         (Node.get_u64 (Cluster.node c 1) ~region ~offset:(8 * l)))
-    locks;
-  (* The batched log replays identically. *)
-  let txns, status = Lbc_wal.Log.read_all log in
-  Alcotest.(check bool) "log clean" true (status = Lbc_wal.Log.Clean);
-  check_int "replay count" 20 (List.length txns)
+    locks
 
 let test_double_acquire_same_lock_rejected () =
   let c = mk () in
@@ -1703,8 +1701,8 @@ let suites =
         Alcotest.test_case "double acquire rejected" `Quick
           test_double_acquire_same_lock_rejected;
         Alcotest.test_case "wire large offsets" `Quick test_wire_large_offsets;
-        Alcotest.test_case "group commit end to end" `Quick
-          test_group_commit_cluster;
+        Alcotest.test_case "concurrent commits logged once" `Quick
+          test_concurrent_commits_logged_once;
       ] );
     ( "core.lazy",
       [

@@ -119,9 +119,7 @@ let test_disabled_noop () =
   Obs.count o "c" 1;
   Alcotest.(check int) "counter stays 0" 0 (Obs.counter o "c");
   Obs.observe o "h" 5.0;
-  Alcotest.(check bool) "no histogram" true (Obs.hist o "h" = None);
-  Obs.mark o "m";
-  Alcotest.(check bool) "no mark" true (Obs.take_mark o "m" = None)
+  Alcotest.(check bool) "no histogram" true (Obs.hist o "h" = None)
 
 (* ----------------------------------------------------------------- *)
 (* Span / flow recording against a fake clock *)
@@ -199,16 +197,6 @@ let test_spans_flows_render () =
   Alcotest.(check (option (float 0.0)))
     "net lane sorts last" (Some 4.0)
     (sort_index 0 Obs.lane_net)
-
-let test_marks () =
-  let clock = ref 100.0 in
-  let o = Obs.create ~now:(fun () -> !clock) ~nodes:1 () in
-  Obs.mark o "fetch:0:7";
-  clock := 140.0;
-  Alcotest.(check bool)
-    "elapsed" true
-    (Obs.take_mark o "fetch:0:7" = Some 40.0);
-  Alcotest.(check bool) "consumed" true (Obs.take_mark o "fetch:0:7" = None)
 
 (* Hand-built dumps for the self-check fixtures: events the recorder
    itself never writes (negative durations, backwards time). *)
@@ -745,9 +733,8 @@ let test_cluster_flight_dump () =
 (* Golden-style rendering of Report.pp_cluster *)
 
 let test_report_golden () =
-  let config = { Config.default with Config.group_commit = true } in
   let nodes = 3 in
-  let c = mk_cluster config nodes in
+  let c = mk_cluster Config.default nodes in
   script_writer c ~node:0 ~lock:0 ~commits:2;
   script_writer c ~node:1 ~lock:1 ~commits:1;
   Cluster.spawn c ~node:0 (fun nd ->
@@ -765,8 +752,6 @@ let test_report_golden () =
   expect "copy counters" "encode arenas";
   expect "node 0 stats" "node 0: 2 commits (1 aborts)";
   expect "node 1 stats" "node 1: 1 commits (0 aborts)";
-  expect "group commit" "group commit:";
-  expect "batches" "batches";
   expect "flight line" "obs: flight";
   expect "flight accounting" "(rec/drop/bytes)";
   if contains rendered "blocked:" then
@@ -809,7 +794,6 @@ let suites =
           test_disabled_noop;
         Alcotest.test_case "spans and flows render" `Quick
           test_spans_flows_render;
-        Alcotest.test_case "marks" `Quick test_marks;
         Alcotest.test_case "self-check catches bad traces" `Quick
           test_self_check_catches;
       ] );

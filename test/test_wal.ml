@@ -408,9 +408,8 @@ let test_record_header_padding () =
   | _ -> Alcotest.fail "a header size below the minimum must be Torn"
 
 let prop_encode_into_appends =
-  (* Encoding several records into one shared arena — what a group-commit
-     batch does — yields exactly the concatenation of their individual
-     encodings. *)
+  (* Encoding several records into one shared arena yields exactly the
+     concatenation of their individual encodings. *)
   QCheck.Test.make ~name:"encode_into batches = concatenated encodes"
     ~count:100
     (QCheck.make (QCheck.Gen.list_size QCheck.Gen.(1 -- 5) gen_txn))
@@ -463,99 +462,99 @@ let test_scan_record_larger_than_window () =
     (List.map (fun t -> t.Record.tid) txns)
 
 (* ------------------------------------------------------------------ *)
-(* Group commit *)
+(* Concurrent appends on a charged device *)
 
-let run_commits ~max_records ~delay ~commits f =
-  let d = Dev.create () in
-  let log = Log.attach d in
-  let engine = Lbc_sim.Engine.create () in
-  Log.enable_group_commit ~max_records ~delay log ~engine;
-  let durable = ref [] in
-  for i = 1 to commits do
-    Lbc_sim.Proc.spawn engine ~name:(Printf.sprintf "committer-%d" i)
-      (fun () ->
-        let off =
-          Log.append_durable log (mk_txn ~tid:i [ (0, 0, "payload") ])
+(* 2-6 sim processes append to one log on the OSDI-94 disk, whose write
+   sleeps, so their appends interleave.  Each append is a payload length,
+   a think time before it (virtual µs) and whether a force follows. *)
+let prop_concurrent_appends =
+  let append = QCheck.Gen.(triple (int_bound 400) (int_bound 80) bool) in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (2 -- 6) (list_size (1 -- 5) append))
+        (int_bound 30) (int_bound 600))
+  in
+  let print (procs, apply, tear) =
+    Printf.sprintf "procs [%s], crash apply %d tear %d"
+      (String.concat "; "
+         (List.map
+            (fun ops ->
+              String.concat ","
+                (List.map
+                   (fun (len, think, force) ->
+                     Printf.sprintf "%d+%d%s" think len
+                       (if force then "!" else ""))
+                   ops))
+            procs))
+      apply tear
+  in
+  QCheck.Test.make ~name:"concurrent appends land once, in offset order"
+    ~count:500 (QCheck.make ~print gen) (fun (procs, apply, tear_bytes) ->
+      let d = Dev.create ~latency:Latency.osdi94_disk () in
+      let log = Log.attach d in
+      let engine = Lbc_sim.Engine.create () in
+      let appended = ref [] and forced = ref [] in
+      List.iteri
+        (fun p ops ->
+          Lbc_sim.Proc.spawn engine ~name:(Printf.sprintf "appender-%d" p)
+            (fun () ->
+              List.iteri
+                (fun i (len, think, force) ->
+                  if think > 0 then Lbc_sim.Proc.sleep (float_of_int think);
+                  let tid = (100 * p) + i in
+                  let fill = Char.chr (Char.code 'a' + (tid mod 26)) in
+                  let txn = mk_txn ~tid [ (0, 0, String.make len fill) ] in
+                  let off = Log.append log txn in
+                  appended := (off, txn) :: !appended;
+                  if force then begin
+                    Log.force log;
+                    forced := tid :: !forced
+                  end)
+                ops))
+        procs;
+      Lbc_sim.Engine.run engine;
+      let by_offset =
+        List.sort (fun (a, _) (b, _) -> Int.compare a b) !appended
+      in
+      let records log =
+        let acc, status =
+          Log.fold log ~init:[] (fun acc off txn -> (off, txn) :: acc)
         in
-        (* append_durable returns only once the record is on stable
-           storage *)
-        durable := (i, off) :: !durable)
-  done;
-  Lbc_sim.Engine.run engine;
-  f d log !durable
-
-let test_group_commit_batches_by_size () =
-  run_commits ~max_records:4 ~delay:1_000.0 ~commits:8 (fun d log durable ->
-      Alcotest.(check int) "all committers returned" 8 (List.length durable);
-      Alcotest.(check int) "two full batches" 2 (Log.batches_flushed log);
-      Alcotest.(check int) "records batched" 8 (Log.records_batched log);
-      (* 1 sync for the fresh header + 1 per batch *)
-      Alcotest.(check int) "one sync per batch" 3 (Dev.sync_count d);
-      let txns, status = Log.read_all log in
-      Alcotest.(check bool) "clean" true (status = Log.Clean);
-      Alcotest.(check int) "all records logged" 8 (List.length txns))
-
-let test_group_commit_flushes_by_delay () =
-  (* Fewer committers than max_records: only the timer can flush. *)
-  run_commits ~max_records:64 ~delay:100.0 ~commits:3 (fun d log durable ->
-      Alcotest.(check int) "all committers returned" 3 (List.length durable);
-      Alcotest.(check int) "one timed batch" 1 (Log.batches_flushed log);
-      Alcotest.(check int) "syncs: header + batch" 2 (Dev.sync_count d);
-      let txns, _ = Log.read_all log in
-      Alcotest.(check int) "all records logged" 3 (List.length txns))
-
-let test_group_commit_fewer_syncs_than_commits () =
-  run_commits ~max_records:8 ~delay:50.0 ~commits:24 (fun d log durable ->
-      Alcotest.(check int) "all committers returned" 24 (List.length durable);
-      Alcotest.(check bool)
-        (Printf.sprintf "syncs (%d) < commits (24)" (Dev.sync_count d))
-        true
-        (Dev.sync_count d < 24);
-      Alcotest.(check int) "records batched" 24 (Log.records_batched log))
-
-let test_group_commit_torn_batch_recovery () =
-  (* A crash can tear the batch's single gathered write mid-record:
-     recovery must keep the batch's leading records and drop the torn
-     tail. *)
-  run_commits ~max_records:4 ~delay:1_000.0 ~commits:4 (fun d log durable ->
-      ignore (log : Log.t);
-      let offs = List.sort Int.compare (List.map snd durable) in
-      (* Cut 10 bytes into the batch's third record. *)
-      let cut = List.nth offs 2 + 10 in
-      let d' = Dev.create () in
-      Dev.load d' (Dev.read d ~off:0 ~len:cut);
-      let log' = Log.attach d' in
-      let txns, status = Log.read_all log' in
-      Alcotest.(check bool) "tail reset past the tear" true
-        (status = Log.Clean);
-      Alcotest.(check int) "batch prefix survives" 2 (List.length txns);
-      (* The log keeps working after recovery. *)
-      ignore (Log.append log' (mk_txn ~tid:99 [ (0, 0, "post") ]));
-      Log.force log';
-      let txns', status' = Log.read_all log' in
-      Alcotest.(check bool) "clean after repair" true (status' = Log.Clean);
-      Alcotest.(check int) "new record appended" 3 (List.length txns'))
-
-let test_group_commit_direct_append_flushes () =
-  (* A direct append (no durability wait) must not overtake an open
-     batch: device order is logical order. *)
-  let d = Dev.create () in
-  let log = Log.attach d in
-  let engine = Lbc_sim.Engine.create () in
-  Log.enable_group_commit ~max_records:8 ~delay:1_000.0 log ~engine;
-  Lbc_sim.Proc.spawn engine ~name:"committer" (fun () ->
-      ignore (Log.append_durable log (mk_txn ~tid:1 [ (0, 0, "batched") ])));
-  Lbc_sim.Proc.spawn engine ~name:"direct" (fun () ->
-      Lbc_sim.Proc.sleep 10.0;
-      (* The batch is still open (delay 1000); this append must flush it
-         first so the records land in order. *)
-      ignore (Log.append log (mk_txn ~tid:2 [ (0, 0, "direct") ]));
-      Log.force log);
-  Lbc_sim.Engine.run engine;
-  let txns, status = Log.read_all log in
-  Alcotest.(check bool) "clean" true (status = Log.Clean);
-  Alcotest.(check (list int)) "device order = logical order" [ 1; 2 ]
-    (List.map (fun t -> t.Record.tid) txns)
+        (List.rev acc, status)
+      in
+      let same (o, t) (o', t') = o = o' && Record.equal_txn t t' in
+      let rec prefix xs ys =
+        match (xs, ys) with
+        | [], _ -> true
+        | x :: xs, y :: ys -> same x y && prefix xs ys
+        | _ :: _, [] -> false
+      in
+      let offsets = List.map fst by_offset in
+      if List.length (List.sort_uniq Int.compare offsets) <> List.length offsets
+      then
+        QCheck.Test.fail_reportf "two appends share an offset: [%s]"
+          (String.concat ";" (List.map string_of_int offsets));
+      let live, status = records log in
+      if status <> Log.Clean then QCheck.Test.fail_report "live log torn";
+      if
+        List.length live <> List.length by_offset
+        || not (List.for_all2 same live by_offset)
+      then
+        QCheck.Test.fail_reportf
+          "fold yields %d records, not the %d appends at their offsets"
+          (List.length live) (List.length by_offset);
+      Dev.crash ~apply ~tear_bytes d;
+      let survived, _ = records (Log.attach d) in
+      if not (prefix survived by_offset) then
+        QCheck.Test.fail_report "re-attached log is not a prefix of the appends";
+      let tids = List.map (fun (_, t) -> t.Record.tid) survived in
+      List.iter
+        (fun tid ->
+          if not (List.mem tid tids) then
+            QCheck.Test.fail_reportf "forced record %d lost" tid)
+        !forced;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Low-water marks, point reads, corrupt-byte scans, the region index *)
@@ -1065,17 +1064,5 @@ let suites =
         QCheck_alcotest.to_alcotest prop_cmd_roundtrip;
       ] );
     ( "wal.decode", [ QCheck_alcotest.to_alcotest prop_decode_hostile ] );
-    ( "wal.group_commit",
-      [
-        Alcotest.test_case "batches by size" `Quick
-          test_group_commit_batches_by_size;
-        Alcotest.test_case "flushes by delay" `Quick
-          test_group_commit_flushes_by_delay;
-        Alcotest.test_case "fewer syncs than commits" `Quick
-          test_group_commit_fewer_syncs_than_commits;
-        Alcotest.test_case "torn batch recovery" `Quick
-          test_group_commit_torn_batch_recovery;
-        Alcotest.test_case "direct append flushes open batch" `Quick
-          test_group_commit_direct_append_flushes;
-      ] );
+    ( "wal.append", [ QCheck_alcotest.to_alcotest prop_concurrent_appends ] );
   ]
